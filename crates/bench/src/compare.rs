@@ -48,7 +48,6 @@ impl Tolerance {
 /// as health.
 pub const REQUIRED_GATE_METRICS: &[(&str, &str)] = &[
     ("taint_throughput", "wall_ratio_decoded_over_legacy"),
-    ("taint_throughput", "wall_ratio_tiered_over_decoded"),
     ("serve_saturation", "saturated_p99_wall_seconds"),
     ("incremental_edit", "edit_loop_warm_wall_seconds"),
 ];
@@ -472,10 +471,7 @@ mod tests {
             record(
                 "taint_throughput",
                 1.0,
-                &[
-                    ("wall_ratio_decoded_over_legacy", 0.4),
-                    ("wall_ratio_tiered_over_decoded", 0.8),
-                ],
+                &[("wall_ratio_decoded_over_legacy", 0.4)],
             ),
             record(
                 "serve_saturation",

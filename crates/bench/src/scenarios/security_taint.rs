@@ -4,9 +4,9 @@
 //! Three things are proven before anything is timed:
 //!
 //! 1. **Bit-identity across engines.** The security-policy run produces
-//!    the same [`pt_taint::RunOutput`] on the tier-0 decoded engine, the
-//!    tier-1 forced engine, and the legacy reference — the same
-//!    differential contract the param-set policy lives under.
+//!    the same [`pt_taint::RunOutput`] on the decoded engine and the
+//!    legacy reference — the same differential contract the param-set
+//!    policy lives under.
 //! 2. **Ground truth.** The app's sink ledger is known in closed form
 //!    (audit sink: one check per request, one violation per *unsanitized*
 //!    request — `pt_sanitize` provably clears labels or the sanitized
@@ -28,8 +28,8 @@ use pt_apps::security::{SINK_AUDIT, SINK_CONFIG, SOURCE_CONFIG, SOURCE_REQUEST};
 use pt_mpisim::{MachineConfig, MpiHandler};
 use pt_taint::policy::source_base_name;
 use pt_taint::{
-    differential, tier, InterpConfig, Interpreter, PolicyKind, PreparedModule,
-    ReferenceInterpreter, RunOutput, TierConfig, TierMode, TierPlan,
+    differential, InterpConfig, Interpreter, PolicyKind, PreparedModule, ReferenceInterpreter,
+    RunOutput,
 };
 
 pub struct SecurityTaint;
@@ -44,7 +44,7 @@ impl Scenario for SecurityTaint {
     }
 
     fn summary(&self) -> &'static str {
-        "security source/sink/sanitizer policy on mini-SecSrv: 3-engine bit-identity, sink ledger ground truth, cost over param-set"
+        "security source/sink/sanitizer policy on mini-SecSrv: 2-engine bit-identity, sink ledger ground truth, cost over param-set"
     }
 
     fn run(&self, cx: &ScenarioCtx) -> Result<ScenarioResult, PtError> {
@@ -67,12 +67,6 @@ impl Scenario for SecurityTaint {
             })?;
         }
         let prepared = PreparedModule::compute(&app.module);
-        // Pin tier-0 in both baselines so a stray PT_TIER=force cannot
-        // blur the policy-vs-policy comparison.
-        let tier_off = TierConfig {
-            mode: TierMode::Off,
-            ..TierConfig::default()
-        };
         // Explicit data flows only: the control-flow taint extension is
         // the *perf-model* policy's addition — under `CtlFlowPolicy::All`
         // the request loop's trip count (tainted by `requests`) would be
@@ -83,13 +77,11 @@ impl Scenario for SecurityTaint {
         let security_cfg = InterpConfig {
             policy: pt_taint::CtlFlowPolicy::Off,
             taint_policy: PolicyKind::Security,
-            tier: tier_off.clone(),
             ..Default::default()
         };
         let paramset_cfg = InterpConfig {
             policy: pt_taint::CtlFlowPolicy::Off,
             taint_policy: PolicyKind::ParamSet,
-            tier: tier_off,
             ..Default::default()
         };
 
@@ -122,46 +114,14 @@ impl Scenario for SecurityTaint {
             })
         };
 
-        // ---- 1. three-engine bit-identity under the security policy ----
-        let tier_cfg = TierConfig {
-            mode: TierMode::Force,
-            ..TierConfig::default()
-        };
-        let spec = tier::specialize(
-            &prepared.decoded,
-            &TierPlan::all(app.module.functions.len()),
-            &tier_cfg,
-            None,
-        );
+        // ---- 1. two-engine bit-identity under the security policy ------
         let decoded = run_with(&security_cfg)?;
-        let tiered = {
-            let mut interp = Interpreter::new(
-                &app.module,
-                &prepared,
-                MpiHandler::new(machine.clone()),
-                params.clone(),
-                security_cfg.clone(),
-            );
-            interp.set_tier(&spec);
-            interp
-                .run_named(&app.entry, &[])
-                .map_err(|source| PtError::TaintRun {
-                    entry: app.entry.clone(),
-                    source,
-                })?
-        };
         let reference = run_reference(&security_cfg)?;
         differential::compare_outputs(&decoded, &reference).map_err(|divergence| {
             PtError::Config(format!(
                 "security_taint: decoded engine diverges from reference: {divergence}"
             ))
         })?;
-        differential::compare_outputs(&tiered, &reference).map_err(|divergence| {
-            PtError::Config(format!(
-                "security_taint: tiered engine diverges from reference: {divergence}"
-            ))
-        })?;
-
         // ---- 2. sink-ledger ground truth -------------------------------
         let audit = decoded
             .records
@@ -244,7 +204,7 @@ impl Scenario for SecurityTaint {
         outln!(r, "Security taint policy on {} ({reps} reps)", app.name);
         outln!(
             r,
-            "  engines bit-identical: decoded == tiered == reference ({} insts)",
+            "  engines bit-identical: decoded == reference ({} insts)",
             decoded.insts
         );
         outln!(

@@ -16,15 +16,6 @@
 //! divided by legacy corpus wall time (lower is better; `0.5` means the
 //! decoded engine is 2× faster); `wall_ratio_measure_decoded_over_legacy`
 //! gates the measurement-mode specialization the same way.
-//!
-//! A third timing pass runs the decoded engine with tier-1 specialization
-//! forced ([`TierMode::Force`]: every `ssa_clean` function compiled to the
-//! direct-threaded form, untainted fast path armed) after proving *its*
-//! output bit-identical to the legacy engine too. Its gate metric is
-//! `wall_ratio_tiered_over_decoded` — tiered corpus wall over plain
-//! decoded corpus wall (lower is better; both baselines here pin
-//! [`TierMode::Off`] so the tier-0 numbers stay meaningful whatever
-//! `PT_TIER` says).
 
 use super::{outln, Scenario, ScenarioCtx, ScenarioResult};
 use perf_taint::report::EngineTiming;
@@ -32,8 +23,7 @@ use perf_taint::PtError;
 use pt_apps::AppSpec;
 use pt_mpisim::{MachineConfig, MpiHandler};
 use pt_taint::{
-    differential, tier, InterpConfig, Interpreter, PassStats, PreparedModule, ReferenceInterpreter,
-    TierConfig, TierMode, TierPlan, TierStats,
+    differential, InterpConfig, Interpreter, PassStats, PreparedModule, ReferenceInterpreter,
 };
 
 pub struct TaintThroughput;
@@ -77,74 +67,48 @@ impl Scenario for TaintThroughput {
         );
         outln!(
             r,
-            "  {:<14} {:>10} {:>14} {:>14} {:>14} {:>9} {:>9}",
+            "  {:<14} {:>10} {:>14} {:>14} {:>9}",
             "app",
             "insts",
             "decoded/s",
-            "tiered/s",
             "legacy/s",
-            "taint",
-            "tiered"
+            "taint"
         );
 
         let mut decoded_total = 0.0f64;
-        let mut tiered_total = 0.0f64;
         let mut legacy_total = 0.0f64;
         let mut measure_total = 0.0f64;
         let mut legacy_measure_total = 0.0f64;
         let mut decode_total = 0.0f64;
         let mut pass_total = 0.0f64;
-        let mut specialize_total = 0.0f64;
         let mut insts_total = 0u64;
-        let mut tier_stats = TierStats::default();
         let mut passes = PassStats::default();
         for app in &corpus {
             let params = app.taint_run_params();
             let machine = machine_for(&params)?;
             let prepared = PreparedModule::compute(&app.module);
-            // Pin tier-0 explicitly: the decoded-vs-legacy baseline must
-            // not silently become tiered under a stray PT_TIER=force.
-            let tier_off = TierConfig {
-                mode: TierMode::Off,
-                ..TierConfig::default()
-            };
-            let taint_cfg = InterpConfig {
-                tier: tier_off.clone(),
-                ..Default::default()
-            };
             let measure_cfg = InterpConfig {
                 taint: false,
                 coverage: false,
-                tier: tier_off,
                 ..Default::default()
             };
-            let (decoded, tiered, legacy, app_tier, spec_secs) =
-                bench_taint(app, &prepared, &machine, &taint_cfg, reps)?;
+            let (decoded, legacy) =
+                bench_app(app, &prepared, &machine, &InterpConfig::default(), reps)?;
             let (m_decoded, m_legacy) = bench_app(app, &prepared, &machine, &measure_cfg, reps)?;
-            specialize_total += spec_secs;
             outln!(
                 r,
-                "  {:<14} {:>10} {:>14.2e} {:>14.2e} {:>14.2e} {:>8.2}x {:>8.2}x",
+                "  {:<14} {:>10} {:>14.2e} {:>14.2e} {:>8.2}x",
                 app.name,
                 decoded.insts,
                 decoded.insts_per_second(),
-                tiered.insts_per_second(),
                 legacy.insts_per_second(),
-                legacy.execute_seconds / decoded.execute_seconds,
-                decoded.execute_seconds / tiered.execute_seconds
+                legacy.execute_seconds / decoded.execute_seconds
             );
             decoded_total += decoded.execute_seconds;
-            tiered_total += tiered.execute_seconds;
             legacy_total += legacy.execute_seconds;
             measure_total += m_decoded.execute_seconds;
             legacy_measure_total += m_legacy.execute_seconds;
             decode_total += decoded.decode_seconds;
-            tier_stats.specialized += app_tier.specialized;
-            tier_stats.threaded_entries += app_tier.threaded_entries;
-            tier_stats.threaded_insts += app_tier.threaded_insts;
-            tier_stats.fast_entries += app_tier.fast_entries;
-            tier_stats.fast_deopts += app_tier.fast_deopts;
-            tier_stats.fast_insts += app_tier.fast_insts;
             pass_total += prepared.pass_seconds;
             insts_total += decoded.insts;
             let s = prepared.pass_stats;
@@ -158,17 +122,13 @@ impl Scenario for TaintThroughput {
 
         let ratio = decoded_total / legacy_total.max(1e-12);
         let m_ratio = measure_total / legacy_measure_total.max(1e-12);
-        let t_ratio = tiered_total / decoded_total.max(1e-12);
         outln!(r);
         outln!(
             r,
-            "  corpus: {} insts — decoded {:.2e}/s over {:.4}s, tiered {:.2e}/s over {:.4}s, \
-             legacy {:.2e}/s over {:.4}s",
+            "  corpus: {} insts — decoded {:.2e}/s over {:.4}s, legacy {:.2e}/s over {:.4}s",
             insts_total,
             insts_total as f64 / decoded_total.max(1e-12),
             decoded_total,
-            insts_total as f64 / tiered_total.max(1e-12),
-            tiered_total,
             insts_total as f64 / legacy_total.max(1e-12),
             legacy_total
         );
@@ -179,20 +139,6 @@ impl Scenario for TaintThroughput {
             1.0 / ratio.max(1e-12),
             1.0 / m_ratio.max(1e-12),
             decode_total
-        );
-        outln!(
-            r,
-            "  tiered/decoded wall ratio: {t_ratio:.3} (speedup ×{:.2}); \
-             one-time specialize: {specialize_total:.4}s for {} fns; \
-             {} threaded insts over {} entries; \
-             fast path: {} insts, {} entries, {} deopts",
-            1.0 / t_ratio.max(1e-12),
-            tier_stats.specialized,
-            tier_stats.threaded_insts,
-            tier_stats.threaded_entries,
-            tier_stats.fast_insts,
-            tier_stats.fast_entries,
-            tier_stats.fast_deopts
         );
         outln!(
             r,
@@ -210,25 +156,18 @@ impl Scenario for TaintThroughput {
         // machine-independent gate numbers; the wall times carry the usual
         // loose timing tolerance.
         r.metric("taint_wall_seconds", decoded_total);
-        r.metric("tiered_taint_wall_seconds", tiered_total);
         r.metric("legacy_taint_wall_seconds", legacy_total);
         r.metric("measure_wall_seconds", measure_total);
         r.metric("legacy_measure_wall_seconds", legacy_measure_total);
         r.metric("wall_ratio_decoded_over_legacy", ratio);
         r.metric("wall_ratio_measure_decoded_over_legacy", m_ratio);
-        r.metric("wall_ratio_tiered_over_decoded", t_ratio);
-        // Per-tier throughput: the same corpus instruction stream retired
-        // by the tier-0 decoded loop vs the tier-1 specialized engine.
+        // Decoded-engine throughput over the corpus instruction stream
+        // (the key keeps its historical name so baselines stay comparable).
         r.metric(
             "insts_per_second_tier0",
             insts_total as f64 / decoded_total.max(1e-12),
         );
-        r.metric(
-            "insts_per_second_tier1",
-            insts_total as f64 / tiered_total.max(1e-12),
-        );
         r.metric("decode_wall_seconds", decode_total);
-        r.metric("specialize_wall_seconds", specialize_total);
         // Per-stage wall attribution: the pass pipeline's share of the
         // one-time decode, and the best-of execution wall for the full
         // taint configuration — the same stages the tracer reports.
@@ -257,160 +196,6 @@ fn machine_for(params: &[(String, i64)]) -> Result<MachineConfig, PtError> {
         return Err(PtError::Config("machine has zero ranks".into()));
     }
     Ok(machine)
-}
-
-/// One app on all three engines under the full taint configuration:
-/// tier-0 decoded, decoded with the tier-1 specialization pre-installed —
-/// the amortized shape a warm [`perf_taint::Session`] runs in, where
-/// `specialize` is paid once per module (exactly like the decode stage)
-/// and every run after reuses the compiled functions — and the legacy
-/// reference. Both decoded shapes are differentially checked against the
-/// reference first (the tiered paths must honor the same bit-identity
-/// contract as tier-0). The rep loop **interleaves** the engines so the
-/// best-of samples face the same machine drift: timing all reps of one
-/// engine before the next turns a frequency or load shift mid-scenario
-/// into a phantom engine-vs-engine delta, which is exactly what the
-/// `wall_ratio_tiered_over_decoded` gate must not absorb. Also returns
-/// the tiered run's [`TierStats`] (how much of the stream retired on the
-/// specialized paths) and the one-time specialization seconds.
-#[allow(clippy::type_complexity)]
-fn bench_taint(
-    app: &AppSpec,
-    prepared: &PreparedModule,
-    machine: &MachineConfig,
-    config: &InterpConfig,
-    reps: usize,
-) -> Result<(EngineTiming, EngineTiming, EngineTiming, TierStats, f64), PtError> {
-    let params = app.taint_run_params();
-
-    // Compile every ssa-clean function up front, once — the module-level
-    // analogue of TierMode::Force, hoisted out of the timed runs the way
-    // a session hoists it out of every run after its first.
-    let tier_cfg = TierConfig {
-        mode: TierMode::Force,
-        ..TierConfig::default()
-    };
-    let (spec, spec_secs) = pt_util::time(|| {
-        tier::specialize(
-            &prepared.decoded,
-            &TierPlan::all(app.module.functions.len()),
-            &tier_cfg,
-            None,
-        )
-    });
-
-    let run_decoded = || {
-        Interpreter::new(
-            &app.module,
-            prepared,
-            MpiHandler::new(machine.clone()),
-            params.clone(),
-            config.clone(),
-        )
-        .run_named(&app.entry, &[])
-        .map_err(|source| PtError::TaintRun {
-            entry: app.entry.clone(),
-            source,
-        })
-    };
-    let run_tiered = || {
-        let mut interp = Interpreter::new(
-            &app.module,
-            prepared,
-            MpiHandler::new(machine.clone()),
-            params.clone(),
-            config.clone(),
-        );
-        interp.set_tier(&spec);
-        interp
-            .run_named(&app.entry, &[])
-            .map_err(|source| PtError::TaintRun {
-                entry: app.entry.clone(),
-                source,
-            })
-    };
-    let run_legacy = || {
-        ReferenceInterpreter::new(
-            &app.module,
-            prepared,
-            MpiHandler::new(machine.clone()),
-            params.clone(),
-            config.clone(),
-        )
-        .run_named(&app.entry, &[])
-        .map_err(|source| PtError::TaintRun {
-            entry: app.entry.clone(),
-            source,
-        })
-    };
-
-    // The engines must agree before their timings mean anything.
-    let d = run_decoded()?;
-    let t = run_tiered()?;
-    let l = run_legacy()?;
-    differential::compare_outputs(&d, &l).map_err(|divergence| {
-        PtError::Config(format!(
-            "taint_throughput: engines diverge on {}: {divergence}",
-            app.name
-        ))
-    })?;
-    differential::compare_outputs(&t, &l).map_err(|divergence| {
-        PtError::Config(format!(
-            "taint_throughput: tiered engine diverges on {}: {divergence}",
-            app.name
-        ))
-    })?;
-    let insts = d.insts;
-    let legacy_insts = l.insts;
-    let stats = t.tier;
-
-    let mut best_d = f64::MAX;
-    let mut best_t = f64::MAX;
-    let mut best_l = f64::MAX;
-    // Rotate which engine opens each rep: with a fixed order the same
-    // engine always lands in the same slot of the boost/thermal cycle
-    // (e.g. decoded always first after the long legacy run), which
-    // biases the best-of minima systematically rather than randomly.
-    for i in 0..reps {
-        for slot in 0..3 {
-            match (i + slot) % 3 {
-                0 => {
-                    let (out, wall) = pt_util::time(run_decoded);
-                    out?;
-                    best_d = best_d.min(wall);
-                }
-                1 => {
-                    let (out, wall) = pt_util::time(run_tiered);
-                    out?;
-                    best_t = best_t.min(wall);
-                }
-                _ => {
-                    let (out, wall) = pt_util::time(run_legacy);
-                    out?;
-                    best_l = best_l.min(wall);
-                }
-            }
-        }
-    }
-    Ok((
-        EngineTiming {
-            decode_seconds: prepared.decode_seconds,
-            execute_seconds: best_d,
-            insts,
-        },
-        EngineTiming {
-            decode_seconds: prepared.decode_seconds,
-            execute_seconds: best_t,
-            insts,
-        },
-        EngineTiming {
-            decode_seconds: 0.0,
-            execute_seconds: best_l,
-            insts: legacy_insts,
-        },
-        stats,
-        spec_secs,
-    ))
 }
 
 /// One app on both engines under one configuration: differential check,
@@ -468,13 +253,22 @@ fn bench_app(
 
     let mut best_d = f64::MAX;
     let mut best_l = f64::MAX;
-    for _ in 0..reps {
-        let (out, wall) = pt_util::time(run_decoded);
-        out?;
-        best_d = best_d.min(wall);
-        let (out, wall) = pt_util::time(run_legacy);
-        out?;
-        best_l = best_l.min(wall);
+    // Interleave the engines so the best-of samples face the same machine
+    // drift, and alternate which one opens each rep: with a fixed order
+    // the same engine always lands in the same slot of the boost/thermal
+    // cycle, which biases the minima systematically rather than randomly.
+    for i in 0..reps {
+        for slot in 0..2 {
+            if (i + slot) % 2 == 0 {
+                let (out, wall) = pt_util::time(run_decoded);
+                out?;
+                best_d = best_d.min(wall);
+            } else {
+                let (out, wall) = pt_util::time(run_legacy);
+                out?;
+                best_l = best_l.min(wall);
+            }
+        }
     }
     Ok((
         EngineTiming {

@@ -42,10 +42,7 @@ use pt_extrap::Restriction;
 use pt_ir::{FunctionId, Module};
 use pt_mpisim::MpiHandler;
 use pt_taint::prepared::PreparedModule;
-use pt_taint::{
-    tier, Interpreter, LabelTable, PolicyKind, SpecializedModule, TaintRecords, TierMode, TierPlan,
-    TierStats,
-};
+use pt_taint::{Interpreter, LabelTable, PolicyKind, TaintRecords};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -117,7 +114,6 @@ impl<'m> SessionBuilder<'m> {
             config: self.config,
             units: self.units,
             statics: OnceLock::new(),
-            tier: OnceLock::new(),
         }
     }
 }
@@ -130,12 +126,6 @@ pub struct Session<'m> {
     config: PipelineConfig,
     units: Option<Arc<FunctionArtifactCache>>,
     statics: OnceLock<Arc<StaticArtifacts>>,
-    /// Profile-guided tier-1 specialization, built from the first
-    /// completed taint run under [`TierMode::Warmup`] and installed into
-    /// every later run's interpreter — the session-level analogue of the
-    /// interpreter's own mid-run warmup threshold. Like `statics`, set
-    /// exactly once and shared.
-    tier: OnceLock<Arc<SpecializedModule>>,
 }
 
 impl<'m> Session<'m> {
@@ -209,23 +199,13 @@ impl<'m> Session<'m> {
         }
         let ranks = machine.ranks;
         let handler = MpiHandler::new(machine);
-        let mut interp = Interpreter::new(
+        let interp = Interpreter::new(
             self.module,
             &statics.prepared,
             handler,
             params,
             self.config.interp.clone(),
         );
-        // Session-level warmup policy: once any run of this session has
-        // produced a tier-1 specialization, every later run starts with it
-        // installed instead of re-warming from scratch.
-        let tier_reused = match self.tier.get() {
-            Some(spec) => {
-                interp.set_tier(spec);
-                true
-            }
-            None => false,
-        };
         let exec_span = pt_util::trace::span("session", "exec");
         let t_exec = std::time::Instant::now();
         let out = interp
@@ -279,28 +259,6 @@ impl<'m> Session<'m> {
         }
         drop(exec_span);
 
-        // Build the session's specialization from the first completed run's
-        // profile (Warmup mode only: Force specializes inside the
-        // interpreter already, Off means tiering is disabled). Batch runs
-        // racing here are harmless — the first finisher wins the slot and
-        // the losers' specializations are dropped.
-        if self.config.interp.tier.mode == TierMode::Warmup && self.tier.get().is_none() {
-            let _span = pt_util::trace::span("tier", "specialize");
-            let plan = TierPlan::from_run(
-                &out.profile,
-                &out.records,
-                self.module.functions.len(),
-                &self.config.interp.tier,
-            );
-            let spec = tier::specialize(
-                &statics.prepared.decoded,
-                &plan,
-                &self.config.interp.tier,
-                Some(&out.records.branches),
-            );
-            let _ = self.tier.set(Arc::new(spec));
-        }
-
         let deps = extract_deps(
             self.module,
             &statics.prepared,
@@ -326,8 +284,6 @@ impl<'m> Session<'m> {
         Ok(Analysis {
             param_names: out.labels.param_names().to_vec(),
             statics,
-            tier: out.tier,
-            tier_reused,
             kinds,
             deps,
             extern_deps: ext_deps,
@@ -347,12 +303,6 @@ impl<'m> Session<'m> {
     /// module* — the cache keys by module name to ensure this.
     fn seed_statics(&self, statics: Arc<StaticArtifacts>) {
         let _ = self.statics.set(statics);
-    }
-
-    /// The tier-1 specialization built by this session's first completed
-    /// taint run, if any ([`TierMode::Warmup`] only).
-    pub fn tier_specialization(&self) -> Option<Arc<SpecializedModule>> {
-        self.tier.get().cloned()
     }
 
     /// Run one taint analysis per parameter set, fanned across worker
@@ -571,13 +521,6 @@ pub struct Analysis {
     /// The session's static stage (shared across runs; compare with
     /// [`Arc::ptr_eq`] to verify memoization).
     pub statics: Arc<StaticArtifacts>,
-    /// Tiered-execution accounting for this run (specializations active,
-    /// threaded/fast-path instructions, deopts). Accounting only — never
-    /// part of any deterministic summary.
-    pub tier: TierStats,
-    /// Whether this run started with the session's cached tier-1
-    /// specialization installed (`false` for the run that built it).
-    pub tier_reused: bool,
     pub kinds: Vec<FuncKind>,
     /// Per-function dependency structures (internal functions).
     pub deps: BTreeMap<FunctionId, DepStructure>,

@@ -40,9 +40,12 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// — selecting the taint policy (`"param-set"`, the default, or
 /// `"security"`) the run executes under — plus per-policy run counters
 /// and the sampled always-on request profile in `stats`/`metrics`.
-/// All additions are additive; v1 clients are unaffected — the wire `v`
-/// field stays `1`.
-pub const PROTOCOL_MINOR: u64 = 4;
+/// Revision 5 ("protocol v1.5") removed the undocumented `tier` object
+/// from `stats`/`metrics`: the execution tier it counted no longer
+/// exists. The per-policy `policies` counters still count taint runs.
+/// No documented field changed shape; v1 clients are unaffected — the
+/// wire `v` field stays `1`.
+pub const PROTOCOL_MINOR: u64 = 5;
 
 /// A parsed request envelope.
 #[derive(Debug, Clone)]

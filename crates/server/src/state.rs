@@ -15,7 +15,7 @@ use crate::ops::{AdmissionPolicy, Ops, METHODS};
 use crate::protocol::{ServeError, PROTOCOL_MINOR, PROTOCOL_VERSION};
 use crate::store::{Store, StoreKey};
 use perf_taint::report::{analysis_summary, static_summary};
-use perf_taint::{parse_module, Analysis, PolicyKind, PtError, SessionCache, UnitStore};
+use perf_taint::{parse_module, PolicyKind, PtError, SessionCache, UnitStore};
 use pt_extrap::{fit_multi_param, MeasurementSet, Restriction, SearchSpace};
 use pt_ir::Module;
 use serde::json::Value;
@@ -44,23 +44,6 @@ impl UnitStore for StoreUnitStore {
         let k = StoreKey::function_unit(key);
         let _ = self.0.put(k.kind, &k.hash, doc);
     }
-}
-
-/// Cumulative tiered-execution counters over every taint run this process
-/// actually executed (responses served from the persistent store never
-/// reach the interpreter and are not counted here).
-#[derive(Default)]
-struct TierTotals {
-    /// Taint runs that went through the interpreter.
-    runs: AtomicU64,
-    /// Runs that started with a session-cached tier-1 specialization
-    /// installed (see [`perf_taint::Analysis::tier_reused`]).
-    runs_reusing_spec: AtomicU64,
-    specialized: AtomicU64,
-    respecialized: AtomicU64,
-    threaded_insts: AtomicU64,
-    fast_insts: AtomicU64,
-    fast_deopts: AtomicU64,
 }
 
 /// Per-policy taint-run counters (protocol v1.4): one slot per
@@ -199,9 +182,6 @@ pub struct ServerState {
     /// Operational self-observation: uptime, queue depth, shed counts,
     /// per-method counters and latency histograms (read out by `metrics`).
     ops: Ops,
-    /// Tiered-execution counters across all interpreter runs (read out by
-    /// `stats` and `metrics`).
-    tier: TierTotals,
     /// Overload stance of the accept path (see [`AdmissionPolicy`]).
     pub admission: AdmissionPolicy,
     /// Serializes `analyze_batch` fan-outs: each batch uses the full
@@ -238,7 +218,6 @@ impl ServerState {
             requests: AtomicU64::new(0),
             served_from_store: AtomicU64::new(0),
             ops: Ops::new(),
-            tier: TierTotals::default(),
             admission: AdmissionPolicy::default(),
             batch_gate: Mutex::new(()),
             stopping: AtomicBool::new(false),
@@ -489,7 +468,6 @@ impl ServerState {
         let analysis = session
             .taint_run(run_params.to_vec())
             .map_err(ServeError::from)?;
-        self.record_tier(&analysis);
         self.policy_runs.record(policy);
         let summary = analysis_summary(&analysis, &module);
         self.persist(&key, &summary);
@@ -689,44 +667,6 @@ impl ServerState {
         ])
     }
 
-    /// Fold one finished run's tiered-execution accounting into the
-    /// process-lifetime totals.
-    fn record_tier(&self, analysis: &Analysis) {
-        let t = &self.tier;
-        t.runs.fetch_add(1, Ordering::Relaxed);
-        if analysis.tier_reused {
-            t.runs_reusing_spec.fetch_add(1, Ordering::Relaxed);
-        }
-        t.specialized
-            .fetch_add(analysis.tier.specialized, Ordering::Relaxed);
-        t.respecialized
-            .fetch_add(analysis.tier.respecialized, Ordering::Relaxed);
-        t.threaded_insts
-            .fetch_add(analysis.tier.threaded_insts, Ordering::Relaxed);
-        t.fast_insts
-            .fetch_add(analysis.tier.fast_insts, Ordering::Relaxed);
-        t.fast_deopts
-            .fetch_add(analysis.tier.fast_deopts, Ordering::Relaxed);
-    }
-
-    /// Protocol v1.3: tiered-execution totals — how many interpreter runs
-    /// happened, how many reused a session-cached specialization, and the
-    /// tier-1 activity they saw (instructions retired on the threaded /
-    /// fast paths, mid-run respecializations, deopts).
-    fn tier_json(&self) -> Value {
-        let t = &self.tier;
-        let int = |a: &AtomicU64| Value::int(a.load(Ordering::Relaxed) as i64);
-        Value::obj(vec![
-            ("runs", int(&t.runs)),
-            ("runs_reusing_spec", int(&t.runs_reusing_spec)),
-            ("specialized", int(&t.specialized)),
-            ("respecialized", int(&t.respecialized)),
-            ("threaded_insts", int(&t.threaded_insts)),
-            ("fast_insts", int(&t.fast_insts)),
-            ("fast_deopts", int(&t.fast_deopts)),
-        ])
-    }
-
     /// Protocol v1.3: the in-process session cache (module content →
     /// static stage) — occupancy, configured LRU bound, and evictions.
     fn session_cache_json(&self) -> Value {
@@ -770,7 +710,6 @@ impl ServerState {
             ),
             ("functions", self.function_reuse_json()),
             ("session_cache", self.session_cache_json()),
-            ("tier", self.tier_json()),
             ("policies", self.policy_runs.to_json()),
             (
                 "modules_in_memory",
@@ -826,7 +765,6 @@ impl ServerState {
             ),
             ("functions", self.function_reuse_json()),
             ("session_cache", self.session_cache_json()),
-            ("tier", self.tier_json()),
             ("policies", self.policy_runs.to_json()),
             (
                 "sampled_profile",

@@ -49,9 +49,7 @@ use crate::policy::{Measure, ParamPolicy, PolicyKind, PolicyMode, SecurityPolicy
 use crate::prepared::PreparedModule;
 use crate::profile::Profile;
 use crate::records::{LoopKey, TaintRecords};
-use crate::tier::{self, TInst, ThreadedFunction, TierConfig, TierMode, TierPlan, TierStats};
 use pt_ir::{BinOp, BlockId, FunctionId, Module};
-use std::sync::Arc;
 
 /// How control-flow taint is applied (ablation knob; the paper's extension
 /// corresponds to `All`).
@@ -82,9 +80,8 @@ pub struct InterpConfig {
     pub taint: bool,
     /// Which label policy a taint run propagates ([`crate::policy`]);
     /// ignored when `taint` is false. Defaults read the `PT_POLICY`
-    /// environment variable (mirroring `tier`/`PT_TIER`) so the whole
-    /// test matrix can run under the security policy with no call-site
-    /// changes.
+    /// environment variable so the whole test matrix can run under the
+    /// security policy with no call-site changes.
     pub taint_policy: PolicyKind,
     /// Record branch coverage and visited blocks.
     pub coverage: bool,
@@ -92,10 +89,6 @@ pub struct InterpConfig {
     pub combine_ptr_labels: bool,
     /// Maximum call depth.
     pub max_depth: usize,
-    /// Tier-1 specialization policy (see [`crate::tier`]). Defaults read
-    /// the `PT_TIER` environment variable, so forcing or disabling
-    /// tiering across a whole test binary needs no call-site changes.
-    pub tier: TierConfig,
 }
 
 impl Default for InterpConfig {
@@ -110,7 +103,6 @@ impl Default for InterpConfig {
             coverage: true,
             combine_ptr_labels: true,
             max_depth: 256,
-            tier: TierConfig::default(),
         }
     }
 }
@@ -192,10 +184,6 @@ pub struct RunOutput {
     pub records: TaintRecords,
     pub profile: Profile,
     pub labels: LabelTable,
-    /// What the execution tiers did (see [`crate::tier`]). Excluded from
-    /// the differential output comparison: it describes *how* the run
-    /// executed, never *what* it observed.
-    pub tier: TierStats,
 }
 
 /// One pushed control-flow taint scope.
@@ -205,6 +193,22 @@ pub(crate) struct CtlScope {
     pub(crate) join: Option<BlockId>,
     /// Accumulated label (already unioned with the enclosing scope).
     pub(crate) label: Label,
+}
+
+/// The settings a straight-line run of instructions executes under: the
+/// frame's configuration plus the control context, which is constant
+/// between block entries (scopes only push at conditional branches and
+/// pop at block entries).
+#[derive(Clone, Copy)]
+struct StepEnv {
+    inst_cost: f64,
+    /// DFSan's combine-pointer-labels-on-load, live in taint runs only.
+    combine_ptr: bool,
+    /// Stored values join the control context (`StoresOnly` and `All`).
+    store_ctx: bool,
+    /// Every result joins the control context (`All`, inside a scope).
+    apply_all: bool,
+    ctx: Label,
 }
 
 /// Slots in the direct-mapped call-path intern cache (power of two).
@@ -226,40 +230,10 @@ fn resolve(op: Opnd, regs: &[TVal]) -> TVal {
     }
 }
 
-/// Resolve a threaded operand: register read or pooled immediate.
-///
-/// Unchecked by design: every `TOp` in a [`ThreadedFunction`] was audited
-/// against the frame size and pool length at specialize time
-/// ([`ThreadedFunction::check_bounds`] — code that fails the audit is
-/// never installed), and the dispatch guard in `exec_function` only
-/// routes to the threaded executor when the live frame matches the
-/// audited `nregs`. The `debug_assert`s re-state the audited invariants.
-#[inline(always)]
-fn tres(x: crate::tier::TOp, regs: &[TVal], consts: &[u64]) -> TVal {
-    if x.is_const() {
-        debug_assert!(x.index() < consts.len());
-        TVal {
-            bits: unsafe { *consts.get_unchecked(x.index()) },
-            label: Label::EMPTY,
-        }
-    } else {
-        debug_assert!(x.index() < regs.len());
-        unsafe { *regs.get_unchecked(x.index()) }
-    }
-}
-
-/// Read a pooled constant (strides). Audited like [`tres`].
-#[inline(always)]
-fn tconst(idx: u32, consts: &[u64]) -> u64 {
-    debug_assert!((idx as usize) < consts.len());
-    unsafe { *consts.get_unchecked(idx as usize) }
-}
-
 /// Resolve a decoded argument list into `$argv: &[TVal]` — a stack
 /// buffer for the arities real call sites have, a heap vector beyond
 /// [`ARG_BUF`]. A macro because the buffer must live in the match arm's
-/// scope while several call kinds (in the general loop, the inlined-body
-/// loop, and the threaded executor) share the logic.
+/// scope while several call kinds share the logic.
 macro_rules! resolve_argv {
     ($args:expr, $regs:expr, $argv:ident) => {
         // Arity-specialized buffers: most host/work primitives take
@@ -344,18 +318,6 @@ pub struct Interpreter<'m, H: ExternalHandler> {
     /// iteration and the union is idempotent, so a repeat skips the
     /// string-keyed map entirely.
     extern_arg_memo: Option<((FunctionId, u32), ParamSet)>,
-    /// Tier-1 threaded code per internal function ([`crate::tier`]);
-    /// `None` runs the general engine. Filled up front in
-    /// [`TierMode::Force`], on the hotness threshold in
-    /// [`TierMode::Warmup`], or by [`Interpreter::set_tier`].
-    tier_funcs: Vec<Option<Arc<ThreadedFunction>>>,
-    /// Per internal function: untainted fast path enabled.
-    tier_fast: Vec<bool>,
-    /// Live per-function call counts (the warmup hotness signal).
-    tier_calls: Vec<u64>,
-    /// Fast-path guard-check counter for [`TierConfig::deopt_every`].
-    tier_guard: u64,
-    tier_stats: TierStats,
 }
 
 impl<'m, H: ExternalHandler> Interpreter<'m, H> {
@@ -391,19 +353,6 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             .iter()
             .map(|n| handler.resolve(n))
             .collect();
-        let ninternal = module.functions.len();
-        let (tier_funcs, tier_fast, tier_specialized) = match config.tier.mode {
-            TierMode::Force => {
-                let spec = tier::specialize(
-                    &prepared.decoded,
-                    &TierPlan::all(ninternal),
-                    &config.tier,
-                    None,
-                );
-                (spec.funcs, spec.fast_ok, spec.specialized)
-            }
-            _ => (vec![None; ninternal], vec![false; ninternal], 0),
-        };
         Interpreter {
             module,
             prepared,
@@ -427,24 +376,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             prim_tokens,
             lib_tokens,
             extern_arg_memo: None,
-            tier_funcs,
-            tier_fast,
-            tier_calls: vec![0; ninternal],
-            tier_guard: 0,
-            tier_stats: TierStats {
-                specialized: tier_specialized as u64,
-                ..TierStats::default()
-            },
         }
-    }
-
-    /// Install a prebuilt tier-1 artifact (the session warmup path):
-    /// every specialized function dispatches through its threaded code /
-    /// fast path from the first call of this run.
-    pub fn set_tier(&mut self, spec: &tier::SpecializedModule) {
-        self.tier_funcs = spec.funcs.clone();
-        self.tier_fast = spec.fast_ok.clone();
-        self.tier_stats.specialized = spec.specialized as u64;
     }
 
     /// The pseudo [`FunctionId`] of external `name`, if it is called anywhere.
@@ -501,7 +433,6 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             records: self.records,
             profile: self.profile,
             labels: self.labels,
-            tier: self.tier_stats,
         })
     }
 
@@ -615,82 +546,13 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         parent: Option<PathId>,
         inherited_ctx: Label,
     ) -> Result<(Option<TVal>, f64), InterpError> {
+        debug_assert_eq!(P::TAINT, self.config.taint);
+        // An error aborts the whole run (`run` consumes the interpreter),
+        // so the depth is only unwound on a normal return.
         self.depth += 1;
         if self.depth > self.config.max_depth {
-            self.depth -= 1;
             return Err(InterpError::CallDepthExceeded);
         }
-        // Tier dispatch: count the call, specialize on the hotness
-        // threshold (warmup mode), and route through the threaded code
-        // when the function has some. Both tiers produce bit-identical
-        // outputs, so the choice here is pure policy.
-        let i = fid.index();
-        if i < self.tier_calls.len() {
-            self.tier_calls[i] += 1;
-            if self.config.tier.mode == TierMode::Warmup
-                && self.tier_calls[i] == self.config.tier.hot_calls.max(1)
-            {
-                self.respecialize(fid);
-            }
-        }
-        let tf = self.tier_funcs.get(i).and_then(Clone::clone);
-        let result = match tf {
-            // Frame-shape guard: the threaded code's operand indices were
-            // audited against its `nregs` at specialize time, and the
-            // executor's register access is unchecked on that basis. A
-            // mismatched artifact (wrong module via `set_tier`) falls
-            // back to the general loop instead.
-            Some(tf) if tf.nregs as usize == self.prepared.decoded.func(fid).nregs => {
-                self.exec_function_threaded::<P>(&tf, fid, args, parent, inherited_ctx)
-            }
-            _ => self.exec_function_inner::<P>(fid, args, parent, inherited_ctx),
-        };
-        self.depth -= 1;
-        result
-    }
-
-    /// Specialize `fid` mid-run (the warmup→hot transition). The branch
-    /// coverage accumulated *so far in this very run* biases the threaded
-    /// layout — re-specialization from live evidence, not just a prior
-    /// run's. Flushing the branch buffer first is observation-neutral
-    /// (the flush is an additive merge that happens at run end anyway).
-    fn respecialize(&mut self, fid: FunctionId) {
-        let prepared: &'m PreparedModule = self.prepared;
-        let f = prepared.decoded.func(fid);
-        if !f.ssa_clean {
-            return;
-        }
-        let i = fid.index();
-        let mut any = false;
-        if self.config.tier.fast_path && !self.tier_fast[i] {
-            self.tier_fast[i] = true;
-            any = true;
-        }
-        if self.config.tier.threaded && self.tier_funcs[i].is_none() {
-            let _span = pt_util::trace::span("tier", "respecialize");
-            self.flush_branches();
-            let tf =
-                tier::compile_function(f, fid, Some(&self.records.branches), &self.config.tier);
-            // Same bounds audit as `tier::specialize`: unverifiable code
-            // stays on the general loop.
-            if tf.check_bounds() {
-                self.tier_funcs[i] = Some(Arc::new(tf));
-                any = true;
-            }
-        }
-        if any {
-            self.tier_stats.respecialized += 1;
-        }
-    }
-
-    fn exec_function_inner<P: PolicyMode>(
-        &mut self,
-        fid: FunctionId,
-        args: &[TVal],
-        parent: Option<PathId>,
-        inherited_ctx: Label,
-    ) -> Result<(Option<TVal>, f64), InterpError> {
-        debug_assert_eq!(P::TAINT, self.config.taint);
         // Reborrow through the `'m` reference so the decoded program can be
         // held across `&mut self` calls.
         let prepared: &'m PreparedModule = self.prepared;
@@ -730,17 +592,21 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         let mut child_time = 0.0f64;
 
         let frame_mark = self.mem.mark();
-        let mut regs = self.reg_pool.pop().unwrap_or_default();
+        let mut frame_buf = self.reg_pool.pop().unwrap_or_default();
         if dfunc.ssa_clean {
             // Definitions dominate uses (verified at decode time), so no
             // register is ever read before this frame writes it: stale
             // pooled contents are unobservable and the per-call frame
             // clear is skipped.
-            regs.resize(dfunc.nregs, TVal::UNTAINTED_ZERO);
+            frame_buf.resize(dfunc.nregs, TVal::UNTAINTED_ZERO);
         } else {
-            regs.clear();
-            regs.resize(dfunc.nregs, TVal::UNTAINTED_ZERO);
+            frame_buf.clear();
+            frame_buf.resize(dfunc.nregs, TVal::UNTAINTED_ZERO);
         }
+        // The loop works on a slice of the pooled buffer, never on the
+        // `Vec` itself, so the frame's base and length stay in machine
+        // registers instead of being reloaded around every call.
+        let regs: &mut [TVal] = &mut frame_buf;
         // Arity was checked on entry; register allocation pins parameters
         // to the first `nparams` frame slots, so this stays one memcpy.
         regs[..dfunc.nparams].copy_from_slice(&args[..dfunc.nparams]);
@@ -754,29 +620,6 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         } else {
             inherited_ctx
         };
-
-        // ---- tier-1 untainted fast-path engage -------------------------
-        // Sound guard, never predictive (the Taint Rabbit move): enter
-        // label-free execution only when the inherited control context and
-        // every argument are untainted. While engaged, every register in
-        // flight is label-free by induction — fast arms only write empty
-        // labels, loads peek and bail on a tainted shadow word, and call
-        // results are guarded after the write — so skipping the statically
-        // EMPTY∪EMPTY unions is bit-identical (they early-out without
-        // touching the label table). Any bail ("deopt") hands the block to
-        // the general loop at an instruction boundary.
-        let mut fast = P::TAINT
-            && base_ctx.is_empty()
-            && self.tier_fast.get(fid.index()).copied().unwrap_or(false)
-            && args[..dfunc.nparams].iter().all(|a| a.label.is_empty());
-        let deopt_every = if fast {
-            self.config.tier.deopt_every
-        } else {
-            0
-        };
-        if fast {
-            self.tier_stats.fast_entries += 1;
-        }
 
         let mut block = dfunc.entry;
         let ret_val: Option<TVal>;
@@ -807,811 +650,96 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                 Label::EMPTY
             };
             let apply_all = P::TAINT && policy == CtlFlowPolicy::All && !ctx.is_empty();
+            let env = StepEnv {
+                inst_cost,
+                combine_ptr,
+                store_ctx,
+                apply_all,
+                ctx,
+            };
 
             let dblock = &dfunc.blocks[block.index()];
-
-            // ---- tier-1 fast path ---------------------------------------
-            // Label-free execution of this block. `deopt_to` is where the
-            // general loop takes over: the deopting instruction itself when
-            // it has had no effects yet (counters untouched — the general
-            // loop re-executes it identically), or one past it when it
-            // completed (call-result guard). A deopt is sticky for the rest
-            // of the frame.
-            let mut start = 0usize;
-            if fast {
-                debug_assert!(ctx.is_empty(), "fast mode implies empty control context");
-                let fast_mark = insts;
-                let mut deopt_to: Option<usize> = None;
-                let mut k = 0usize;
-                'fast: while k < dblock.insts.len() {
-                    if deopt_every != 0 {
-                        self.tier_guard += 1;
-                        if self.tier_guard >= deopt_every {
-                            self.tier_guard = 0;
-                            deopt_to = Some(k);
-                            break 'fast;
-                        }
-                    }
-                    let di = &dblock.insts[k];
-                    match &di.op {
-                        DOp::Const { bits } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            regs[di.dst as usize] = TVal {
-                                bits: *bits,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::BinI { op, a, b } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            let b = resolve(*b, &regs);
-                            let (x, y) = (a.as_i64(), b.as_i64());
-                            let r = match op {
-                                BinOp::Add => x.wrapping_add(y),
-                                BinOp::Sub => x.wrapping_sub(y),
-                                BinOp::Mul => x.wrapping_mul(y),
-                                BinOp::Div => {
-                                    if y == 0 {
-                                        return Err(InterpError::DivisionByZero {
-                                            func: dfunc.name.clone(),
-                                        });
-                                    }
-                                    x.wrapping_div(y)
+            for di in dblock.insts.iter() {
+                insts += 1;
+                clock += inst_cost;
+                // `step` runs every op an inlined body may also contain;
+                // the frame-level ops (calls, `alloca`) run here.
+                let out =
+                    match self.step::<P>(&di.op, regs, fid, path, env, &mut insts, &mut clock)? {
+                        Some(out) => out,
+                        None => match &di.op {
+                            DOp::Alloca { words } => {
+                                let n = resolve(*words, regs).as_i64();
+                                if n < 0 {
+                                    return Err(InterpError::Trap(format!(
+                                        "negative alloca in {}",
+                                        dfunc.name
+                                    )));
                                 }
-                                BinOp::Rem => {
-                                    if y == 0 {
-                                        return Err(InterpError::DivisionByZero {
-                                            func: dfunc.name.clone(),
-                                        });
-                                    }
-                                    x.wrapping_rem(y)
-                                }
-                                BinOp::And => x & y,
-                                BinOp::Or => x | y,
-                                BinOp::Xor => x ^ y,
-                                BinOp::Shl => crate::ops::shl_i64(x, y),
-                                BinOp::Shr => crate::ops::shr_i64(x, y),
-                                BinOp::Min => x.min(y),
-                                BinOp::Max => x.max(y),
-                            };
-                            regs[di.dst as usize] = TVal {
-                                bits: r as u64,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::BinF { op, a, b } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            let b = resolve(*b, &regs);
-                            let (x, y) = (a.as_f64(), b.as_f64());
-                            let r = match op {
-                                BinOp::Add => x + y,
-                                BinOp::Sub => x - y,
-                                BinOp::Mul => x * y,
-                                BinOp::Div => x / y,
-                                BinOp::Rem => x % y,
-                                BinOp::Min => x.min(y),
-                                BinOp::Max => x.max(y),
-                                _ => unreachable!("bitwise float ops decode to Trap"),
-                            };
-                            regs[di.dst as usize] = TVal {
-                                bits: r.to_bits(),
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::NegI { a } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: a.as_i64().wrapping_neg() as u64,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::NegF { a } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: (-a.as_f64()).to_bits(),
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::NotBool { a } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: (a.bits == 0) as u64,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::NotInt { a } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: !a.as_i64() as u64,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::IntToFloat { a } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: (a.as_i64() as f64).to_bits(),
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::FloatToInt { a } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            let f = a.as_f64();
-                            let clamped = if f.is_nan() {
-                                0
-                            } else {
-                                f.clamp(i64::MIN as f64, i64::MAX as f64) as i64
-                            };
-                            regs[di.dst as usize] = TVal {
-                                bits: clamped as u64,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::Sqrt { a } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: a.as_f64().max(0.0).sqrt().to_bits(),
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::AbsI { a } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: a.as_i64().wrapping_abs() as u64,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::AbsF { a } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: a.as_f64().abs().to_bits(),
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::CmpI { pred, a, b } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            let b = resolve(*b, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: pred.eval(a.as_i64(), b.as_i64()) as u64,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::CmpF { pred, a, b } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*a, &regs);
-                            let b = resolve(*b, &regs);
-                            regs[di.dst as usize] = TVal {
-                                bits: pred.eval(a.as_f64(), b.as_f64()) as u64,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::Select { c, t, e } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let c = resolve(*c, &regs);
-                            let chosen = if c.as_bool() {
-                                resolve(*t, &regs)
-                            } else {
-                                resolve(*e, &regs)
-                            };
-                            regs[di.dst as usize] = TVal {
-                                bits: chosen.bits,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::Alloca { words } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let n = resolve(*words, &regs).as_i64();
-                            if n < 0 {
-                                return Err(InterpError::Trap(format!(
-                                    "negative alloca in {}",
-                                    dfunc.name
-                                )));
+                                let addr = self.mem.alloc(n as usize);
+                                TVal::from_i64(addr as i64)
                             }
-                            let addr = self.mem.alloc(n as usize);
-                            regs[di.dst as usize] = TVal::from_i64(addr as i64);
-                        }
-                        DOp::Load { addr } => {
-                            // Peek before retiring (`Memory::load` is
-                            // pure): a tainted shadow word or a memory
-                            // error deopts with no counters touched, and
-                            // the general loop re-executes identically.
-                            let a = resolve(*addr, &regs);
-                            match self.mem.load(a.as_addr()) {
-                                Ok(v) if v.label.is_empty() => {
-                                    insts += 1;
-                                    clock += inst_cost;
-                                    regs[di.dst as usize] = v;
-                                }
-                                _ => {
-                                    deopt_to = Some(k);
-                                    break 'fast;
-                                }
+                            DOp::CallInternal { callee, args } => {
+                                resolve_argv!(args, regs, argv);
+                                self.insts = insts;
+                                self.clock = clock;
+                                let (ret, incl) =
+                                    self.exec_function::<P>(*callee, argv, Some(path), ctx)?;
+                                insts = self.insts;
+                                clock = self.clock;
+                                child_time += incl;
+                                ret.unwrap_or(TVal::UNTAINTED_ZERO)
                             }
-                        }
-                        DOp::Store { addr, value } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let a = resolve(*addr, &regs);
-                            let v = resolve(*value, &regs);
-                            self.mem.store(a.as_addr(), v)?;
-                            regs[di.dst as usize] = TVal::UNTAINTED_ZERO;
-                        }
-                        DOp::Gep {
-                            base,
-                            index,
-                            stride,
-                        } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let b = resolve(*base, &regs);
-                            let i = resolve(*index, &regs);
-                            let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                            regs[di.dst as usize] = TVal {
-                                bits: addr as u64,
-                                label: Label::EMPTY,
-                            };
-                        }
-                        DOp::LoadIdx {
-                            base,
-                            index,
-                            stride,
-                        } => {
-                            let b = resolve(*base, &regs);
-                            let i = resolve(*index, &regs);
-                            let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                            match self.mem.load(addr as u64 as usize) {
-                                Ok(v) if v.label.is_empty() => {
-                                    // Fused gep+load retires both halves.
-                                    insts += 1;
-                                    clock += inst_cost;
-                                    insts += 1;
-                                    clock += inst_cost;
-                                    regs[di.dst as usize] = v;
-                                }
-                                _ => {
-                                    deopt_to = Some(k);
-                                    break 'fast;
-                                }
-                            }
-                        }
-                        DOp::StoreIdx {
-                            base,
-                            index,
-                            stride,
-                            value,
-                        } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let b = resolve(*base, &regs);
-                            let i = resolve(*index, &regs);
-                            let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                            insts += 1;
-                            clock += inst_cost;
-                            let v = resolve(*value, &regs);
-                            self.mem.store(addr as u64 as usize, v)?;
-                            regs[di.dst as usize] = TVal::UNTAINTED_ZERO;
-                        }
-                        DOp::CallInternal { callee, args } => {
-                            // Calls run exactly as in the general loop
-                            // (args are all label-free, so the records
-                            // they produce are identical); the result is
-                            // written, then guarded — a tainted return
-                            // deopts to the *next* instruction.
-                            insts += 1;
-                            clock += inst_cost;
-                            resolve_argv!(args, &regs, argv);
-                            self.insts = insts;
-                            self.clock = clock;
-                            let (ret, incl) =
-                                self.exec_function::<P>(*callee, argv, Some(path), ctx)?;
-                            insts = self.insts;
-                            clock = self.clock;
-                            child_time += incl;
-                            let out = ret.unwrap_or(TVal::UNTAINTED_ZERO);
-                            regs[di.dst as usize] = out;
-                            if !out.label.is_empty() {
-                                deopt_to = Some(k + 1);
-                                break 'fast;
-                            }
-                        }
-                        DOp::CallInlined {
-                            callee,
-                            entry,
-                            body,
-                            ret,
-                        } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            let out = self.exec_inlined::<P>(
+                            DOp::CallInlined {
+                                callee,
+                                entry,
+                                body,
+                                ret,
+                            } => self.exec_inlined::<P>(
                                 *callee,
                                 *entry,
                                 body,
                                 *ret,
-                                &mut regs,
+                                regs,
                                 &mut insts,
                                 &mut clock,
                                 &mut child_time,
                                 path,
-                                ctx,
-                                apply_all,
-                                store_ctx,
-                                combine_ptr,
-                                coverage,
-                                fuel,
-                                inst_cost,
-                            )?;
-                            regs[di.dst as usize] = out;
-                            if !out.label.is_empty() {
-                                deopt_to = Some(k + 1);
-                                break 'fast;
+                                env,
+                            )?,
+                            DOp::CallIntrinsic { which, args } => {
+                                // Intrinsics never touch the clock or instruction
+                                // count — no counter sync needed.
+                                resolve_argv!(args, regs, argv);
+                                self.exec_intrinsic::<P>(*which, argv)?
                             }
-                        }
-                        DOp::CallIntrinsic { which, args } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            resolve_argv!(args, &regs, argv);
-                            let out = self.exec_intrinsic::<P>(*which, argv)?;
-                            regs[di.dst as usize] = out;
-                            if !out.label.is_empty() {
-                                deopt_to = Some(k + 1);
-                                break 'fast;
+                            DOp::CallLibrary { name, ext_id, args } => {
+                                resolve_argv!(args, regs, argv);
+                                let ext_index = ext_id.index() - self.module.functions.len();
+                                let token = self.lib_tokens[ext_index];
+                                self.exec_host_call(
+                                    name,
+                                    token,
+                                    (ext_index as u32) << 1 | 1,
+                                    argv,
+                                    fid,
+                                    path,
+                                    &mut clock,
+                                    Some((*ext_id, &mut child_time)),
+                                )?
                             }
-                        }
-                        DOp::CallHostPrim { name, prim, args } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            resolve_argv!(args, &regs, argv);
-                            let token = self.prim_tokens[*prim as usize];
-                            let out = self.exec_host_call(
-                                name,
-                                token,
-                                *prim << 1,
-                                argv,
-                                fid,
-                                path,
-                                &mut clock,
-                                &mut child_time,
-                                None,
-                            )?;
-                            regs[di.dst as usize] = out;
-                            if !out.label.is_empty() {
-                                deopt_to = Some(k + 1);
-                                break 'fast;
-                            }
-                        }
-                        DOp::CallLibrary { name, ext_id, args } => {
-                            insts += 1;
-                            clock += inst_cost;
-                            resolve_argv!(args, &regs, argv);
-                            let ext_index = ext_id.index() - self.module.functions.len();
-                            let token = self.lib_tokens[ext_index];
-                            let out = self.exec_host_call(
-                                name,
-                                token,
-                                (ext_index as u32) << 1 | 1,
-                                argv,
-                                fid,
-                                path,
-                                &mut clock,
-                                &mut child_time,
-                                Some(*ext_id),
-                            )?;
-                            regs[di.dst as usize] = out;
-                            if !out.label.is_empty() {
-                                deopt_to = Some(k + 1);
-                                break 'fast;
-                            }
-                        }
-                        DOp::Trap { message } => {
-                            // The general loop bumps counters before the
-                            // trap, but its local copies die with the error
-                            // return too — errors carry no `RunOutput`.
-                            return Err(InterpError::Trap(message.to_string()));
-                        }
-                    }
-                    k += 1;
-                }
-                self.tier_stats.fast_insts += insts - fast_mark;
-                match deopt_to {
-                    // Fast path completed the block; skip the general loop.
-                    None => start = dblock.insts.len(),
-                    Some(r) => {
-                        self.tier_stats.fast_deopts += 1;
-                        fast = false;
-                        start = r;
-                    }
-                }
-            }
-
-            for di in dblock.insts[start..].iter() {
-                insts += 1;
-                clock += inst_cost;
-                let out: TVal = match &di.op {
-                    DOp::Const { bits } => {
-                        // Folded constant: the original op's operands were
-                        // all immediates, so its label was the union of
-                        // empty labels — empty, with no table mutation
-                        // (the union early-outs). The shared apply-all
-                        // tail below still joins the control context,
-                        // exactly like the unfolded op.
-                        TVal {
-                            bits: *bits,
-                            label: Label::EMPTY,
-                        }
-                    }
-                    DOp::BinI { op, a, b } => {
-                        let a = resolve(*a, &regs);
-                        let b = resolve(*b, &regs);
-                        let label = self.union_t::<P>(a.label, b.label);
-                        let (x, y) = (a.as_i64(), b.as_i64());
-                        let r = match op {
-                            BinOp::Add => x.wrapping_add(y),
-                            BinOp::Sub => x.wrapping_sub(y),
-                            BinOp::Mul => x.wrapping_mul(y),
-                            BinOp::Div => {
-                                if y == 0 {
-                                    return Err(InterpError::DivisionByZero {
-                                        func: dfunc.name.clone(),
-                                    });
-                                }
-                                x.wrapping_div(y)
-                            }
-                            BinOp::Rem => {
-                                if y == 0 {
-                                    return Err(InterpError::DivisionByZero {
-                                        func: dfunc.name.clone(),
-                                    });
-                                }
-                                x.wrapping_rem(y)
-                            }
-                            BinOp::And => x & y,
-                            BinOp::Or => x | y,
-                            BinOp::Xor => x ^ y,
-                            BinOp::Shl => crate::ops::shl_i64(x, y),
-                            BinOp::Shr => crate::ops::shr_i64(x, y),
-                            BinOp::Min => x.min(y),
-                            BinOp::Max => x.max(y),
-                        };
-                        TVal {
-                            bits: r as u64,
-                            label,
-                        }
-                    }
-                    DOp::BinF { op, a, b } => {
-                        let a = resolve(*a, &regs);
-                        let b = resolve(*b, &regs);
-                        let label = self.union_t::<P>(a.label, b.label);
-                        let (x, y) = (a.as_f64(), b.as_f64());
-                        let r = match op {
-                            BinOp::Add => x + y,
-                            BinOp::Sub => x - y,
-                            BinOp::Mul => x * y,
-                            BinOp::Div => x / y,
-                            BinOp::Rem => x % y,
-                            BinOp::Min => x.min(y),
-                            BinOp::Max => x.max(y),
-                            _ => unreachable!("bitwise float ops decode to Trap"),
-                        };
-                        TVal {
-                            bits: r.to_bits(),
-                            label,
-                        }
-                    }
-                    DOp::NegI { a } => {
-                        let a = resolve(*a, &regs);
-                        TVal {
-                            bits: a.as_i64().wrapping_neg() as u64,
-                            label: a.label,
-                        }
-                    }
-                    DOp::NegF { a } => {
-                        let a = resolve(*a, &regs);
-                        TVal {
-                            bits: (-a.as_f64()).to_bits(),
-                            label: a.label,
-                        }
-                    }
-                    DOp::NotBool { a } => {
-                        let a = resolve(*a, &regs);
-                        TVal {
-                            bits: (a.bits == 0) as u64,
-                            label: a.label,
-                        }
-                    }
-                    DOp::NotInt { a } => {
-                        let a = resolve(*a, &regs);
-                        TVal {
-                            bits: !a.as_i64() as u64,
-                            label: a.label,
-                        }
-                    }
-                    DOp::IntToFloat { a } => {
-                        let a = resolve(*a, &regs);
-                        TVal {
-                            bits: (a.as_i64() as f64).to_bits(),
-                            label: a.label,
-                        }
-                    }
-                    DOp::FloatToInt { a } => {
-                        let a = resolve(*a, &regs);
-                        let f = a.as_f64();
-                        let clamped = if f.is_nan() {
-                            0
-                        } else {
-                            f.clamp(i64::MIN as f64, i64::MAX as f64) as i64
-                        };
-                        TVal {
-                            bits: clamped as u64,
-                            label: a.label,
-                        }
-                    }
-                    DOp::Sqrt { a } => {
-                        let a = resolve(*a, &regs);
-                        TVal {
-                            bits: a.as_f64().max(0.0).sqrt().to_bits(),
-                            label: a.label,
-                        }
-                    }
-                    DOp::AbsI { a } => {
-                        let a = resolve(*a, &regs);
-                        TVal {
-                            bits: a.as_i64().wrapping_abs() as u64,
-                            label: a.label,
-                        }
-                    }
-                    DOp::AbsF { a } => {
-                        let a = resolve(*a, &regs);
-                        TVal {
-                            bits: a.as_f64().abs().to_bits(),
-                            label: a.label,
-                        }
-                    }
-                    DOp::CmpI { pred, a, b } => {
-                        let a = resolve(*a, &regs);
-                        let b = resolve(*b, &regs);
-                        let label = self.union_t::<P>(a.label, b.label);
-                        TVal {
-                            bits: pred.eval(a.as_i64(), b.as_i64()) as u64,
-                            label,
-                        }
-                    }
-                    DOp::CmpF { pred, a, b } => {
-                        let a = resolve(*a, &regs);
-                        let b = resolve(*b, &regs);
-                        let label = self.union_t::<P>(a.label, b.label);
-                        TVal {
-                            bits: pred.eval(a.as_f64(), b.as_f64()) as u64,
-                            label,
-                        }
-                    }
-                    DOp::Select { c, t, e } => {
-                        let c = resolve(*c, &regs);
-                        let chosen = if c.as_bool() {
-                            resolve(*t, &regs)
-                        } else {
-                            resolve(*e, &regs)
-                        };
-                        let label = self.union_t::<P>(c.label, chosen.label);
-                        TVal {
-                            bits: chosen.bits,
-                            label,
-                        }
-                    }
-                    DOp::Alloca { words } => {
-                        let n = resolve(*words, &regs).as_i64();
-                        if n < 0 {
-                            return Err(InterpError::Trap(format!(
-                                "negative alloca in {}",
-                                dfunc.name
-                            )));
-                        }
-                        let addr = self.mem.alloc(n as usize);
-                        TVal::from_i64(addr as i64)
-                    }
-                    DOp::Load { addr } => {
-                        let a = resolve(*addr, &regs);
-                        let mut v = self.mem.load(a.as_addr())?;
-                        if combine_ptr {
-                            v.label = self.union_t::<P>(v.label, a.label);
-                        }
-                        v
-                    }
-                    DOp::Store { addr, value } => {
-                        let a = resolve(*addr, &regs);
-                        let mut v = resolve(*value, &regs);
-                        if store_ctx {
-                            // StoresOnly and All both taint stored values
-                            // with the control context.
-                            v.label = self.union_t::<P>(v.label, ctx);
-                        }
-                        self.mem.store(a.as_addr(), v)?;
-                        TVal::UNTAINTED_ZERO
-                    }
-                    DOp::Gep {
-                        base,
-                        index,
-                        stride,
-                    } => {
-                        let b = resolve(*base, &regs);
-                        let i = resolve(*index, &regs);
-                        let label = self.union_t::<P>(b.label, i.label);
-                        let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                        TVal {
-                            bits: addr as u64,
-                            label,
-                        }
-                    }
-                    DOp::LoadIdx {
-                        base,
-                        index,
-                        stride,
-                    } => {
-                        // Fused gep+load: this dispatch retires both. The
-                        // loop header charged the gep; its label unions run
-                        // here in the original order, then the load half
-                        // charges itself before touching memory.
-                        let b = resolve(*base, &regs);
-                        let i = resolve(*index, &regs);
-                        let mut la = self.union_t::<P>(b.label, i.label);
-                        if apply_all {
-                            la = self.union_t::<P>(la, ctx);
-                        }
-                        let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                        insts += 1;
-                        clock += inst_cost;
-                        let mut v = self.mem.load(addr as u64 as usize)?;
-                        if combine_ptr {
-                            v.label = self.union_t::<P>(v.label, la);
-                        }
-                        v
-                    }
-                    DOp::StoreIdx {
-                        base,
-                        index,
-                        stride,
-                        value,
-                    } => {
-                        // Fused gep+store, charged like LoadIdx.
-                        let b = resolve(*base, &regs);
-                        let i = resolve(*index, &regs);
-                        let gep_label = self.union_t::<P>(b.label, i.label);
-                        if apply_all {
-                            // The fused-away gep result would have carried
-                            // the control context; the union must still
-                            // happen so the label table stays identical.
-                            let _ = self.union_t::<P>(gep_label, ctx);
-                        }
-                        let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                        insts += 1;
-                        clock += inst_cost;
-                        let mut v = resolve(*value, &regs);
-                        if store_ctx {
-                            v.label = self.union_t::<P>(v.label, ctx);
-                        }
-                        self.mem.store(addr as u64 as usize, v)?;
-                        TVal::UNTAINTED_ZERO
-                    }
-                    DOp::CallInternal { callee, args } => {
-                        resolve_argv!(args, &regs, argv);
-                        self.insts = insts;
-                        self.clock = clock;
-                        let (ret, incl) =
-                            self.exec_function::<P>(*callee, argv, Some(path), ctx)?;
-                        insts = self.insts;
-                        clock = self.clock;
-                        child_time += incl;
-                        ret.unwrap_or(TVal::UNTAINTED_ZERO)
-                    }
-                    DOp::CallInlined {
-                        callee,
-                        entry,
-                        body,
-                        ret,
-                    } => self.exec_inlined::<P>(
-                        *callee,
-                        *entry,
-                        body,
-                        *ret,
-                        &mut regs,
-                        &mut insts,
-                        &mut clock,
-                        &mut child_time,
-                        path,
-                        ctx,
-                        apply_all,
-                        store_ctx,
-                        combine_ptr,
-                        coverage,
-                        fuel,
-                        inst_cost,
-                    )?,
-                    DOp::CallIntrinsic { which, args } => {
-                        // Intrinsics never touch the clock or instruction
-                        // count — no counter sync needed.
-                        resolve_argv!(args, &regs, argv);
-                        self.exec_intrinsic::<P>(*which, argv)?
-                    }
-                    DOp::CallHostPrim { name, prim, args } => {
-                        // Host calls never touch the instruction counter,
-                        // and the clock rides along by reference — no
-                        // round-trip through `self`.
-                        resolve_argv!(args, &regs, argv);
-                        let token = self.prim_tokens[*prim as usize];
-                        self.exec_host_call(
-                            name,
-                            token,
-                            *prim << 1,
-                            argv,
-                            fid,
-                            path,
-                            &mut clock,
-                            &mut child_time,
-                            None,
-                        )?
-                    }
-                    DOp::CallLibrary { name, ext_id, args } => {
-                        resolve_argv!(args, &regs, argv);
-                        let ext_index = ext_id.index() - self.module.functions.len();
-                        let token = self.lib_tokens[ext_index];
-                        self.exec_host_call(
-                            name,
-                            token,
-                            (ext_index as u32) << 1 | 1,
-                            argv,
-                            fid,
-                            path,
-                            &mut clock,
-                            &mut child_time,
-                            Some(*ext_id),
-                        )?
-                    }
-                    DOp::Trap { message } => {
-                        return Err(InterpError::Trap(message.to_string()));
-                    }
-                };
-                let out = if apply_all {
-                    let mut t = out;
-                    t.label = self.union_t::<P>(t.label, ctx);
-                    t
-                } else {
-                    out
-                };
-                regs[di.dst as usize] = out;
+                            _ => unreachable!("step runs every in-place op"),
+                        },
+                    };
+                regs[di.dst as usize] = self.join_ctx::<P>(out, env);
             }
             if insts > fuel {
                 return Err(InterpError::OutOfFuel);
             }
-
             match &dblock.term {
                 DTerm::Br(edge) => {
                     self.take_edge::<P>(
-                        edge, fid, path, &mut regs, &ctl, base_ctx, &mut insts, &mut clock,
+                        edge, fid, path, regs, &ctl, base_ctx, &mut insts, &mut clock,
                     );
                     block = edge.target;
                 }
@@ -1622,7 +750,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                     exiting,
                     join,
                 } => {
-                    let cv = resolve(*cond, &regs);
+                    let cv = resolve(*cond, regs);
                     if P::TAINT {
                         // Sinks: loop-exit conditions (§4.1).
                         for &lid in exiting.iter() {
@@ -1650,7 +778,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                     }
                     let edge = if cv.as_bool() { then_edge } else { else_edge };
                     self.take_edge::<P>(
-                        edge, fid, path, &mut regs, &ctl, base_ctx, &mut insts, &mut clock,
+                        edge, fid, path, regs, &ctl, base_ctx, &mut insts, &mut clock,
                     );
                     block = edge.target;
                 }
@@ -1671,8 +799,8 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                     // branch is re-checked before any branch effect.
                     insts += 1;
                     clock += inst_cost;
-                    let av = resolve(*a, &regs);
-                    let bv = resolve(*b, &regs);
+                    let av = resolve(*a, regs);
+                    let bv = resolve(*b, regs);
                     let mut cond_label = self.union_t::<P>(av.label, bv.label);
                     let taken = if *float {
                         pred.eval(av.as_f64(), bv.as_f64())
@@ -1709,12 +837,12 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                     }
                     let edge = if taken { then_edge } else { else_edge };
                     self.take_edge::<P>(
-                        edge, fid, path, &mut regs, &ctl, base_ctx, &mut insts, &mut clock,
+                        edge, fid, path, regs, &ctl, base_ctx, &mut insts, &mut clock,
                     );
                     block = edge.target;
                 }
                 DTerm::Ret(v) => {
-                    ret_val = (*v).map(|op| resolve(op, &regs));
+                    ret_val = (*v).map(|op| resolve(op, regs));
                     break 'blocks;
                 }
                 DTerm::Unreachable => {
@@ -1735,1043 +863,10 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         // Returned frames keep their (stale) contents: SSA-clean callees
         // never read a register before writing it, and unclean callees
         // clear explicitly at frame setup.
-        self.reg_pool.push(regs);
+        self.reg_pool.push(frame_buf);
         ctl.clear();
         self.ctl_pool.push(ctl);
-        Ok((ret_val, inclusive))
-    }
-
-    /// The tier-1 direct-threaded executor: one `pc`-driven dispatch loop
-    /// over a [`ThreadedFunction`]'s flat op array. Per-op semantics are
-    /// copied verbatim from the general loop — same counter bumps, same
-    /// union order, same error points — so outputs stay bit-identical;
-    /// what changes is pure dispatch: opcode selectors pre-folded, block
-    /// boundaries explicit ([`TInst::Enter`]), straight-line fallthroughs
-    /// elided at specialization time, and branch targets resolved to op
-    /// positions through [`ThreadedFunction::entry_of`].
-    fn exec_function_threaded<P: PolicyMode>(
-        &mut self,
-        tf: &ThreadedFunction,
-        fid: FunctionId,
-        args: &[TVal],
-        parent: Option<PathId>,
-        inherited_ctx: Label,
-    ) -> Result<(Option<TVal>, f64), InterpError> {
-        debug_assert_eq!(P::TAINT, self.config.taint);
-        let prepared: &'m PreparedModule = self.prepared;
-        let dfunc: &'m DecodedFunction = prepared.decoded.func(fid);
-        if args.len() < dfunc.nparams {
-            return Err(InterpError::ArityMismatch {
-                func: dfunc.name.clone(),
-                expected: dfunc.nparams,
-                got: args.len(),
-            });
-        }
-        let path = self.intern_path(parent, fid);
-        self.records.executed[fid.index()] = true;
-        self.tier_stats.threaded_entries += 1;
-
-        let inst_cost = self.config.inst_cost;
-        let fuel = self.config.fuel;
-        let policy = self.config.policy;
-        let coverage = self.config.coverage;
-        let combine_ptr = P::TAINT && self.config.combine_ptr_labels;
-        let store_ctx = P::TAINT && policy != CtlFlowPolicy::Off;
-        let mut insts = self.insts;
-        let mut clock = self.clock;
-
-        let t_enter = clock;
-        if let Some(&probe) = self.config.probe_cost.get(fid.index()) {
-            clock += probe;
-        }
-        let mut child_time = 0.0f64;
-
-        let frame_mark = self.mem.mark();
-        let mut regs = self.reg_pool.pop().unwrap_or_default();
-        // Only ssa-verified functions are specialized, so the stale-frame
-        // skip of the general engine always applies here.
-        debug_assert!(dfunc.ssa_clean);
-        regs.resize(dfunc.nregs, TVal::UNTAINTED_ZERO);
-        regs[..dfunc.nparams].copy_from_slice(&args[..dfunc.nparams]);
-
-        let mut ctl = self.ctl_pool.pop().unwrap_or_default();
-        ctl.clear();
-        let base_ctx = if policy == CtlFlowPolicy::Off {
-            Label::EMPTY
-        } else {
-            inherited_ctx
-        };
-        let vb_base = self.records.visited_blocks.offset(fid);
-
-        let ops: &[TInst] = &tf.ops;
-        let consts: &[u64] = &tf.consts;
-        let mut pc = tf.entry as usize;
-        // Set by the first op (function entry points at an `Enter`).
-        let mut ctx = Label::EMPTY;
-        let mut apply_all = false;
-        let mut dispatched = 0u64;
-        let ret_val: Option<TVal>;
-
-        // Block-entry bookkeeping: the exact sequence the general loop
-        // runs at each block top. Branch sites inline it and jump one
-        // past the target's `Enter`, so taken edges cost one dispatch,
-        // not two; the `Enter` op itself still runs at function entry
-        // and on elided-branch fallthrough.
-        macro_rules! enter_block {
-            ($block:expr) => {{
-                let block = $block;
-                if coverage {
-                    self.records.visited_blocks.set(vb_base + block.index());
-                }
-                if insts > fuel {
-                    return Err(InterpError::OutOfFuel);
-                }
-                while matches!(ctl.last(), Some(s) if s.join == Some(block)) {
-                    ctl.pop();
-                }
-                ctx = if store_ctx {
-                    ctl.last().map_or(base_ctx, |s| s.label)
-                } else {
-                    Label::EMPTY
-                };
-                apply_all = P::TAINT && policy == CtlFlowPolicy::All && !ctx.is_empty();
-            }};
-        }
-
-        'dispatch: loop {
-            // In-bounds by construction: the final block in layout order
-            // never elides its terminator, `Ret`/`Unreachable` leave the
-            // loop, and branches jump to an `Enter` (or one past it),
-            // so `pc` can't walk off the end of `ops`.
-            debug_assert!(pc < ops.len());
-            let op = unsafe { *ops.get_unchecked(pc) };
-            pc += 1;
-            dispatched += 1;
-            // One flat match — the dispatch cost per instruction is a
-            // single jump. Block bookkeeping (`Enter`/`Term`) and calls
-            // (`Slow`) finish their own work and `continue`; every other
-            // arm produces `(dst, out)` for the shared bump + write-back
-            // tail below. Bumping *after* the op is bit-identical to the
-            // general loop's loop-top bump: the counters are only
-            // observable at block-boundary fuel checks and at call
-            // entries, and `Slow` keeps its bump ahead of the call.
-            let (dst, out): (u32, TVal) = match op {
-                TInst::Enter { block } => {
-                    enter_block!(block);
-                    continue 'dispatch;
-                }
-                TInst::Jmp { jump } => {
-                    if insts > fuel {
-                        return Err(InterpError::OutOfFuel);
-                    }
-                    // Audited: `jump < jumps.len()`, `pc` one past an Enter.
-                    debug_assert!((jump as usize) < tf.jumps.len());
-                    let j = unsafe { tf.jumps.get_unchecked(jump as usize) };
-                    self.take_edge::<P>(
-                        &j.edge, fid, path, &mut regs, &ctl, base_ctx, &mut insts, &mut clock,
-                    );
-                    pc = j.pc as usize;
-                    enter_block!(j.edge.target);
-                    continue 'dispatch;
-                }
-                TInst::AddIcJmp { dst, a, imm, jump } => {
-                    // Add half: the exact `AddIC` sequence — op, bump,
-                    // apply-all join, write-back — then the `Jmp` half
-                    // verbatim. Fusing removes one dispatch, nothing else.
-                    let av = tres(a, &regs, consts);
-                    let mut out = TVal {
-                        bits: av.as_i64().wrapping_add(imm as i64) as u64,
-                        label: av.label,
-                    };
-                    insts += 1;
-                    clock += inst_cost;
-                    if apply_all {
-                        out.label = self.union_t::<P>(out.label, ctx);
-                    }
-                    debug_assert!((dst as usize) < regs.len());
-                    unsafe { *regs.get_unchecked_mut(dst as usize) = out };
-                    if insts > fuel {
-                        return Err(InterpError::OutOfFuel);
-                    }
-                    debug_assert!((jump as usize) < tf.jumps.len());
-                    let j = unsafe { tf.jumps.get_unchecked(jump as usize) };
-                    self.take_edge::<P>(
-                        &j.edge, fid, path, &mut regs, &ctl, base_ctx, &mut insts, &mut clock,
-                    );
-                    pc = j.pc as usize;
-                    enter_block!(j.edge.target);
-                    continue 'dispatch;
-                }
-                TInst::CondBr { cond, br } => {
-                    if insts > fuel {
-                        return Err(InterpError::OutOfFuel);
-                    }
-                    debug_assert!((br as usize) < tf.branches.len());
-                    let brd = unsafe { tf.branches.get_unchecked(br as usize) };
-                    let cv = tres(cond, &regs, consts);
-                    if P::TAINT {
-                        for &lid in brd.exiting.iter() {
-                            let pset = self.labels.params_of(cv.label);
-                            self.record_sink(
-                                LoopKey {
-                                    func: fid,
-                                    loop_id: lid,
-                                    path,
-                                },
-                                pset,
-                            );
-                        }
-                        if coverage && !cv.label.is_empty() {
-                            let pset = self.labels.params_of(cv.label);
-                            self.record_branch((fid, brd.block), pset, cv.as_bool());
-                        }
-                        if policy != CtlFlowPolicy::Off && !cv.label.is_empty() {
-                            let enclosing = ctl.last().map_or(base_ctx, |s| s.label);
-                            let label = self.union_t::<P>(cv.label, enclosing);
-                            ctl.push(CtlScope {
-                                join: brd.join,
-                                label,
-                            });
-                        }
-                    }
-                    let (edge, target_pc) = if cv.as_bool() {
-                        (&brd.then_edge, brd.then_pc)
-                    } else {
-                        (&brd.else_edge, brd.else_pc)
-                    };
-                    self.take_edge::<P>(
-                        edge, fid, path, &mut regs, &ctl, base_ctx, &mut insts, &mut clock,
-                    );
-                    pc = target_pc as usize;
-                    enter_block!(edge.target);
-                    continue 'dispatch;
-                }
-                TInst::CondBrCmp {
-                    pred,
-                    float,
-                    a,
-                    b,
-                    br,
-                } => {
-                    // Same two fuel boundaries as the general loop: the
-                    // pre-terminator check, then the re-check after the
-                    // comparison half retires.
-                    if insts > fuel {
-                        return Err(InterpError::OutOfFuel);
-                    }
-                    insts += 1;
-                    clock += inst_cost;
-                    let av = tres(a, &regs, consts);
-                    let bv = tres(b, &regs, consts);
-                    let mut cond_label = self.union_t::<P>(av.label, bv.label);
-                    let taken = if float {
-                        pred.eval(av.as_f64(), bv.as_f64())
-                    } else {
-                        pred.eval(av.as_i64(), bv.as_i64())
-                    };
-                    if apply_all {
-                        cond_label = self.union_t::<P>(cond_label, ctx);
-                    }
-                    if insts > fuel {
-                        return Err(InterpError::OutOfFuel);
-                    }
-                    debug_assert!((br as usize) < tf.branches.len());
-                    let brd = unsafe { tf.branches.get_unchecked(br as usize) };
-                    if P::TAINT {
-                        for &lid in brd.exiting.iter() {
-                            let pset = self.labels.params_of(cond_label);
-                            self.record_sink(
-                                LoopKey {
-                                    func: fid,
-                                    loop_id: lid,
-                                    path,
-                                },
-                                pset,
-                            );
-                        }
-                        if coverage && !cond_label.is_empty() {
-                            let pset = self.labels.params_of(cond_label);
-                            self.record_branch((fid, brd.block), pset, taken);
-                        }
-                        if policy != CtlFlowPolicy::Off && !cond_label.is_empty() {
-                            let enclosing = ctl.last().map_or(base_ctx, |s| s.label);
-                            let label = self.union_t::<P>(cond_label, enclosing);
-                            ctl.push(CtlScope {
-                                join: brd.join,
-                                label,
-                            });
-                        }
-                    }
-                    let (edge, target_pc) = if taken {
-                        (&brd.then_edge, brd.then_pc)
-                    } else {
-                        (&brd.else_edge, brd.else_pc)
-                    };
-                    self.take_edge::<P>(
-                        edge, fid, path, &mut regs, &ctl, base_ctx, &mut insts, &mut clock,
-                    );
-                    pc = target_pc as usize;
-                    enter_block!(edge.target);
-                    continue 'dispatch;
-                }
-                TInst::Ret { val } => {
-                    if insts > fuel {
-                        return Err(InterpError::OutOfFuel);
-                    }
-                    ret_val = Some(tres(val, &regs, consts));
-                    break 'dispatch;
-                }
-                TInst::RetVoid => {
-                    if insts > fuel {
-                        return Err(InterpError::OutOfFuel);
-                    }
-                    ret_val = None;
-                    break 'dispatch;
-                }
-                TInst::Unreachable => {
-                    if insts > fuel {
-                        return Err(InterpError::OutOfFuel);
-                    }
-                    return Err(InterpError::Trap(format!(
-                        "reached unreachable in {}",
-                        dfunc.name
-                    )));
-                }
-                TInst::AddI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_add(b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::SubI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_sub(b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::MulI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_mul(b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::DivI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    let y = b.as_i64();
-                    if y == 0 {
-                        return Err(InterpError::DivisionByZero {
-                            func: dfunc.name.clone(),
-                        });
-                    }
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_div(y) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::RemI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    let y = b.as_i64();
-                    if y == 0 {
-                        return Err(InterpError::DivisionByZero {
-                            func: dfunc.name.clone(),
-                        });
-                    }
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_rem(y) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::AndI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_i64() & b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::OrI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_i64() | b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::XorI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_i64() ^ b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::ShlI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: crate::ops::shl_i64(a.as_i64(), b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::ShrI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: crate::ops::shr_i64(a.as_i64(), b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::MinI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().min(b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::MaxI { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().max(b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::AddF { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_f64() + b.as_f64()).to_bits(),
-                            label,
-                        },
-                    )
-                }
-                TInst::SubF { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_f64() - b.as_f64()).to_bits(),
-                            label,
-                        },
-                    )
-                }
-                TInst::MulF { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_f64() * b.as_f64()).to_bits(),
-                            label,
-                        },
-                    )
-                }
-                TInst::DivF { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_f64() / b.as_f64()).to_bits(),
-                            label,
-                        },
-                    )
-                }
-                TInst::RemF { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_f64() % b.as_f64()).to_bits(),
-                            label,
-                        },
-                    )
-                }
-                TInst::MinF { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_f64().min(b.as_f64()).to_bits(),
-                            label,
-                        },
-                    )
-                }
-                TInst::MaxF { dst, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_f64().max(b.as_f64()).to_bits(),
-                            label,
-                        },
-                    )
-                }
-                TInst::NegI { dst, a } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_neg() as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::NegF { dst, a } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (-a.as_f64()).to_bits(),
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::NotBool { dst, a } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.bits == 0) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::NotInt { dst, a } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: !a.as_i64() as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::IntToFloat { dst, a } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_i64() as f64).to_bits(),
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::FloatToInt { dst, a } => {
-                    let a = tres(a, &regs, consts);
-                    let f = a.as_f64();
-                    let clamped = if f.is_nan() {
-                        0
-                    } else {
-                        f.clamp(i64::MIN as f64, i64::MAX as f64) as i64
-                    };
-                    (
-                        dst,
-                        TVal {
-                            bits: clamped as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::Sqrt { dst, a } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_f64().max(0.0).sqrt().to_bits(),
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::AbsI { dst, a } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_abs() as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::AbsF { dst, a } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_f64().abs().to_bits(),
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::CmpI { dst, pred, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: pred.eval(a.as_i64(), b.as_i64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::CmpF { dst, pred, a, b } => {
-                    let (a, b) = (tres(a, &regs, consts), tres(b, &regs, consts));
-                    let label = self.union_t::<P>(a.label, b.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: pred.eval(a.as_f64(), b.as_f64()) as u64,
-                            label,
-                        },
-                    )
-                }
-                // Immediate forms: the constant half never touches the
-                // pool or the label table — `union(l, EMPTY)` is `l`
-                // with no table effect, so copying the register
-                // operand's label is exact.
-                TInst::AddIC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_add(imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::SubIC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_sub(imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::MulIC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_mul(imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::AndIC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_i64() & imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::OrIC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_i64() | imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::XorIC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_i64() ^ imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::ShlIC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: crate::ops::shl_i64(a.as_i64(), imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::ShrIC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: crate::ops::shr_i64(a.as_i64(), imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::CmpIC { dst, pred, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: pred.eval(a.as_i64(), imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::DivIC { dst, a, imm } => {
-                    // `imm != 0` by construction — the trap check is
-                    // resolved at specialize time.
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_div(imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::RemIC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: a.as_i64().wrapping_rem(imm as i64) as u64,
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::AddFC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_f64() + f64::from_bits(imm)).to_bits(),
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::MulFC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_f64() * f64::from_bits(imm)).to_bits(),
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::SubFC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_f64() - f64::from_bits(imm)).to_bits(),
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::DivFC { dst, a, imm } => {
-                    let a = tres(a, &regs, consts);
-                    (
-                        dst,
-                        TVal {
-                            bits: (a.as_f64() / f64::from_bits(imm)).to_bits(),
-                            label: a.label,
-                        },
-                    )
-                }
-                TInst::Sel { dst, c, t, e } => {
-                    let c = tres(c, &regs, consts);
-                    let chosen = if c.as_bool() {
-                        tres(t, &regs, consts)
-                    } else {
-                        tres(e, &regs, consts)
-                    };
-                    let label = self.union_t::<P>(c.label, chosen.label);
-                    (
-                        dst,
-                        TVal {
-                            bits: chosen.bits,
-                            label,
-                        },
-                    )
-                }
-                TInst::Const { dst, bits } => (
-                    dst,
-                    TVal {
-                        bits,
-                        label: Label::EMPTY,
-                    },
-                ),
-                TInst::Alloca { dst, words } => {
-                    let n = tres(words, &regs, consts).as_i64();
-                    if n < 0 {
-                        return Err(InterpError::Trap(format!(
-                            "negative alloca in {}",
-                            dfunc.name
-                        )));
-                    }
-                    let addr = self.mem.alloc(n as usize);
-                    (dst, TVal::from_i64(addr as i64))
-                }
-                TInst::Load { dst, addr } => {
-                    let a = tres(addr, &regs, consts);
-                    let mut v = self.mem.load(a.as_addr())?;
-                    if combine_ptr {
-                        v.label = self.union_t::<P>(v.label, a.label);
-                    }
-                    (dst, v)
-                }
-                TInst::Store { dst, addr, value } => {
-                    let a = tres(addr, &regs, consts);
-                    let mut v = tres(value, &regs, consts);
-                    if store_ctx {
-                        v.label = self.union_t::<P>(v.label, ctx);
-                    }
-                    self.mem.store(a.as_addr(), v)?;
-                    (dst, TVal::UNTAINTED_ZERO)
-                }
-                TInst::Gep {
-                    dst,
-                    base,
-                    index,
-                    stride,
-                } => {
-                    let b = tres(base, &regs, consts);
-                    let i = tres(index, &regs, consts);
-                    let label = self.union_t::<P>(b.label, i.label);
-                    let addr = b
-                        .as_i64()
-                        .wrapping_add(i.as_i64().wrapping_mul(tconst(stride, consts) as i64));
-                    (
-                        dst,
-                        TVal {
-                            bits: addr as u64,
-                            label,
-                        },
-                    )
-                }
-                TInst::LoadIdx {
-                    dst,
-                    base,
-                    index,
-                    stride,
-                } => {
-                    let b = tres(base, &regs, consts);
-                    let i = tres(index, &regs, consts);
-                    let mut la = self.union_t::<P>(b.label, i.label);
-                    if apply_all {
-                        la = self.union_t::<P>(la, ctx);
-                    }
-                    let addr = b
-                        .as_i64()
-                        .wrapping_add(i.as_i64().wrapping_mul(tconst(stride, consts) as i64));
-                    insts += 1;
-                    clock += inst_cost;
-                    let mut v = self.mem.load(addr as u64 as usize)?;
-                    if combine_ptr {
-                        v.label = self.union_t::<P>(v.label, la);
-                    }
-                    (dst, v)
-                }
-                TInst::StoreIdx {
-                    dst,
-                    base,
-                    index,
-                    stride,
-                    value,
-                } => {
-                    let b = tres(base, &regs, consts);
-                    let i = tres(index, &regs, consts);
-                    let gep_label = self.union_t::<P>(b.label, i.label);
-                    if apply_all {
-                        let _ = self.union_t::<P>(gep_label, ctx);
-                    }
-                    let addr = b
-                        .as_i64()
-                        .wrapping_add(i.as_i64().wrapping_mul(tconst(stride, consts) as i64));
-                    insts += 1;
-                    clock += inst_cost;
-                    let mut v = tres(value, &regs, consts);
-                    if store_ctx {
-                        v.label = self.union_t::<P>(v.label, ctx);
-                    }
-                    self.mem.store(addr as u64 as usize, v)?;
-                    (dst, TVal::UNTAINTED_ZERO)
-                }
-                TInst::Slow { slow } => {
-                    // Calls bump *before* executing (matching the
-                    // general loop's loop-top bump, which the
-                    // callee's simulated entry time observes) and
-                    // do their own write-back, so the shared
-                    // post-op tail never runs for them.
-                    insts += 1;
-                    clock += inst_cost;
-                    // Audited: `slow < slow_ops.len()`.
-                    debug_assert!((slow as usize) < tf.slow_ops.len());
-                    let di: &DInst = unsafe { tf.slow_ops.get_unchecked(slow as usize) };
-                    let out: TVal = match &di.op {
-                        DOp::CallInternal { callee, args } => {
-                            resolve_argv!(args, &regs, argv);
-                            self.insts = insts;
-                            self.clock = clock;
-                            let (ret, incl) =
-                                self.exec_function::<P>(*callee, argv, Some(path), ctx)?;
-                            insts = self.insts;
-                            clock = self.clock;
-                            child_time += incl;
-                            ret.unwrap_or(TVal::UNTAINTED_ZERO)
-                        }
-                        DOp::CallInlined {
-                            callee,
-                            entry,
-                            body,
-                            ret,
-                        } => self.exec_inlined::<P>(
-                            *callee,
-                            *entry,
-                            body,
-                            *ret,
-                            &mut regs,
-                            &mut insts,
-                            &mut clock,
-                            &mut child_time,
-                            path,
-                            ctx,
-                            apply_all,
-                            store_ctx,
-                            combine_ptr,
-                            coverage,
-                            fuel,
-                            inst_cost,
-                        )?,
-                        DOp::CallIntrinsic { which, args } => {
-                            resolve_argv!(args, &regs, argv);
-                            self.exec_intrinsic::<P>(*which, argv)?
-                        }
-                        DOp::CallHostPrim { name, prim, args } => {
-                            resolve_argv!(args, &regs, argv);
-                            let token = self.prim_tokens[*prim as usize];
-                            self.exec_host_call(
-                                name,
-                                token,
-                                *prim << 1,
-                                argv,
-                                fid,
-                                path,
-                                &mut clock,
-                                &mut child_time,
-                                None,
-                            )?
-                        }
-                        DOp::CallLibrary { name, ext_id, args } => {
-                            resolve_argv!(args, &regs, argv);
-                            let ext_index = ext_id.index() - self.module.functions.len();
-                            let token = self.lib_tokens[ext_index];
-                            self.exec_host_call(
-                                name,
-                                token,
-                                (ext_index as u32) << 1 | 1,
-                                argv,
-                                fid,
-                                path,
-                                &mut clock,
-                                &mut child_time,
-                                Some(*ext_id),
-                            )?
-                        }
-                        DOp::Trap { message } => {
-                            return Err(InterpError::Trap(message.to_string()));
-                        }
-                        _ => unreachable!("only calls and traps lower to Slow"),
-                    };
-                    let out = if apply_all {
-                        let mut t = out;
-                        t.label = self.union_t::<P>(t.label, ctx);
-                        t
-                    } else {
-                        out
-                    };
-                    regs[di.dst as usize] = out;
-                    continue 'dispatch;
-                }
-            };
-            insts += 1;
-            clock += inst_cost;
-            let out = if apply_all {
-                let mut t = out;
-                t.label = self.union_t::<P>(t.label, ctx);
-                t
-            } else {
-                out
-            };
-            // Audited like `tres`: `dst < nregs == regs.len()`.
-            debug_assert!((dst as usize) < regs.len());
-            unsafe { *regs.get_unchecked_mut(dst as usize) = out };
-        }
-
-        self.tier_stats.threaded_insts += dispatched;
-        self.mem.release_to(frame_mark);
-        self.insts = insts;
-        self.clock = clock;
-        let inclusive = clock - t_enter;
-        let exclusive = inclusive - child_time;
-        self.profile.record_call(path, fid, inclusive, exclusive);
-        self.reg_pool.push(regs);
-        ctl.clear();
-        self.ctl_pool.push(ctl);
+        self.depth -= 1;
         Ok((ret_val, inclusive))
     }
 
@@ -2779,8 +874,11 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
     /// parallel copy for this predecessor. Sources are all read before the
     /// first write (staged), so swap / lost-copy cycles behave like the
     /// reference engine's simultaneous assignment.
+    ///
+    /// Always inlined: as an out-of-line call it would force the frame
+    /// loop's instruction counter and clock out of machine registers.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
+    #[inline(always)]
     fn take_edge<P: PolicyMode>(
         &mut self,
         edge: &Edge,
@@ -2853,11 +951,10 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
     /// Execute a [`DOp::CallInlined`] superinstruction: an entire leaf
     /// call — depth and fuel boundaries, path interning, executed/visited
     /// marks, probe cost, body, per-call profile entry — replayed inline
-    /// over the caller's frame. The caller's loop header already charged
-    /// the call instruction itself; the callee's control context equals
-    /// the caller's at the call site (a single-block callee can neither
-    /// push nor pop scopes), so `ctx`/`apply_all`/`store_ctx` carry over
-    /// unchanged.
+    /// over the caller's frame. The caller's loop charged the call
+    /// instruction itself; the callee's control context equals the
+    /// caller's at the call site (a single-block callee can neither push
+    /// nor pop scopes), so `env` carries over unchanged.
     #[allow(clippy::too_many_arguments)]
     fn exec_inlined<P: PolicyMode>(
         &mut self,
@@ -2870,17 +967,10 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         clock: &mut f64,
         child_time: &mut f64,
         path: PathId,
-        ctx: Label,
-        apply_all: bool,
-        store_ctx: bool,
-        combine_ptr: bool,
-        coverage: bool,
-        fuel: u64,
-        inst_cost: f64,
+        env: StepEnv,
     ) -> Result<TVal, InterpError> {
         self.depth += 1;
         if self.depth > self.config.max_depth {
-            self.depth -= 1;
             return Err(InterpError::CallDepthExceeded);
         }
         let ipath = self.intern_path(Some(path), callee);
@@ -2889,25 +979,28 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         if let Some(&probe) = self.config.probe_cost.get(callee.index()) {
             *clock += probe;
         }
-        if coverage {
+        if self.config.coverage {
             self.records.visited_blocks.mark(callee, entry);
         }
-        let result = self.exec_inlined_body::<P>(
-            body,
-            regs,
-            insts,
-            clock,
-            ctx,
-            apply_all,
-            store_ctx,
-            combine_ptr,
-            fuel,
-            inst_cost,
-            callee,
-            ipath,
-        );
+        // The fuel boundaries the reference engine checks at the callee's
+        // block entry and after its straight-line body.
+        let fuel = self.config.fuel;
+        if *insts > fuel {
+            return Err(InterpError::OutOfFuel);
+        }
+        // The inlining pass admits only ops `step` implements.
+        for di in body {
+            *insts += 1;
+            *clock += env.inst_cost;
+            let out = self
+                .step::<P>(&di.op, regs, callee, ipath, env, insts, clock)?
+                .expect("the inlining pass admits only in-place ops");
+            regs[di.dst as usize] = self.join_ctx::<P>(out, env);
+        }
+        if *insts > fuel {
+            return Err(InterpError::OutOfFuel);
+        }
         self.depth -= 1;
-        result?;
         let rv = ret.map_or(TVal::UNTAINTED_ZERO, |o| resolve(o, regs));
         // No children and no alloca: exclusive == inclusive, and the
         // memory watermark is untouched.
@@ -2918,324 +1011,310 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         Ok(rv)
     }
 
-    /// The restricted dispatch for inlined bodies: pure scalar ops,
-    /// memory accesses, and host-primitive calls only (the inlining pass
-    /// guarantees it). Mirrors the corresponding arms of the main loop
-    /// exactly — the differential suites pin the two against the
-    /// reference engine.
+    /// The `All`-policy control join: inside a tainted scope every
+    /// instruction result also carries the scope's label.
+    #[inline(always)]
+    fn join_ctx<P: PolicyMode>(&mut self, v: TVal, env: StepEnv) -> TVal {
+        if env.apply_all {
+            v.with_label(self.union_t::<P>(v.label, env.ctx))
+        } else {
+            v
+        }
+    }
+
+    /// One instruction's value and taint semantics, for every op that
+    /// executes in place: scalar, memory and fused-index ops,
+    /// host-primitive calls and traps. The frame loop and inlined leaf
+    /// bodies both dispatch here, so each rule is written once in this
+    /// engine (and once in the reference engine the differential suites
+    /// hold it to). `fid`/`path` are the function whose body the op
+    /// belongs to — for an inlined body the callee, not the caller — and
+    /// take division-by-zero errors and extern-argument records. The
+    /// caller charged the instruction; the fused-index ops charge their
+    /// second half here. The result is returned before [`Self::join_ctx`].
+    ///
+    /// `None` marks a frame-level op (calls, intrinsics, `alloca`) that
+    /// only the frame loop runs. Matching those here too, rather than in
+    /// the frame loop ahead of this call, keeps the hot path to a single
+    /// dispatch.
     #[allow(clippy::too_many_arguments)]
-    fn exec_inlined_body<P: PolicyMode>(
+    #[inline(always)]
+    fn step<P: PolicyMode>(
         &mut self,
-        body: &[DInst],
-        regs: &mut [TVal],
+        op: &DOp,
+        regs: &[TVal],
+        fid: FunctionId,
+        path: PathId,
+        env: StepEnv,
         insts: &mut u64,
         clock: &mut f64,
-        ctx: Label,
-        apply_all: bool,
-        store_ctx: bool,
-        combine_ptr: bool,
-        fuel: u64,
-        inst_cost: f64,
-        callee: FunctionId,
-        ipath: PathId,
-    ) -> Result<(), InterpError> {
-        // The fuel boundary the reference engine checks at the callee's
-        // block entry.
-        if *insts > fuel {
-            return Err(InterpError::OutOfFuel);
-        }
-        // Copy out the `'m` reference so error paths can read the callee
-        // name without borrowing `self`.
-        let decoded: &'m crate::decode::DecodedModule = &self.prepared.decoded;
-        let callee_name = move || decoded.func(callee).name.clone();
-        for di in body {
-            *insts += 1;
-            *clock += inst_cost;
-            let out: TVal = match &di.op {
-                DOp::Const { bits } => TVal {
+    ) -> Result<Option<TVal>, InterpError> {
+        let prepared: &'m PreparedModule = self.prepared;
+        let div_by_zero = || InterpError::DivisionByZero {
+            func: prepared.decoded.func(fid).name.clone(),
+        };
+        Ok(Some(match op {
+            DOp::Const { bits } => {
+                // Folded constant: the original op's operands were all
+                // immediates, so its label was the union of empty labels —
+                // empty, with no table mutation (the union early-outs).
+                // `join_ctx` still joins the control context, exactly like
+                // the unfolded op.
+                TVal {
                     bits: *bits,
                     label: Label::EMPTY,
-                },
-                DOp::BinI { op, a, b } => {
-                    let a = resolve(*a, regs);
-                    let b = resolve(*b, regs);
-                    let label = self.union_t::<P>(a.label, b.label);
-                    let (x, y) = (a.as_i64(), b.as_i64());
-                    let r = match op {
-                        BinOp::Add => x.wrapping_add(y),
-                        BinOp::Sub => x.wrapping_sub(y),
-                        BinOp::Mul => x.wrapping_mul(y),
-                        BinOp::Div => {
-                            if y == 0 {
-                                return Err(InterpError::DivisionByZero {
-                                    func: callee_name(),
-                                });
-                            }
-                            x.wrapping_div(y)
+                }
+            }
+            DOp::BinI { op, a, b } => {
+                let a = resolve(*a, regs);
+                let b = resolve(*b, regs);
+                let label = self.union_t::<P>(a.label, b.label);
+                let (x, y) = (a.as_i64(), b.as_i64());
+                let r = match op {
+                    BinOp::Add => x.wrapping_add(y),
+                    BinOp::Sub => x.wrapping_sub(y),
+                    BinOp::Mul => x.wrapping_mul(y),
+                    BinOp::Div => {
+                        if y == 0 {
+                            return Err(div_by_zero());
                         }
-                        BinOp::Rem => {
-                            if y == 0 {
-                                return Err(InterpError::DivisionByZero {
-                                    func: callee_name(),
-                                });
-                            }
-                            x.wrapping_rem(y)
+                        x.wrapping_div(y)
+                    }
+                    BinOp::Rem => {
+                        if y == 0 {
+                            return Err(div_by_zero());
                         }
-                        BinOp::And => x & y,
-                        BinOp::Or => x | y,
-                        BinOp::Xor => x ^ y,
-                        BinOp::Shl => crate::ops::shl_i64(x, y),
-                        BinOp::Shr => crate::ops::shr_i64(x, y),
-                        BinOp::Min => x.min(y),
-                        BinOp::Max => x.max(y),
-                    };
-                    TVal {
-                        bits: r as u64,
-                        label,
+                        x.wrapping_rem(y)
                     }
+                    BinOp::And => x & y,
+                    BinOp::Or => x | y,
+                    BinOp::Xor => x ^ y,
+                    BinOp::Shl => crate::ops::shl_i64(x, y),
+                    BinOp::Shr => crate::ops::shr_i64(x, y),
+                    BinOp::Min => x.min(y),
+                    BinOp::Max => x.max(y),
+                };
+                TVal {
+                    bits: r as u64,
+                    label,
                 }
-                DOp::BinF { op, a, b } => {
-                    let a = resolve(*a, regs);
-                    let b = resolve(*b, regs);
-                    let label = self.union_t::<P>(a.label, b.label);
-                    let (x, y) = (a.as_f64(), b.as_f64());
-                    let r = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
-                        BinOp::Rem => x % y,
-                        BinOp::Min => x.min(y),
-                        BinOp::Max => x.max(y),
-                        _ => unreachable!("bitwise float ops decode to Trap"),
-                    };
-                    TVal {
-                        bits: r.to_bits(),
-                        label,
-                    }
+            }
+            DOp::BinF { op, a, b } => {
+                let a = resolve(*a, regs);
+                let b = resolve(*b, regs);
+                let label = self.union_t::<P>(a.label, b.label);
+                let (x, y) = (a.as_f64(), b.as_f64());
+                let r = match op {
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    BinOp::Div => x / y,
+                    BinOp::Rem => x % y,
+                    BinOp::Min => x.min(y),
+                    BinOp::Max => x.max(y),
+                    _ => unreachable!("bitwise float ops decode to Trap"),
+                };
+                TVal {
+                    bits: r.to_bits(),
+                    label,
                 }
-                DOp::NegI { a } => {
-                    let a = resolve(*a, regs);
-                    TVal {
-                        bits: a.as_i64().wrapping_neg() as u64,
-                        label: a.label,
-                    }
+            }
+            DOp::NegI { a } => {
+                let a = resolve(*a, regs);
+                TVal {
+                    bits: a.as_i64().wrapping_neg() as u64,
+                    label: a.label,
                 }
-                DOp::NegF { a } => {
-                    let a = resolve(*a, regs);
-                    TVal {
-                        bits: (-a.as_f64()).to_bits(),
-                        label: a.label,
-                    }
+            }
+            DOp::NegF { a } => {
+                let a = resolve(*a, regs);
+                TVal {
+                    bits: (-a.as_f64()).to_bits(),
+                    label: a.label,
                 }
-                DOp::NotBool { a } => {
-                    let a = resolve(*a, regs);
-                    TVal {
-                        bits: (a.bits == 0) as u64,
-                        label: a.label,
-                    }
+            }
+            DOp::NotBool { a } => {
+                let a = resolve(*a, regs);
+                TVal {
+                    bits: (a.bits == 0) as u64,
+                    label: a.label,
                 }
-                DOp::NotInt { a } => {
-                    let a = resolve(*a, regs);
-                    TVal {
-                        bits: !a.as_i64() as u64,
-                        label: a.label,
-                    }
+            }
+            DOp::NotInt { a } => {
+                let a = resolve(*a, regs);
+                TVal {
+                    bits: !a.as_i64() as u64,
+                    label: a.label,
                 }
-                DOp::IntToFloat { a } => {
-                    let a = resolve(*a, regs);
-                    TVal {
-                        bits: (a.as_i64() as f64).to_bits(),
-                        label: a.label,
-                    }
+            }
+            DOp::IntToFloat { a } => {
+                let a = resolve(*a, regs);
+                TVal {
+                    bits: (a.as_i64() as f64).to_bits(),
+                    label: a.label,
                 }
-                DOp::FloatToInt { a } => {
-                    let a = resolve(*a, regs);
-                    let f = a.as_f64();
-                    let clamped = if f.is_nan() {
-                        0
-                    } else {
-                        f.clamp(i64::MIN as f64, i64::MAX as f64) as i64
-                    };
-                    TVal {
-                        bits: clamped as u64,
-                        label: a.label,
-                    }
+            }
+            DOp::FloatToInt { a } => {
+                let a = resolve(*a, regs);
+                let f = a.as_f64();
+                let clamped = if f.is_nan() {
+                    0
+                } else {
+                    f.clamp(i64::MIN as f64, i64::MAX as f64) as i64
+                };
+                TVal {
+                    bits: clamped as u64,
+                    label: a.label,
                 }
-                DOp::Sqrt { a } => {
-                    let a = resolve(*a, regs);
-                    TVal {
-                        bits: a.as_f64().max(0.0).sqrt().to_bits(),
-                        label: a.label,
-                    }
+            }
+            DOp::Sqrt { a } => {
+                let a = resolve(*a, regs);
+                TVal {
+                    bits: a.as_f64().max(0.0).sqrt().to_bits(),
+                    label: a.label,
                 }
-                DOp::AbsI { a } => {
-                    let a = resolve(*a, regs);
-                    TVal {
-                        bits: a.as_i64().wrapping_abs() as u64,
-                        label: a.label,
-                    }
+            }
+            DOp::AbsI { a } => {
+                let a = resolve(*a, regs);
+                TVal {
+                    bits: a.as_i64().wrapping_abs() as u64,
+                    label: a.label,
                 }
-                DOp::AbsF { a } => {
-                    let a = resolve(*a, regs);
-                    TVal {
-                        bits: a.as_f64().abs().to_bits(),
-                        label: a.label,
-                    }
+            }
+            DOp::AbsF { a } => {
+                let a = resolve(*a, regs);
+                TVal {
+                    bits: a.as_f64().abs().to_bits(),
+                    label: a.label,
                 }
-                DOp::CmpI { pred, a, b } => {
-                    let a = resolve(*a, regs);
-                    let b = resolve(*b, regs);
-                    let label = self.union_t::<P>(a.label, b.label);
-                    TVal {
-                        bits: pred.eval(a.as_i64(), b.as_i64()) as u64,
-                        label,
-                    }
+            }
+            DOp::CmpI { pred, a, b } => {
+                let a = resolve(*a, regs);
+                let b = resolve(*b, regs);
+                let label = self.union_t::<P>(a.label, b.label);
+                TVal {
+                    bits: pred.eval(a.as_i64(), b.as_i64()) as u64,
+                    label,
                 }
-                DOp::CmpF { pred, a, b } => {
-                    let a = resolve(*a, regs);
-                    let b = resolve(*b, regs);
-                    let label = self.union_t::<P>(a.label, b.label);
-                    TVal {
-                        bits: pred.eval(a.as_f64(), b.as_f64()) as u64,
-                        label,
-                    }
+            }
+            DOp::CmpF { pred, a, b } => {
+                let a = resolve(*a, regs);
+                let b = resolve(*b, regs);
+                let label = self.union_t::<P>(a.label, b.label);
+                TVal {
+                    bits: pred.eval(a.as_f64(), b.as_f64()) as u64,
+                    label,
                 }
-                DOp::Select { c, t, e } => {
-                    let c = resolve(*c, regs);
-                    let chosen = if c.as_bool() {
-                        resolve(*t, regs)
-                    } else {
-                        resolve(*e, regs)
-                    };
-                    let label = self.union_t::<P>(c.label, chosen.label);
-                    TVal {
-                        bits: chosen.bits,
-                        label,
-                    }
+            }
+            DOp::Select { c, t, e } => {
+                let c = resolve(*c, regs);
+                let chosen = if c.as_bool() {
+                    resolve(*t, regs)
+                } else {
+                    resolve(*e, regs)
+                };
+                let label = self.union_t::<P>(c.label, chosen.label);
+                chosen.with_label(label)
+            }
+            DOp::Load { addr } => {
+                let a = resolve(*addr, regs);
+                let mut v = self.mem.load(a.as_addr())?;
+                if env.combine_ptr {
+                    v.label = self.union_t::<P>(v.label, a.label);
                 }
-                DOp::Load { addr } => {
-                    let a = resolve(*addr, regs);
-                    let mut v = self.mem.load(a.as_addr())?;
-                    if combine_ptr {
-                        v.label = self.union_t::<P>(v.label, a.label);
-                    }
-                    v
+                v
+            }
+            DOp::Store { addr, value } => {
+                let a = resolve(*addr, regs);
+                let mut v = resolve(*value, regs);
+                if env.store_ctx {
+                    // StoresOnly and All both taint stored values with the
+                    // control context.
+                    v.label = self.union_t::<P>(v.label, env.ctx);
                 }
-                DOp::Store { addr, value } => {
-                    let a = resolve(*addr, regs);
-                    let mut v = resolve(*value, regs);
-                    if store_ctx {
-                        v.label = self.union_t::<P>(v.label, ctx);
-                    }
-                    self.mem.store(a.as_addr(), v)?;
-                    TVal::UNTAINTED_ZERO
+                self.mem.store(a.as_addr(), v)?;
+                TVal::UNTAINTED_ZERO
+            }
+            DOp::Gep {
+                base,
+                index,
+                stride,
+            } => {
+                let b = resolve(*base, regs);
+                let i = resolve(*index, regs);
+                let label = self.union_t::<P>(b.label, i.label);
+                let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
+                TVal {
+                    bits: addr as u64,
+                    label,
                 }
-                DOp::Gep {
-                    base,
-                    index,
-                    stride,
-                } => {
-                    let b = resolve(*base, regs);
-                    let i = resolve(*index, regs);
-                    let label = self.union_t::<P>(b.label, i.label);
-                    let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                    TVal {
-                        bits: addr as u64,
-                        label,
-                    }
+            }
+            DOp::LoadIdx {
+                base,
+                index,
+                stride,
+            } => {
+                // Fused gep+load: this dispatch retires both. The caller
+                // charged the gep; its label unions run here in the
+                // original order, then the load half charges itself before
+                // touching memory.
+                let b = resolve(*base, regs);
+                let i = resolve(*index, regs);
+                let mut la = self.union_t::<P>(b.label, i.label);
+                if env.apply_all {
+                    la = self.union_t::<P>(la, env.ctx);
                 }
-                DOp::LoadIdx {
-                    base,
-                    index,
-                    stride,
-                } => {
-                    let b = resolve(*base, regs);
-                    let i = resolve(*index, regs);
-                    let mut la = self.union_t::<P>(b.label, i.label);
-                    if apply_all {
-                        la = self.union_t::<P>(la, ctx);
-                    }
-                    let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                    *insts += 1;
-                    *clock += inst_cost;
-                    let mut v = self.mem.load(addr as u64 as usize)?;
-                    if combine_ptr {
-                        v.label = self.union_t::<P>(v.label, la);
-                    }
-                    v
+                let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
+                *insts += 1;
+                *clock += env.inst_cost;
+                let mut v = self.mem.load(addr as u64 as usize)?;
+                if env.combine_ptr {
+                    v.label = self.union_t::<P>(v.label, la);
                 }
-                DOp::StoreIdx {
-                    base,
-                    index,
-                    stride,
-                    value,
-                } => {
-                    let b = resolve(*base, regs);
-                    let i = resolve(*index, regs);
-                    let gep_label = self.union_t::<P>(b.label, i.label);
-                    if apply_all {
-                        let _ = self.union_t::<P>(gep_label, ctx);
-                    }
-                    let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                    *insts += 1;
-                    *clock += inst_cost;
-                    let mut v = resolve(*value, regs);
-                    if store_ctx {
-                        v.label = self.union_t::<P>(v.label, ctx);
-                    }
-                    self.mem.store(addr as u64 as usize, v)?;
-                    TVal::UNTAINTED_ZERO
+                v
+            }
+            DOp::StoreIdx {
+                base,
+                index,
+                stride,
+                value,
+            } => {
+                // Fused gep+store, charged like the fused load.
+                let b = resolve(*base, regs);
+                let i = resolve(*index, regs);
+                let gep_label = self.union_t::<P>(b.label, i.label);
+                if env.apply_all {
+                    // The fused-away gep result would have carried the
+                    // control context; the union must still happen so the
+                    // label table stays identical.
+                    let _ = self.union_t::<P>(gep_label, env.ctx);
                 }
-                DOp::CallHostPrim { name, prim, args } => {
-                    // A host-primitive call replayed inline: the resolved
-                    // token dispatch, extern-argument record (keyed by the
-                    // *callee* as caller, exactly as a real frame would),
-                    // and cost charge are identical to the real-frame arm.
-                    // Work primitives never touch the callee's child time
-                    // (`ext_id: None` charges the clock only), so the
-                    // inlined frame's exclusive == inclusive invariant
-                    // still holds.
-                    resolve_argv!(args, regs, argv);
-                    let token = self.prim_tokens[*prim as usize];
-                    let mut no_child = 0.0;
-                    self.exec_host_call(
-                        name,
-                        token,
-                        *prim << 1,
-                        argv,
-                        callee,
-                        ipath,
-                        clock,
-                        &mut no_child,
-                        None,
-                    )?
+                let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
+                *insts += 1;
+                *clock += env.inst_cost;
+                let mut v = resolve(*value, regs);
+                if env.store_ctx {
+                    v.label = self.union_t::<P>(v.label, env.ctx);
                 }
-                DOp::Trap { message } => {
-                    return Err(InterpError::Trap(message.to_string()));
-                }
-                DOp::Alloca { .. }
-                | DOp::CallInternal { .. }
-                | DOp::CallIntrinsic { .. }
-                | DOp::CallLibrary { .. }
-                | DOp::CallInlined { .. } => {
-                    unreachable!("op excluded from inlined bodies by the pass")
-                }
-            };
-            let out = if apply_all {
-                let mut t = out;
-                t.label = self.union_t::<P>(t.label, ctx);
-                t
-            } else {
-                out
-            };
-            regs[di.dst as usize] = out;
-        }
-        // The fuel boundary after the callee's straight-line body.
-        if *insts > fuel {
-            return Err(InterpError::OutOfFuel);
-        }
-        Ok(())
+                self.mem.store(addr as u64 as usize, v)?;
+                TVal::UNTAINTED_ZERO
+            }
+            DOp::CallHostPrim { name, prim, args } => {
+                // Host calls never touch the instruction counter, and the
+                // clock rides along by reference. A primitive charges the
+                // clock only, never child time, which is what keeps an
+                // inlined frame's exclusive == inclusive.
+                resolve_argv!(args, regs, argv);
+                let token = self.prim_tokens[*prim as usize];
+                self.exec_host_call(name, token, *prim << 1, argv, fid, path, clock, None)?
+            }
+            DOp::Trap { message } => return Err(InterpError::Trap(message.to_string())),
+            DOp::Alloca { .. }
+            | DOp::CallInternal { .. }
+            | DOp::CallIntrinsic { .. }
+            | DOp::CallLibrary { .. }
+            | DOp::CallInlined { .. } => return Ok(None),
+        }))
     }
 
     /// Interpreter-resolved taint intrinsics (parameter sources, the
@@ -3351,10 +1430,10 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         }
     }
 
-    /// Dispatch a non-intrinsic external to the handler. `ext_id` is
-    /// `None` for `pt_*` work primitives (cost charged inline to the
-    /// caller) and the pre-bound pseudo id for library routines (which get
-    /// their own profile entries, §B1). `token` is the handler dispatch
+    /// Dispatch a non-intrinsic external to the handler. `lib` is `None`
+    /// for `pt_*` work primitives (cost charged inline to the caller's
+    /// clock) and, for library routines, the pre-bound pseudo id plus the
+    /// caller's child time (they get their own profile entries, §B1). `token` is the handler dispatch
     /// token pre-resolved at construction; symbols the handler does not
     /// resolve fall back to by-name dispatch.
     #[allow(clippy::too_many_arguments)]
@@ -3367,8 +1446,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         caller: FunctionId,
         path: PathId,
         clock: &mut f64,
-        child_time: &mut f64,
-        ext_id: Option<FunctionId>,
+        lib: Option<(FunctionId, &mut f64)>,
     ) -> Result<TVal, InterpError> {
         // Record the parameters tainting the call's arguments — the library
         // database turns these into parametric dependencies of the caller
@@ -3405,12 +1483,12 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             name: name.to_string(),
             message,
         })?;
-        match ext_id {
+        match lib {
             None => {
                 *clock += cost;
                 Ok(ret)
             }
-            Some(ext_id) => {
+            Some((ext_id, child_time)) => {
                 let probe = self
                     .config
                     .probe_cost

@@ -78,7 +78,6 @@ pub mod prepared;
 pub mod profile;
 pub mod records;
 pub mod reference;
-pub mod tier;
 pub mod unit;
 pub mod unit_io;
 
@@ -94,4 +93,3 @@ pub use prepared::{PreparedFunction, PreparedModule};
 pub use profile::{Profile, ProfileEntry};
 pub use records::{BranchRecord, LoopKey, LoopRecord, SinkRecord, TaintRecords};
 pub use reference::ReferenceInterpreter;
-pub use tier::{SpecializedModule, TierConfig, TierMode, TierPlan, TierStats};

@@ -41,9 +41,9 @@
 
 /// Runtime identity of the taint policy a run executes under.
 ///
-/// Defaults come from the `PT_POLICY` environment variable (mirroring
-/// `PT_TIER` for the execution tiers) so the whole test matrix can be
-/// flipped to the security policy without touching any call site.
+/// Defaults come from the `PT_POLICY` environment variable so the whole
+/// test matrix can be flipped to the security policy without touching any
+/// call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum PolicyKind {
     /// The paper's parameter-label domain (the default).

@@ -111,8 +111,6 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
             records: self.records,
             profile: self.profile,
             labels: self.labels,
-            // The reference engine has exactly one tier.
-            tier: Default::default(),
         })
     }
 

@@ -583,6 +583,44 @@ fn inlined_leaf_calls_match_reference() {
     );
 }
 
+/// An inlined leaf runs over its caller's frame, but its errors still
+/// belong to the leaf: a division by zero inside the flattened body must
+/// name `leaf`, exactly as the reference engine's real call frame does.
+#[test]
+fn division_by_zero_in_inlined_leaf_names_the_leaf() {
+    let mut m = Module::new("leaf-div0");
+    // leaf(x) = 100 / x: single block, pure arithmetic — inlinable.
+    let mut b = FunctionBuilder::new("leaf", vec![("x".into(), Type::I64)], Type::I64);
+    let q = b.div(Value::int(100), b.param(0));
+    b.ret(Some(q));
+    let leaf = m.add_function(b.finish());
+
+    let mut b = tainted_main(Type::I64);
+    let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+    let r = b.call(leaf, vec![n], Type::I64);
+    b.ret(Some(r));
+    m.add_function(b.finish());
+
+    let prepared = PreparedModule::compute(&m);
+    assert!(prepared.pass_stats.inlined_calls >= 1, "leaf call inlined");
+
+    for taint in [true, false] {
+        let config = InterpConfig {
+            taint,
+            ..Default::default()
+        };
+        let (decoded, legacy) = run_both(&m, vec![("n".into(), 0)], config);
+        for (engine, result) in [("decoded", decoded), ("reference", legacy)] {
+            match result {
+                Err(InterpError::DivisionByZero { func }) => {
+                    assert_eq!(func, "leaf", "{engine} engine, taint {taint}")
+                }
+                other => panic!("{engine} engine, taint {taint}: {other:?}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn unreachable_traps_identically() {
     let mut b = tainted_main(Type::Void);

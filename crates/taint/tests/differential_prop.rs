@@ -20,7 +20,7 @@ use pt_ir::{BinOp, CmpPred, FunctionBuilder, Module, Type, UnOp, Value};
 use pt_taint::differential::compare_results;
 use pt_taint::{
     CtlFlowPolicy, InterpConfig, Interpreter, PolicyKind, PreparedModule, ReferenceInterpreter,
-    TierConfig, TierMode, WorkOnlyHandler,
+    WorkOnlyHandler,
 };
 
 /// Tiny deterministic RNG so one proptest-sampled `u64` seed expands into
@@ -223,9 +223,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Both engines, bit-identical, over random structured programs ×
-    /// all policies × taint on/off × a fuel slice × every execution
-    /// tier (off, forced threaded, fast-path-only with chaos deopts,
-    /// mid-run warmup respecialization).
+    /// all policies × taint on/off × a fuel slice × both taint policies.
     #[test]
     fn engines_agree_on_generated_programs(
         seed in 0u64..1 << 48,
@@ -234,7 +232,6 @@ proptest! {
         n in 1i64..7,
         k in 1i64..5,
         tight_fuel in proptest::bool::ANY,
-        tier_idx in 0usize..4,
         security in proptest::bool::ANY,
     ) {
         let m = build_module(seed);
@@ -242,28 +239,11 @@ proptest! {
         // A tight fuel budget lands exhaustion mid-program (including
         // inside inlined bodies and fused pairs); a loose one completes.
         let fuel = if tight_fuel { 40 + seed % 200 } else { u64::MAX };
-        // The tier dimension: every specialization the second execution
-        // tier can apply, including its chaos knob (forced deopts every 3
-        // guards) and an aggressive warmup threshold so respecialization
-        // lands mid-run. The reference engine never tiers, so agreement
-        // here is the bit-identity contract of `pt_taint::tier`.
-        let tier = [
-            TierConfig { mode: TierMode::Off, ..TierConfig::default() },
-            TierConfig { mode: TierMode::Force, ..TierConfig::default() },
-            TierConfig {
-                mode: TierMode::Force,
-                threaded: false,
-                fast_path: true,
-                deopt_every: 3,
-                ..TierConfig::default()
-            },
-            TierConfig { mode: TierMode::Warmup, hot_calls: 2, ..TierConfig::default() },
-        ][tier_idx].clone();
         // The taint-policy dimension: the same programs under the
         // security lattice (sources/sanitizers/sinks live) and the
         // paper's param-set domain (the intrinsics are pass-throughs).
         let taint_policy = if security { PolicyKind::Security } else { PolicyKind::ParamSet };
-        let config = InterpConfig { policy, taint, coverage: taint, fuel, tier, taint_policy, ..Default::default() };
+        let config = InterpConfig { policy, taint, coverage: taint, fuel, taint_policy, ..Default::default() };
         let params = vec![("n".to_string(), n), ("k".to_string(), k)];
 
         let prepared = PreparedModule::compute(&m);
