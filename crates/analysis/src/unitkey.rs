@@ -41,7 +41,7 @@ pub struct UnitKeys {
 
 /// Compute the per-function artifact keys of `module`. `salt` folds in any
 /// configuration the artifacts depend on beyond the module text (e.g. the
-/// relevant-externals set and an artifact schema version).
+/// relevant-externals set and the taint policy).
 pub fn unit_keys(module: &Module, cg: &CallGraph, salt: &str) -> UnitKeys {
     let n = module.functions.len();
     let bodies: Vec<String> = module

@@ -175,10 +175,9 @@ fn drive(r: &mut ScenarioResult, addr: std::net::SocketAddr, quick: bool) -> Res
             .and_then(serde::json::Value::as_u64)
             .unwrap_or(0)
     };
-    let (total, reused_mem, reused_store, recomputed) = (
+    let (total, reused_mem, recomputed) = (
         ledger("total"),
         ledger("reused_memory"),
-        ledger("reused_store"),
         ledger("recomputed"),
     );
     let recompute_fraction = if total > 0 {
@@ -198,7 +197,7 @@ fn drive(r: &mut ScenarioResult, addr: std::net::SocketAddr, quick: bool) -> Res
     );
     outln!(
         r,
-        "  function units: {total} needed = {reused_mem} memory + {reused_store} store + {recomputed} recomputed"
+        "  function units: {total} needed = {reused_mem} memory + {recomputed} recomputed"
     );
     outln!(
         r,

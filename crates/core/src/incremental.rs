@@ -13,21 +13,24 @@
 //! keys, the module symbol environment, and the configuration salt.
 //!
 //! [`FunctionArtifactCache`] exploits that: it memoizes one
-//! [`FunctionArtifact`] per key — in memory always, and through an optional
-//! [`UnitStore`] on disk — so re-analyzing a module after editing one
-//! function recomputes exactly that function, its SCC co-members, and its
-//! transitive callers. Everything else is assembled from the cache,
-//! *bit-identically* to a cold recompute (the differential tests below and
-//! the `incremental_static_stage` integration suite assert this).
+//! [`FunctionArtifact`] per key in memory, so re-analyzing a module after
+//! editing one function recomputes exactly that function, its SCC
+//! co-members, and its transitive callers. Everything else is assembled
+//! from the cache, *bit-identically* to a cold recompute (the differential
+//! tests below and the `incremental_static_stage` integration suite assert
+//! this).
+//!
+//! The cache lives only as long as its process. Units are not persisted:
+//! recomputing a whole module's units from IR is cheaper than parsing them
+//! back from a serialized form, so a restarted process simply recomputes.
 //!
 //! [`ReuseStats`] is the accounting that proves it: every
 //! [`crate::StaticArtifacts`] reports how many units were reused from
-//! memory, reused from the store, or recomputed.
+//! memory or recomputed.
 
 use crate::session::StaticArtifacts;
 use pt_analysis::classify::{
-    classify_function_local, resolve_class, FunctionClass, KeepReason, LoopStats,
-    StaticClassification,
+    classify_function_local, resolve_class, FunctionClass, LoopStats, StaticClassification,
 };
 use pt_analysis::unitkey::unit_keys;
 use pt_analysis::CallGraph;
@@ -37,23 +40,18 @@ use pt_taint::decode::passes::InlineSpec;
 use pt_taint::decode::DecodeEnv;
 use pt_taint::policy::PolicyKind;
 use pt_taint::unit::{assemble, compute_unit, FunctionUnit};
-use pt_taint::unit_io::{unit_from_json, unit_to_json, UNIT_SCHEMA_VERSION};
-use serde::json::Value;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How a static stage was obtained, unit by unit: the reuse ledger every
 /// [`StaticArtifacts`] carries. `total` counts the module's functions;
-/// the three buckets partition it.
+/// the two buckets partition it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReuseStats {
     pub total: usize,
     /// Units served from the in-process artifact cache.
     pub reused_memory: usize,
-    /// Units deserialized from a persistent [`UnitStore`] (a prior
-    /// process computed them).
-    pub reused_store: usize,
     /// Units computed from scratch this time.
     pub recomputed: usize,
 }
@@ -67,20 +65,6 @@ impl ReuseStats {
             ..ReuseStats::default()
         }
     }
-
-    /// Units not recomputed, wherever they came from.
-    pub fn reused(&self) -> usize {
-        self.reused_memory + self.reused_store
-    }
-}
-
-/// A persistent byte store for serialized [`FunctionArtifact`]s — the hook
-/// `pt-serve` plugs its content-addressed store into. Both operations are
-/// best-effort: a failed `save` degrades to compute-always, and `load`
-/// returning garbage is harmless (undecodable documents count as misses).
-pub trait UnitStore: Send + Sync {
-    fn load(&self, key: &str) -> Option<String>;
-    fn save(&self, key: &str, doc: &str);
 }
 
 /// Everything the static stage produces for one function: the
@@ -106,11 +90,9 @@ pub struct FunctionArtifact {
 #[derive(Default)]
 pub struct FunctionArtifactCache {
     mem: Mutex<HashMap<String, Arc<FunctionArtifact>>>,
-    store: Option<Arc<dyn UnitStore>>,
     // Cumulative process-lifetime counters (served via `pt-serve` stats).
     total: AtomicU64,
     reused_memory: AtomicU64,
-    reused_store: AtomicU64,
     recomputed: AtomicU64,
 }
 
@@ -119,28 +101,18 @@ impl FunctionArtifactCache {
         FunctionArtifactCache::default()
     }
 
-    /// A cache that additionally persists every artifact through `store`,
-    /// extending reuse across process restarts.
-    pub fn with_store(store: Arc<dyn UnitStore>) -> FunctionArtifactCache {
-        FunctionArtifactCache {
-            store: Some(store),
-            ..FunctionArtifactCache::default()
-        }
-    }
-
     /// Cumulative reuse accounting over every `compute` this cache served.
     pub fn cumulative(&self) -> ReuseStats {
         ReuseStats {
             total: self.total.load(Ordering::Relaxed) as usize,
             reused_memory: self.reused_memory.load(Ordering::Relaxed) as usize,
-            reused_store: self.reused_store.load(Ordering::Relaxed) as usize,
             recomputed: self.recomputed.load(Ordering::Relaxed) as usize,
         }
     }
 
     /// Run the static stage for `module` against the cache: bottom-up over
-    /// the call graph, each function's artifact is taken from memory, the
-    /// store, or recomputed — then the whole is assembled bit-identically
+    /// the call graph, each function's artifact is taken from memory or
+    /// recomputed — then the whole is assembled bit-identically
     /// to a cold [`pt_taint::PreparedModule::compute`] +
     /// [`pt_analysis::classify::classify_module`].
     ///
@@ -178,12 +150,6 @@ impl FunctionArtifactCache {
                     format!("hit_memory:{}", module.function(fid).name)
                 });
                 hit
-            } else if let Some(stored) = self.load_from_store(key) {
-                reuse.reused_store += 1;
-                pt_util::trace::event_with("unit", || {
-                    format!("hit_store:{}", module.function(fid).name)
-                });
-                stored
             } else {
                 reuse.recomputed += 1;
                 let _unit_span = pt_util::trace::span_with("unit", || {
@@ -230,9 +196,6 @@ impl FunctionArtifactCache {
                     class,
                     unit,
                 });
-                if let Some(store) = &self.store {
-                    store.save(key, &artifact_to_json(&artifact).render());
-                }
                 self.mem
                     .lock()
                     .unwrap()
@@ -245,8 +208,6 @@ impl FunctionArtifactCache {
         self.total.fetch_add(reuse.total as u64, Ordering::Relaxed);
         self.reused_memory
             .fetch_add(reuse.reused_memory as u64, Ordering::Relaxed);
-        self.reused_store
-            .fetch_add(reuse.reused_store as u64, Ordering::Relaxed);
         self.recomputed
             .fetch_add(reuse.recomputed as u64, Ordering::Relaxed);
 
@@ -279,124 +240,17 @@ impl FunctionArtifactCache {
             reuse,
         }
     }
-
-    fn load_from_store(&self, key: &str) -> Option<Arc<FunctionArtifact>> {
-        let text = self.store.as_ref()?.load(key)?;
-        let doc = Value::parse(&text).ok()?;
-        let artifact = Arc::new(artifact_from_json(&doc)?);
-        self.mem
-            .lock()
-            .unwrap()
-            .insert(key.to_string(), artifact.clone());
-        Some(artifact)
-    }
 }
 
-/// The configuration salt folded into every artifact key: the artifact
-/// schema version (a bump silently invalidates old store entries), the
-/// taint-policy identity, and the relevant-externals set, sorted (the
-/// only configuration the static stage reads).
+/// The configuration salt folded into every artifact key: the
+/// taint-policy identity and the relevant-externals set, sorted (the only
+/// configuration the static stage reads).
 fn config_salt(relevant: &HashSet<String>, policy: PolicyKind) -> String {
-    let schema = UNIT_SCHEMA_VERSION.to_string();
     let mut names: Vec<&str> = relevant.iter().map(String::as_str).collect();
     names.sort_unstable();
-    let mut parts: Vec<&str> = vec!["statics-config", &schema, policy.name()];
+    let mut parts: Vec<&str> = vec!["statics-config", policy.name()];
     parts.extend(names);
     digest_parts(&parts)
-}
-
-// ---- artifact serialization -------------------------------------------
-//
-// The classification wrapper around `pt_taint::unit_io`'s unit encoding.
-// Decoding is total: malformed documents yield `None` (a cache miss),
-// never a wrong artifact.
-
-fn artifact_to_json(a: &FunctionArtifact) -> Value {
-    Value::obj(vec![
-        ("class", class_to_json(&a.class)),
-        (
-            "loops",
-            Value::Arr(vec![
-                Value::int(a.loop_stats.total as i64),
-                Value::int(a.loop_stats.constant_trip as i64),
-            ]),
-        ),
-        ("rec", Value::Bool(a.recursive)),
-        ("irr", Value::Bool(a.irreducible)),
-        ("unit", unit_to_json(&a.unit)),
-    ])
-}
-
-fn artifact_from_json(v: &Value) -> Option<FunctionArtifact> {
-    let loops = v.get("loops")?.as_arr()?;
-    if loops.len() != 2 {
-        return None;
-    }
-    Some(FunctionArtifact {
-        class: class_from_json(v.get("class")?)?,
-        loop_stats: LoopStats {
-            total: loops[0].as_u64()? as usize,
-            constant_trip: loops[1].as_u64()? as usize,
-        },
-        recursive: v.get("rec")?.as_bool()?,
-        irreducible: v.get("irr")?.as_bool()?,
-        unit: unit_from_json(v.get("unit")?)?,
-    })
-}
-
-fn class_to_json(c: &FunctionClass) -> Value {
-    match c {
-        FunctionClass::StaticallyConstant => Value::Null,
-        FunctionClass::PotentiallyParametric(reasons) => {
-            Value::Arr(reasons.iter().map(reason_to_json).collect())
-        }
-    }
-}
-
-fn class_from_json(v: &Value) -> Option<FunctionClass> {
-    match v {
-        Value::Null => Some(FunctionClass::StaticallyConstant),
-        Value::Arr(items) => {
-            let reasons = items
-                .iter()
-                .map(reason_from_json)
-                .collect::<Option<Vec<_>>>()?;
-            Some(FunctionClass::PotentiallyParametric(reasons))
-        }
-        _ => None,
-    }
-}
-
-fn reason_to_json(r: &KeepReason) -> Value {
-    match r {
-        KeepReason::NonConstantLoop => Value::str("loop"),
-        KeepReason::Recursive => Value::str("rec"),
-        KeepReason::Irreducible => Value::str("irr"),
-        KeepReason::RelevantExternal(name) => Value::Arr(vec![Value::str("ext"), Value::str(name)]),
-        KeepReason::ParametricCallee(name) => {
-            Value::Arr(vec![Value::str("callee"), Value::str(name)])
-        }
-    }
-}
-
-fn reason_from_json(v: &Value) -> Option<KeepReason> {
-    match v {
-        Value::Str(s) => match s.as_str() {
-            "loop" => Some(KeepReason::NonConstantLoop),
-            "rec" => Some(KeepReason::Recursive),
-            "irr" => Some(KeepReason::Irreducible),
-            _ => None,
-        },
-        Value::Arr(items) if items.len() == 2 => {
-            let name = items[1].as_str()?.to_string();
-            match items[0].as_str()? {
-                "ext" => Some(KeepReason::RelevantExternal(name)),
-                "callee" => Some(KeepReason::ParametricCallee(name)),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -500,66 +354,6 @@ mod tests {
         assert_eq!(cache.cumulative().total, 15);
     }
 
-    /// An in-memory [`UnitStore`] standing in for the server's disk store.
-    #[derive(Default)]
-    struct MapStore(Mutex<HashMap<String, String>>);
-
-    impl UnitStore for MapStore {
-        fn load(&self, key: &str) -> Option<String> {
-            self.0.lock().unwrap().get(key).cloned()
-        }
-        fn save(&self, key: &str, doc: &str) {
-            self.0
-                .lock()
-                .unwrap()
-                .insert(key.to_string(), doc.to_string());
-        }
-    }
-
-    #[test]
-    fn store_extends_reuse_across_cache_instances() {
-        let store = Arc::new(MapStore::default());
-        let m = app(3);
-        // First process: computes and persists.
-        let cache1 = FunctionArtifactCache::with_store(store.clone());
-        cache1.compute(&m, &relevant(), PolicyKind::default());
-        assert_eq!(store.0.lock().unwrap().len(), 5);
-
-        // "Restarted process": fresh cache, same store — everything is
-        // reused from disk, and the result is still bit-identical.
-        let cache2 = FunctionArtifactCache::with_store(store.clone());
-        let warm = cache2.compute(&m, &relevant(), PolicyKind::default());
-        assert_eq!(warm.reuse.reused_store, 5);
-        assert_eq!(warm.reuse.recomputed, 0);
-        assert_statics_identical(&warm, &m);
-
-        // An edit after the restart recomputes only its cone.
-        let edited = app(4);
-        let warm = cache2.compute(&edited, &relevant(), PolicyKind::default());
-        assert_eq!(warm.reuse.recomputed, 3);
-        assert_eq!(warm.reuse.reused_memory + warm.reuse.reused_store, 2);
-        assert_statics_identical(&warm, &edited);
-    }
-
-    #[test]
-    fn corrupt_store_entries_degrade_to_recompute() {
-        let store = Arc::new(MapStore::default());
-        let m = app(3);
-        FunctionArtifactCache::with_store(store.clone()).compute(
-            &m,
-            &relevant(),
-            PolicyKind::default(),
-        );
-        // Corrupt every stored document.
-        for doc in store.0.lock().unwrap().values_mut() {
-            *doc = "{broken".to_string();
-        }
-        let cache = FunctionArtifactCache::with_store(store.clone());
-        let warm = cache.compute(&m, &relevant(), PolicyKind::default());
-        assert_eq!(warm.reuse.recomputed, 5, "corrupt entries are misses");
-        assert_statics_identical(&warm, &m);
-    }
-
     #[test]
     fn config_change_invalidates_everything() {
         let cache = FunctionArtifactCache::new();
@@ -581,21 +375,5 @@ mod tests {
         // Artifacts under either policy stay cached independently.
         let warm = cache.compute(&m, &relevant(), PolicyKind::ParamSet);
         assert_eq!(warm.reuse.reused_memory, 5);
-    }
-
-    #[test]
-    fn artifact_json_roundtrips_classification() {
-        let m = app(3);
-        let cache = FunctionArtifactCache::new();
-        cache.compute(&m, &relevant(), PolicyKind::default());
-        // Round-trip every artifact currently in memory.
-        for artifact in cache.mem.lock().unwrap().values() {
-            let doc = artifact_to_json(artifact).render();
-            let back = artifact_from_json(&Value::parse(&doc).unwrap()).unwrap();
-            assert_eq!(format!("{:?}", back.class), format!("{:?}", artifact.class));
-            assert_eq!(back.recursive, artifact.recursive);
-            assert_eq!(back.irreducible, artifact.irreducible);
-            assert_eq!(back.loop_stats.total, artifact.loop_stats.total);
-        }
     }
 }

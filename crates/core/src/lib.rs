@@ -50,8 +50,8 @@
 //!   ([`StaticArtifacts`]), staged taint runs, parallel batching, and the
 //!   [`Analysis`] artifact they produce.
 //! * [`incremental`] — the content-addressed per-function artifact cache
-//!   ([`FunctionArtifactCache`], [`ReuseStats`], [`UnitStore`]) behind
-//!   [`SessionCache`]'s near-constant-time edit loops.
+//!   ([`FunctionArtifactCache`], [`ReuseStats`]) behind [`SessionCache`]'s
+//!   near-constant-time in-process edit loops.
 //! * [`error`] — [`PtError`], the workspace-wide error enum.
 //! * [`volume`] — symbolic compute volumes (Claims 1–2, Theorem 1) and
 //!   [`volume::DepStructure`] monomial sets.
@@ -85,7 +85,7 @@ pub use census::{FuncKind, Table2, Table3};
 pub use design::{design_experiments, DesignReport};
 pub use error::PtError;
 pub use hybrid::{compare_against_truth, model_functions, FunctionModel, ModelComparison};
-pub use incremental::{FunctionArtifact, FunctionArtifactCache, ReuseStats, UnitStore};
+pub use incremental::{FunctionArtifact, FunctionArtifactCache, ReuseStats};
 pub use pipeline::PipelineConfig;
 pub use report::{
     analysis_summary, static_summary, BenchReport, RunStatus, ScenarioRecord, BENCH_SCHEMA_VERSION,

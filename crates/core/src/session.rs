@@ -33,7 +33,7 @@
 use crate::census::{classify_kinds, table2, table3, FuncKind, Table2, Table3};
 use crate::deps::{extern_deps, extract_deps};
 use crate::error::PtError;
-use crate::incremental::{FunctionArtifactCache, ReuseStats, UnitStore};
+use crate::incremental::{FunctionArtifactCache, ReuseStats};
 use crate::pipeline::PipelineConfig;
 use crate::validate::BranchObservations;
 use crate::volume::DepStructure;
@@ -341,10 +341,8 @@ impl<'m> Session<'m> {
 /// * **per-function**: an *edited* module misses the slot but assembles
 ///   its static stage from the [`FunctionArtifactCache`] the sessions
 ///   share, recomputing only the edited function's invalidation cone (see
-///   [`crate::incremental`]) — and persisting units through a
-///   [`UnitStore`] when the cache was built
-///   [`with_store`](SessionCache::with_store), so reuse survives process
-///   restarts.
+///   [`crate::incremental`]). Units live in memory only: a new process
+///   recomputes them, which is cheaper than loading them would be.
 ///
 /// One caveat: cached sessions use the default MPI pipeline configuration
 /// — custom configurations (e.g. ablated taint policies) change what the
@@ -378,22 +376,12 @@ impl Default for SessionCache {
 
 impl SessionCache {
     pub fn new() -> SessionCache {
-        SessionCache::with_units(Arc::new(FunctionArtifactCache::new()))
-    }
-
-    /// A cache whose per-function artifacts are additionally persisted
-    /// through `store`, extending reuse across process restarts.
-    pub fn with_store(store: Arc<dyn UnitStore>) -> SessionCache {
-        SessionCache::with_units(Arc::new(FunctionArtifactCache::with_store(store)))
-    }
-
-    fn with_units(units: Arc<FunctionArtifactCache>) -> SessionCache {
         SessionCache {
             statics: Mutex::new(CacheMap {
                 entries: BTreeMap::new(),
                 tick: 0,
             }),
-            units,
+            units: Arc::new(FunctionArtifactCache::new()),
             capacity: None,
             evictions: pt_util::metrics::Counter::new(),
         }

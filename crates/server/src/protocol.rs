@@ -43,9 +43,14 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// Revision 5 ("protocol v1.5") removed the undocumented `tier` object
 /// from `stats`/`metrics`: the execution tier it counted no longer
 /// exists. The per-policy `policies` counters still count taint runs.
-/// No documented field changed shape; v1 clients are unaffected — the
-/// wire `v` field stays `1`.
-pub const PROTOCOL_MINOR: u64 = 5;
+/// Revision 6 ("protocol v1.6") removed `reused_store` from the
+/// `functions` ledger: per-function units are no longer persisted, so
+/// the ledger is `total` = `reused_memory` + `recomputed`. It also
+/// rejects a `module` field that is not a 32-digit lowercase hex hash
+/// with `bad_request`.
+/// No other documented field changed shape; v1 clients are unaffected —
+/// the wire `v` field stays `1`.
+pub const PROTOCOL_MINOR: u64 = 6;
 
 /// A parsed request envelope.
 #[derive(Debug, Clone)]

@@ -13,9 +13,9 @@
 
 use crate::ops::{AdmissionPolicy, Ops, METHODS};
 use crate::protocol::{ServeError, PROTOCOL_MINOR, PROTOCOL_VERSION};
-use crate::store::{Store, StoreKey};
+use crate::store::{is_content_key, Store, StoreKey};
 use perf_taint::report::{analysis_summary, static_summary};
-use perf_taint::{parse_module, PolicyKind, PtError, SessionCache, UnitStore};
+use perf_taint::{parse_module, PolicyKind, PtError, SessionCache};
 use pt_extrap::{fit_multi_param, MeasurementSet, Restriction, SearchSpace};
 use pt_ir::Module;
 use serde::json::Value;
@@ -26,25 +26,6 @@ use std::time::Instant;
 
 /// A method handler in the dispatch table.
 type Handler = fn(&ServerState, &Value) -> Result<Value, ServeError>;
-
-/// The [`Store`]-backed [`UnitStore`]: per-function static-stage artifacts
-/// persist under [`ArtifactKind::Functions`](crate::store::ArtifactKind),
-/// so a restarted server reuses every untouched function of an edited
-/// module from disk. Both directions are best-effort — a broken store
-/// degrades the edit loop to compute-always, never to an error.
-struct StoreUnitStore(Arc<Store>);
-
-impl UnitStore for StoreUnitStore {
-    fn load(&self, key: &str) -> Option<String> {
-        let k = StoreKey::function_unit(key);
-        self.0.get(k.kind, &k.hash)
-    }
-
-    fn save(&self, key: &str, doc: &str) {
-        let k = StoreKey::function_unit(key);
-        let _ = self.0.put(k.kind, &k.hash, doc);
-    }
-}
 
 /// Per-policy taint-run counters (protocol v1.4): one slot per
 /// [`PolicyKind`], indexed in [`PolicyKind::ALL`] order.
@@ -163,7 +144,7 @@ impl SampledProfile {
 
 /// Everything the worker threads share.
 pub struct ServerState {
-    store: Arc<Store>,
+    store: Store,
     /// Parsed modules by content hash (loaded lazily from the store, so a
     /// restarted server can serve hashes submitted to a previous process).
     modules: Mutex<HashMap<String, Arc<Module>>>,
@@ -207,12 +188,10 @@ pub struct ServerState {
 
 impl ServerState {
     pub fn new(store: Store, workers: usize, queue_capacity: usize) -> ServerState {
-        let store = Arc::new(store);
-        let units = Arc::new(StoreUnitStore(store.clone()));
         ServerState {
             store,
             modules: Mutex::new(HashMap::new()),
-            sessions: SessionCache::with_store(units),
+            sessions: SessionCache::new(),
             workers: workers.max(1),
             queue_capacity,
             requests: AtomicU64::new(0),
@@ -391,7 +370,7 @@ impl ServerState {
         if let Some(m) = self.modules.lock().unwrap().get(key) {
             return Ok(m.clone());
         }
-        let k = StoreKey::module_by_hash(key);
+        let k = StoreKey::module_by_hash(key).ok_or_else(not_a_module_hash)?;
         let text = self.store.get(k.kind, &k.hash).ok_or_else(|| {
             ServeError::BadRequest(format!("unknown module '{key}' (submit_module it first)"))
         })?;
@@ -409,7 +388,7 @@ impl ServerState {
     // ---- static_analysis -------------------------------------------------
 
     fn static_analysis(&self, params: &Value) -> Result<Value, ServeError> {
-        let module_key = require_str(params, "module")?;
+        let module_key = require_module_hash(params)?;
         let entry = require_str(params, "entry")?;
         let policy = policy_of(params)?;
         // The static stage is entry-independent, so the artifact is keyed
@@ -438,7 +417,7 @@ impl ServerState {
     // ---- taint_run -------------------------------------------------------
 
     fn taint_run(&self, params: &Value) -> Result<Value, ServeError> {
-        let module_key = require_str(params, "module")?;
+        let module_key = require_module_hash(params)?;
         let entry = require_str(params, "entry")?;
         let policy = policy_of(params)?;
         let run_params = param_pairs(params.get("params"))?;
@@ -481,7 +460,7 @@ impl ServerState {
     /// `Session::analyze_batch` — and each entry goes through the same
     /// persistent cache as a lone `taint_run`.
     fn analyze_batch(&self, params: &Value) -> Result<Value, ServeError> {
-        let module_key = require_str(params, "module")?;
+        let module_key = require_module_hash(params)?;
         let entry = require_str(params, "entry")?;
         let policy = policy_of(params)?;
         let sets = params
@@ -654,15 +633,14 @@ impl ServerState {
 
     /// Protocol v1.2: the `functions` object reports the per-function
     /// static-stage ledger — of all function units the static stage has
-    /// needed, how many were reused from memory, reused from the store, or
-    /// recomputed. An edit loop is warm exactly when `recomputed` grows by
-    /// the edited cone only.
+    /// needed, how many were reused from memory or recomputed. An edit
+    /// loop is warm exactly when `recomputed` grows by the edited cone
+    /// only.
     fn function_reuse_json(&self) -> Value {
         let reuse = self.sessions.unit_reuse();
         Value::obj(vec![
             ("total", Value::int(reuse.total as i64)),
             ("reused_memory", Value::int(reuse.reused_memory as i64)),
-            ("reused_store", Value::int(reuse.reused_store as i64)),
             ("recomputed", Value::int(reuse.recomputed as i64)),
         ])
     }
@@ -826,6 +804,23 @@ fn policy_of(params: &Value) -> Result<PolicyKind, ServeError> {
             })
         }
     }
+}
+
+/// The `module` request field: a hash `submit_module` returned. It names a
+/// file under the store root, so anything not shaped like a content key
+/// (a path, `..`, ...) is refused here, before the store is touched.
+fn require_module_hash(params: &Value) -> Result<&str, ServeError> {
+    let hash = require_str(params, "module")?;
+    if !is_content_key(hash) {
+        return Err(not_a_module_hash());
+    }
+    Ok(hash)
+}
+
+fn not_a_module_hash() -> ServeError {
+    ServeError::BadRequest(
+        "'module' must be a module hash from submit_module (32 lowercase hex digits)".into(),
+    )
 }
 
 fn require_str<'v>(params: &'v Value, field: &str) -> Result<&'v str, ServeError> {

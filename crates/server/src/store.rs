@@ -76,6 +76,12 @@ pub fn content_key(parts: &[&str]) -> String {
     format!("{h:032x}")
 }
 
+/// Does `s` have the shape [`content_key`] produces: 32 lowercase hex
+/// digits? Only such strings may name an object on disk.
+pub fn is_content_key(s: &str) -> bool {
+    s.len() == 32 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
 /// The artifact families the store knows, each in its own subdirectory.
 /// Derived keys are built only through the typed [`StoreKey`] constructors,
 /// so two families can never collide on a key — the family is part of the
@@ -91,18 +97,17 @@ pub enum ArtifactKind {
     Analyses,
     /// Fitted Extra-P models, keyed by the canonical fit request.
     Models,
-    /// Per-function static-stage units (`perf_taint::incremental`), keyed
-    /// by the function's content-addressed unit key.
-    Functions,
 }
 
 impl ArtifactKind {
-    pub const ALL: [ArtifactKind; 5] = [
+    /// Every kind the store scans on open. A directory of any other name
+    /// under the root (such as the `functions/` tier older servers wrote)
+    /// is ignored.
+    pub const ALL: [ArtifactKind; 4] = [
         ArtifactKind::Modules,
         ArtifactKind::Statics,
         ArtifactKind::Analyses,
         ArtifactKind::Models,
-        ArtifactKind::Functions,
     ];
 
     fn dir(self) -> &'static str {
@@ -111,7 +116,6 @@ impl ArtifactKind {
             ArtifactKind::Statics => "statics",
             ArtifactKind::Analyses => "analyses",
             ArtifactKind::Models => "models",
-            ArtifactKind::Functions => "functions",
         }
     }
 
@@ -122,17 +126,14 @@ impl ArtifactKind {
     /// Eviction class: lower classes are evicted before higher ones,
     /// regardless of recency. Whole-response artifacts (analyses, models,
     /// static summaries) are cheap to recompute one at a time and large,
-    /// so they go first; a submitted module is the input of everything
-    /// derived from it; per-function units are the most leveraged objects
-    /// in the store — one unit is tiny, but losing hundreds of them turns
-    /// a warm edit-loop back into a cold recompute. Within a class,
-    /// eviction stays strictly LRU.
+    /// so they go first; a submitted module goes last, because it is the
+    /// input of everything derived from it and, unlike the rest, cannot
+    /// be recomputed. Within a class, eviction stays strictly LRU.
     fn eviction_class(self) -> u8 {
         match self {
             ArtifactKind::Analyses | ArtifactKind::Models => 0,
             ArtifactKind::Statics => 1,
             ArtifactKind::Modules => 2,
-            ArtifactKind::Functions => 3,
         }
     }
 }
@@ -157,12 +158,14 @@ impl StoreKey {
     }
 
     /// A module named by an already-derived hash (how clients refer to
-    /// submissions on every later request).
-    pub fn module_by_hash(hash: &str) -> StoreKey {
-        StoreKey {
+    /// submissions on every later request). The hash becomes a file name
+    /// under the store root, so `None` unless it has the shape
+    /// [`content_key`] produces.
+    pub fn module_by_hash(hash: &str) -> Option<StoreKey> {
+        is_content_key(hash).then(|| StoreKey {
             kind: ArtifactKind::Modules,
             hash: hash.to_string(),
-        }
+        })
     }
 
     /// A static-stage summary for a submitted module. `policy` is the
@@ -203,16 +206,6 @@ impl StoreKey {
             hash: content_key(&["model", CONFIG_FINGERPRINT, canonical_request]),
         }
     }
-
-    /// A per-function static-stage unit. `unit_key` is already a content
-    /// digest (`pt_analysis::unitkey`) closing over the function body, its
-    /// callees, and the static-stage configuration salt.
-    pub fn function_unit(unit_key: &str) -> StoreKey {
-        StoreKey {
-            kind: ArtifactKind::Functions,
-            hash: content_key(&["function", unit_key, CONFIG_FINGERPRINT]),
-        }
-    }
 }
 
 /// Counters of one store's lifetime in this process (per-process, not
@@ -236,8 +229,8 @@ struct EntryMeta {
 /// The in-memory access-order index: every object's size and last-access
 /// sequence number, plus the eviction-ordered view. The order is keyed by
 /// `(eviction class, seq)` — see [`ArtifactKind::eviction_class`] — so
-/// eviction walks low classes (responses) before high ones (per-function
-/// units), coldest-first within each class. `clock` only grows.
+/// eviction walks low classes (responses) before high ones (modules),
+/// coldest-first within each class. `clock` only grows.
 #[derive(Debug, Default)]
 struct LruIndex {
     clock: u64,
@@ -648,13 +641,6 @@ mod tests {
         store.put(ArtifactKind::Modules, "k", "m").unwrap();
         assert_eq!(store.get(ArtifactKind::Statics, "k"), None);
         assert_eq!(store.get(ArtifactKind::Modules, "k").as_deref(), Some("m"));
-        // The per-function namespace is its own directory too.
-        store.put(ArtifactKind::Functions, "k", "f").unwrap();
-        assert_eq!(store.get(ArtifactKind::Modules, "k").as_deref(), Some("m"));
-        assert_eq!(
-            store.get(ArtifactKind::Functions, "k").as_deref(),
-            Some("f")
-        );
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -667,33 +653,40 @@ mod tests {
         let module = StoreKey::module(text);
         assert_eq!(module.kind, ArtifactKind::Modules);
         assert_eq!(module.hash, content_key(&["module", text]));
-        assert_eq!(StoreKey::module_by_hash(&module.hash), module);
+        assert_eq!(StoreKey::module_by_hash(&module.hash), Some(module.clone()));
+        // A client-supplied hash names a file: only the content-key shape
+        // may become a key.
+        for bad in [
+            "",
+            "../../victim.txt",
+            "/etc/passwd",
+            &module.hash.to_uppercase(),
+        ] {
+            assert_eq!(StoreKey::module_by_hash(bad), None, "{bad:?}");
+        }
 
         let statics = StoreKey::static_summary(&module.hash, "param-set");
         let analysis = StoreKey::analysis(&module.hash, "main", "{}", "param-set");
         let model = StoreKey::model(text);
-        let unit = StoreKey::function_unit("deadbeef");
         assert_eq!(statics.kind, ArtifactKind::Statics);
         assert_eq!(analysis.kind, ArtifactKind::Analyses);
         assert_eq!(model.kind, ArtifactKind::Models);
-        assert_eq!(unit.kind, ArtifactKind::Functions);
 
         let mut hashes = vec![
             module.hash.clone(),
             statics.hash.clone(),
             analysis.hash.clone(),
             model.hash.clone(),
-            unit.hash.clone(),
         ];
         hashes.sort();
         hashes.dedup();
-        assert_eq!(hashes.len(), 5, "typed keys never alias");
+        assert_eq!(hashes.len(), 4, "typed keys never alias");
 
         // Derived keys fold the config fingerprint: a config change is a
         // different object, not a stale hit.
         assert_ne!(
-            StoreKey::function_unit("deadbeef").hash,
-            content_key(&["function", "deadbeef", "some-other-config"])
+            StoreKey::model(text).hash,
+            content_key(&["model", "some-other-config", text])
         );
         assert_ne!(
             StoreKey::analysis(&module.hash, "main", "{}", "param-set").hash,
@@ -769,16 +762,16 @@ mod tests {
     }
 
     #[test]
-    fn eviction_prefers_responses_over_function_units() {
-        // Many small per-function units, all colder than the responses
-        // that follow — then one response large enough to blow the budget.
-        // Kind-biased eviction must sacrifice the (warmer) responses and
-        // keep every unit: one big response must not flush the edit loop.
+    fn eviction_prefers_responses_over_modules() {
+        // Many small modules, all colder than the responses that follow —
+        // then one response large enough to blow the budget. Kind-biased
+        // eviction must sacrifice the (warmer) responses and keep every
+        // module: one big response must not flush the inputs.
         let store = temp_store("kindbias").with_budget(Some(100));
         for i in 0..8 {
             store
-                .put(ArtifactKind::Functions, &format!("u{i}"), &"f".repeat(5))
-                .unwrap(); // 40 B of units, coldest of all
+                .put(ArtifactKind::Modules, &format!("m{i}"), &"m".repeat(5))
+                .unwrap(); // 40 B of modules, coldest of all
         }
         store
             .put(ArtifactKind::Analyses, "warm1", &"a".repeat(30))
@@ -791,8 +784,8 @@ mod tests {
             .unwrap(); // 140 B: must shed 40 B
         for i in 0..8 {
             assert!(
-                store.contains(ArtifactKind::Functions, &format!("u{i}")),
-                "unit u{i} must survive response pressure"
+                store.contains(ArtifactKind::Modules, &format!("m{i}")),
+                "module m{i} must survive response pressure"
             );
         }
         assert!(!store.contains(ArtifactKind::Analyses, "warm1"));
@@ -800,22 +793,22 @@ mod tests {
         assert!(store.contains(ArtifactKind::Analyses, "big"));
         assert!(store.total_bytes() <= 100);
         let _ = fs::remove_dir_all(store.root());
-        // Only under pressure from its own (or a lower) class do units go:
-        // units alone over budget still evict units, coldest first.
+        // Only under pressure from its own (or a lower) class do modules
+        // go: modules alone over budget still evict modules, coldest first.
         let store = temp_store("kindbias2").with_budget(Some(12));
         store
-            .put(ArtifactKind::Functions, "old", &"f".repeat(5))
+            .put(ArtifactKind::Modules, "old", &"m".repeat(5))
             .unwrap();
         store
-            .put(ArtifactKind::Functions, "mid", &"f".repeat(5))
+            .put(ArtifactKind::Modules, "mid", &"m".repeat(5))
             .unwrap();
-        assert!(store.get(ArtifactKind::Functions, "old").is_some()); // touch
+        assert!(store.get(ArtifactKind::Modules, "old").is_some()); // touch
         store
-            .put(ArtifactKind::Functions, "new", &"f".repeat(5))
+            .put(ArtifactKind::Modules, "new", &"m".repeat(5))
             .unwrap();
-        assert!(store.contains(ArtifactKind::Functions, "old"));
-        assert!(!store.contains(ArtifactKind::Functions, "mid"));
-        assert!(store.contains(ArtifactKind::Functions, "new"));
+        assert!(store.contains(ArtifactKind::Modules, "old"));
+        assert!(!store.contains(ArtifactKind::Modules, "mid"));
+        assert!(store.contains(ArtifactKind::Modules, "new"));
         let _ = fs::remove_dir_all(store.root());
     }
 

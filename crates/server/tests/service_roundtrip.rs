@@ -310,3 +310,67 @@ fn concurrent_clients_share_one_static_stage() {
     handle.join().expect("server exits");
     let _ = std::fs::remove_dir_all(&store_dir);
 }
+
+#[test]
+fn module_hashes_that_are_paths_never_reach_the_filesystem() {
+    // Layout: <base>/store is the store root; the victims sit next to it,
+    // reachable from <base>/store/modules as "../../rel-victim.txt" and by
+    // absolute path.
+    let base = fresh_store_dir("paths");
+    let store_dir = base.join("store");
+    std::fs::create_dir_all(&store_dir).expect("store dir");
+    let secret = "SECRET-FIRST-LINE-do-not-echo";
+    let body = format!("{secret}\n{}\n", "x".repeat(200));
+    let abs_victim = base.join("abs-victim.txt");
+    let rel_victim = base.join("rel-victim.txt");
+    std::fs::write(&abs_victim, &body).expect("write victim");
+    std::fs::write(&rel_victim, &body).expect("write victim");
+
+    // A budget smaller than any victim: anything indexed gets evicted.
+    let mut config = ServerConfig::loopback(&store_dir, 2);
+    config.store_budget_bytes = Some(64);
+    let server = Server::bind(&config).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let handle = std::thread::spawn(move || server.run().expect("serve loop"));
+    let mut client = Client::connect(addr).expect("connect");
+    let module_key = client
+        .submit_module(&pt_server::demo_module_text())
+        .expect("submit");
+
+    let abs = abs_victim.to_str().expect("utf-8 temp path").to_string();
+    for bad in [abs.as_str(), "../../rel-victim.txt"] {
+        let errors = [
+            client.static_analysis(bad, "main").expect_err("static"),
+            client.taint_run(bad, "main", &[]).expect_err("taint_run"),
+        ];
+        for err in errors {
+            assert_eq!(err.remote_kind(), Some("bad_request"), "{bad}: {err}");
+            assert!(!err.to_string().contains(secret), "{bad} leaked: {err}");
+        }
+    }
+
+    // Force evictions: every cold run writes an analysis past the budget.
+    for n in 1..=4 {
+        client
+            .taint_run(
+                &module_key,
+                "main",
+                &[("n".to_string(), n), ("p".to_string(), 2)],
+            )
+            .expect("cold run");
+    }
+    let stats = client.stats().expect("stats");
+    assert!(get(&stats, &["store", "evictions"]).as_u64().unwrap() >= 4);
+    assert!(
+        abs_victim.exists(),
+        "eviction deleted a file outside the store"
+    );
+    assert!(
+        rel_victim.exists(),
+        "eviction deleted a file outside the store"
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server exits");
+    let _ = std::fs::remove_dir_all(&base);
+}

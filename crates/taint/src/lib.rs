@@ -79,7 +79,6 @@ pub mod profile;
 pub mod records;
 pub mod reference;
 pub mod unit;
-pub mod unit_io;
 
 pub use decode::passes::PassStats;
 pub use decode::{DecodedFunction, DecodedModule};
