@@ -6,9 +6,9 @@
 //! cover the common methods. `pt-client` (the binary) and the integration
 //! tests are both built on this type.
 
-use crate::protocol::{request_line, PROTOCOL_VERSION};
+use crate::protocol::{request_envelope, write_line, PROTOCOL_VERSION};
 use serde::json::Value;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A failure of a client call.
@@ -68,19 +68,28 @@ impl ClientError {
 /// One connection to a pt-server.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     next_id: u64,
 }
 
 impl Client {
+    /// Connect with `TCP_NODELAY` set: a request is one write
+    /// ([`write_line`]) that must leave at once, not wait for the ACK of
+    /// the previous response.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
             next_id: 1,
         })
+    }
+
+    /// The connection's socket, for reading its options and addresses.
+    pub fn stream(&self) -> &TcpStream {
+        &self.writer
     }
 
     /// Issue one request and wait for its response. Returns the `result`
@@ -88,10 +97,7 @@ impl Client {
     pub fn request(&mut self, method: &str, params: Value) -> Result<Value, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let line = request_line(id, method, params);
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, &request_envelope(id, method, params))?;
 
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {

@@ -41,7 +41,7 @@ pub use store::{content_key, ArtifactKind, Store, StoreKey, CONFIG_FINGERPRINT};
 
 use pt_util::{BoundedQueue, TryPushError};
 use serde::json::Value;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -254,11 +254,15 @@ const MAX_REQUEST_BYTES: usize = 64 * 1024 * 1024;
 /// `accept` observes the flag too.
 fn handle_connection(state: &ServerState, stream: TcpStream, nudge_addr: SocketAddr) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    // Each response is one write (`protocol::write_line`); without
+    // `TCP_NODELAY` one sent right after the previous response would wait
+    // for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
         Err(_) => return,
     };
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
     let mut buf: Vec<u8> = Vec::new();
     // Keep-alive accounting: idleness is measured from the last completed
     // response (or connection start) — a slow *computation* is not idle.
@@ -305,10 +309,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, nudge_addr: SocketA
                 &Value::Null,
                 &ServeError::BadRequest(format!("request exceeds {MAX_REQUEST_BYTES} bytes")),
             );
-            let _ = writer
-                .write_all(response.render().as_bytes())
-                .and_then(|_| writer.write_all(b"\n"))
-                .and_then(|_| writer.flush());
+            let _ = protocol::write_line(&mut writer, &response);
             break;
         }
         let was_stopping = state.stopping();
@@ -335,12 +336,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, nudge_addr: SocketA
             ),
         };
         buf.clear();
-        if writer
-            .write_all(response.render().as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
+        if protocol::write_line(&mut writer, &response).is_err() {
             break;
         }
         served += 1;

@@ -14,7 +14,6 @@
 use crate::protocol::{self, ServeError};
 use pt_util::metrics::{Counter, Gauge, Histogram};
 use serde::json::Value;
-use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -176,15 +175,11 @@ impl Ops {
 /// write runs on the accept path, so it is strictly bounded: a client that
 /// won't take the bytes within the timeout forfeits its envelope — the
 /// acceptor never blocks on a shed connection.
-pub fn shed_connection(stream: TcpStream, retry_after_ms: u64) {
+pub fn shed_connection(mut stream: TcpStream, retry_after_ms: u64) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let envelope =
         protocol::error_response(&Value::Null, &ServeError::Overloaded { retry_after_ms });
-    let mut stream = stream;
-    let _ = stream
-        .write_all(envelope.render().as_bytes())
-        .and_then(|_| stream.write_all(b"\n"))
-        .and_then(|_| stream.flush());
+    let _ = protocol::write_line(&mut stream, &envelope);
     // Dropping the stream closes the connection; the client reconnects
     // after the hinted backoff.
 }

@@ -1,4 +1,4 @@
-//! The wire protocol: newline-delimited JSON, version 1 (revision 1.1).
+//! The wire protocol: newline-delimited JSON, version 1 (revision 1.6).
 //!
 //! One request per line, one response per line, both single JSON objects
 //! rendered compactly (the renderer escapes every control character, so a
@@ -18,6 +18,7 @@
 
 use perf_taint::PtError;
 use serde::json::Value;
+use std::io::{self, Write};
 
 /// Version of the wire protocol. Served in every response and checked on
 /// every request (a request naming a different version is rejected with
@@ -186,14 +187,25 @@ pub fn error_response(id: &Value, error: &ServeError) -> Value {
 }
 
 /// Build a request envelope (the client side of [`parse_request`]).
-pub fn request_line(id: u64, method: &str, params: Value) -> String {
+pub fn request_envelope(id: u64, method: &str, params: Value) -> Value {
     Value::obj(vec![
         ("v", Value::int(PROTOCOL_VERSION as i64)),
         ("id", Value::int(id as i64)),
         ("method", Value::str(method)),
         ("params", params),
     ])
-    .render()
+}
+
+/// Send one message: `doc` rendered compactly, its `\n` appended, handed
+/// to the socket in a single write. Every line either end of a connection
+/// sends goes through here. A line split across two writes would let
+/// Nagle's algorithm hold the second part until the peer's delayed ACK,
+/// about 40 ms later.
+pub fn write_line(w: &mut impl Write, doc: &Value) -> io::Result<()> {
+    let mut line = doc.render();
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
 }
 
 #[cfg(test)]
@@ -202,9 +214,19 @@ mod tests {
 
     #[test]
     fn request_roundtrips_through_the_envelope() {
-        let line = request_line(7, "stats", Value::Obj(Vec::new()));
-        assert!(!line.contains('\n'));
-        let req = parse_request(&line).expect("parses");
+        let mut wire = Vec::new();
+        write_line(
+            &mut wire,
+            &request_envelope(7, "stats", Value::Obj(Vec::new())),
+        )
+        .unwrap();
+        let line = std::str::from_utf8(&wire).unwrap();
+        assert_eq!(
+            line.find('\n'),
+            Some(line.len() - 1),
+            "one line per message"
+        );
+        let req = parse_request(line).expect("parses");
         assert_eq!(req.method, "stats");
         assert_eq!(req.id.as_u64(), Some(7));
     }

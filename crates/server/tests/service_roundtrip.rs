@@ -374,3 +374,52 @@ fn module_hashes_that_are_paths_never_reach_the_filesystem() {
     handle.join().expect("server exits");
     let _ = std::fs::remove_dir_all(&base);
 }
+
+#[test]
+fn large_lines_cross_the_wire_without_a_delayed_ack_stall() {
+    // A request or response line larger than one TCP segment used to sit
+    // out the peer's ~40 ms delayed ACK: its trailing bytes went out as a
+    // separate write with Nagle's algorithm on. Twenty such round trips
+    // took over a second; without the stall they take a few milliseconds
+    // each.
+    let store_dir = fresh_store_dir("nagle");
+    let (addr, handle) = start_server(&store_dir);
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(client.stream().nodelay().ok(), Some(true));
+
+    let app = pt_apps::lulesh::build();
+    let text = pt_ir::printer::print_module(&app.module);
+    let params = app.taint_run_params();
+    assert!(
+        text.len() >= 16 * 1024,
+        "LULESH text is {} bytes",
+        text.len()
+    );
+    let module_key = client.submit_module(&text).expect("submit");
+    let cold = client
+        .taint_run(&module_key, &app.entry, &params)
+        .expect("cold run");
+    assert!(
+        cold.render().len() >= 16 * 1024,
+        "LULESH taint_run response is {} bytes",
+        cold.render().len()
+    );
+
+    let started = std::time::Instant::now();
+    for _ in 0..10 {
+        assert_eq!(client.submit_module(&text).expect("resubmit"), module_key);
+        let warm = client
+            .taint_run(&module_key, &app.entry, &params)
+            .expect("warm run");
+        assert_eq!(warm.render().len(), cold.render().len());
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(20 * 20),
+        "20 large round trips took {elapsed:?}"
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server exits");
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
