@@ -182,9 +182,10 @@ impl Server {
         let queue = BoundedQueue::<(TcpStream, std::time::Instant)>::new(self.state.queue_capacity);
         let state = &self.state;
         std::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(state.workers);
             for _ in 0..state.workers {
                 let queue = &queue;
-                scope.spawn(move || {
+                workers.push(scope.spawn(move || {
                     while let Some((stream, accepted)) = queue.pop() {
                         state.ops().queue_depth.dec();
                         if pt_util::trace::enabled() {
@@ -199,7 +200,7 @@ impl Server {
                         }
                         handle_connection(state, stream, nudge_addr);
                     }
-                });
+                }));
             }
             'accept: for incoming in self.listener.incoming() {
                 if state.stopping() {
@@ -232,6 +233,15 @@ impl Server {
                 }
             }
             queue.close();
+            // Join explicitly: the scope's implicit join waits only for the
+            // closures to return, not for the threads to exit, so `run`
+            // could return while a worker still holds its malloc arena and
+            // the next server in this process would get a fresh one.
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         });
         Ok(())
     }

@@ -23,17 +23,20 @@
 //! atomically, per namespace directory — until the store fits again.
 //! Deterministic recomputation makes this always safe: an evicted object
 //! is a future cache miss, never an error (the pipeline recomputes
-//! byte-identical bytes and re-heals the store). The access order is
-//! persisted in a sidecar file (`lru-index`) so recency survives
-//! restarts; the sidecar is advisory — a missing or stale index is
-//! rebuilt from the directory scan on open.
+//! byte-identical bytes and re-heals the store). Each object's recency is
+//! its own file mtime: a `put` stamps it before the rename and a `get` hit
+//! stamps it again, so recency survives restarts without any file besides
+//! the objects, and `open` rebuilds the access order from the directory
+//! scan it already makes. An object written behind the store's back is
+//! ranked by whatever mtime it carries.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::SystemTime;
 
 /// Fingerprint of the pipeline configuration baked into every derived-key
 /// computation. The service always analyzes under the default MPI
@@ -41,14 +44,9 @@ use std::sync::Mutex;
 /// ever changes meaning, and every derived artifact re-keys itself.
 pub const CONFIG_FINGERPRINT: &str = "mpi-default/1";
 
-/// The access-order sidecar's filename (lives next to the namespace
-/// directories; never counted as an object).
-const SIDECAR: &str = "lru-index";
-
-/// Persist the sidecar after this many unsaved access-order touches even
-/// when nothing was written — a warm-heavy workload still leaves a
-/// usefully fresh index behind for the next process.
-const TOUCH_PERSIST_INTERVAL: u64 = 256;
+/// The access-order file older servers rewrote next to the kind
+/// directories on every `put`. `open` removes it and its temp files.
+const LEGACY_SIDECAR: &str = "lru-index";
 
 /// Is this file name an (in-flight or orphaned) `put` temp file?
 fn is_temp(name: &std::ffi::OsStr) -> bool {
@@ -117,10 +115,6 @@ impl ArtifactKind {
             ArtifactKind::Analyses => "analyses",
             ArtifactKind::Models => "models",
         }
-    }
-
-    fn from_dir(dir: &str) -> Option<ArtifactKind> {
-        ArtifactKind::ALL.into_iter().find(|ns| ns.dir() == dir)
     }
 
     /// Eviction class: lower classes are evicted before higher ones,
@@ -237,8 +231,6 @@ struct LruIndex {
     total_bytes: u64,
     entries: HashMap<(ArtifactKind, String), EntryMeta>,
     order: BTreeMap<(u8, u64), (ArtifactKind, String)>,
-    /// Access-order touches since the sidecar was last persisted.
-    unsaved_touches: u64,
 }
 
 impl LruIndex {
@@ -288,15 +280,14 @@ impl Store {
     /// Open (creating if needed) a store rooted at `root`. Orphaned temp
     /// files from writers that died mid-`put` are swept here — they are
     /// garbage by construction (a completed put renames its temp file
-    /// away). The access-order index is rebuilt from the sidecar plus a
-    /// directory scan: objects the sidecar knows keep their relative
-    /// recency, unknown objects (written by another process) are treated
-    /// as cold-but-present.
+    /// away), as is the `lru-index` file older servers kept. The access
+    /// order is rebuilt from the directory scan: objects rank by their
+    /// mtime, ties broken by kind and key.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
         let root = root.into();
-        // (sidecar seq if known, namespace, key, bytes on disk)
-        let mut found: Vec<(Option<u64>, ArtifactKind, String, u64)> = Vec::new();
-        let saved = load_sidecar(&root);
+        remove_legacy_sidecar(&root);
+        // (mtime, namespace, key, bytes on disk)
+        let mut found: Vec<(SystemTime, ArtifactKind, String, u64)> = Vec::new();
         for ns in ArtifactKind::ALL {
             let dir = root.join(ns.dir());
             fs::create_dir_all(&dir)?;
@@ -309,25 +300,15 @@ impl Store {
                     let Some(key) = entry.file_name().to_str().map(String::from) else {
                         continue;
                     };
-                    let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                    let seq = saved.get(&(ns, key.clone())).copied();
-                    found.push((seq, ns, key, bytes));
+                    let (mtime, bytes) = entry
+                        .metadata()
+                        .map(|m| (m.modified().unwrap_or(SystemTime::UNIX_EPOCH), m.len()))
+                        .unwrap_or((SystemTime::UNIX_EPOCH, 0));
+                    found.push((mtime, ns, key, bytes));
                 }
             }
         }
-        // Normalize seqs: sidecar order first (unknown objects sort before
-        // everything the sidecar remembers — they have no recency claim),
-        // then reassign a dense 0..n clock so stale sidecars can never
-        // collide.
-        found.sort_by(|a, b| {
-            let rank = |s: &Option<u64>| s.unwrap_or(0);
-            (a.0.is_some(), rank(&a.0), a.1, a.2.clone()).cmp(&(
-                b.0.is_some(),
-                rank(&b.0),
-                b.1,
-                b.2.clone(),
-            ))
-        });
+        found.sort();
         let mut lru = LruIndex::default();
         for (_, ns, key, bytes) in found {
             lru.upsert(ns, &key, bytes);
@@ -349,11 +330,7 @@ impl Store {
     /// evicts its coldest objects right away — and after every `put`.
     pub fn with_budget(mut self, budget_bytes: Option<u64>) -> Store {
         self.budget_bytes = budget_bytes;
-        {
-            let mut lru = self.lru.lock().unwrap();
-            self.enforce_budget(&mut lru);
-            self.persist_sidecar(&mut lru);
-        }
+        self.enforce_budget(&mut self.lru.lock().unwrap());
         self
     }
 
@@ -366,7 +343,7 @@ impl Store {
         self.budget_bytes
     }
 
-    /// Total object bytes currently indexed (excludes the sidecar).
+    /// Total object bytes currently indexed.
     pub fn total_bytes(&self) -> u64 {
         self.lru.lock().unwrap().total_bytes
     }
@@ -376,9 +353,16 @@ impl Store {
     }
 
     /// Fetch an object, counting a hit or a miss. A hit refreshes the
-    /// object's position in the access order (LRU touch).
+    /// object's position in the access order (LRU touch), in memory and,
+    /// best-effort, in its mtime.
     pub fn get(&self, ns: ArtifactKind, key: &str) -> Option<String> {
-        match fs::read_to_string(self.path(ns, key)) {
+        let read = File::open(self.path(ns, key)).and_then(|mut file| {
+            let mut text = String::new();
+            file.read_to_string(&mut text)?;
+            let _ = file.set_modified(SystemTime::now());
+            Ok(text)
+        });
+        match read {
             Ok(text) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 let mut lru = self.lru.lock().unwrap();
@@ -388,10 +372,6 @@ impl Store {
                     .map(|m| m.bytes)
                     .unwrap_or(text.len() as u64);
                 lru.upsert(ns, key, bytes);
-                lru.unsaved_touches += 1;
-                if lru.unsaved_touches >= TOUCH_PERSIST_INTERVAL {
-                    self.persist_sidecar(&mut lru);
-                }
                 Some(text)
             }
             Err(_) => {
@@ -411,9 +391,9 @@ impl Store {
     }
 
     /// Store an object atomically: write to a temp file in the same
-    /// directory, then rename over the final name. Concurrent writers of
-    /// the same key race benignly — content-addressing means they are
-    /// writing identical bytes. A put that pushes the store past its
+    /// directory, stamp its mtime (the object's recency), then rename over
+    /// the final name. Concurrent writers of the same key race benignly —
+    /// content-addressing means they are writing identical bytes. A put that pushes the store past its
     /// budget evicts the coldest objects before returning.
     pub fn put(&self, ns: ArtifactKind, key: &str, text: &str) -> io::Result<()> {
         let final_path = self.path(ns, key);
@@ -422,15 +402,18 @@ impl Store {
             std::process::id(),
             self.seq.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp_path, text)?;
+        let mut file = File::create(&tmp_path)?;
+        file.write_all(text.as_bytes())?;
+        // The write's own mtime comes from the kernel's coarse clock, which
+        // can lag a stamp set a moment ago; an explicit stamp keeps the
+        // recency order of puts and get hits exact.
+        file.set_modified(SystemTime::now())?;
+        drop(file);
         fs::rename(&tmp_path, &final_path)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         let mut lru = self.lru.lock().unwrap();
         lru.upsert(ns, key, text.len() as u64);
         self.enforce_budget(&mut lru);
-        // Puts are the cold path (each one paid a pipeline computation),
-        // so persisting the sidecar here costs nothing that matters.
-        self.persist_sidecar(&mut lru);
         Ok(())
     }
 
@@ -451,28 +434,6 @@ impl Store {
             lru.remove(ns, &key);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Best-effort sidecar write (tmp + rename, like objects): losing it
-    /// costs recency information on the next open, never correctness.
-    fn persist_sidecar(&self, lru: &mut LruIndex) {
-        lru.unsaved_touches = 0;
-        let mut text = String::new();
-        for ((_class, seq), (ns, key)) in &lru.order {
-            let bytes = lru
-                .entries
-                .get(&(*ns, key.clone()))
-                .map(|m| m.bytes)
-                .unwrap_or(0);
-            text.push_str(&format!("{seq} {} {bytes} {key}\n", ns.dir()));
-        }
-        let final_path = self.root.join(SIDECAR);
-        let tmp_path = final_path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = fs::write(&tmp_path, &text).and_then(|_| fs::rename(&tmp_path, &final_path));
     }
 
     /// Objects on disk in one namespace (directory scan; for `stats`).
@@ -506,40 +467,21 @@ impl Store {
     }
 }
 
-impl Drop for Store {
-    /// Graceful close persists the freshest access order (get-touches
-    /// between the periodic flushes would otherwise be lost). A killed
-    /// process skips this — which is exactly the staleness the advisory
-    /// sidecar is designed to absorb.
-    fn drop(&mut self) {
-        if let Ok(mut lru) = self.lru.lock() {
-            if lru.unsaved_touches > 0 {
-                self.persist_sidecar(&mut lru);
-            }
+/// Best-effort removal of the `lru-index` file an older server left in
+/// `root`, and of the temp files a sidecar write cut short left beside it.
+fn remove_legacy_sidecar(root: &Path) {
+    let Ok(entries) = fs::read_dir(root) else {
+        return;
+    };
+    for entry in entries.filter_map(Result::ok) {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else {
+            continue;
+        };
+        if name == LEGACY_SIDECAR || name.starts_with("lru-index.tmp.") {
+            let _ = fs::remove_file(entry.path());
         }
     }
-}
-
-/// Parse the sidecar into `(namespace, key) -> seq`. Malformed lines (or
-/// a missing file) are silently ignored — the sidecar is advisory.
-fn load_sidecar(root: &Path) -> HashMap<(ArtifactKind, String), u64> {
-    let mut saved = HashMap::new();
-    let Ok(text) = fs::read_to_string(root.join(SIDECAR)) else {
-        return saved;
-    };
-    for line in text.lines() {
-        let mut parts = line.split_whitespace();
-        let (Some(seq), Some(dir), Some(_bytes), Some(key)) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        let (Ok(seq), Some(ns)) = (seq.parse::<u64>(), ArtifactKind::from_dir(dir)) else {
-            continue;
-        };
-        saved.insert((ns, key.to_string()), seq);
-    }
-    saved
 }
 
 #[cfg(test)]
@@ -826,10 +768,25 @@ mod tests {
         let _ = fs::remove_dir_all(store.root());
     }
 
+    /// Set an object's mtime, as another process might have left it.
+    fn set_mtime(path: &Path, time: SystemTime) {
+        File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_modified(time)
+            .unwrap();
+    }
+
+    const AN_HOUR: std::time::Duration = std::time::Duration::from_secs(3600);
+
+    fn mtime(path: &Path) -> SystemTime {
+        fs::metadata(path).unwrap().modified().unwrap()
+    }
+
     #[test]
-    fn access_order_survives_reopen_via_the_sidecar() {
-        let dir =
-            std::env::temp_dir().join(format!("pt-store-test-{}-sidecar", std::process::id()));
+    fn access_order_survives_reopen_via_mtimes() {
+        let dir = std::env::temp_dir().join(format!("pt-store-test-{}-mtime", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         {
             let store = Store::open(&dir).unwrap();
@@ -862,9 +819,35 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_is_advisory_and_unknown_objects_count_as_cold() {
-        let dir =
-            std::env::temp_dir().join(format!("pt-store-test-{}-advisory", std::process::id()));
+    fn reopen_keeps_the_exact_order_of_rapid_puts() {
+        // Twenty puts land within one tick of the kernel's coarse clock, and
+        // their keys sort opposite to their put order: only exact stamps
+        // let a reopened store tell the ten newest from the ten oldest.
+        let dir = std::env::temp_dir().join(format!("pt-store-test-{}-rapid", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        {
+            let store = Store::open(&dir).unwrap();
+            for i in (0..20).rev() {
+                store
+                    .put(ArtifactKind::Models, &format!("k{i:02}"), "xxxxxxxxxx")
+                    .unwrap();
+            }
+        }
+        let store = Store::open(&dir).unwrap().with_budget(Some(100));
+        for i in 0..20 {
+            let newest = i < 10;
+            assert_eq!(
+                store.contains(ArtifactKind::Models, &format!("k{i:02}")),
+                newest,
+                "k{i:02}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn objects_written_behind_the_stores_back_rank_by_their_own_mtime() {
+        let dir = std::env::temp_dir().join(format!("pt-store-test-{}-alien", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         {
             let store = Store::open(&dir).unwrap();
@@ -872,25 +855,75 @@ mod tests {
                 .put(ArtifactKind::Analyses, "known", &"k".repeat(10))
                 .unwrap();
         }
-        // A file written behind the store's back (another process) plus a
-        // corrupt sidecar: open must absorb both.
-        fs::write(dir.join("analyses").join("alien"), "a".repeat(10)).unwrap();
-        fs::write(dir.join(SIDECAR), "garbage\n1 not-a-ns 3 x\n").unwrap();
+        // Two files written behind the store's back (another process): one
+        // an hour older than "known", one an hour newer. (A plain write
+        // takes the kernel's coarse clock, which can lag the stamp a put
+        // sets, so both get explicit times.) Open must index both.
+        let analyses = dir.join("analyses");
+        fs::write(analyses.join("stale"), "s".repeat(10)).unwrap();
+        set_mtime(&analyses.join("stale"), SystemTime::now() - AN_HOUR);
+        fs::write(analyses.join("fresh"), "f".repeat(10)).unwrap();
+        set_mtime(&analyses.join("fresh"), SystemTime::now() + AN_HOUR);
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.total_bytes(), 20);
-        assert_eq!(
-            store
-                .get(ArtifactKind::Analyses, "alien")
-                .as_deref()
-                .map(str::len),
-            Some(10)
-        );
-        // Budget of one object: the alien (no recency claim, then un-touched
-        // "known" — but "known" was also sidecar-less here) — either way the
-        // store converges to a single object within budget.
+        assert_eq!(store.total_bytes(), 30);
+        // A budget of two objects evicts the one with the oldest mtime.
+        let store = store.with_budget(Some(20));
+        assert_eq!(store.total_objects(), 2);
+        assert!(!store.contains(ArtifactKind::Analyses, "stale"));
+        assert!(store.contains(ArtifactKind::Analyses, "known"));
+        assert!(store.contains(ArtifactKind::Analyses, "fresh"));
+        // A budget of one keeps the newest mtime, whoever wrote it.
         let store = store.with_budget(Some(10));
-        assert!(store.total_bytes() <= 10);
         assert_eq!(store.total_objects(), 1);
+        assert!(store.contains(ArtifactKind::Analyses, "fresh"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn puts_write_nothing_outside_their_own_objects() {
+        let store = temp_store("only-objects").with_budget(Some(200));
+        for i in 0..50 {
+            let ns = ArtifactKind::ALL[i % 4];
+            store.put(ns, &format!("k{i}"), &"x".repeat(10)).unwrap();
+            // Under pressure the new object may already be evicted; a hit
+            // (a touch) or a miss must not write anything either.
+            let _ = store.get(ns, &format!("k{i}"));
+        }
+        assert!(store.stats().evictions > 0);
+        let mut names: Vec<String> = fs::read_dir(store.root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["analyses", "models", "modules", "statics"]);
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn a_get_hit_moves_the_objects_mtime_forward() {
+        let store = temp_store("touch");
+        store.put(ArtifactKind::Models, "m", "{}").unwrap();
+        let path = store.root().join("models").join("m");
+        set_mtime(&path, SystemTime::now() - AN_HOUR);
+        let before = mtime(&path);
+        assert!(store.get(ArtifactKind::Models, "m").is_some());
+        assert!(mtime(&path) > before, "a hit stamps the object's mtime");
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn open_removes_a_legacy_sidecar_and_its_temp_files() {
+        let dir = std::env::temp_dir().join(format!("pt-store-test-{}-legacy", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("lru-index"), "0 analyses 2 a\n").unwrap();
+        fs::write(dir.join("lru-index.tmp.1.0"), "partial").unwrap();
+        fs::write(dir.join("notes.txt"), "not ours").unwrap();
+        let store = Store::open(&dir).unwrap();
+        assert!(!dir.join("lru-index").exists());
+        assert!(!dir.join("lru-index.tmp.1.0").exists());
+        assert!(dir.join("notes.txt").exists(), "other files are left alone");
+        assert_eq!(store.total_objects(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }
