@@ -2,8 +2,7 @@
 //! process and write a schema-versioned `BENCH_<git-sha>.json` report.
 //!
 //! Usage:
-//!   bench_all [--quick] [--list] [--verbose] [--quiet] [--out PATH]
-//!             [--trace-out PATH] [FILTER...]
+//!   bench_all [--quick] [--list] [--verbose] [--quiet] [--out PATH] [FILTER...]
 //!
 //! * `FILTER...` — scenario names or tags (empty = all registered scenarios)
 //! * `--quick`   — reduced sweeps (what CI and `cargo test` run)
@@ -13,17 +12,15 @@
 //!   report location (what CI and the server smoke job use). Failures
 //!   still go to stderr and the exit code.
 //! * `--out`     — report path (default `BENCH_<git-sha>.json`)
-//! * `--trace-out` — enable the pipeline tracer for the whole run and
-//!   write every recorded span as Chrome `trace_event` JSON to PATH
-//!   (open in `chrome://tracing` / Perfetto). Tracing adds a few ns per
-//!   span, so don't compare a traced report against an untraced baseline.
+//!
+//! The report holds findings only, no timings: `perfbench` measures speed.
 //!
 //! Independent scenarios run concurrently via `pt_util::parallel_map`; the
 //! per-app static stage is computed once and shared through the context's
 //! `SessionCache`.
 
 use perf_taint::report::{BenchReport, RunStatus, ScenarioRecord, BENCH_SCHEMA_VERSION};
-use pt_bench::scenarios::{matching, registry, Scenario, ScenarioCtx};
+use pt_bench::scenarios::{matching, registry, Scenario, ScenarioCtx, ScenarioResult};
 use std::process::ExitCode;
 
 fn git_sha() -> String {
@@ -62,7 +59,6 @@ fn main() -> ExitCode {
     let mut verbose = false;
     let mut quiet = false;
     let mut out_path: Option<String> = None;
-    let mut trace_out: Option<String> = None;
     let mut filters: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -81,17 +77,9 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--trace-out" => match args.next() {
-                Some(p) => trace_out = Some(p),
-                None => {
-                    eprintln!("--trace-out requires a path");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 println!(
-                    "bench_all [--quick] [--list] [--verbose] [--quiet] [--out PATH] \
-                     [--trace-out PATH] [FILTER...]"
+                    "bench_all [--quick] [--list] [--verbose] [--quiet] [--out PATH] [FILTER...]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -101,13 +89,6 @@ fn main() -> ExitCode {
             }
             f => filters.push(f.to_string()),
         }
-    }
-
-    // Pin the tracer on for the whole process before any scenario runs:
-    // `force_enable` (not a scoped guard) so spans from scenario worker
-    // threads are captured no matter when those threads start.
-    if trace_out.is_some() {
-        pt_util::trace::force_enable();
     }
 
     let selected = matching(&filters);
@@ -133,24 +114,15 @@ fn main() -> ExitCode {
         );
     }
 
-    let runs: Vec<(
-        &dyn Scenario,
-        Result<pt_bench::scenarios::ScenarioResult, _>,
-        f64,
-    )> = pt_util::parallel_map(&selected, scenario_workers, |s| {
-        let (result, wall) = pt_util::time(|| s.run(&cx));
-        (*s, result, wall)
-    });
+    let runs: Vec<(&dyn Scenario, Result<ScenarioResult, _>)> =
+        pt_util::parallel_map(&selected, scenario_workers, |s| (*s, s.run(&cx)));
 
     let mut scenarios = Vec::new();
     let mut failures = 0usize;
     if !quiet {
-        println!(
-            "{:<26} {:>9} {:>8}  status",
-            "scenario", "wall [s]", "metrics"
-        );
+        println!("{:<26} {:>8}  status", "scenario", "metrics");
     }
-    for (s, result, wall) in &runs {
+    for (s, result) in &runs {
         let (status, metrics, text) = match result {
             Ok(r) => (RunStatus::Ok, r.metrics.clone(), Some(&r.text)),
             Err(e) => {
@@ -165,9 +137,8 @@ fn main() -> ExitCode {
         };
         if !quiet {
             println!(
-                "{:<26} {:>9.3} {:>8}  {}",
+                "{:<26} {:>8}  {}",
                 s.name(),
-                wall,
                 metrics.len(),
                 match &status {
                     RunStatus::Ok => "ok".to_string(),
@@ -184,7 +155,6 @@ fn main() -> ExitCode {
             name: s.name().to_string(),
             tags: s.tags().iter().map(|t| t.to_string()).collect(),
             status,
-            wall_seconds: *wall,
             metrics,
         });
     }
@@ -203,22 +173,6 @@ fn main() -> ExitCode {
     }
     if !quiet {
         println!("report: {path}");
-    }
-
-    if let Some(trace_path) = trace_out {
-        let events = pt_util::trace::drain_all();
-        let chrome = pt_util::trace::chrome_trace(&events).render();
-        if let Err(e) = std::fs::write(&trace_path, chrome) {
-            eprintln!("failed to write trace {trace_path}: {e}");
-            return ExitCode::from(2);
-        }
-        if !quiet {
-            println!(
-                "trace: {trace_path} ({} span(s), {} dropped)",
-                events.len(),
-                pt_util::trace::dropped_total()
-            );
-        }
     }
 
     if failures > 0 {

@@ -1,26 +1,18 @@
-//! `bench_compare` — diff two `BENCH_*.json` reports and exit non-zero on
-//! regression: the CI perf gate.
+//! `bench_compare` — diff two `BENCH_*.json` reports exactly and exit
+//! non-zero on any difference: the CI findings gate.
 //!
 //! Usage:
-//!   bench_compare OLD.json NEW.json [--warn-only] [--no-required]
-//!                 [--metric-rel-pct N] [--wall-rel-pct N]
+//!   bench_compare OLD.json NEW.json
 //!
-//! * deterministic metrics gate at ±10% (override: `--metric-rel-pct`)
-//! * wall times gate at ±50% and a 0.25 s floor (`--wall-rel-pct`)
-//! * required gate metrics (`pt_bench::compare::REQUIRED_GATE_METRICS`,
-//!   e.g. `taint_throughput/wall_ratio_decoded_over_legacy`) must be
-//!   present in the NEW report — a missing gate metric is a regression,
-//!   not a silent skip, even when the baseline lacks it too; pass
-//!   `--no-required` when deliberately comparing filtered reports
-//!   (`bench_all FILTER`) that never ran the gate scenario
-//! * `--warn-only` prints the verdict but always exits 0 (the CI job uses
-//!   this while the gate is being calibrated)
+//! Every scenario, status and metric of NEW must equal OLD; each
+//! difference is printed on its own line (see `pt_bench::compare`).
 //!
-//! Exit codes: 0 = no regression (or `--warn-only`), 1 = regression,
-//! 2 = unusable input (missing file, parse failure, schema mismatch).
+//! Exit codes: 0 = identical findings, 1 = at least one difference,
+//! 2 = unusable input (missing file, parse failure, schema mismatch, or a
+//! `--quick` report compared against a full one).
 
 use perf_taint::report::BenchReport;
-use pt_bench::compare::{compare_reports, CompareConfig};
+use pt_bench::compare::differences;
 use std::process::ExitCode;
 
 fn load(path: &str) -> Result<BenchReport, String> {
@@ -29,30 +21,11 @@ fn load(path: &str) -> Result<BenchReport, String> {
 }
 
 fn main() -> ExitCode {
-    let mut warn_only = false;
-    let mut cfg = CompareConfig::ci_gate();
     let mut paths: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--warn-only" => warn_only = true,
-            "--no-required" => cfg.required.clear(),
-            "--metric-rel-pct" | "--wall-rel-pct" => {
-                let Some(pct) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("{arg} requires a numeric percentage");
-                    return ExitCode::from(2);
-                };
-                if arg == "--metric-rel-pct" {
-                    cfg.metric.rel = pct / 100.0;
-                } else {
-                    cfg.wall.rel = pct / 100.0;
-                }
-            }
             "--help" | "-h" => {
-                println!(
-                    "bench_compare OLD.json NEW.json [--warn-only] [--no-required] \
-                     [--metric-rel-pct N] [--wall-rel-pct N]"
-                );
+                println!("bench_compare OLD.json NEW.json");
                 return ExitCode::SUCCESS;
             }
             f if f.starts_with('-') => {
@@ -78,18 +51,18 @@ fn main() -> ExitCode {
         "baseline: {} ({}, quick={})   new: {} ({}, quick={})",
         paths[0], old.git_sha, old.quick, paths[1], new.git_sha, new.quick
     );
-    if old.quick != new.quick {
-        println!("WARNING: comparing a quick report against a full one — apples to oranges");
-    }
 
-    match compare_reports(&old, &new, &cfg) {
-        Ok(cmp) => {
-            print!("{}", cmp.render());
-            if cmp.has_regressions() && !warn_only {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
+    match differences(&old, &new) {
+        Ok(diffs) if diffs.is_empty() => {
+            println!("findings gate: OK — identical to the baseline");
+            ExitCode::SUCCESS
+        }
+        Ok(diffs) => {
+            for line in &diffs {
+                println!("DIFF  {line}");
             }
+            println!("findings gate: FAIL — {} difference(s)", diffs.len());
+            ExitCode::FAILURE
         }
         Err(e) => {
             eprintln!("{e}");

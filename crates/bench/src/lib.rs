@@ -17,21 +17,25 @@
 //! | `b2_intrusion` | §B2 (instrumentation intrusion) |
 //! | `c2_experiment_validation` | §C2 (qualitative-change detection) |
 //! | `ablation_ctlflow` | ablation: control-flow taint policies |
-//! | `serve_throughput` | pt-serve service: warm/cold latency, requests/sec |
-//! | `serve_saturation` | pt-serve under overload: latency/goodput/shed sweep |
+//! | `taint_throughput` | decode-once engine == reference engine on the corpus |
+//! | `security_taint` | security source/sink policy on mini-SecSrv |
+//! | `incremental_edit` | pt-serve edit loop: per-function reuse |
 //!
 //! The per-artifact binaries under `src/bin/` are thin wrappers over the
-//! registry (`serve_throughput` and `serve_saturation` are registry-only —
-//! they bench the service layer, not a paper artifact). `bench_all` runs any tag/name selection in one process and
-//! writes a schema-versioned `BENCH_<git-sha>.json`; `bench_compare` diffs
-//! two such reports under per-metric tolerances ([`compare`]) and exits
-//! non-zero on regression — the CI perf gate. See `crates/bench/README.md`
-//! for the report schema and how to add a scenario.
+//! registry (the last three scenarios are registry-only — they check the
+//! engine, the policy lattice and the service layer, not a paper
+//! artifact). `bench_all` runs any tag/name selection in one process and
+//! writes a schema-versioned `BENCH_<git-sha>.json`; `bench_compare`
+//! diffs two such reports exactly ([`compare`]) and exits non-zero on any
+//! difference — the CI findings gate, which the registry test also runs
+//! against `BENCH_baseline.json` on every `cargo test`. Reports hold no
+//! timings: `perfbench` measures speed. See `crates/bench/README.md` for
+//! the report schema and how to add a scenario.
 //!
 //! This library holds the shared sweep/configuration machinery. Absolute
 //! numbers differ from the paper (the substrate is an interpreter, not Piz
 //! Daint); the *shapes* — who wins, by what factor, where crossovers sit —
-//! are the reproduction targets (see EXPERIMENTS.md).
+//! are the reproduction targets.
 
 pub mod compare;
 pub mod scenarios;

@@ -63,18 +63,9 @@ impl Scenario for B1NoiseResilience {
 
         let space = SearchSpace::default();
         let restrictions = analysis.restrictions(&app.module, &model_params);
-        // The model-search cost is the number the paper's pipeline pays on
-        // every modeling run — accumulate it over both searches (and only
-        // them, not the truth comparison in between) for the gate.
-        let mut search_time = pt_util::Stopwatch::new();
-        search_time.start();
         let blackbox = model_functions(&sets, None, &space, 0.1);
-        search_time.stop();
         let cmp = compare_against_truth(&blackbox, &restrictions);
-        search_time.start();
         let hybrid = model_functions(&sets, Some(&restrictions), &space, 0.1);
-        search_time.stop();
-        r.metric("model_search_wall_seconds", search_time.elapsed());
         outln!(r, "\nblack-box Extra-P vs taint ground truth:");
         outln!(
             r,

@@ -82,7 +82,6 @@ impl Scenario for Fig3OverheadLulesh {
                 geomean(&all),
                 max
             );
-            // Slowdown factors are ≥1 and lower-is-better as they stand.
             r.metric(format!("slowdown_{label}_geomean_x"), geomean(&all));
             r.metric(format!("slowdown_{label}_max_x"), max);
         }

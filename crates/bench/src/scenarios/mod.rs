@@ -8,13 +8,13 @@
 //! report. The per-artifact binaries under `src/bin/` are thin wrappers
 //! ([`run_cli`]); `bench_all` runs any tag/name selection in one process,
 //! sharing one memoized static stage per app through a
-//! [`SessionCache`], and `bench_compare` diffs two reports as a CI
-//! perf-regression gate.
+//! [`SessionCache`], and `bench_compare` diffs two reports exactly as the
+//! CI findings gate.
 //!
-//! Metric convention: **lower is better** for every metric — costs, error
-//! percentages, overheads, miss counts. Quantities that improve upward
-//! (coverage, savings) are stored as their complement so one rule gates
-//! them all (see `crates/bench/README.md`).
+//! Metric convention: every metric is **deterministic** — a count, a
+//! simulated cost or a 0/1 verdict, never a wall-clock timing — so a
+//! report reproduces bit for bit on any machine and the gate compares
+//! each metric for equality (see `crates/bench/README.md`).
 
 use perf_taint::{Analysis, PtError, Session, SessionCache};
 use pt_apps::AppSpec;
@@ -32,8 +32,6 @@ mod fig4_overhead_milc;
 mod fig5_contention;
 mod incremental_edit;
 mod security_taint;
-mod serve_saturation;
-mod serve_throughput;
 mod table1_config;
 mod table2_overview;
 mod table3_param_pruning;
@@ -64,7 +62,7 @@ pub(crate) use {out, outln};
 #[derive(Debug, Default, Clone)]
 pub struct ScenarioResult {
     pub text: String,
-    /// Lower-is-better scalars (see the module docs for the convention).
+    /// Deterministic scalars (see the module docs for the convention).
     pub metrics: BTreeMap<String, f64>,
 }
 
@@ -236,8 +234,6 @@ pub fn registry() -> &'static [&'static dyn Scenario] {
         &b2_intrusion::B2Intrusion,
         &c2_experiment_validation::C2ExperimentValidation,
         &ablation_ctlflow::AblationCtlflow,
-        &serve_throughput::ServeThroughput,
-        &serve_saturation::ServeSaturation,
         &taint_throughput::TaintThroughput,
         &security_taint::SecurityTaint,
         &incremental_edit::IncrementalEdit,
@@ -283,8 +279,8 @@ mod tests {
         let mut names: Vec<&str> = registry().iter().map(|s| s.name()).collect();
         let total = names.len();
         assert_eq!(
-            total, 17,
-            "all 12 paper artifacts plus the service, saturation, engine, security-policy, and edit-loop scenarios are registered"
+            total, 15,
+            "all 12 paper artifacts plus the engine, security-policy, and edit-loop scenarios are registered"
         );
         names.sort();
         names.dedup();

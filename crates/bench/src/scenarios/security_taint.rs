@@ -1,7 +1,7 @@
 //! `security_taint` — the pluggable-policy scenario: the mini-SecSrv
 //! workload under the security source/sink/sanitizer policy.
 //!
-//! Three things are proven before anything is timed:
+//! Three things are proven:
 //!
 //! 1. **Bit-identity across engines.** The security-policy run produces
 //!    the same [`pt_taint::RunOutput`] on the decoded engine and the
@@ -17,10 +17,7 @@
 //!    instruction stream — the security policy is a strict superset, not
 //!    a fork, of the paper policy.
 //!
-//! The timed section then reports the security policy's label-propagation
-//! cost over the param-set baseline (`wall_ratio_security_over_paramset`,
-//! lower is better; ~1.0 means the extra lattice work is free on this
-//! workload).
+//! The sink ledger's violation counts are the published metrics.
 
 use super::{outln, Scenario, ScenarioCtx, ScenarioResult};
 use perf_taint::PtError;
@@ -44,13 +41,11 @@ impl Scenario for SecurityTaint {
     }
 
     fn summary(&self) -> &'static str {
-        "security source/sink/sanitizer policy on mini-SecSrv: 2-engine bit-identity, sink ledger ground truth, cost over param-set"
+        "security source/sink/sanitizer policy on mini-SecSrv: 2-engine bit-identity, sink ledger ground truth, zero carve-outs"
     }
 
-    fn run(&self, cx: &ScenarioCtx) -> Result<ScenarioResult, PtError> {
+    fn run(&self, _cx: &ScenarioCtx) -> Result<ScenarioResult, PtError> {
         let mut r = ScenarioResult::new();
-        let reps = if cx.quick { 15 } else { 31 };
-
         let app = pt_apps::security::build();
         let params = app.taint_run_params();
         let requests = params
@@ -187,21 +182,7 @@ impl Scenario for SecurityTaint {
             "both policies must retire the identical instruction stream",
         )?;
 
-        // ---- timed: security-policy cost over the param-set baseline ---
-        let mut best_sec = f64::MAX;
-        let mut best_base = f64::MAX;
-        // Interleave so machine drift hits both policies equally.
-        for _ in 0..reps {
-            let (out, wall) = pt_util::time(|| run_with(&security_cfg));
-            out?;
-            best_sec = best_sec.min(wall);
-            let (out, wall) = pt_util::time(|| run_with(&paramset_cfg));
-            out?;
-            best_base = best_base.min(wall);
-        }
-        let ratio = best_sec / best_base.max(1e-12);
-
-        outln!(r, "Security taint policy on {} ({reps} reps)", app.name);
+        outln!(r, "Security taint policy on {}", app.name);
         outln!(
             r,
             "  engines bit-identical: decoded == reference ({} insts)",
@@ -224,18 +205,9 @@ impl Scenario for SecurityTaint {
             r,
             "  param-set policy: no sink records, identical instruction stream (zero carve-outs)"
         );
-        outln!(
-            r,
-            "  security/param-set wall ratio: {ratio:.3} ({:.4}s vs {:.4}s)",
-            best_sec,
-            best_base
-        );
 
         r.metric("audit_violations", audit.violations as f64);
         r.metric("config_violations", config_sink.violations as f64);
-        r.metric("security_wall_seconds", best_sec);
-        r.metric("paramset_wall_seconds", best_base);
-        r.metric("wall_ratio_security_over_paramset", ratio);
         Ok(r)
     }
 }

@@ -1,30 +1,23 @@
-//! `taint_throughput` — the decode-once execution engine vs the legacy
+//! `taint_throughput` — the decode-once execution engine vs the reference
 //! tree-walker, over the evaluation corpus.
 //!
-//! Every scenario in this registry bottoms out in the dynamic taint run,
-//! so this is the one number that moves all the others: interpreted
-//! instructions per second. The scenario runs the representative taint run
-//! of each corpus app (mini-LULESH, mini-MILC, and a family of synthetic
-//! loop-nest workloads) on both engines against one shared
-//! `PreparedModule`, first proving the outputs bit-identical (the
-//! differential contract), then timing repeated runs and reporting the
-//! best per engine — in **both execution modes**: the full taint run
-//! (`InterpConfig::default()`) and the measurement-mode sweep
-//! configuration (`taint: false`, `coverage: false`), which exercises the
-//! interpreter's monomorphized no-taint specialization. The headline gate
-//! metric is `wall_ratio_decoded_over_legacy` — decoded corpus wall time
-//! divided by legacy corpus wall time (lower is better; `0.5` means the
-//! decoded engine is 2× faster); `wall_ratio_measure_decoded_over_legacy`
-//! gates the measurement-mode specialization the same way.
+//! Every scenario in this registry bottoms out in the dynamic taint run.
+//! This one runs the representative taint run of each corpus app
+//! (mini-LULESH, mini-MILC, and a family of synthetic loop-nest workloads)
+//! on both engines against one shared `PreparedModule` and proves the
+//! outputs bit-identical (the differential contract) in **both execution
+//! modes**: the full taint run (`InterpConfig::default()`) and the
+//! measurement-mode sweep configuration (`taint: false`,
+//! `coverage: false`). It publishes the corpus instruction count and what
+//! the decode pass pipeline did (`PassStats`); the engine's speed is
+//! measured by `perfbench` (`measure.minsts_per_s`, `stage.decode_ms`).
 
 use super::{outln, Scenario, ScenarioCtx, ScenarioResult};
-use perf_taint::report::EngineTiming;
 use perf_taint::PtError;
 use pt_apps::AppSpec;
 use pt_mpisim::{MachineConfig, MpiHandler};
-use pt_taint::{
-    differential, InterpConfig, Interpreter, PassStats, PreparedModule, ReferenceInterpreter,
-};
+use pt_taint::{differential, InterpConfig, Interpreter, PreparedModule, ReferenceInterpreter};
+use std::collections::BTreeMap;
 
 pub struct TaintThroughput;
 
@@ -38,16 +31,11 @@ impl Scenario for TaintThroughput {
     }
 
     fn summary(&self) -> &'static str {
-        "decode-once taint engine vs the legacy tree-walker: instructions/sec over the corpus"
+        "decode-once taint engine vs the reference tree-walker: bit-identity, instruction and pass counts over the corpus"
     }
 
     fn run(&self, cx: &ScenarioCtx) -> Result<ScenarioResult, PtError> {
         let mut r = ScenarioResult::new();
-        // Best-of reps: the corpus runs are milliseconds, so generous rep
-        // counts cost little and keep the gate ratio out of the noise on
-        // shared runners.
-        let reps = if cx.quick { 25 } else { 41 };
-
         let mut corpus: Vec<AppSpec> = vec![pt_apps::lulesh::build(), pt_apps::milc::build()];
         let synth_seeds: u64 = if cx.quick { 2 } else { 4 };
         for seed in 0..synth_seeds {
@@ -63,120 +51,61 @@ impl Scenario for TaintThroughput {
 
         outln!(
             r,
-            "Taint execution engine throughput ({reps} reps, best-of)"
+            "Taint execution engine: decoded == reference on the corpus"
         );
-        outln!(
-            r,
-            "  {:<14} {:>10} {:>14} {:>14} {:>9}",
-            "app",
-            "insts",
-            "decoded/s",
-            "legacy/s",
-            "taint"
-        );
+        outln!(r, "  {:<14} {:>10}  outputs", "app", "insts");
 
-        let mut decoded_total = 0.0f64;
-        let mut legacy_total = 0.0f64;
-        let mut measure_total = 0.0f64;
-        let mut legacy_measure_total = 0.0f64;
-        let mut decode_total = 0.0f64;
-        let mut pass_total = 0.0f64;
+        let measure_cfg = InterpConfig {
+            taint: false,
+            coverage: false,
+            ..Default::default()
+        };
         let mut insts_total = 0u64;
-        let mut passes = PassStats::default();
+        let mut passes: BTreeMap<&str, usize> = BTreeMap::new();
         for app in &corpus {
-            let params = app.taint_run_params();
-            let machine = machine_for(&params)?;
             let prepared = PreparedModule::compute(&app.module);
-            let measure_cfg = InterpConfig {
-                taint: false,
-                coverage: false,
-                ..Default::default()
-            };
-            let (decoded, legacy) =
-                bench_app(app, &prepared, &machine, &InterpConfig::default(), reps)?;
-            let (m_decoded, m_legacy) = bench_app(app, &prepared, &machine, &measure_cfg, reps)?;
+            let insts = check_app(app, &prepared, &InterpConfig::default())?;
+            check_app(app, &prepared, &measure_cfg)?;
             outln!(
                 r,
-                "  {:<14} {:>10} {:>14.2e} {:>14.2e} {:>8.2}x",
+                "  {:<14} {:>10}  bit-identical (taint + measurement mode)",
                 app.name,
-                decoded.insts,
-                decoded.insts_per_second(),
-                legacy.insts_per_second(),
-                legacy.execute_seconds / decoded.execute_seconds
+                insts
             );
-            decoded_total += decoded.execute_seconds;
-            legacy_total += legacy.execute_seconds;
-            measure_total += m_decoded.execute_seconds;
-            legacy_measure_total += m_legacy.execute_seconds;
-            decode_total += decoded.decode_seconds;
-            pass_total += prepared.pass_seconds;
-            insts_total += decoded.insts;
+            insts_total += insts;
             let s = prepared.pass_stats;
-            passes.fused_cmp_br += s.fused_cmp_br;
-            passes.fused_loads += s.fused_loads;
-            passes.fused_stores += s.fused_stores;
-            passes.inlined_calls += s.inlined_calls;
-            passes.regs_before += s.regs_before;
-            passes.regs_after += s.regs_after;
+            for (name, n) in [
+                ("folded", s.folded),
+                ("reduced_geps", s.reduced_geps),
+                ("fused_cmp_br", s.fused_cmp_br),
+                ("fused_loads", s.fused_loads),
+                ("fused_stores", s.fused_stores),
+                ("inlined_calls", s.inlined_calls),
+                ("regs_before", s.regs_before),
+                ("regs_after", s.regs_after),
+            ] {
+                *passes.entry(name).or_default() += n;
+            }
         }
 
-        let ratio = decoded_total / legacy_total.max(1e-12);
-        let m_ratio = measure_total / legacy_measure_total.max(1e-12);
         outln!(r);
-        outln!(
-            r,
-            "  corpus: {} insts — decoded {:.2e}/s over {:.4}s, legacy {:.2e}/s over {:.4}s",
-            insts_total,
-            insts_total as f64 / decoded_total.max(1e-12),
-            decoded_total,
-            insts_total as f64 / legacy_total.max(1e-12),
-            legacy_total
-        );
-        outln!(
-            r,
-            "  decoded/legacy wall ratio: {ratio:.3} (speedup ×{:.2}); \
-             measurement mode: {m_ratio:.3} (×{:.2}); one-time decode: {:.4}s",
-            1.0 / ratio.max(1e-12),
-            1.0 / m_ratio.max(1e-12),
-            decode_total
-        );
+        outln!(r, "  corpus: {insts_total} insts");
         outln!(
             r,
             "  passes: {} cmp+br, {} gep+load, {} gep+store fused; {} leaf calls inlined; \
              frames {} -> {} regs",
-            passes.fused_cmp_br,
-            passes.fused_loads,
-            passes.fused_stores,
-            passes.inlined_calls,
-            passes.regs_before,
-            passes.regs_after
+            passes["fused_cmp_br"],
+            passes["fused_loads"],
+            passes["fused_stores"],
+            passes["inlined_calls"],
+            passes["regs_before"],
+            passes["regs_after"]
         );
 
-        // Lower-is-better metrics for the perf gate. The ratios are the
-        // machine-independent gate numbers; the wall times carry the usual
-        // loose timing tolerance.
-        r.metric("taint_wall_seconds", decoded_total);
-        r.metric("legacy_taint_wall_seconds", legacy_total);
-        r.metric("measure_wall_seconds", measure_total);
-        r.metric("legacy_measure_wall_seconds", legacy_measure_total);
-        r.metric("wall_ratio_decoded_over_legacy", ratio);
-        r.metric("wall_ratio_measure_decoded_over_legacy", m_ratio);
-        // Decoded-engine throughput over the corpus instruction stream
-        // (the key keeps its historical name so baselines stay comparable).
-        r.metric(
-            "insts_per_second_tier0",
-            insts_total as f64 / decoded_total.max(1e-12),
-        );
-        r.metric("decode_wall_seconds", decode_total);
-        // Per-stage wall attribution: the pass pipeline's share of the
-        // one-time decode, and the best-of execution wall for the full
-        // taint configuration — the same stages the tracer reports.
-        r.metric("pass_wall_seconds", pass_total);
-        r.metric("exec_wall_seconds", decoded_total);
-        r.metric(
-            "seconds_per_million_insts",
-            decoded_total * 1e6 / (insts_total as f64).max(1.0),
-        );
+        r.metric("corpus_insts", insts_total as f64);
+        for (name, n) in passes {
+            r.metric(format!("pass_{name}"), n as f64);
+        }
         Ok(r)
     }
 }
@@ -198,88 +127,42 @@ fn machine_for(params: &[(String, i64)]) -> Result<MachineConfig, PtError> {
     Ok(machine)
 }
 
-/// One app on both engines under one configuration: differential check,
-/// then best-of-`reps` wall times as [`EngineTiming`] pairs
-/// `(decoded, legacy)`.
-fn bench_app(
+/// One app on both engines under one configuration: the outputs must be
+/// bit-identical. Returns the run's instruction count.
+fn check_app(
     app: &AppSpec,
     prepared: &PreparedModule,
-    machine: &MachineConfig,
     config: &InterpConfig,
-    reps: usize,
-) -> Result<(EngineTiming, EngineTiming), PtError> {
+) -> Result<u64, PtError> {
     let params = app.taint_run_params();
-
-    let run_decoded = || {
-        Interpreter::new(
-            &app.module,
-            prepared,
-            MpiHandler::new(machine.clone()),
-            params.clone(),
-            config.clone(),
-        )
-        .run_named(&app.entry, &[])
-        .map_err(|source| PtError::TaintRun {
-            entry: app.entry.clone(),
-            source,
-        })
+    let machine = machine_for(&params)?;
+    let taint_err = |source| PtError::TaintRun {
+        entry: app.entry.clone(),
+        source,
     };
-    let run_legacy = || {
-        ReferenceInterpreter::new(
-            &app.module,
-            prepared,
-            MpiHandler::new(machine.clone()),
-            params.clone(),
-            config.clone(),
-        )
-        .run_named(&app.entry, &[])
-        .map_err(|source| PtError::TaintRun {
-            entry: app.entry.clone(),
-            source,
-        })
-    };
-
-    // The engines must agree before their timings mean anything.
-    let d = run_decoded()?;
-    let l = run_legacy()?;
-    differential::compare_outputs(&d, &l).map_err(|divergence| {
+    let decoded = Interpreter::new(
+        &app.module,
+        prepared,
+        MpiHandler::new(machine.clone()),
+        params.clone(),
+        config.clone(),
+    )
+    .run_named(&app.entry, &[])
+    .map_err(taint_err)?;
+    let reference = ReferenceInterpreter::new(
+        &app.module,
+        prepared,
+        MpiHandler::new(machine),
+        params,
+        config.clone(),
+    )
+    .run_named(&app.entry, &[])
+    .map_err(taint_err)?;
+    differential::compare_outputs(&decoded, &reference).map_err(|divergence| {
         PtError::Config(format!(
             "taint_throughput: engines diverge on {}: {divergence}",
             app.name
         ))
     })?;
-    let insts = d.insts;
-    let legacy_insts = l.insts;
-
-    let mut best_d = f64::MAX;
-    let mut best_l = f64::MAX;
-    // Interleave the engines so the best-of samples face the same machine
-    // drift, and alternate which one opens each rep: with a fixed order
-    // the same engine always lands in the same slot of the boost/thermal
-    // cycle, which biases the minima systematically rather than randomly.
-    for i in 0..reps {
-        for slot in 0..2 {
-            if (i + slot) % 2 == 0 {
-                let (out, wall) = pt_util::time(run_decoded);
-                out?;
-                best_d = best_d.min(wall);
-            } else {
-                let (out, wall) = pt_util::time(run_legacy);
-                out?;
-                best_l = best_l.min(wall);
-            }
-        }
-    }
-    Ok((
-        EngineTiming {
-            decode_seconds: prepared.decode_seconds,
-            execute_seconds: best_d,
-            insts,
-        },
-        EngineTiming {
-            decode_seconds: 0.0,
-            execute_seconds: best_l,
-            insts: legacy_insts,
-        },
-    ))
+    Ok(decoded.insts)
 }

@@ -1,11 +1,13 @@
 //! Registry contract: every registered scenario runs under `--quick`
-//! conditions from one shared context, publishes finite metrics, and the
-//! whole report round-trips through the JSON wire format and the
-//! regression gate.
+//! conditions from one shared context, publishes finite metrics, the whole
+//! report round-trips through the JSON wire format, and its findings equal
+//! the checked-in `BENCH_baseline.json` exactly — a change that breaks a
+//! paper finding fails `cargo test`.
 
 use perf_taint::report::{BenchReport, RunStatus, ScenarioRecord, BENCH_SCHEMA_VERSION};
-use pt_bench::compare::{compare_reports, CompareConfig};
+use pt_bench::compare::differences;
 use pt_bench::scenarios::{registry, ScenarioCtx};
+use std::path::Path;
 
 #[test]
 fn every_registered_scenario_runs_under_quick() {
@@ -36,7 +38,6 @@ fn every_registered_scenario_runs_under_quick() {
             name: s.name().to_string(),
             tags: s.tags().iter().map(|t| t.to_string()).collect(),
             status: RunStatus::Ok,
-            wall_seconds: 0.1,
             metrics: result.metrics,
         });
     }
@@ -52,8 +53,18 @@ fn every_registered_scenario_runs_under_quick() {
     let parsed = BenchReport::parse(&report.to_json_string()).expect("report parses back");
     assert_eq!(parsed, report);
 
-    // …and comparing a run against itself passes the perf gate clean.
-    let cmp = compare_reports(&report, &parsed, &CompareConfig::default()).unwrap();
-    assert!(!cmp.has_regressions(), "{:?}", cmp.regressions);
-    assert!(cmp.improvements.is_empty());
+    // …and its findings equal the checked-in baseline exactly.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let baseline = BenchReport::parse(&text).expect("baseline parses");
+    let diffs = differences(&baseline, &parsed).unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        diffs.is_empty(),
+        "findings differ from BENCH_baseline.json:\n  {}\n\
+         If the change is intended, regenerate the baseline with\n  \
+         cargo run --release -p pt-bench --bin bench_all -- --quick --quiet --out BENCH_baseline.json\n\
+         and explain every changed line in CHANGES.md.",
+        diffs.join("\n  ")
+    );
 }

@@ -13,7 +13,7 @@ use std::fmt::Write;
 
 /// Version of the `BENCH_*.json` schema. Bump on any breaking change to
 /// [`BenchReport`]'s wire shape; `bench_compare` refuses mixed versions.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Outcome of one scenario run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,13 +29,8 @@ pub struct ScenarioRecord {
     pub name: String,
     pub tags: Vec<String>,
     pub status: RunStatus,
-    /// Harness-measured wall time of the whole scenario (seconds). The only
-    /// nondeterministic number in the report — compared with a loose
-    /// tolerance.
-    pub wall_seconds: f64,
-    /// Named scalar metrics. Convention: **lower is better** for every
-    /// metric a regression gate should act on (costs, errors, overheads);
-    /// see `crates/bench/README.md`.
+    /// Named scalar metrics. Every one is deterministic, so the findings
+    /// gate compares them exactly; see `crates/bench/README.md`.
     pub metrics: BTreeMap<String, f64>,
 }
 
@@ -61,7 +56,6 @@ impl ScenarioRecord {
                     RunStatus::Error(e) => Value::str(e),
                 },
             ),
-            ("wall_seconds", Value::Num(self.wall_seconds)),
             (
                 "metrics",
                 Value::Obj(
@@ -97,10 +91,6 @@ impl ScenarioRecord {
             ),
             other => return Err(format!("scenario '{name}': bad status {other:?}")),
         };
-        let wall_seconds = v
-            .get("wall_seconds")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("scenario '{name}' missing 'wall_seconds'"))?;
         let mut metrics = BTreeMap::new();
         if let Some(Value::Obj(fields)) = v.get("metrics") {
             for (k, m) in fields {
@@ -115,7 +105,6 @@ impl ScenarioRecord {
             name,
             tags,
             status,
-            wall_seconds,
             metrics,
         })
     }
@@ -192,57 +181,6 @@ impl BenchReport {
     /// Find a scenario record by name.
     pub fn scenario(&self, name: &str) -> Option<&ScenarioRecord> {
         self.scenarios.iter().find(|s| s.name == name)
-    }
-}
-
-/// Wall-clock timing of the decode-once execution engine over some
-/// workload: the one-time decode cost and the per-run execute cost. The
-/// `taint_throughput` scenario reports one of these per engine/app pair;
-/// unlike [`analysis_summary`] these numbers are *nondeterministic* by
-/// nature and therefore never enter the content-addressed store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineTiming {
-    /// Wall seconds compiling the module to bytecode (once per module).
-    pub decode_seconds: f64,
-    /// Wall seconds executing the run(s).
-    pub execute_seconds: f64,
-    /// IR instructions interpreted during `execute_seconds`.
-    pub insts: u64,
-}
-
-impl EngineTiming {
-    /// Interpreted instructions per second over the execute phase.
-    pub fn insts_per_second(&self) -> f64 {
-        if self.execute_seconds > 0.0 {
-            self.insts as f64 / self.execute_seconds
-        } else {
-            0.0
-        }
-    }
-
-    pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("decode_seconds", Value::Num(self.decode_seconds)),
-            ("execute_seconds", Value::Num(self.execute_seconds)),
-            ("insts", Value::Num(self.insts as f64)),
-            ("insts_per_second", Value::Num(self.insts_per_second())),
-        ])
-    }
-
-    pub fn from_json(v: &Value) -> Result<EngineTiming, String> {
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("engine timing missing '{k}'"))
-        };
-        Ok(EngineTiming {
-            decode_seconds: num("decode_seconds")?,
-            execute_seconds: num("execute_seconds")?,
-            insts: v
-                .get("insts")
-                .and_then(Value::as_u64)
-                .ok_or("engine timing missing 'insts'")?,
-        })
     }
 }
 
@@ -603,7 +541,6 @@ mod tests {
                     name: "fig3_overhead_lulesh".into(),
                     tags: vec!["figure".into(), "lulesh".into()],
                     status: RunStatus::Ok,
-                    wall_seconds: 1.25,
                     metrics: BTreeMap::from([
                         ("overhead_taint_geomean_pct".into(), 4.9),
                         ("overhead_full_geomean_pct".into(), 4400.0),
@@ -613,13 +550,12 @@ mod tests {
                     name: "b1_noise_resilience".into(),
                     tags: vec![],
                     status: RunStatus::Error("entry not found".into()),
-                    wall_seconds: 0.01,
                     metrics: BTreeMap::new(),
                 },
             ],
         };
         let text = report.to_json_string();
-        assert!(text.contains("\"schema\": 1"));
+        assert!(text.contains("\"schema\": 2"));
         let parsed = BenchReport::parse(&text).expect("parse back");
         assert_eq!(parsed, report);
         assert_eq!(
@@ -633,13 +569,12 @@ mod tests {
     fn bench_report_parse_rejects_malformed_documents() {
         assert!(BenchReport::parse("not json").is_err());
         assert!(BenchReport::parse("{}").is_err()); // no schema
-        assert!(BenchReport::parse(r#"{"schema": 1}"#).is_err()); // no scenarios
+        assert!(BenchReport::parse(r#"{"schema": 2}"#).is_err()); // no scenarios
                                                                   // A scenario without a name is rejected.
-        let bad = r#"{"schema": 1, "scenarios": [{"status": "ok", "wall_seconds": 1}]}"#;
+        let bad = r#"{"schema": 2, "scenarios": [{"status": "ok"}]}"#;
         assert!(BenchReport::parse(bad).is_err());
         // Bad status string is rejected.
-        let bad =
-            r#"{"schema": 1, "scenarios": [{"name": "x", "status": "meh", "wall_seconds": 1}]}"#;
+        let bad = r#"{"schema": 2, "scenarios": [{"name": "x", "status": "meh"}]}"#;
         assert!(BenchReport::parse(bad).is_err());
     }
 
@@ -689,25 +624,6 @@ mod tests {
                 .map(|a| a.len()),
             Some(1)
         );
-    }
-
-    #[test]
-    fn engine_timing_roundtrips_and_rates() {
-        let t = EngineTiming {
-            decode_seconds: 0.002,
-            execute_seconds: 0.5,
-            insts: 25_000_000,
-        };
-        assert!((t.insts_per_second() - 5e7).abs() < 1e-6);
-        let parsed = EngineTiming::from_json(&t.to_json()).expect("roundtrip");
-        assert_eq!(parsed, t);
-        let zero = EngineTiming {
-            decode_seconds: 0.0,
-            execute_seconds: 0.0,
-            insts: 0,
-        };
-        assert_eq!(zero.insts_per_second(), 0.0);
-        assert!(EngineTiming::from_json(&Value::obj(vec![])).is_err());
     }
 
     #[test]

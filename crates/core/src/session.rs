@@ -523,7 +523,7 @@ pub struct Analysis {
     pub taint_run_core_hours: f64,
     /// Real wall-clock seconds the dynamic taint run took on the decoded
     /// engine (nondeterministic — excluded from served summaries; see
-    /// [`crate::report::EngineTiming`]).
+    /// [`crate::report::analysis_summary`]).
     pub taint_wall_seconds: f64,
     /// Memoized app-parameter → model-axis mappings, keyed by the
     /// `model_params` vector they were computed for.

@@ -121,12 +121,10 @@ pub struct PreparedModule {
     /// fused pair counts and frame registers before/after allocation.
     pub pass_stats: PassStats,
     /// Wall seconds the decode stage (including the pass pipeline) took
-    /// (reported by the `taint_throughput` bench scenario; *not* part of
-    /// any deterministic summary).
+    /// (*not* part of any deterministic summary).
     pub decode_seconds: f64,
     /// Wall seconds of `decode_seconds` spent inside the post-decode pass
-    /// pipeline alone (fusion + inlining + register allocation) — the
-    /// per-stage attribution `bench_compare` localizes regressions with.
+    /// pipeline alone (fusion + inlining + register allocation).
     pub pass_seconds: f64,
 }
 

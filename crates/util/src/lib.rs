@@ -18,9 +18,9 @@
 //! * [`trace::enable_scoped`] — refcounted guard; what the server's
 //!   v1.3 `trace` method and `--slow-request-ms` use per request.
 //! * [`trace::force_enable`] — pin it on for the whole process; what
-//!   `pt-server --trace-out` and `bench_all --trace-out` use, paired
-//!   with [`trace::drain_all`] + [`trace::chrome_trace`] to export
-//!   Chrome `trace_event` JSON for `chrome://tracing` / Perfetto.
+//!   `pt-server --trace-out` uses, paired with [`trace::drain_all`] +
+//!   [`trace::chrome_trace`] to export Chrome `trace_event` JSON for
+//!   `chrome://tracing` / Perfetto.
 //! * [`trace::set_thread_trace`] — bind a request-scoped trace id to
 //!   the current thread; [`trace::TraceContext`] carries it across
 //!   [`parallel_map`] workers, and [`trace::take_trace`] collects one
@@ -38,62 +38,6 @@ pub use queue::{BoundedQueue, TryPushError};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
-
-/// Run `f` and return its result together with the elapsed wall time in
-/// seconds. The bench driver wraps every scenario in this.
-pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
-
-/// A restartable wall-clock stopwatch for accumulating time across
-/// non-contiguous code regions (e.g. the model-search portions of a
-/// scenario, excluding its sweeps).
-pub struct Stopwatch {
-    accumulated: f64,
-    started: Option<Instant>,
-}
-
-impl Stopwatch {
-    /// A stopped stopwatch at zero.
-    pub fn new() -> Stopwatch {
-        Stopwatch {
-            accumulated: 0.0,
-            started: None,
-        }
-    }
-
-    /// Start (or restart) counting. Starting a running stopwatch is a no-op.
-    pub fn start(&mut self) {
-        if self.started.is_none() {
-            self.started = Some(Instant::now());
-        }
-    }
-
-    /// Stop counting, folding the running interval into the total.
-    pub fn stop(&mut self) {
-        if let Some(t) = self.started.take() {
-            self.accumulated += t.elapsed().as_secs_f64();
-        }
-    }
-
-    /// Total seconds counted so far (includes a running interval).
-    pub fn elapsed(&self) -> f64 {
-        self.accumulated
-            + self
-                .started
-                .map(|t| t.elapsed().as_secs_f64())
-                .unwrap_or(0.0)
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Stopwatch {
-        Stopwatch::new()
-    }
-}
 
 /// The human-readable message of a caught panic payload (`panic!` with a
 /// string literal or a formatted message covers essentially all of them);
@@ -182,37 +126,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::{parallel_map, time, Stopwatch};
-
-    #[test]
-    fn time_returns_result_and_nonnegative_duration() {
-        let (value, secs) = time(|| 6 * 7);
-        assert_eq!(value, 42);
-        assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn time_measures_sleeps() {
-        let ((), secs) = time(|| std::thread::sleep(std::time::Duration::from_millis(15)));
-        assert!(secs >= 0.014, "measured {secs}");
-    }
-
-    #[test]
-    fn stopwatch_accumulates_across_intervals() {
-        let mut sw = Stopwatch::new();
-        assert_eq!(sw.elapsed(), 0.0);
-        sw.start();
-        sw.start(); // idempotent
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        sw.stop();
-        let first = sw.elapsed();
-        assert!(first >= 0.009, "measured {first}");
-        sw.stop(); // stopping twice is fine
-        sw.start();
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        sw.stop();
-        assert!(sw.elapsed() >= first + 0.009);
-    }
+    use super::parallel_map;
 
     #[test]
     fn preserves_order_and_maps_everything() {

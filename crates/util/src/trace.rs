@@ -39,7 +39,7 @@
 //! [`enable_scoped`] turns tracing on for the lifetime of the returned
 //! guard (refcounted, so concurrent traced requests compose);
 //! [`force_enable`] pins it on for the rest of the process (the
-//! `--trace-out` path in `pt-server` and `bench_all`). Per-request
+//! `--trace-out` path in `pt-server`). Per-request
 //! isolation comes from *trace ids*: a server request adopts a fresh id
 //! ([`next_trace_id`] + [`set_thread_trace`]), every span it opens —
 //! including on `parallel_map` workers — inherits that id, and
