@@ -12,10 +12,9 @@
 //! volume composition of §4.2 requires recursion-freedom).
 
 use crate::callgraph::CallGraph;
-use crate::dom::DomTree;
 use crate::loops::LoopForest;
-use crate::scev::{all_trip_counts, TripCount};
-use pt_ir::{Callee, Function, FunctionId, InstKind, Module};
+use crate::scev::TripCount;
+use pt_ir::{Callee, FunctionId, InstKind, Module};
 use std::collections::HashSet;
 
 /// Why a function was kept (not statically pruned).
@@ -85,105 +84,15 @@ impl StaticClassification {
     }
 }
 
-/// Function-local classification facts: every [`KeepReason`] except
-/// `ParametricCallee` (which needs resolved callee classes — see
-/// [`resolve_class`]), plus the loop statistics.
-///
-/// This is the per-unit half of [`classify_module`], split out so the
-/// incremental static stage can classify one function at a time against
-/// cached callee classes and still produce bit-identical results.
-#[derive(Debug, Clone)]
-pub struct LocalClassification {
-    /// Local reasons in canonical order: `NonConstantLoop`, `Irreducible`,
-    /// `Recursive`, then `RelevantExternal` in instruction order (deduped).
-    pub reasons: Vec<KeepReason>,
-    pub loop_stats: LoopStats,
-}
-
-impl LocalClassification {
-    pub fn irreducible(&self) -> bool {
-        self.reasons.contains(&KeepReason::Irreducible)
-    }
-
-    pub fn recursive(&self) -> bool {
-        self.reasons.contains(&KeepReason::Recursive)
-    }
-}
-
-/// Local classification of one function, given its precomputed loop forest
-/// and trip counts (the same values `PreparedFunction` derives, so the
-/// incremental path computes them once).
-pub fn classify_function_local(
-    func: &Function,
-    forest: &LoopForest,
-    trips: &[TripCount],
-    recursive: bool,
-    relevant_externals: &HashSet<String>,
-) -> LocalClassification {
-    let mut reasons = Vec::new();
-    let loop_stats = LoopStats {
-        total: forest.len(),
-        constant_trip: trips.iter().filter(|t| t.is_constant()).count(),
-    };
-    if trips.contains(&TripCount::Unknown) {
-        reasons.push(KeepReason::NonConstantLoop);
-    }
-    if !forest.irreducible.is_empty() {
-        reasons.push(KeepReason::Irreducible);
-    }
-    if recursive {
-        reasons.push(KeepReason::Recursive);
-    }
-    for inst in &func.insts {
-        if let InstKind::Call {
-            callee: Callee::External(name),
-            ..
-        } = &inst.kind
-        {
-            if relevant_externals.contains(name) {
-                let reason = KeepReason::RelevantExternal(name.clone());
-                if !reasons.contains(&reason) {
-                    reasons.push(reason);
-                }
-            }
-        }
-    }
-    LocalClassification {
-        reasons,
-        loop_stats,
-    }
-}
-
-/// Final class of a function from its local reasons plus its resolved
-/// callees, visited in call-site order. `callees` yields `(name,
-/// is_parametric)` for every *resolved* non-self callee (callers skip self
-/// edges and still-unresolved in-SCC members, exactly as
-/// [`classify_module`]'s bottom-up pass does).
-pub fn resolve_class<'a>(
-    local_reasons: &[KeepReason],
-    callees: impl Iterator<Item = (&'a str, bool)>,
-) -> FunctionClass {
-    let mut reasons = local_reasons.to_vec();
-    for (name, parametric) in callees {
-        if parametric {
-            let reason = KeepReason::ParametricCallee(name.to_string());
-            if !reasons.contains(&reason) {
-                reasons.push(reason);
-            }
-        }
-    }
-    if reasons.is_empty() {
-        FunctionClass::StaticallyConstant
-    } else {
-        FunctionClass::PotentiallyParametric(reasons)
-    }
-}
-
-/// Classify every function of `module`. `relevant_externals` is the library
-/// database's set of performance-relevant external symbols (§5.3) — e.g.
-/// every `MPI_*` routine and the work-charging intrinsics.
-pub fn classify_module(
+/// Classify every function of `module`. `loops(f)` yields function `f`'s
+/// loop forest and trip counts: the static stage already derives them for
+/// the taint run, so classification reads those facts instead of
+/// recomputing them. `relevant_externals` is the library database's set
+/// of performance-relevant external symbols (§5.3) — e.g. every `MPI_*`
+/// routine and the work-charging intrinsics.
+pub fn classify_module<'a>(
     module: &Module,
+    loops: impl Fn(FunctionId) -> (&'a LoopForest, &'a [TripCount]),
     relevant_externals: &HashSet<String>,
 ) -> StaticClassification {
     let _span = pt_util::trace::span("analysis", "classify");
@@ -192,66 +101,75 @@ pub fn classify_module(
 
     let mut classes: Vec<Option<FunctionClass>> = vec![None; n];
     let mut loop_stats = vec![LoopStats::default(); n];
-    let mut recursion_warnings = Vec::new();
-    let mut irreducible_warnings = Vec::new();
-
-    // Per-function local facts.
-    let mut local_reasons: Vec<Vec<KeepReason>> = vec![Vec::new(); n];
-    for fid in module.function_ids() {
-        let func = module.function(fid);
-        let dt = DomTree::dominators(func);
-        let forest = LoopForest::compute(func, &dt);
-        let trips = all_trip_counts(func, &forest);
-        let local = classify_function_local(
-            func,
-            &forest,
-            &trips,
-            cg.is_recursive(fid),
-            relevant_externals,
-        );
-        loop_stats[fid.index()] = local.loop_stats;
-        if local.irreducible() {
-            irreducible_warnings.push(fid);
-        }
-        if local.recursive() {
-            recursion_warnings.push(fid);
-        }
-        local_reasons[fid.index()] = local.reasons;
-    }
-
-    // Bottom-up propagation: a caller of a parametric function is parametric.
-    // Within an SCC the callee may be unresolved; recursion reasons already
-    // keep both sides.
+    // Bottom-up, so a caller sees its callees' classes: a caller of a
+    // parametric function is parametric. Within an SCC the callee may
+    // still be unresolved; recursion reasons already keep both sides.
     for fid in cg.bottom_up_order() {
-        let resolved = cg.callees[fid.index()]
-            .iter()
-            .filter(|&&callee| callee != fid) // self edge already flagged as recursion
-            .filter_map(|&callee| {
-                classes[callee.index()].as_ref().map(|c| {
-                    (
-                        module.function(callee).name.as_str(),
-                        matches!(c, FunctionClass::PotentiallyParametric(_)),
-                    )
-                })
-            })
-            .collect::<Vec<_>>();
-        classes[fid.index()] = Some(resolve_class(
-            &local_reasons[fid.index()],
-            resolved.into_iter(),
-        ));
+        let (forest, trips) = loops(fid);
+        loop_stats[fid.index()] = LoopStats {
+            total: forest.len(),
+            constant_trip: trips.iter().filter(|t| t.is_constant()).count(),
+        };
+        let mut reasons = Vec::new();
+        if trips.contains(&TripCount::Unknown) {
+            reasons.push(KeepReason::NonConstantLoop);
+        }
+        if !forest.irreducible.is_empty() {
+            reasons.push(KeepReason::Irreducible);
+        }
+        if cg.is_recursive(fid) {
+            reasons.push(KeepReason::Recursive);
+        }
+        let mut keep = |reason: KeepReason| {
+            if !reasons.contains(&reason) {
+                reasons.push(reason);
+            }
+        };
+        for inst in &module.function(fid).insts {
+            if let InstKind::Call {
+                callee: Callee::External(name),
+                ..
+            } = &inst.kind
+            {
+                if relevant_externals.contains(name) {
+                    keep(KeepReason::RelevantExternal(name.clone()));
+                }
+            }
+        }
+        // The self edge is already flagged as recursion.
+        for &callee in cg.callees[fid.index()].iter().filter(|&&c| c != fid) {
+            if let Some(FunctionClass::PotentiallyParametric(_)) = &classes[callee.index()] {
+                keep(KeepReason::ParametricCallee(
+                    module.function(callee).name.clone(),
+                ));
+            }
+        }
+        classes[fid.index()] = Some(if reasons.is_empty() {
+            FunctionClass::StaticallyConstant
+        } else {
+            FunctionClass::PotentiallyParametric(reasons)
+        });
     }
 
     StaticClassification {
         classes: classes.into_iter().map(|c| c.unwrap()).collect(),
         loop_stats,
-        recursion_warnings,
-        irreducible_warnings,
+        recursion_warnings: module
+            .function_ids()
+            .filter(|&f| cg.is_recursive(f))
+            .collect(),
+        irreducible_warnings: module
+            .function_ids()
+            .filter(|&f| !loops(f).0.irreducible.is_empty())
+            .collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dom::DomTree;
+    use crate::scev::all_trip_counts;
     use pt_ir::{FunctionBuilder, Type, Value};
 
     fn relevant() -> HashSet<String> {
@@ -261,6 +179,23 @@ mod tests {
             .collect()
     }
 
+    fn classify(m: &Module) -> StaticClassification {
+        let facts: Vec<(LoopForest, Vec<TripCount>)> = m
+            .functions
+            .iter()
+            .map(|f| {
+                let forest = LoopForest::compute(f, &DomTree::dominators(f));
+                let trips = all_trip_counts(f, &forest);
+                (forest, trips)
+            })
+            .collect();
+        classify_module(
+            m,
+            |f| (&facts[f.index()].0, &facts[f.index()].1[..]),
+            &relevant(),
+        )
+    }
+
     #[test]
     fn loop_free_function_is_constant() {
         let mut m = Module::new("m");
@@ -268,7 +203,7 @@ mod tests {
         let v = b.load(b.param(0), Type::I64);
         b.ret(Some(v));
         m.add_function(b.finish());
-        let c = classify_module(&m, &relevant());
+        let c = classify(&m);
         assert!(c.classes[0].is_constant());
         assert_eq!(c.pruned_count(), 1);
     }
@@ -280,7 +215,7 @@ mod tests {
         b.for_loop(0i64, 8i64, 1i64, |_, _| {});
         b.ret(None);
         m.add_function(b.finish());
-        let c = classify_module(&m, &relevant());
+        let c = classify(&m);
         assert!(c.classes[0].is_constant());
         let (total, konst) = c.module_loop_totals();
         assert_eq!((total, konst), (1, 1));
@@ -293,7 +228,7 @@ mod tests {
         b.for_loop(0i64, b.param(0), 1i64, |_, _| {});
         b.ret(None);
         m.add_function(b.finish());
-        let c = classify_module(&m, &relevant());
+        let c = classify(&m);
         match &c.classes[0] {
             FunctionClass::PotentiallyParametric(rs) => {
                 assert!(rs.contains(&KeepReason::NonConstantLoop));
@@ -313,7 +248,7 @@ mod tests {
         );
         b.ret(None);
         m.add_function(b.finish());
-        let c = classify_module(&m, &relevant());
+        let c = classify(&m);
         match &c.classes[0] {
             FunctionClass::PotentiallyParametric(rs) => {
                 assert!(rs
@@ -331,7 +266,7 @@ mod tests {
         b.call_external("print_banner", vec![], Type::Void);
         b.ret(None);
         m.add_function(b.finish());
-        let c = classify_module(&m, &relevant());
+        let c = classify(&m);
         assert!(c.classes[0].is_constant());
     }
 
@@ -346,7 +281,7 @@ mod tests {
         b.call(kernel, vec![b.param(0)], Type::Void);
         b.ret(None);
         m.add_function(b.finish());
-        let c = classify_module(&m, &relevant());
+        let c = classify(&m);
         assert!(!c.classes[0].is_constant());
         match &c.classes[1] {
             FunctionClass::PotentiallyParametric(rs) => {
@@ -366,7 +301,7 @@ mod tests {
         b.call(self_id, vec![b.param(0)], Type::Void);
         b.ret(None);
         m.add_function(b.finish());
-        let c = classify_module(&m, &relevant());
+        let c = classify(&m);
         assert!(!c.classes[0].is_constant());
         assert_eq!(c.recursion_warnings.len(), 1);
     }
@@ -386,7 +321,7 @@ mod tests {
             b.ret(None);
             prev = m.add_function(b.finish());
         }
-        let c = classify_module(&m, &relevant());
+        let c = classify(&m);
         assert_eq!(c.pruned_count(), 0);
     }
 }

@@ -1,47 +1,46 @@
-//! Content-addressed keys for per-function static artifacts.
+//! Content-addressed keys for per-function static-stage units.
 //!
-//! The incremental static stage caches one artifact per function (loop
-//! facts, classification, decoded+optimized bytecode). A cached artifact is
-//! valid exactly when *everything that influenced it* is unchanged, so each
-//! function's key must close over:
+//! The static stage's unit memo caches one unit per function (loop facts
+//! and decoded+optimized bytecode). A cached unit is valid exactly when
+//! *everything that influenced it* is unchanged, so each function's key
+//! must close over:
 //!
 //! * the **environment**: the module's function-name table (which binds
 //!   `@name` call sites to numeric ids) and its external-symbol table
 //!   (which binds library calls and host primitives to slots), plus a
-//!   caller-provided salt for configuration (the relevant-externals set);
+//!   caller-provided salt for configuration (the taint policy);
 //! * its **own printed body** ([`pt_ir::fingerprint`]);
 //! * its **strongly connected component**: any recursive cycle through a
 //!   function lies entirely inside its SCC, so all members share a joint
 //!   digest over their bodies in member order — an edit to any member
-//!   invalidates the whole component, and the `Recursive` classification
-//!   fact is covered;
+//!   invalidates the whole component;
 //! * the **keys of its out-of-component callees**, in call-site order —
 //!   this transitively reaches everything interprocedural (leaf-call
-//!   inline specs, `ParametricCallee` classification).
+//!   inline specs).
 //!
 //! Keys are computed bottom-up over the call-graph condensation (Tarjan
 //! emits SCCs callees-first), so callee keys always exist when a component
 //! is processed. Editing one function therefore invalidates exactly that
 //! function, its SCC co-members, and its transitive callers — everything
-//! else keeps its key and its cached artifact.
+//! else keeps its key and its cached unit.
 
 use crate::callgraph::CallGraph;
 use pt_ir::fingerprint::{digest_parts, function_digest};
 use pt_ir::Module;
 
-/// Per-function artifact keys for one module (index = function index).
+/// Per-function unit keys for one module (index = function index).
 #[derive(Debug, Clone)]
 pub struct UnitKeys {
     /// Environment digest shared by every key (function names in order,
     /// external symbols, salt).
     pub env: String,
-    /// Artifact key per function.
+    /// Unit key per function.
     pub keys: Vec<String>,
 }
 
-/// Compute the per-function artifact keys of `module`. `salt` folds in any
-/// configuration the artifacts depend on beyond the module text (e.g. the
-/// relevant-externals set and the taint policy).
+/// Compute the per-function unit keys of `module`. `salt` folds in any
+/// configuration the units depend on beyond the module text (e.g. the
+/// taint policy).
 pub fn unit_keys(module: &Module, cg: &CallGraph, salt: &str) -> UnitKeys {
     let n = module.functions.len();
     let bodies: Vec<String> = module

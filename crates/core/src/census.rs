@@ -230,7 +230,7 @@ pub fn table3(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pt_analysis::classify::classify_module;
+    use crate::session::SessionBuilder;
     use pt_ir::{FunctionBuilder, Type, Value};
     use pt_mpisim::{LibraryDb, MachineConfig, MpiHandler};
     use pt_taint::{InterpConfig, Interpreter};
@@ -277,14 +277,11 @@ mod tests {
     fn kinds_and_table2() {
         let m = test_module();
         let db = LibraryDb::mpi_default();
-        let relevant: std::collections::HashSet<String> =
-            db.relevant_names().map(String::from).collect();
-        let classification = classify_module(&m, &relevant);
-        let prepared = pt_taint::PreparedModule::compute(&m);
+        let statics = SessionBuilder::new(&m, "main").build().static_analysis();
         let handler = MpiHandler::new(MachineConfig::default().with_ranks(4));
         let out = Interpreter::new(
             &m,
-            &prepared,
+            &statics.prepared,
             handler,
             vec![("n".into(), 5), ("p".into(), 4)],
             InterpConfig::default(),
@@ -292,14 +289,20 @@ mod tests {
         .run_named("main", &[])
         .unwrap();
 
-        let kinds = classify_kinds(&m, &classification, &out.records, &db);
+        let kinds = classify_kinds(&m, &statics.classification, &out.records, &db);
         assert_eq!(kinds[0], FuncKind::ConstantStatic, "getter");
         assert_eq!(kinds[1], FuncKind::Kernel, "kernel");
         assert_eq!(kinds[2], FuncKind::Comm, "comm");
         assert_eq!(kinds[3], FuncKind::ConstantDynamic, "dead_io");
         assert_eq!(kinds[4], FuncKind::Kernel, "main");
 
-        let t2 = table2(&m, &prepared, &kinds, &classification, &out.records);
+        let t2 = table2(
+            &m,
+            &statics.prepared,
+            &kinds,
+            &statics.classification,
+            &out.records,
+        );
         assert_eq!(t2.pruned_static, 1);
         assert_eq!(t2.pruned_dynamic, 1);
         assert_eq!(t2.kernels, 2);
@@ -315,26 +318,23 @@ mod tests {
     fn table3_counts_param_coverage() {
         let m = test_module();
         let db = LibraryDb::mpi_default();
-        let relevant: std::collections::HashSet<String> =
-            db.relevant_names().map(String::from).collect();
-        let classification = classify_module(&m, &relevant);
-        let prepared = pt_taint::PreparedModule::compute(&m);
+        let statics = SessionBuilder::new(&m, "main").build().static_analysis();
         let handler = MpiHandler::new(MachineConfig::default().with_ranks(4));
         let out = Interpreter::new(
             &m,
-            &prepared,
+            &statics.prepared,
             handler,
             vec![("n".into(), 5), ("p".into(), 4)],
             InterpConfig::default(),
         )
         .run_named("main", &[])
         .unwrap();
-        let kinds = classify_kinds(&m, &classification, &out.records, &db);
-        let deps = crate::deps::extract_deps(&m, &prepared, &out.records, &out.labels, &db);
+        let kinds = classify_kinds(&m, &statics.classification, &out.records, &db);
+        let deps = crate::deps::extract_deps(&m, &statics.prepared, &out.records, &out.labels, &db);
         let names: Vec<String> = out.labels.param_names().to_vec();
         let t3 = table3(
             &m,
-            &prepared,
+            &statics.prepared,
             &kinds,
             &deps,
             &out.records,

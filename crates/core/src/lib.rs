@@ -39,8 +39,8 @@
 //! One-shot use is just a throwaway session (`SessionBuilder::new(&m,
 //! entry).build().taint_run(params)`). Long-lived callers share static
 //! stages across sessions — and across module *edits* — through a
-//! content-keyed [`SessionCache`] backed by the per-function artifact
-//! cache of [`incremental`]. Every fallible API returns the unified
+//! content-keyed [`SessionCache`] backed by the per-function unit memo
+//! of [`incremental`]. Every fallible API returns the unified
 //! [`PtError`]; substrate error types (`InterpError`, `ParseError`) never
 //! leak.
 //!
@@ -49,9 +49,9 @@
 //! * [`session`] — [`Session`] / [`SessionBuilder`]: memoized static stage
 //!   ([`StaticArtifacts`]), staged taint runs, parallel batching, and the
 //!   [`Analysis`] artifact they produce.
-//! * [`incremental`] — the content-addressed per-function artifact cache
+//! * [`incremental`] — the content-addressed per-function unit memo
 //!   ([`FunctionArtifactCache`], [`ReuseStats`]) behind [`SessionCache`]'s
-//!   near-constant-time in-process edit loops.
+//!   in-process edit loops.
 //! * [`error`] — [`PtError`], the workspace-wide error enum.
 //! * [`volume`] — symbolic compute volumes (Claims 1–2, Theorem 1) and
 //!   [`volume::DepStructure`] monomial sets.
@@ -85,7 +85,7 @@ pub use census::{FuncKind, Table2, Table3};
 pub use design::{design_experiments, DesignReport};
 pub use error::PtError;
 pub use hybrid::{compare_against_truth, model_functions, FunctionModel, ModelComparison};
-pub use incremental::{FunctionArtifact, FunctionArtifactCache, ReuseStats};
+pub use incremental::{FunctionArtifactCache, ReuseStats};
 pub use pipeline::PipelineConfig;
 pub use report::{
     analysis_summary, static_summary, BenchReport, RunStatus, ScenarioRecord, BENCH_SCHEMA_VERSION,

@@ -33,7 +33,7 @@
 use crate::census::{classify_kinds, table2, table3, FuncKind, Table2, Table3};
 use crate::deps::{extern_deps, extract_deps};
 use crate::error::PtError;
-use crate::incremental::{FunctionArtifactCache, ReuseStats};
+use crate::incremental::{unit_salt, FunctionArtifactCache, ReuseStats};
 use crate::pipeline::PipelineConfig;
 use crate::validate::BranchObservations;
 use crate::volume::DepStructure;
@@ -42,6 +42,7 @@ use pt_extrap::Restriction;
 use pt_ir::{FunctionId, Module};
 use pt_mpisim::MpiHandler;
 use pt_taint::prepared::PreparedModule;
+use pt_taint::unit::UnitMemo;
 use pt_taint::{Interpreter, LabelTable, PolicyKind, TaintRecords};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -59,9 +60,9 @@ pub struct StaticArtifacts {
     /// Precomputed per-function facts (loops, postdominators, trip counts).
     pub prepared: PreparedModule,
     /// How this stage was obtained, unit by unit: recomputed from scratch,
-    /// or assembled from the per-function artifact cache (see
-    /// [`crate::incremental`]). Accounting only — never part of any
-    /// deterministic summary.
+    /// or taken from the per-function unit memo (see
+    /// [`crate::incremental`]); classification is always recomputed.
+    /// Accounting only — never part of any deterministic summary.
     pub reuse: ReuseStats,
 }
 
@@ -99,8 +100,8 @@ impl<'m> SessionBuilder<'m> {
         self
     }
 
-    /// Run the static stage incrementally against a shared per-function
-    /// artifact cache instead of recomputing it whole (see
+    /// Run the static stage against a shared per-function unit memo, so
+    /// only units whose content keys are new get computed (see
     /// [`crate::incremental`]). [`SessionCache`] wires this automatically.
     pub fn units(mut self, cache: Arc<FunctionArtifactCache>) -> SessionBuilder<'m> {
         self.units = Some(cache);
@@ -147,19 +148,35 @@ impl<'m> Session<'m> {
         self.statics
             .get_or_init(|| {
                 let _span = pt_util::trace::span("session", "static_stage");
+                // One path for every session: with a shared memo it
+                // recomputes only the units whose content keys changed.
+                // Classification reads the loop facts `build` just
+                // produced, inside the same `decode` span.
+                let _decode = pt_util::trace::span("taint", "decode");
+                let salt = unit_salt(self.config.interp.taint_policy);
+                let memo = self
+                    .units
+                    .as_deref()
+                    .map(|cache| (cache as &dyn UnitMemo, salt.as_str()));
+                let (prepared, reused) = PreparedModule::build(self.module, memo);
                 let relevant: HashSet<String> =
                     self.config.db.relevant_names().map(String::from).collect();
-                Arc::new(match &self.units {
-                    // Incremental: assemble from the per-function artifact
-                    // cache, recomputing only what the content keys say
-                    // changed. Bit-identical to the plain path below.
-                    Some(cache) => {
-                        cache.compute(self.module, &relevant, self.config.interp.taint_policy)
-                    }
-                    None => StaticArtifacts {
-                        classification: classify_module(self.module, &relevant),
-                        prepared: PreparedModule::compute(self.module),
-                        reuse: ReuseStats::all_recomputed(self.module.functions.len()),
+                let classification = classify_module(
+                    self.module,
+                    |f| {
+                        let facts = prepared.func(f);
+                        (&facts.forest, &facts.trip_counts[..])
+                    },
+                    &relevant,
+                );
+                let total = self.module.functions.len();
+                Arc::new(StaticArtifacts {
+                    classification,
+                    prepared,
+                    reuse: ReuseStats {
+                        total,
+                        reused_memory: reused,
+                        recomputed: total - reused,
                     },
                 })
             })
@@ -292,7 +309,6 @@ impl<'m> Session<'m> {
             labels: out.labels,
             taint_run_time: out.time,
             taint_run_core_hours: out.time * ranks as f64 / 3600.0,
-            taint_wall_seconds,
             axis_cache: Mutex::new(Vec::new()),
         })
     }
@@ -338,11 +354,11 @@ impl<'m> Session<'m> {
 /// Two granularities of sharing compose here:
 /// * **whole-module**: an unchanged module resubmitted under any name hits
 ///   the content-keyed slot and pays nothing;
-/// * **per-function**: an *edited* module misses the slot but assembles
-///   its static stage from the [`FunctionArtifactCache`] the sessions
-///   share, recomputing only the edited function's invalidation cone (see
-///   [`crate::incremental`]). Units live in memory only: a new process
-///   recomputes them, which is cheaper than loading them would be.
+/// * **per-function**: an *edited* module misses the slot but builds its
+///   static stage against the [`FunctionArtifactCache`] unit memo the
+///   sessions share, recomputing only the edited function's invalidation
+///   cone (see [`crate::incremental`]). Units live in memory only: a new
+///   process recomputes them, which is cheaper than loading them would be.
 ///
 /// One caveat: cached sessions use the default MPI pipeline configuration
 /// — custom configurations (e.g. ablated taint policies) change what the
@@ -392,8 +408,8 @@ impl SessionCache {
     /// [`SessionCache::evictions`]). A capacity of 0 is treated as 1 —
     /// the entry being requested is never evicted under its requester.
     /// Eviction is pure degradation: a dropped module recomputes its
-    /// static stage on the next request (assembled from the per-function
-    /// unit cache, which this bound does not touch).
+    /// static stage on the next request (against the per-function unit
+    /// memo, which this bound does not touch).
     pub fn with_capacity(mut self, entries: Option<usize>) -> SessionCache {
         self.capacity = entries.map(|n| n.max(1));
         self
@@ -401,8 +417,8 @@ impl SessionCache {
 
     /// A session over `module` whose static stage is shared with every
     /// other session this cache produced for the same module *content* —
-    /// and assembled incrementally from the per-function artifact cache
-    /// when the content is new.
+    /// and built against the per-function unit memo when the content is
+    /// new.
     pub fn get_or_compute<'m>(&self, module: &'m Module, entry: &str) -> Session<'m> {
         self.get_or_compute_with_policy(module, entry, PolicyKind::from_env())
     }
@@ -521,10 +537,6 @@ pub struct Analysis {
     pub taint_run_time: f64,
     /// Core-hours spent on the taint run (§A3 accounting).
     pub taint_run_core_hours: f64,
-    /// Real wall-clock seconds the dynamic taint run took on the decoded
-    /// engine (nondeterministic — excluded from served summaries; see
-    /// [`crate::report::analysis_summary`]).
-    pub taint_wall_seconds: f64,
     /// Memoized app-parameter → model-axis mappings, keyed by the
     /// `model_params` vector they were computed for.
     axis_cache: Mutex<Vec<(Vec<String>, AxisMapping)>>,
@@ -550,12 +562,6 @@ impl Analysis {
     /// measurement runs without recomputing).
     pub fn prepared(&self) -> &PreparedModule {
         &self.statics.prepared
-    }
-
-    /// Wall seconds the decode stage of the shared static artifacts took
-    /// (paid once per module, amortized over every run).
-    pub fn decode_seconds(&self) -> f64 {
-        self.statics.prepared.decode_seconds
     }
 
     /// Index of a parameter in taint order.

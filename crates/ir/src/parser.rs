@@ -78,6 +78,11 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
             i += 1;
         } else if line.starts_with("func @") {
             let (func, consumed) = parse_function(&lines, i)?;
+            // `add_function` asserts unique names; untrusted text gets an
+            // error instead.
+            if module.function_by_name(&func.name).is_some() {
+                return err(i + 1, format!("duplicate function @{}", func.name));
+            }
             module.add_function(func);
             i = consumed;
         } else {
@@ -667,6 +672,14 @@ mod tests {
         let e = parse_module(text).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("unknown instruction"));
+    }
+
+    #[test]
+    fn duplicate_function_is_a_located_error() {
+        let text = "func @f() -> void {\nbb0:\n  ret\n}\n\nfunc @f() -> void {\nbb0:\n  ret\n}\n";
+        let e = parse_module(text).unwrap_err();
+        assert_eq!(e.line, 6, "names the second definition");
+        assert!(e.message.contains("duplicate function @f"), "{e}");
     }
 
     #[test]

@@ -149,8 +149,8 @@ pub struct ServerState {
     /// restarted server can serve hashes submitted to a previous process).
     modules: Mutex<HashMap<String, Arc<Module>>>,
     /// In-process static-stage sharing, keyed by module content hash —
-    /// backed by a store-persistent per-function artifact cache, so an
-    /// edited module recomputes only the edited function's cone.
+    /// backed by an in-memory per-function unit memo, so an edited module
+    /// recomputes only the edited function's cone.
     sessions: SessionCache,
     /// Worker threads available to `analyze_batch` fan-out.
     pub workers: usize,

@@ -249,6 +249,35 @@ fn wrong_field_types_are_bad_requests() {
 }
 
 #[test]
+fn a_duplicate_function_name_is_a_parse_error() {
+    let dir = fresh_store_dir("duplicate");
+    let state = ServerState::new(Store::open(&dir).expect("store"), 1, 4);
+    let text = "func @f() -> void {\nbb0:\n  ret\n}\nfunc @f() -> void {\nbb0:\n  ret\n}\n";
+    let line = request_envelope(
+        1,
+        "submit_module",
+        Value::obj(vec![("text", Value::str(text))]),
+    );
+    let response = handle_line(&state, &line.render());
+    assert_eq!(
+        error_kind(&response),
+        Some("parse"),
+        "{}",
+        response.render()
+    );
+    let message = response
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .unwrap_or_default();
+    assert!(
+        message.contains("line 5"),
+        "names the second definition: {message}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_connection_serves_valid_requests_after_malformed_ones() {
     let store_dir = fresh_store_dir("live");
     let server = Server::bind(&ServerConfig::loopback(&store_dir, 1)).expect("bind");

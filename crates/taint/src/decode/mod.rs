@@ -30,15 +30,16 @@
 //!   its exiting-loop list and immediate postdominator — the hot loop
 //!   never touches a `HashMap`.
 //!
-//! Decoding is part of the static stage ([`crate::prepared`]), so a
-//! `perf_taint::Session`-style cache shares the decoded program across
-//! every run of a module. After the straight translation below, the
-//! [`passes`] pipeline rewrites each function in place: superinstruction
-//! fusion collapses the hot `cmp+condbr` and `gep+load` / `gep+store`
-//! pairs into single fused operations ([`DOp::LoadIdx`], [`DOp::StoreIdx`],
-//! [`DTerm::CondBrCmp`]), and a linear-scan register allocation renumbers
-//! virtual registers by live range so pooled frames shrink to the
-//! function's true register pressure. The legacy tree-walker survives as
+//! Decoding is part of the static stage ([`crate::unit`] drives it, one
+//! function at a time), so a `perf_taint::Session` shares the decoded
+//! program across every run of a module. After the straight translation
+//! below, the [`passes`] rewrite each function in place: constant
+//! folding, superinstruction fusion of the hot `cmp+condbr` and
+//! `gep+load` / `gep+store` pairs ([`DOp::LoadIdx`], [`DOp::StoreIdx`],
+//! [`DTerm::CondBrCmp`]), leaf-call inlining, and a linear-scan register
+//! allocation that renumbers virtual registers by live range so pooled
+//! frames shrink to the function's true register pressure. The legacy
+//! tree-walker survives as
 //! [`crate::reference`], and [`crate::differential`] states the contract
 //! between the two: bit-identical run artifacts.
 
@@ -237,7 +238,7 @@ pub enum DOp {
         callee: FunctionId,
         args: Box<[Opnd]>,
     },
-    /// A whole leaf call fused into the caller ([`passes::inline_leaf_calls`]):
+    /// A whole leaf call fused into the caller ([`passes::inline_calls_in`]):
     /// the callee is single-block, call-free, and alloca-free, its body's
     /// operands rewritten into the caller's frame (arguments substituted
     /// in place, locals renumbered into fresh caller slots). One dispatch
@@ -339,8 +340,8 @@ pub struct DecodedFunction {
     /// Function name (runtime error messages).
     pub name: String,
     pub nparams: usize,
-    /// Frame size in registers. Straight out of [`DecodedModule::decode`]
-    /// this is `nparams` argument registers + one per instruction; after
+    /// Frame size in registers. Straight out of [`decode_function`] this
+    /// is `nparams` argument registers + one per instruction; after
     /// [`passes::allocate_registers`] it is the function's true register
     /// pressure (registers renumbered by live range, never larger).
     pub nregs: usize,
@@ -378,8 +379,8 @@ pub struct DecodedModule {
 /// symbol table (library calls embed pseudo ids `nfuncs + ext_index`),
 /// and the host-primitive table. It is a pure function of the module's
 /// function-name list and external-symbol set — *not* of any function
-/// body — which is what lets a per-function artifact cache decode one
-/// edited function against an otherwise unchanged environment.
+/// body — which is what lets a per-function unit memo decode one edited
+/// function against an otherwise unchanged environment.
 pub struct DecodeEnv {
     pub nfuncs: usize,
     /// [`Module::used_externals`] order (sorted).
@@ -423,23 +424,6 @@ impl DecodeEnv {
 }
 
 impl DecodedModule {
-    /// Decode every function of `module` against its precomputed facts
-    /// (`prepared[i]` must correspond to `module.functions[i]`).
-    pub fn decode(module: &Module, prepared: &[PreparedFunction]) -> DecodedModule {
-        let env = DecodeEnv::of(module);
-        let functions = module
-            .functions
-            .iter()
-            .zip(prepared)
-            .map(|(f, p)| decode_function(f, p, &env))
-            .collect();
-        DecodedModule {
-            functions,
-            extern_names: env.extern_names,
-            host_prim_names: env.host_prim_names,
-        }
-    }
-
     #[inline]
     pub fn func(&self, id: FunctionId) -> &DecodedFunction {
         &self.functions[id.index()]
@@ -454,9 +438,8 @@ fn const_bits(c: Const) -> u64 {
     }
 }
 
-/// Decode one function against the module symbol environment. This is the
-/// per-function entry point the incremental static stage uses; the
-/// whole-module [`DecodedModule::decode`] is a loop over it.
+/// Decode one function against the module symbol environment
+/// ([`crate::unit`] calls this once per function).
 pub fn decode_function(
     func: &Function,
     prep: &PreparedFunction,

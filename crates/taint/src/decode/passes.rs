@@ -1,9 +1,14 @@
 //! Post-decode optimization passes over [`DecodedFunction`] bytecode.
 //!
-//! [`DecodedModule::decode`] produces a straight translation of the IR:
-//! one [`DInst`] per instruction, one virtual register per instruction
-//! result. This module rewrites that program in place — once, at static
-//! time — so the dispatch loop retires fewer, denser operations:
+//! [`super::decode_function`] produces a straight translation of one IR
+//! function: one [`DInst`] per instruction, one virtual register per
+//! instruction result. The passes below rewrite that bytecode in place —
+//! once, at static time — so the dispatch loop retires fewer, denser
+//! operations. Each pass works on one function; the static stage
+//! ([`crate::unit`]) runs them per function in this order:
+//!
+//! * [`fold_constants`] — immediate-only operations become
+//!   [`DOp::Const`], and constant-index `gep`s get a unit stride.
 //!
 //! * [`fuse`] — **superinstruction fusion**, a peephole over each block:
 //!   - `cmp` + `condbr`, when the comparison's only consumer is the
@@ -21,11 +26,18 @@
 //!   with the reference engine ([`crate::differential`]) stays
 //!   bit-identical.
 //!
-//! * [`allocate_registers`] — **linear-scan register allocation**: virtual
-//!   registers are renumbered by live range so a frame holds the
-//!   function's true register pressure instead of one slot per
-//!   instruction. Pooled frames get proportionally cheaper to clear and
-//!   the working set drops to a few cache lines. Invariants:
+//! * [`inline_calls_in`] — **leaf-call inlining**: a call to a small,
+//!   single-block, call-free callee becomes one [`DOp::CallInlined`],
+//!   against the callee's [`InlineSpec`] (captured by [`inline_spec_of`]
+//!   after fusion and before allocation). Callees are finished first
+//!   because [`crate::unit`] walks the call graph bottom-up.
+//!
+//! * [`allocate_registers`] — **linear-scan register allocation**, last
+//!   and only on SSA-verified functions: virtual registers are renumbered
+//!   by live range so a frame holds the function's true register pressure
+//!   instead of one slot per instruction. Pooled frames get
+//!   proportionally cheaper to clear and the working set drops to a few
+//!   cache lines. Invariants:
 //!   - parameters keep slots `0..nparams` (the frame-setup argument copy
 //!     relies on it);
 //!   - two virtual registers that are ever simultaneously live get
@@ -35,18 +47,14 @@
 //!     *starting after* `p`, so within one dispatch (reads happen before
 //!     the write, and phi parallel copies are staged) no value is
 //!     clobbered early.
-//!
-//! [`optimize`] runs both passes over every function of a module and is
-//! invoked by [`crate::prepared::PreparedModule::compute`], so every
-//! consumer of shared static artifacts executes the fused, re-allocated
-//! program.
 
-use super::{DInst, DOp, DTerm, DecodedFunction, DecodedModule, Edge, Opnd};
+use super::{DInst, DOp, DTerm, DecodedFunction, Edge, Opnd};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-/// What the pass pipeline did to a module (reported by
-/// `taint_throughput`, asserted by tests).
+/// What the passes did to a function, or — summed — to a module
+/// (reported by `taint_throughput`, asserted by tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Immediate-only operations folded into [`DOp::Const`].
@@ -67,50 +75,17 @@ pub struct PassStats {
     pub regs_after: usize,
 }
 
-/// Run the full pass pipeline — fusion, leaf-call inlining, then register
-/// allocation — over every function of `module`. `ssa_clean[i]` reports
-/// whether function `i` passed semantic SSA verification
-/// (`pt_analysis::ssa_verify`): fusion is position-local and always safe,
-/// but call inlining (body definitions must precede their uses) and
-/// register renumbering — plus the interpreter's skip-the-frame-clear
-/// fast path it unlocks — are only sound when definitions dominate uses,
-/// so unverified functions keep the naive layout.
-pub fn optimize(module: &mut DecodedModule, ssa_clean: &[bool]) -> PassStats {
-    let _span = pt_util::trace::span("taint", "passes");
-    let mut stats = PassStats::default();
-    {
-        let _fold = pt_util::trace::span("pass", "fold_constants");
-        for f in &mut module.functions {
-            let (folded, reduced) = fold_constants(f);
-            stats.folded += folded;
-            stats.reduced_geps += reduced;
-        }
+impl std::ops::AddAssign for PassStats {
+    fn add_assign(&mut self, o: PassStats) {
+        self.folded += o.folded;
+        self.reduced_geps += o.reduced_geps;
+        self.fused_cmp_br += o.fused_cmp_br;
+        self.fused_loads += o.fused_loads;
+        self.fused_stores += o.fused_stores;
+        self.inlined_calls += o.inlined_calls;
+        self.regs_before += o.regs_before;
+        self.regs_after += o.regs_after;
     }
-    {
-        let _fuse = pt_util::trace::span("pass", "fuse");
-        for f in &mut module.functions {
-            stats.regs_before += f.nregs;
-            let (cb, ld, st) = fuse(f);
-            stats.fused_cmp_br += cb;
-            stats.fused_loads += ld;
-            stats.fused_stores += st;
-        }
-    }
-    {
-        let _inline = pt_util::trace::span("pass", "inline_leaf_calls");
-        stats.inlined_calls = inline_leaf_calls(module, ssa_clean);
-    }
-    {
-        let _regalloc = pt_util::trace::span("pass", "allocate_registers");
-        for (f, &clean) in module.functions.iter_mut().zip(ssa_clean) {
-            if clean {
-                allocate_registers(f);
-                f.ssa_clean = true;
-            }
-            stats.regs_after += f.nregs;
-        }
-    }
-    stats
 }
 
 /// Fold operations whose operands are all immediates into [`DOp::Const`],
@@ -260,10 +235,10 @@ const INLINE_MAX_BODY: usize = 48;
 /// A callee eligible for whole-call inlining, captured pre-regalloc so
 /// register `nparams + i` is still "instruction `i`".
 ///
-/// Public (and cached per function by the incremental static stage) so an
-/// edited caller can be re-optimized against its callees' specs without
-/// re-decoding the callees: the spec is exactly the slice of callee state
-/// the inlining pass reads.
+/// Kept in each function's unit ([`crate::unit::FunctionUnit`]) so an
+/// edited caller can be re-optimized against memoized callees' specs
+/// without re-decoding the callees: the spec is exactly the slice of
+/// callee state the inlining pass reads.
 #[derive(Debug, Clone)]
 pub struct InlineSpec {
     pub entry: pt_ir::BlockId,
@@ -317,35 +292,18 @@ fn inlinable_op(op: &DOp) -> bool {
     )
 }
 
-/// Flatten every call to a single-block, call-free, alloca-free,
-/// SSA-verified callee into a [`DOp::CallInlined`] superinstruction in
-/// the caller. Returns the number of call sites inlined.
+/// Flatten every call in `f` to a single-block, call-free, alloca-free,
+/// SSA-verified callee into a [`DOp::CallInlined`] superinstruction.
+/// `specs[i]` is function `i`'s spec: `None` when it is ineligible, or
+/// still unfinished within the caller's own SCC (whose members are never
+/// eligible anyway, since their bodies contain calls). Returns the number
+/// of call sites inlined.
 ///
 /// Arguments are substituted into the body as the caller-space operands
 /// of the call (sound because the body cannot write caller registers:
 /// its locals are renumbered into fresh slots appended to the caller's
 /// frame — which the subsequent register allocation then collapses).
-pub fn inline_leaf_calls(module: &mut DecodedModule, ssa_clean: &[bool]) -> usize {
-    let specs: Vec<Option<InlineSpec>> = module
-        .functions
-        .iter()
-        .zip(ssa_clean)
-        .map(|(f, &clean)| inline_spec_of(f, clean))
-        .collect();
-    let refs: Vec<Option<&InlineSpec>> = specs.iter().map(|s| s.as_ref()).collect();
-    module
-        .functions
-        .iter_mut()
-        .map(|f| inline_calls_in(f, &refs))
-        .sum()
-}
-
-/// Rewrite every inlinable call site of one caller against the callee
-/// specs (`specs[i]` = spec of function `i`, `None` when ineligible or —
-/// in the incremental path — still unresolved within the caller's own
-/// SCC, whose members are never eligible anyway since their bodies
-/// contain calls). Returns the number of call sites inlined.
-pub fn inline_calls_in(f: &mut DecodedFunction, specs: &[Option<&InlineSpec>]) -> usize {
+pub fn inline_calls_in(f: &mut DecodedFunction, specs: &[Option<Arc<InlineSpec>>]) -> usize {
     let mut inlined = 0usize;
     let mut nregs = f.nregs;
     for blk in &mut f.blocks {
@@ -354,7 +312,7 @@ pub fn inline_calls_in(f: &mut DecodedFunction, specs: &[Option<&InlineSpec>]) -
                 continue;
             };
             let callee = *callee;
-            let Some(spec) = specs[callee.index()] else {
+            let Some(spec) = specs[callee.index()].as_deref() else {
                 continue;
             };
             if args.len() != spec.nparams {

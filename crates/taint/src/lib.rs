@@ -9,6 +9,10 @@
 //! * [`path`] — calling-context interning (context-aware records, §5.2).
 //! * [`prepared`] — precomputed per-function facts (loops, postdominators,
 //!   back edges, trip counts) plus the decoded program.
+//! * [`mod@unit`] — the static stage's one entry point,
+//!   [`PreparedModule::build`]: one unit (facts plus optimized bytecode)
+//!   per function, bottom-up over the call graph, with an optional
+//!   content-keyed memo.
 //! * [`decode`] — the decode stage: each function compiled once into a
 //!   flat bytecode (pre-resolved operands, folded types, pre-bound
 //!   callees, per-edge phi move lists, inlined branch metadata), then

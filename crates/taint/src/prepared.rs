@@ -5,14 +5,16 @@
 //! §4.1), (b) whether a CFG edge is a loop back edge (for iteration
 //! counting), and (c) the immediate postdominator of the branch block (the
 //! join point where a control-flow taint scope closes, §5.2 control-flow
-//! tainting). All of that is static, so we compute it once per module.
+//! tainting). All of that is static and function-local:
+//! [`PreparedFunction::compute`] derives it from one function body.
 //!
-//! On top of those facts, [`PreparedModule::compute`] runs the **decode
-//! stage** ([`crate::decode`]): each function is compiled once into a flat
-//! [`DecodedFunction`] bytecode that the production interpreter executes.
-//! Both live here so anything that shares a `PreparedModule` (a
-//! `perf_taint::Session`'s static artifacts, the bench scenario cache, the
-//! analysis service) automatically shares the decoded program too.
+//! A [`PreparedModule`] holds those facts for every function next to the
+//! decoded, optimized program ([`crate::decode`]). It is assembled by the
+//! static stage's one entry point, [`PreparedModule::build`] (see
+//! [`crate::unit`]); [`PreparedModule::compute`] is that call without a
+//! unit memo. Anything that shares a `PreparedModule` (a
+//! `perf_taint::Session`'s static artifacts, the analysis service) shares
+//! the decoded program too.
 
 use crate::decode::passes::PassStats;
 use crate::decode::DecodedModule;
@@ -25,9 +27,9 @@ use std::collections::HashMap;
 /// Static facts about one function.
 ///
 /// Everything in here is a pure function of the function body alone (no
-/// module-level inputs), which is what lets the incremental static stage
-/// cache and reuse it per function; `Clone` supports assembling a
-/// [`PreparedModule`] from cached units.
+/// module-level inputs), which is what lets a unit memo reuse it per
+/// function; `Clone` supports assembling a [`PreparedModule`] from
+/// memoized units.
 #[derive(Debug, Clone)]
 pub struct PreparedFunction {
     pub forest: LoopForest,
@@ -117,46 +119,17 @@ pub struct PreparedModule {
     /// each [`crate::decode::DecodedFunction::nregs`] reflect the
     /// allocated register pressure, not the instruction count).
     pub decoded: DecodedModule,
-    /// What the post-decode pass pipeline ([`crate::decode::passes`]) did:
-    /// fused pair counts and frame registers before/after allocation.
+    /// What the post-decode passes ([`crate::decode::passes`]) did:
+    /// folded and fused counts, inlined calls, and frame registers
+    /// before/after allocation, summed over the functions.
     pub pass_stats: PassStats,
-    /// Wall seconds the decode stage (including the pass pipeline) took
-    /// (*not* part of any deterministic summary).
-    pub decode_seconds: f64,
-    /// Wall seconds of `decode_seconds` spent inside the post-decode pass
-    /// pipeline alone (fusion + inlining + register allocation).
-    pub pass_seconds: f64,
 }
 
 impl PreparedModule {
+    /// Loop facts and the optimized program for every function of
+    /// `module`: [`PreparedModule::build`] with no unit memo.
     pub fn compute(module: &Module) -> PreparedModule {
-        let _span = pt_util::trace::span("taint", "decode");
-        let functions: Vec<PreparedFunction> = module
-            .functions
-            .iter()
-            .map(PreparedFunction::compute)
-            .collect();
-        let t0 = std::time::Instant::now();
-        let mut decoded = DecodedModule::decode(module, &functions);
-        // Register allocation (and the frame fast path it unlocks) is only
-        // sound when definitions dominate uses; malformed programs keep
-        // the naive frame so both engines observe identical zero-filled
-        // registers.
-        let ssa_clean: Vec<bool> = module
-            .functions
-            .iter()
-            .map(|f| pt_analysis::ssa_verify::verify_ssa(f).is_ok())
-            .collect();
-        let p0 = std::time::Instant::now();
-        let pass_stats = crate::decode::passes::optimize(&mut decoded, &ssa_clean);
-        let pass_seconds = p0.elapsed().as_secs_f64();
-        PreparedModule {
-            functions,
-            decoded,
-            pass_stats,
-            decode_seconds: t0.elapsed().as_secs_f64(),
-            pass_seconds,
-        }
+        PreparedModule::build(module, None).0
     }
 
     #[inline]

@@ -1,27 +1,25 @@
-//! Per-function static-stage units and their assembly into a
-//! [`PreparedModule`].
+//! The static stage, one per-function unit at a time, bottom-up.
 //!
-//! [`PreparedModule::compute`] runs the whole static stage — loop facts,
-//! decode, and the pass pipeline — module-at-a-time. That pipeline in fact
-//! decomposes per function:
+//! Every piece of the static stage decomposes per function:
 //!
 //! * [`PreparedFunction::compute`] is purely function-local;
 //! * decoding needs only the module *symbol environment*
 //!   ([`DecodeEnv`]: function-name table, external table, prim table),
 //!   never another function's body;
-//! * of the passes, fusion is function-local, register allocation is
+//! * of the passes, constant folding, fusion and register allocation are
 //!   function-local, and leaf-call inlining needs exactly the direct
 //!   callees' [`InlineSpec`]s — captured post-fuse, pre-regalloc, and
 //!   `None` for any function whose body contains calls (so members of a
 //!   call-graph cycle never have one).
 //!
-//! [`compute_unit`] packages that per-function slice of the stage; running
-//! it bottom-up over the call graph (callees before callers, so specs are
-//! available) and [`assemble`]-ing the units reproduces
-//! [`PreparedModule::compute`] *bit-identically* — pass-stat totals
-//! included. That equivalence (asserted by the differential test below) is
-//! what lets `perf_taint`'s incremental static stage swap cached units in
-//! for recomputation.
+//! [`PreparedModule::build`] therefore walks the call graph bottom-up
+//! (callees before callers, so every spec a caller inlines is final) and
+//! produces one [`FunctionUnit`] per function. With a [`UnitMemo`] it
+//! looks each unit up by its content key ([`pt_analysis::unitkey`]) and
+//! computes only the misses; that is what makes an edited module cheap to
+//! re-analyze. Without one it computes no keys and moves every unit
+//! straight into the result. [`PreparedModule::compute`] is the memo-less
+//! call.
 
 use crate::decode::passes::{
     allocate_registers, fold_constants, fuse, inline_calls_in, inline_spec_of, InlineSpec,
@@ -29,7 +27,10 @@ use crate::decode::passes::{
 };
 use crate::decode::{decode_function, DecodeEnv, DecodedFunction, DecodedModule};
 use crate::prepared::{PreparedFunction, PreparedModule};
-use pt_ir::{FunctionId, Module};
+use pt_analysis::unitkey::unit_keys;
+use pt_analysis::CallGraph;
+use pt_ir::{Function, Module};
+use std::sync::Arc;
 
 /// Everything the static stage produces for one function: the prepared
 /// facts, the fully optimized bytecode, the inline spec callers need, and
@@ -37,50 +38,53 @@ use pt_ir::{FunctionId, Module};
 #[derive(Debug, Clone)]
 pub struct FunctionUnit {
     pub prepared: PreparedFunction,
-    /// Decoded, fused, (callee-)inlined, register-allocated bytecode.
+    /// Decoded, folded, fused, (callee-)inlined, register-allocated
+    /// bytecode.
     pub decoded: DecodedFunction,
     /// This function's own spec, for *its* callers — captured after fusion
-    /// and before register allocation, exactly when the module-wide
-    /// pipeline captures it.
-    pub inline_spec: Option<InlineSpec>,
-    pub ssa_clean: bool,
-    /// Per-function pass statistics; field-wise sums over a module's units
-    /// equal the module-wide [`PassStats`].
+    /// and before register allocation.
+    pub inline_spec: Option<Arc<InlineSpec>>,
+    /// Per-function pass statistics; a module's [`PassStats`] is their
+    /// field-wise sum.
     pub stats: PassStats,
 }
 
-/// Run the static stage for one function. `specs[i]` must hold function
-/// `i`'s [`InlineSpec`] for every already-processed callee (bottom-up
-/// order guarantees all out-of-SCC callees; in-SCC callees may be `None`
-/// — they are never eligible anyway, their bodies contain calls).
-pub fn compute_unit(
-    module: &Module,
-    fid: FunctionId,
+/// A content-addressed store of finished units that
+/// [`PreparedModule::build`] consults before computing one. A unit is
+/// valid exactly as long as its key is; see [`pt_analysis::unitkey`] for
+/// what a key closes over.
+pub trait UnitMemo {
+    /// The unit stored under `key`, if any.
+    fn get(&self, key: &str) -> Option<Arc<FunctionUnit>>;
+    /// Keep a freshly computed unit under `key`.
+    fn put(&self, key: String, unit: Arc<FunctionUnit>);
+}
+
+/// Run the static stage for one function. `specs[i]` holds function `i`'s
+/// [`InlineSpec`] once its unit is finished (bottom-up order finishes all
+/// out-of-SCC callees first; in-SCC callees may still be `None`, but their
+/// bodies contain calls, so they never have a spec anyway).
+fn compute_unit(
+    func: &Function,
     env: &DecodeEnv,
-    specs: &[Option<&InlineSpec>],
+    specs: &[Option<Arc<InlineSpec>>],
 ) -> FunctionUnit {
-    let func = module.function(fid);
     let prepared = PreparedFunction::compute(func);
     let ssa_clean = pt_analysis::ssa_verify::verify_ssa(func).is_ok();
     let mut decoded = decode_function(func, &prepared, env);
 
+    let _passes_span = pt_util::trace::span("taint", "passes");
     let mut stats = PassStats {
         regs_before: decoded.nregs,
         ..PassStats::default()
     };
-    // The per-function slice of the pass pipeline: same "passes" label as
-    // the module-wide `passes::optimize`, so trace consumers see the pass
-    // stage under either static-stage path.
-    let _passes_span = pt_util::trace::span("taint", "passes");
-    let (folded, reduced) = fold_constants(&mut decoded);
-    stats.folded = folded;
-    stats.reduced_geps = reduced;
-    let (cb, ld, st) = fuse(&mut decoded);
-    stats.fused_cmp_br = cb;
-    stats.fused_loads = ld;
-    stats.fused_stores = st;
-    let inline_spec = inline_spec_of(&decoded, ssa_clean);
+    (stats.folded, stats.reduced_geps) = fold_constants(&mut decoded);
+    (stats.fused_cmp_br, stats.fused_loads, stats.fused_stores) = fuse(&mut decoded);
+    let inline_spec = inline_spec_of(&decoded, ssa_clean).map(Arc::new);
     stats.inlined_calls = inline_calls_in(&mut decoded, specs);
+    // Register allocation (and the frame fast path it unlocks) is only
+    // sound when definitions dominate uses; malformed functions keep the
+    // naive frame so both engines observe identical zero-filled registers.
     if ssa_clean {
         allocate_registers(&mut decoded);
         decoded.ssa_clean = true;
@@ -91,145 +95,68 @@ pub fn compute_unit(
         prepared,
         decoded,
         inline_spec,
-        ssa_clean,
         stats,
     }
 }
 
-/// Compute every function's unit bottom-up over the call graph (no
-/// caching — the plain driver used by tests and by callers that want the
-/// per-function split without a cache). Units are returned in function-id
-/// order.
-pub fn compute_units(module: &Module) -> Vec<FunctionUnit> {
-    let env = DecodeEnv::of(module);
-    let cg = pt_analysis::CallGraph::build(module);
-    let n = module.functions.len();
-    let mut units: Vec<Option<FunctionUnit>> = (0..n).map(|_| None).collect();
-    for fid in cg.bottom_up_order() {
-        let specs: Vec<Option<&InlineSpec>> = units
-            .iter()
-            .map(|u| u.as_ref().and_then(|u| u.inline_spec.as_ref()))
-            .collect();
-        let unit = compute_unit(module, fid, &env, &specs);
-        units[fid.index()] = Some(unit);
-    }
-    units.into_iter().map(|u| u.unwrap()).collect()
-}
-
-/// Assemble a [`PreparedModule`] from per-function units (in function-id
-/// order). `decode_seconds` is the wall time the caller spent producing
-/// the units (cache hits included) — it feeds throughput reporting only,
-/// never a deterministic summary.
-pub fn assemble(env: &DecodeEnv, units: &[&FunctionUnit], decode_seconds: f64) -> PreparedModule {
-    let mut pass_stats = PassStats::default();
-    for u in units {
-        pass_stats.folded += u.stats.folded;
-        pass_stats.reduced_geps += u.stats.reduced_geps;
-        pass_stats.fused_cmp_br += u.stats.fused_cmp_br;
-        pass_stats.fused_loads += u.stats.fused_loads;
-        pass_stats.fused_stores += u.stats.fused_stores;
-        pass_stats.inlined_calls += u.stats.inlined_calls;
-        pass_stats.regs_before += u.stats.regs_before;
-        pass_stats.regs_after += u.stats.regs_after;
-    }
-    PreparedModule {
-        functions: units.iter().map(|u| u.prepared.clone()).collect(),
-        decoded: DecodedModule {
-            functions: units.iter().map(|u| u.decoded.clone()).collect(),
-            extern_names: env.extern_names.clone(),
-            host_prim_names: env.host_prim_names.clone(),
-        },
-        pass_stats,
-        decode_seconds,
-        // Units interleave decode and passes per function; the pass-only
-        // wall split is not tracked on this path.
-        pass_seconds: 0.0,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pt_ir::{FunctionBuilder, Type, Value};
-
-    /// A module exercising every interprocedural coupling the unit split
-    /// must preserve: leaf inlining, host prims, library externals,
-    /// intrinsics, mutual recursion, and forward calls.
-    fn gnarly_module() -> Module {
-        let mut m = Module::new("gnarly");
-        // leaf: inlinable (single block, call-free).
-        let mut b = FunctionBuilder::new("leaf", vec![("x".into(), Type::I64)], Type::I64);
-        let v = b.add(b.param(0), 3i64);
-        b.ret(Some(v));
-        let leaf = m.add_function(b.finish());
-        // kernel: parametric loop charging work, calls the leaf.
-        let mut b = FunctionBuilder::new("kernel", vec![("n".into(), Type::I64)], Type::Void);
-        b.for_loop(0i64, b.param(0), 1i64, |b, iv| {
-            b.call_external("pt_work_flops", vec![Value::int(2)], Type::Void);
-            b.call(leaf, vec![iv], Type::I64);
-        });
-        b.ret(None);
-        let kernel = m.add_function(b.finish());
-        // ping <-> pong mutual recursion (forward reference to pong).
-        let pong_id = FunctionId(3);
-        let mut b = FunctionBuilder::new("ping", vec![("n".into(), Type::I64)], Type::Void);
-        b.call(pong_id, vec![b.param(0)], Type::Void);
-        b.ret(None);
-        let ping = m.add_function(b.finish());
-        let mut b = FunctionBuilder::new("pong", vec![("n".into(), Type::I64)], Type::Void);
-        b.call(ping, vec![b.param(0)], Type::Void);
-        b.ret(None);
-        m.add_function(b.finish());
-        // main: MPI + intrinsic + calls into everything.
-        let mut b = FunctionBuilder::new("main", vec![], Type::Void);
-        let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
-        b.call(kernel, vec![n], Type::Void);
-        b.call(ping, vec![n], Type::Void);
-        b.call_external("MPI_Barrier", vec![], Type::Void);
-        b.call_external("pt_work_mem", vec![Value::int(1)], Type::Void);
-        b.ret(None);
-        m.add_function(b.finish());
-        m
-    }
-
-    #[test]
-    fn unit_assembly_matches_whole_module_compute() {
-        let m = gnarly_module();
-        let cold = PreparedModule::compute(&m);
-
-        let env = DecodeEnv::of(&m);
-        let units = compute_units(&m);
-        let refs: Vec<&FunctionUnit> = units.iter().collect();
-        let warm = assemble(&env, &refs, 0.0);
-
-        assert_eq!(warm.pass_stats, cold.pass_stats, "pass-stat totals");
-        assert_eq!(
-            warm.decoded.extern_names, cold.decoded.extern_names,
-            "external table"
-        );
-        assert_eq!(
-            warm.decoded.host_prim_names, cold.decoded.host_prim_names,
-            "host prim table"
-        );
-        assert_eq!(
-            format!("{:?}", warm.decoded.functions),
-            format!("{:?}", cold.decoded.functions),
-            "decoded bytecode must be bit-identical"
-        );
-        assert_eq!(warm.functions.len(), cold.functions.len());
-        for (w, c) in warm.functions.iter().zip(&cold.functions) {
-            assert_eq!(format!("{w:?}"), format!("{c:?}"), "prepared facts");
+impl PreparedModule {
+    /// Run the static stage for `module`, one [`FunctionUnit`] per
+    /// function, bottom-up over the call graph.
+    ///
+    /// `memo` is a unit store plus the configuration salt its keys are
+    /// computed under. With one, each unit is looked up by key and only
+    /// misses are computed (and stored); without one, no key is computed.
+    /// Returns the module and how many of its units came from the memo.
+    pub fn build(module: &Module, memo: Option<(&dyn UnitMemo, &str)>) -> (PreparedModule, usize) {
+        let env = DecodeEnv::of(module);
+        let cg = CallGraph::build(module);
+        let memo = memo.map(|(store, salt)| (store, unit_keys(module, &cg, salt).keys));
+        let n = module.functions.len();
+        let mut units: Vec<Option<Arc<FunctionUnit>>> = vec![None; n];
+        let mut specs: Vec<Option<Arc<InlineSpec>>> = vec![None; n];
+        let mut hits = 0;
+        for fid in cg.bottom_up_order() {
+            let func = module.function(fid);
+            let hit = memo
+                .as_ref()
+                .and_then(|(store, keys)| store.get(&keys[fid.index()]));
+            let unit = if let Some(unit) = hit {
+                hits += 1;
+                pt_util::trace::event_with("unit", || format!("hit_memory:{}", func.name));
+                unit
+            } else {
+                let _span = pt_util::trace::span_with("unit", || format!("compute:{}", func.name));
+                let unit = Arc::new(compute_unit(func, &env, &specs));
+                if let Some((store, keys)) = &memo {
+                    store.put(keys[fid.index()].clone(), unit.clone());
+                }
+                unit
+            };
+            specs[fid.index()] = unit.inline_spec.clone();
+            units[fid.index()] = Some(unit);
         }
-    }
 
-    #[test]
-    fn per_function_stats_sum_to_module_stats() {
-        let m = gnarly_module();
-        let cold = PreparedModule::compute(&m);
-        let units = compute_units(&m);
-        let sum = |f: fn(&PassStats) -> usize| units.iter().map(|u| f(&u.stats)).sum::<usize>();
-        assert_eq!(sum(|s| s.inlined_calls), cold.pass_stats.inlined_calls);
-        assert_eq!(sum(|s| s.regs_after), cold.pass_stats.regs_after);
-        assert!(cold.pass_stats.inlined_calls >= 1, "leaf call inlines");
+        let mut functions = Vec::with_capacity(n);
+        let mut decoded = Vec::with_capacity(n);
+        let mut pass_stats = PassStats::default();
+        for unit in units {
+            let unit = unit.expect("bottom-up order visits every function");
+            // Memo-less units are unique here and move; memoized ones are
+            // shared with the store and clone.
+            let unit = Arc::try_unwrap(unit).unwrap_or_else(|shared| (*shared).clone());
+            pass_stats += unit.stats;
+            functions.push(unit.prepared);
+            decoded.push(unit.decoded);
+        }
+        let prepared = PreparedModule {
+            functions,
+            decoded: DecodedModule {
+                functions: decoded,
+                extern_names: env.extern_names,
+                host_prim_names: env.host_prim_names,
+            },
+            pass_stats,
+        };
+        (prepared, hits)
     }
 }

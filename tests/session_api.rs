@@ -3,8 +3,9 @@
 //! exactly while computing the static stage once, and user errors surface
 //! as `PtError` values — never panics, never substrate error types.
 
-use perf_taint::{PtError, SessionBuilder};
+use perf_taint::{static_summary, PtError, SessionBuilder, SessionCache, StaticArtifacts};
 use pt_apps::lulesh;
+use pt_ir::{Callee, Const, InstKind, Module, Value};
 use std::sync::Arc;
 
 /// The ≥4 parameter sets the acceptance criterion calls for: a sweep over
@@ -153,7 +154,6 @@ fn axis_mapping_cache_is_consistent_across_repeated_projections() {
 
 #[test]
 fn session_cache_shares_statics_across_sessions_and_apps() {
-    use perf_taint::SessionCache;
     let lulesh = lulesh::build();
     let milc = pt_apps::milc::build();
     let cache = SessionCache::new();
@@ -180,4 +180,60 @@ fn session_cache_shares_statics_across_sessions_and_apps() {
     // carries the shared artifacts.
     let a = s2.taint_run(lulesh.taint_run_params()).unwrap();
     assert!(Arc::ptr_eq(&a.statics, &s1.static_analysis()));
+}
+
+/// `m` with its first constant `pt_work_flops` charge bumped by one: an
+/// edit to one function body.
+fn edit_one_function(m: &Module) -> Module {
+    let mut edited = m.clone();
+    let flops = edited
+        .functions
+        .iter_mut()
+        .flat_map(|f| f.insts.iter_mut())
+        .find_map(|inst| match &mut inst.kind {
+            InstKind::Call {
+                callee: Callee::External(name),
+                args,
+                ..
+            } if name == "pt_work_flops" => match args.first_mut() {
+                Some(Value::Const(Const::Int(k))) => Some(k),
+                _ => None,
+            },
+            _ => None,
+        })
+        .expect("a constant work charge");
+    *flops += 1;
+    edited
+}
+
+/// The static stage has one code path. Run without a memo, against a fresh
+/// `SessionCache`, or against that cache after an edit, it yields the
+/// same summary bytes, classification and pass statistics.
+#[test]
+fn static_stage_is_identical_with_and_without_the_unit_memo() {
+    for app in [lulesh::build(), pt_apps::milc::build()] {
+        let fingerprint = |statics: &StaticArtifacts, m: &Module| {
+            (
+                static_summary(statics, m).render(),
+                format!("{:?}", statics.classification),
+                statics.prepared.pass_stats,
+            )
+        };
+        let plain = |m: &Module| {
+            let session = SessionBuilder::new(m, &app.entry).build();
+            fingerprint(&session.static_analysis(), m)
+        };
+        let cache = SessionCache::new();
+        let cold = cache
+            .get_or_compute(&app.module, &app.entry)
+            .static_analysis();
+        assert_eq!(cold.reuse.recomputed, app.module.functions.len());
+        assert_eq!(fingerprint(&cold, &app.module), plain(&app.module));
+
+        let edited = edit_one_function(&app.module);
+        let warm = cache.get_or_compute(&edited, &app.entry).static_analysis();
+        assert!(warm.reuse.recomputed > 0, "the edited function recomputes");
+        assert!(warm.reuse.reused_memory > 0, "untouched units are reused");
+        assert_eq!(fingerprint(&warm, &edited), plain(&edited));
+    }
 }
