@@ -33,7 +33,7 @@ impl DomTree {
     /// Postdominator tree. Multiple exits are handled through a virtual exit
     /// node appended after the real blocks; blocks whose immediate
     /// postdominator is the virtual exit report `None` from
-    /// [`DomTree::ipostdom_of`] wrappers below.
+    /// [`PostDomTree::ipostdom_of`] wrappers below.
     pub fn postdominators(func: &Function) -> PostDomTree {
         let n = func.blocks.len();
         let virtual_exit = BlockId(n as u32);

@@ -4,7 +4,7 @@
 //! paper): the structural facts the dynamic taint analysis and the hybrid
 //! modeler need about a program *before* it runs.
 //!
-//! * [`cfg`] — reverse postorder and reachability over a function's CFG.
+//! * [`cfg`](mod@cfg) — reverse postorder and reachability over a function's CFG.
 //! * [`dom`] — dominator and postdominator trees (Cooper-Harvey-Kennedy).
 //!   Postdominators drive the control-flow taint scope in `pt-taint`: a
 //!   tainted branch taints everything up to its immediate postdominator.

@@ -23,7 +23,7 @@
 //! induction pattern recognized by the scalar-evolution analysis in
 //! `pt-analysis`.
 //!
-//! A textual [printer](printer) and [parser](parser) round-trip the IR, and a
+//! A textual [printer] and [parser] round-trip the IR, and a
 //! structural [verifier](verify) checks well-formedness (every block
 //! terminated, operands in range, phi arity consistent with predecessors).
 //! Full SSA dominance verification lives in `pt-analysis`, which owns the

@@ -7,7 +7,7 @@
 use crate::comm;
 use crate::config::MachineConfig;
 use crate::libdb::{LibraryDb, TaintEffect};
-use pt_taint::{ExternResult, ExternalHandler, HostCtx, TVal};
+use pt_taint::{work_cost, ExternResult, ExternalHandler, HostCtx, TVal};
 
 /// MPI + work-primitive handler over a simulated machine.
 pub struct MpiHandler {
@@ -83,14 +83,11 @@ impl ExternalHandler for MpiHandler {
         let arg_i64 = |i: usize| args.get(i).map(|a| a.as_i64()).unwrap_or(0);
         match tok {
             // ---- work primitives --------------------------------------
-            token::WORK_FLOPS => {
-                let n = arg_i64(0).max(0) as f64;
-                Ok((TVal::UNTAINTED_ZERO, n * cfg.flop_time))
-            }
+            token::WORK_FLOPS => Ok((TVal::UNTAINTED_ZERO, work_cost(args, cfg.flop_time))),
             token::WORK_MEM => {
                 // Memory-bound work experiences node-level contention.
-                let n = arg_i64(0).max(0) as f64;
-                Ok((TVal::UNTAINTED_ZERO, n * cfg.contended_mem_word_time()))
+                let rate = cfg.contended_mem_word_time();
+                Ok((TVal::UNTAINTED_ZERO, work_cost(args, rate)))
             }
             token::PRINT_I64 => {
                 self.printed.push(arg_i64(0));
@@ -163,6 +160,16 @@ impl ExternalHandler for MpiHandler {
             )),
 
             _ => unreachable!("token not produced by resolve()"),
+        }
+    }
+
+    /// Both work primitives are pure work; the engine then evaluates the
+    /// contention factor once per run instead of once per call.
+    fn work_rate(&self, tok: u32) -> Option<f64> {
+        match tok {
+            token::WORK_FLOPS => Some(self.config.flop_time),
+            token::WORK_MEM => Some(self.config.contended_mem_word_time()),
+            _ => None,
         }
     }
 }
@@ -249,6 +256,45 @@ mod tests {
         let t2 = time_at(2);
         let t18 = time_at(18);
         assert!(t18 > t2 * 1.1, "contention slows memory work: {t2} → {t18}");
+    }
+
+    /// The engine charges a pure-work primitive as `work_rate` times the
+    /// shared helper; that must be `call_token`'s own answer, bit for bit,
+    /// including under contention (where the rate carries a `log2` factor).
+    #[test]
+    fn work_rate_matches_call_token_bit_for_bit() {
+        let contended = MachineConfig::default()
+            .with_ranks(64)
+            .with_ranks_per_node(18)
+            .with_contention(crate::config::ContentionModel::CALIBRATED);
+        assert_ne!(contended.contended_mem_word_time(), contended.mem_word_time);
+        for cfg in [MachineConfig::default(), contended] {
+            let mut h = MpiHandler::new(cfg);
+            let mut mem = pt_taint::Memory::new();
+            let mut labels = pt_taint::LabelTable::new();
+            for name in ["pt_work_flops", "pt_work_mem"] {
+                let tok = h.resolve(name).unwrap();
+                let rate = h.work_rate(tok).expect("work primitives are pure work");
+                for n in [-5i64, 0, 1, 7, 1 << 40] {
+                    let args = [TVal::from_i64(n)];
+                    let mut ctx = HostCtx {
+                        mem: &mut mem,
+                        labels: &mut labels,
+                        params: &[],
+                        taint: true,
+                    };
+                    let (ret, cost) = h.call_token(tok, &args, &mut ctx).unwrap();
+                    assert_eq!(ret, TVal::UNTAINTED_ZERO);
+                    assert_eq!(
+                        cost.to_bits(),
+                        work_cost(&args, rate).to_bits(),
+                        "{name}({n})"
+                    );
+                }
+            }
+            assert_eq!(h.work_rate(h.resolve("pt_print_i64").unwrap()), None);
+            assert_eq!(h.work_rate(h.resolve("MPI_Send").unwrap()), None);
+        }
     }
 
     #[test]

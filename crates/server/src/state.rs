@@ -178,7 +178,7 @@ pub struct ServerState {
     /// (protocol v1.3 slow-request log; `None` = off).
     pub slow_request_ms: Option<u64>,
     /// Sampled always-on tracing (protocol v1.4): every Nth request is
-    /// traced into [`SampledProfile`]. `None` = off.
+    /// traced into the bounded per-stage sample profile. `None` = off.
     pub trace_sample_every: Option<u64>,
     /// Per-policy taint-run counters (protocol v1.4).
     policy_runs: PolicyTotals,

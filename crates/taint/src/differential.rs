@@ -7,7 +7,7 @@
 //! produce bit-identical [`RunOutput`]s — same return value (bits *and*
 //! label id), same simulated clock (exact `f64` bits: both engines perform
 //! the identical sequence of floating-point additions), same instruction
-//! count, identical [`TaintRecords`] (loop sinks, branch coverage, extern
+//! count, identical [`TaintRecords`](crate::records::TaintRecords) (loop sinks, branch coverage, extern
 //! argument sets, executed/visited maps, interned call paths), identical
 //! call-path [`crate::profile::Profile`], and an identical label table
 //! (same node count, same parameter set per label id — the engines must

@@ -5,6 +5,29 @@
 //! set of taint intrinsics itself (parameter sources and test assertions);
 //! everything else is dispatched to an [`ExternalHandler`] — `pt-mpisim`
 //! provides the production handler with the MPI library database of §5.3.
+//!
+//! ## Pure-work primitives
+//!
+//! Most host calls a measurement sweep makes only charge time:
+//! `pt_work_flops(n)` and `pt_work_mem(n)`. A handler may declare such a
+//! resolved `pt_*` primitive *pure work* through
+//! [`ExternalHandler::work_rate`]. The declaration is a promise about
+//! `call_token` for that token, for the whole run:
+//!
+//! * it returns [`TVal::UNTAINTED_ZERO`] and never fails;
+//! * it touches neither memory, the label table nor the handler's own
+//!   state;
+//! * it costs exactly [`work_cost`]`(args, rate)` seconds: the first
+//!   argument clamped at 0 (a missing one reads as 0), times the rate, as
+//!   one `f64` product.
+//!
+//! The decode-once engine reads every rate once per run and charges those
+//! calls in place, with no handler call. It still records the arguments'
+//! parameter sets under a taint policy, exactly like any other host call.
+//! The reference engine keeps calling [`ExternalHandler::call`] by name
+//! for every symbol, so the differential suites hold the in-place charge
+//! to the handler's own answer bit for bit. Library routines (`MPI_*`)
+//! are never pure work: each call gets its own profile entry.
 
 use crate::label::LabelTable;
 use crate::memory::{Memory, TVal};
@@ -50,6 +73,21 @@ pub trait ExternalHandler {
     fn call_token(&mut self, _token: u32, _args: &[TVal], _ctx: &mut HostCtx<'_>) -> ExternResult {
         unreachable!("call_token requires resolve() to have returned Some")
     }
+
+    /// The per-unit rate of a resolved primitive that is pure work (see
+    /// the [module docs](self)), or `None` (the default) if `call_token`
+    /// must run. Asked once per run, for `pt_*` primitives only.
+    fn work_rate(&self, _token: u32) -> Option<f64> {
+        None
+    }
+}
+
+/// The cost in seconds of a pure-work call: the first argument clamped at
+/// 0 (0 when absent), times `rate`. The one definition both the handlers'
+/// `call_token` arms and the engine's in-place charge use.
+#[inline]
+pub fn work_cost(args: &[TVal], rate: f64) -> f64 {
+    args.first().map_or(0, |a| a.as_i64().max(0)) as f64 * rate
 }
 
 /// A handler that rejects every call — for pure compute tests.
@@ -106,14 +144,8 @@ impl ExternalHandler for WorkOnlyHandler {
 
     fn call_token(&mut self, token: u32, args: &[TVal], _ctx: &mut HostCtx<'_>) -> ExternResult {
         match token {
-            WO_FLOPS => {
-                let n = args.first().map(|a| a.as_i64().max(0)).unwrap_or(0) as f64;
-                Ok((TVal::UNTAINTED_ZERO, n * self.flop_cost))
-            }
-            WO_MEM => {
-                let n = args.first().map(|a| a.as_i64().max(0)).unwrap_or(0) as f64;
-                Ok((TVal::UNTAINTED_ZERO, n * self.mem_cost))
-            }
+            WO_FLOPS => Ok((TVal::UNTAINTED_ZERO, work_cost(args, self.flop_cost))),
+            WO_MEM => Ok((TVal::UNTAINTED_ZERO, work_cost(args, self.mem_cost))),
             WO_PRINT => {
                 if let Some(a) = args.first() {
                     self.printed.push(a.as_i64());
@@ -121,6 +153,14 @@ impl ExternalHandler for WorkOnlyHandler {
                 Ok((TVal::UNTAINTED_ZERO, 0.0))
             }
             _ => unreachable!("token not produced by resolve()"),
+        }
+    }
+
+    fn work_rate(&self, token: u32) -> Option<f64> {
+        match token {
+            WO_FLOPS => Some(self.flop_cost),
+            WO_MEM => Some(self.mem_cost),
+            _ => None,
         }
     }
 }

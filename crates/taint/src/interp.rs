@@ -29,7 +29,7 @@
 //! Unlike the original tree-walker (preserved as
 //! [`crate::reference::ReferenceInterpreter`] for differential testing),
 //! this engine never touches the [`pt_ir`] instruction tree at run time.
-//! [`crate::prepared::PreparedModule`] carries a [`DecodedModule`] — a flat
+//! [`crate::prepared::PreparedModule`] carries a [`crate::DecodedModule`] — a flat
 //! bytecode with operands pre-resolved to register indices or inline
 //! immediates, float-ness and result types folded into opcodes, callees
 //! pre-bound, per-edge phi move lists, and loop/postdominator metadata
@@ -41,7 +41,7 @@
 //! checked by [`crate::differential`].
 
 use crate::decode::{DInst, DOp, DTerm, DecodedFunction, Edge, Intrinsic, Opnd};
-use crate::host::{ExternalHandler, HostCtx};
+use crate::host::{work_cost, ExternalHandler, HostCtx};
 use crate::label::{Label, LabelTable, ParamSet};
 use crate::memory::{MemError, Memory, TVal};
 use crate::path::PathId;
@@ -310,7 +310,11 @@ pub struct Interpreter<'m, H: ExternalHandler> {
     /// [`crate::decode::DecodedModule::host_prim_names`] — resolved once
     /// per run so the hot path never string-matches a symbol.
     prim_tokens: Vec<Option<u32>>,
-    /// Same, for library externals (indexed by extern index).
+    /// The handler's [`ExternalHandler::work_rate`] for each host
+    /// primitive, read once per run: a `Some` primitive is charged in
+    /// place by `step`, with no handler call.
+    work_rates: Vec<Option<f64>>,
+    /// Same as `prim_tokens`, for library externals (indexed by extern index).
     lib_tokens: Vec<Option<u32>>,
     /// Last extern-argument record applied, keyed by `(caller, symbol)`
     /// (symbol = prim/extern index, kind-tagged in the low bit). Work
@@ -341,11 +345,15 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             .map(|f| f.blocks.len())
             .chain(std::iter::repeat_n(0, nexterns))
             .collect();
-        let prim_tokens = prepared
+        let prim_tokens: Vec<Option<u32>> = prepared
             .decoded
             .host_prim_names
             .iter()
             .map(|n| handler.resolve(n))
+            .collect();
+        let work_rates = prim_tokens
+            .iter()
+            .map(|t| t.and_then(|t| handler.work_rate(t)))
             .collect();
         let lib_tokens = prepared
             .decoded
@@ -374,6 +382,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             sink_memo: None,
             branch_buf: None,
             prim_tokens,
+            work_rates,
             lib_tokens,
             extern_arg_memo: None,
         }
@@ -676,7 +685,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                                         dfunc.name
                                     )));
                                 }
-                                let addr = self.mem.alloc(n as usize);
+                                let addr = self.mem.alloc(n as usize)?;
                                 TVal::from_i64(addr as i64)
                             }
                             DOp::CallInternal { callee, args } => {
@@ -1305,8 +1314,18 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                 // clock only, never child time, which is what keeps an
                 // inlined frame's exclusive == inclusive.
                 resolve_argv!(args, regs, argv);
-                let token = self.prim_tokens[*prim as usize];
-                self.exec_host_call(name, token, *prim << 1, argv, fid, path, clock, None)?
+                if let Some(rate) = self.work_rates[*prim as usize] {
+                    // Pure work: the handler's answer is known up front
+                    // (`crate::host`), so charge it in place.
+                    if P::TAINT {
+                        self.record_extern_args(name, *prim << 1, argv, fid);
+                    }
+                    *clock += work_cost(argv, rate);
+                    TVal::UNTAINTED_ZERO
+                } else {
+                    let token = self.prim_tokens[*prim as usize];
+                    self.exec_host_call(name, token, *prim << 1, argv, fid, path, clock, None)?
+                }
             }
             DOp::Trap { message } => return Err(InterpError::Trap(message.to_string())),
             DOp::Alloca { .. }
@@ -1448,25 +1467,8 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         clock: &mut f64,
         lib: Option<(FunctionId, &mut f64)>,
     ) -> Result<TVal, InterpError> {
-        // Record the parameters tainting the call's arguments — the library
-        // database turns these into parametric dependencies of the caller
-        // (the count-argument mechanism of §5.3). Unions are idempotent,
-        // so a repeat of the previous `(caller, symbol, set)` triple skips
-        // the string-keyed map (and its key allocation) outright.
         if self.config.taint {
-            let mut pset = ParamSet::EMPTY;
-            for a in argv {
-                pset = pset.union(self.labels.params_of(a.label));
-            }
-            if !pset.is_empty() && self.extern_arg_memo != Some(((caller, sym), pset)) {
-                let e = self
-                    .records
-                    .extern_args
-                    .entry((caller, name.to_string()))
-                    .or_default();
-                *e = e.union(pset);
-                self.extern_arg_memo = Some(((caller, sym), pset));
-            }
+            self.record_extern_args(name, sym, argv, caller);
         }
 
         let mut ctx = HostCtx {
@@ -1503,6 +1505,28 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                 self.profile.record_call(ext_path, ext_id, total, total);
                 Ok(ret)
             }
+        }
+    }
+
+    /// Record the parameters tainting a host call's arguments — the library
+    /// database turns these into parametric dependencies of the caller
+    /// (the count-argument mechanism of §5.3). `sym` is the prim/extern
+    /// index, kind-tagged in the low bit. Unions are idempotent, so a
+    /// repeat of the previous `(caller, symbol, set)` triple skips the
+    /// string-keyed map (and its key allocation) outright.
+    fn record_extern_args(&mut self, name: &str, sym: u32, argv: &[TVal], caller: FunctionId) {
+        let mut pset = ParamSet::EMPTY;
+        for a in argv {
+            pset = pset.union(self.labels.params_of(a.label));
+        }
+        if !pset.is_empty() && self.extern_arg_memo != Some(((caller, sym), pset)) {
+            let e = self
+                .records
+                .extern_args
+                .entry((caller, name.to_string()))
+                .or_default();
+            *e = e.union(pset);
+            self.extern_arg_memo = Some(((caller, sym), pset));
         }
     }
 }

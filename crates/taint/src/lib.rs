@@ -27,7 +27,7 @@
 //!   decoded bytecode implementing data-flow propagation, the control-flow
 //!   tainting extension, loop-exit sinks, branch coverage, simulated-time
 //!   accounting, and call-path profiling.
-//! * [`reference`] — the legacy tree-walking interpreter, kept as the
+//! * [`reference`](mod@reference) — the legacy tree-walking interpreter, kept as the
 //!   reference implementation for differential testing.
 //! * [`differential`] — the bit-identity contract between the two engines
 //!   and the comparison helpers that enforce it.
@@ -86,7 +86,7 @@ pub mod unit;
 
 pub use decode::passes::PassStats;
 pub use decode::{DecodedFunction, DecodedModule};
-pub use host::{ExternResult, ExternalHandler, HostCtx, NullHandler, WorkOnlyHandler};
+pub use host::{work_cost, ExternResult, ExternalHandler, HostCtx, NullHandler, WorkOnlyHandler};
 pub use interp::{CtlFlowPolicy, InterpConfig, InterpError, Interpreter, RunOutput};
 pub use label::{Label, LabelTable, ParamSet};
 pub use memory::{MemError, Memory, TVal};

@@ -82,6 +82,9 @@ pub enum MemError {
     OutOfBounds { addr: usize, len: usize },
     /// Access to address 0.
     NullAccess,
+    /// An allocation of `words` words on top of an arena of `len` words
+    /// overflows the address space or cannot be reserved.
+    AllocFailed { words: usize, len: usize },
 }
 
 impl std::fmt::Display for MemError {
@@ -94,6 +97,12 @@ impl std::fmt::Display for MemError {
                 )
             }
             MemError::NullAccess => write!(f, "null memory access"),
+            MemError::AllocFailed { words, len } => {
+                write!(
+                    f,
+                    "cannot allocate {words} words on top of an arena of {len} words"
+                )
+            }
         }
     }
 }
@@ -135,11 +144,15 @@ impl Memory {
     }
 
     /// Allocate `words` zero-initialized, untainted words; returns the
-    /// address of the first.
-    pub fn alloc(&mut self, words: usize) -> usize {
+    /// address of the first. A size the address space or the allocator
+    /// cannot hold is a [`MemError::AllocFailed`], not a panic or abort.
+    pub fn alloc(&mut self, words: usize) -> Result<usize, MemError> {
         let addr = self.words.len();
-        self.words.resize(addr + words, TVal::UNTAINTED_ZERO);
-        addr
+        let failed = || MemError::AllocFailed { words, len: addr };
+        let end = addr.checked_add(words).ok_or_else(failed)?;
+        self.words.try_reserve(words).map_err(|_| failed())?;
+        self.words.resize(end, TVal::UNTAINTED_ZERO);
+        Ok(addr)
     }
 
     #[inline]
@@ -212,7 +225,7 @@ mod tests {
     #[test]
     fn alloc_load_store() {
         let mut m = Memory::new();
-        let a = m.alloc(4);
+        let a = m.alloc(4).unwrap();
         assert!(a >= 1);
         m.store(a + 2, TVal::from_i64(42)).unwrap();
         assert_eq!(m.load(a + 2).unwrap().as_i64(), 42);
@@ -222,7 +235,7 @@ mod tests {
     #[test]
     fn shadow_follows_stores() {
         let mut m = Memory::new();
-        let a = m.alloc(1);
+        let a = m.alloc(1).unwrap();
         m.store(a, TVal::from_i64(1).with_label(Label(5))).unwrap();
         assert_eq!(m.load(a).unwrap().label, Label(5));
         m.store(a, TVal::from_i64(2)).unwrap();
@@ -232,7 +245,7 @@ mod tests {
     #[test]
     fn set_label_is_a_taint_source() {
         let mut m = Memory::new();
-        let a = m.alloc(1);
+        let a = m.alloc(1).unwrap();
         m.store(a, TVal::from_i64(9)).unwrap();
         m.set_label(a, Label(7)).unwrap();
         let v = m.load(a).unwrap();
@@ -256,11 +269,24 @@ mod tests {
     }
 
     #[test]
+    fn oversized_alloc_is_an_error() {
+        let mut m = Memory::new();
+        let len = m.len();
+        for words in [usize::MAX, 1 << 60] {
+            assert_eq!(
+                m.alloc(words).unwrap_err(),
+                MemError::AllocFailed { words, len }
+            );
+        }
+        assert_eq!(m.len(), len, "a failed alloc leaves the arena as it was");
+    }
+
+    #[test]
     fn stack_discipline() {
         let mut m = Memory::new();
-        let outer = m.alloc(2);
+        let outer = m.alloc(2).unwrap();
         let mark = m.mark();
-        let inner = m.alloc(8);
+        let inner = m.alloc(8).unwrap();
         m.store(inner, TVal::from_i64(1)).unwrap();
         m.release_to(mark);
         assert_eq!(m.len(), mark);

@@ -563,7 +563,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                         func.name
                     )));
                 }
-                let addr = self.mem.alloc(n as usize);
+                let addr = self.mem.alloc(n as usize)?;
                 TVal::from_i64(addr as i64)
             }
             InstKind::Load { addr, .. } => {

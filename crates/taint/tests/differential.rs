@@ -10,8 +10,8 @@
 use pt_ir::{BinOp, CmpPred, FunctionBuilder, Module, Type, UnOp, Value};
 use pt_taint::differential::compare_results;
 use pt_taint::{
-    CtlFlowPolicy, InterpConfig, InterpError, Interpreter, PreparedModule, ReferenceInterpreter,
-    RunOutput, WorkOnlyHandler,
+    CtlFlowPolicy, InterpConfig, InterpError, Interpreter, MemError, PreparedModule,
+    ReferenceInterpreter, RunOutput, WorkOnlyHandler,
 };
 
 fn run_both(
@@ -629,4 +629,103 @@ fn unreachable_traps_identically() {
     m.add_function(b.finish_unchecked());
     let err = assert_identical_failure(&m, vec![], InterpConfig::default());
     assert!(matches!(err, InterpError::Trap(ref msg) if msg.contains("unreachable")));
+}
+
+// ---- pure-work primitives ----------------------------------------------
+
+/// Run `m` through both engines in measurement mode and in a taint run,
+/// asserting bit-identity each time; returns `[measure, taint]` outputs.
+/// The decoded engine charges `pt_work_*` in place while the reference
+/// engine calls the handler by name, so this pins the one to the other.
+fn assert_identical_measure_and_taint(m: &Module, params: Vec<(String, i64)>) -> [RunOutput; 2] {
+    [false, true].map(|taint| {
+        let config = InterpConfig {
+            taint,
+            coverage: taint,
+            ..Default::default()
+        };
+        let (decoded, legacy) = run_both(m, params.clone(), config);
+        compare_results(&decoded, &legacy)
+            .unwrap_or_else(|e| panic!("taint {taint}: engines diverge: {e}"));
+        decoded.expect("run succeeds")
+    })
+}
+
+/// A negative work count computed at run time charges nothing, in both
+/// engines, while its taint still reaches the extern-args record.
+#[test]
+fn negative_work_count_from_a_register_matches_reference() {
+    let mut b = tainted_main(Type::Void);
+    let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+    let neg = b.sub(Value::int(0), n);
+    b.call_external("pt_work_flops", vec![neg], Type::Void);
+    b.call_external("pt_work_mem", vec![neg], Type::Void);
+    b.ret(None);
+    let mut m = Module::new("negative-work");
+    m.add_function(b.finish());
+    let [measure, taint] = assert_identical_measure_and_taint(&m, vec![("n".into(), 5)]);
+    let insts_only = measure.insts as f64 * InterpConfig::default().inst_cost;
+    assert!(measure.time <= insts_only * 1.000_001, "no work charged");
+    assert_eq!(taint.records.extern_args.len(), 2, "both calls recorded");
+}
+
+/// `pt_work_flops()` with no argument reads its count as 0.
+#[test]
+fn zero_argument_work_call_matches_reference() {
+    let mut b = tainted_main(Type::Void);
+    let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+    b.for_loop(0i64, n, 1i64, |b, _| {
+        b.call_external("pt_work_flops", vec![], Type::Void);
+    });
+    b.ret(None);
+    let mut m = Module::new("zero-arg-work");
+    m.add_function(b.finish());
+    let [_, taint] = assert_identical_measure_and_taint(&m, vec![("n".into(), 6)]);
+    assert!(
+        taint.records.extern_args.is_empty(),
+        "no argument, no record"
+    );
+}
+
+/// Extra arguments are charged by the first alone but all reach the
+/// extern-args record, and a repeat inside a loop takes the memo.
+#[test]
+fn work_call_with_extra_arguments_matches_reference() {
+    let mut b = tainted_main(Type::Void);
+    let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+    let k = b.call_external("pt_param_i64", vec![Value::int(1)], Type::I64);
+    b.for_loop(0i64, n, 1i64, |b, i| {
+        b.call_external("pt_work_mem", vec![i, k, Value::int(3)], Type::Void);
+        b.call_external("pt_work_flops", vec![Value::int(7), n], Type::Void);
+    });
+    b.ret(None);
+    let mut m = Module::new("extra-arg-work");
+    m.add_function(b.finish());
+    let params = vec![("n".into(), 9), ("k".into(), -2)];
+    let [_, taint] = assert_identical_measure_and_taint(&m, params);
+    let sets: Vec<_> = taint.records.extern_args.values().copied().collect();
+    assert_eq!(sets.len(), 2);
+    assert!(sets.iter().all(|s| !s.is_empty()));
+}
+
+/// `alloca 2^60` overflows the arena's byte size: a defined memory error
+/// in both engines, not a "capacity overflow" panic.
+#[test]
+fn oversized_alloca_fails_identically() {
+    let mut b = tainted_main(Type::Void);
+    b.alloca(1i64 << 60);
+    b.ret(None);
+    let mut m = Module::new("huge-alloca");
+    m.add_function(b.finish());
+    for taint in [false, true] {
+        let config = InterpConfig {
+            taint,
+            ..Default::default()
+        };
+        let err = assert_identical_failure(&m, vec![], config);
+        assert!(
+            matches!(err, InterpError::Mem(MemError::AllocFailed { words, .. }) if words == 1 << 60),
+            "{err:?}"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 //! the production MPI handler.
 
 use pt_apps::AppSpec;
-use pt_mpisim::{MachineConfig, MpiHandler};
+use pt_mpisim::{ContentionModel, MachineConfig, MpiHandler};
 use pt_taint::differential::compare_results;
 use pt_taint::{CtlFlowPolicy, InterpConfig, Interpreter, PreparedModule, ReferenceInterpreter};
 
@@ -20,9 +20,13 @@ fn machine_for(params: &[(String, i64)]) -> MachineConfig {
 }
 
 fn assert_app_identical(app: &AppSpec, config: InterpConfig) {
+    let machine = machine_for(&app.taint_run_params());
+    assert_app_identical_on(app, config, machine);
+}
+
+fn assert_app_identical_on(app: &AppSpec, config: InterpConfig, machine: MachineConfig) {
     let taint_on = config.taint;
     let params = app.taint_run_params();
-    let machine = machine_for(&params);
     let prepared = PreparedModule::compute(&app.module);
     let decoded = Interpreter::new(
         &app.module,
@@ -89,6 +93,31 @@ fn milc_measurement_mode_is_bit_identical() {
             probe_cost: vec![1e-7; nfuncs],
             ..Default::default()
         },
+    );
+}
+
+#[test]
+fn lulesh_measurement_mode_is_bit_identical() {
+    // The `model_lulesh` sweep configuration, on a contended node: the
+    // `pt_work_mem` rate then carries a contention factor other than 1.
+    let app = pt_apps::lulesh::build();
+    let nfuncs = app.module.functions.len() + app.module.used_externals().len();
+    let machine = machine_for(&app.taint_run_params())
+        .with_ranks_per_node(18)
+        .with_contention(ContentionModel::CALIBRATED);
+    assert_ne!(machine.contended_mem_word_time(), machine.mem_word_time);
+    assert_app_identical_on(
+        &app,
+        InterpConfig {
+            taint: false,
+            coverage: false,
+            // Probes on some functions only, like a filtered sweep.
+            probe_cost: (0..nfuncs)
+                .map(|i| if i % 3 == 0 { 1e-6 } else { 0.0 })
+                .collect(),
+            ..Default::default()
+        },
+        machine,
     );
 }
 

@@ -125,6 +125,22 @@ fn errors_name_the_failing_entry_instead_of_panicking() {
 }
 
 #[test]
+fn oversized_alloca_is_an_error_not_a_panic() {
+    let text = "\
+func @main() -> void {
+bb0:
+  %0 = alloca 1152921504606846976
+  ret
+}
+";
+    let module = perf_taint::parse_module(text).unwrap();
+    let session = SessionBuilder::new(&module, "main").build();
+    let err = session.taint_run(Vec::new()).unwrap_err();
+    assert!(matches!(err, PtError::TaintRun { .. }), "{err:?}");
+    assert!(err.to_string().contains("cannot allocate"), "{err}");
+}
+
+#[test]
 fn parse_errors_wrap_into_pt_error() {
     let err = perf_taint::parse_module("func @broken(").unwrap_err();
     assert!(matches!(err, PtError::Parse(_)));
