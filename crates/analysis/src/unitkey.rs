@@ -9,7 +9,8 @@
 //!   `@name` call sites to numeric ids) and its external-symbol table
 //!   (which binds library calls and host primitives to slots), plus a
 //!   caller-provided salt for configuration (the taint policy);
-//! * its **own printed body** ([`pt_ir::fingerprint`]);
+//! * its **own body**: a structural digest of the function's IR with
+//!   callees named, not numbered ([`pt_ir::fingerprint::function_digest`]);
 //! * its **strongly connected component**: any recursive cycle through a
 //!   function lies entirely inside its SCC, so all members share a joint
 //!   digest over their bodies in member order — an edit to any member

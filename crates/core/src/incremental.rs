@@ -5,14 +5,16 @@
 //! it walks the call graph bottom-up and produces one
 //! [`pt_taint::unit::FunctionUnit`] (loop facts plus optimized bytecode)
 //! per function. Each unit is a pure function of a content key
-//! ([`pt_analysis::unitkey`]): the function's printed body, its strongly
-//! connected component, its out-of-component callees' keys, the module
-//! symbol environment, and the taint policy.
+//! ([`pt_analysis::unitkey`]): the structural digest of the function's
+//! body ([`pt_ir::fingerprint`]), its strongly connected component, its
+//! out-of-component callees' keys, the module symbol environment, and the
+//! taint policy.
 //!
 //! [`FunctionArtifactCache`] is the memo `build` consults. It keeps
 //! one unit per key in memory, so re-analyzing a module after editing one
 //! function recomputes exactly that function, its SCC co-members, and its
-//! transitive callers; everything else comes from the memo. The §5.1
+//! transitive callers; everything else comes from the memo, shared by
+//! `Arc` with every stage that already holds it rather than copied. The §5.1
 //! classification is not memoized: [`crate::Session::static_analysis`]
 //! recomputes it from the assembled loop facts every time, which costs a
 //! fraction of the stage. The tests below check that a memoized stage

@@ -53,25 +53,14 @@ fn is_temp(name: &std::ffi::OsStr) -> bool {
     name.to_str().is_some_and(|n| n.contains(".tmp."))
 }
 
-/// 128-bit FNV-1a over length-prefixed parts. Not cryptographic — the
-/// store defends against accidents, not adversaries — but 128 bits keep
-/// accidental collisions out of reach for any realistic corpus, and the
-/// implementation is std-only.
+/// 128-bit FNV-1a over length-prefixed parts
+/// ([`pt_ir::fingerprint::digest_parts`]), as 32 hex digits. Not
+/// cryptographic — the store defends against accidents, not adversaries —
+/// but 128 bits keep accidental collisions out of reach for any realistic
+/// corpus. These keys name objects on disk and modules on the wire, so
+/// their values must never drift.
 pub fn content_key(parts: &[&str]) -> String {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u128).wrapping_mul(PRIME);
-        }
-    };
-    for part in parts {
-        // Length-prefix each part so ("ab","c") and ("a","bc") differ.
-        eat(&(part.len() as u64).to_le_bytes());
-        eat(part.as_bytes());
-    }
-    format!("{h:032x}")
+    pt_ir::fingerprint::digest_parts(parts)
 }
 
 /// Does `s` have the shape [`content_key`] produces: 32 lowercase hex
@@ -498,6 +487,9 @@ mod tests {
     fn content_key_is_stable_and_part_sensitive() {
         let a = content_key(&["module", "func @f() -> void {"]);
         let b = content_key(&["module", "func @f() -> void {"]);
+        // Pinned: on-disk objects and protocol module keys are named by
+        // these values.
+        assert_eq!(a, "316823813aef8fa46e9571b86ff05299");
         assert_eq!(a, b);
         assert_eq!(a.len(), 32);
         assert_ne!(a, content_key(&["module", "func @g() -> void {"]));

@@ -52,6 +52,7 @@ use pt_ir::{
     Type, UnOp, Value,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A pre-resolved operand: a frame register or an inline immediate.
 ///
@@ -360,7 +361,8 @@ pub struct DecodedFunction {
 /// The decoded program of a whole module.
 #[derive(Debug)]
 pub struct DecodedModule {
-    pub functions: Vec<DecodedFunction>,
+    /// Shared with the unit memo's entries when one built the module.
+    pub functions: Vec<Arc<DecodedFunction>>,
     /// External symbols called anywhere, in the deterministic
     /// [`Module::used_externals`] order. External `i` gets the pseudo
     /// [`FunctionId`] `module.functions.len() + i` — the convention shared

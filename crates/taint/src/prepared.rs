@@ -23,14 +23,15 @@ use pt_analysis::loops::{LoopForest, LoopId};
 use pt_analysis::scev::{all_trip_counts, TripCount};
 use pt_ir::{BlockId, Function, FunctionId, InstKind, Module, Type};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Static facts about one function.
 ///
 /// Everything in here is a pure function of the function body alone (no
 /// module-level inputs), which is what lets a unit memo reuse it per
-/// function; `Clone` supports assembling a [`PreparedModule`] from
-/// memoized units.
-#[derive(Debug, Clone)]
+/// function; a [`PreparedModule`] assembled from memoized units shares it
+/// by `Arc`.
+#[derive(Debug)]
 pub struct PreparedFunction {
     pub forest: LoopForest,
     pub trip_counts: Vec<TripCount>,
@@ -113,7 +114,8 @@ impl PreparedFunction {
 
 /// Static facts for every function of a module, plus the decoded program.
 pub struct PreparedModule {
-    pub functions: Vec<PreparedFunction>,
+    /// Shared with the unit memo's entries when one built the module.
+    pub functions: Vec<Arc<PreparedFunction>>,
     /// The flat bytecode the interpreter's hot loop executes: decoded,
     /// superinstruction-fused, and register-allocated (frame sizes in
     /// each [`crate::decode::DecodedFunction::nregs`] reflect the

@@ -17,9 +17,10 @@
 //! produces one [`FunctionUnit`] per function. With a [`UnitMemo`] it
 //! looks each unit up by its content key ([`pt_analysis::unitkey`]) and
 //! computes only the misses; that is what makes an edited module cheap to
-//! re-analyze. Without one it computes no keys and moves every unit
-//! straight into the result. [`PreparedModule::compute`] is the memo-less
-//! call.
+//! re-analyze. Without one it computes no keys. Either way the result
+//! holds each unit's facts and bytecode by `Arc`, so a memo hit costs a
+//! lookup and a pointer copy, never a deep clone.
+//! [`PreparedModule::compute`] is the memo-less call.
 
 use crate::decode::passes::{
     allocate_registers, fold_constants, fuse, inline_calls_in, inline_spec_of, InlineSpec,
@@ -34,13 +35,15 @@ use std::sync::Arc;
 
 /// Everything the static stage produces for one function: the prepared
 /// facts, the fully optimized bytecode, the inline spec callers need, and
-/// the per-function slice of the pass statistics.
-#[derive(Debug, Clone)]
+/// the per-function slice of the pass statistics. The facts and the
+/// bytecode sit behind `Arc`s so every [`PreparedModule`] assembled from a
+/// memoized unit shares them instead of copying them.
+#[derive(Debug)]
 pub struct FunctionUnit {
-    pub prepared: PreparedFunction,
+    pub prepared: Arc<PreparedFunction>,
     /// Decoded, folded, fused, (callee-)inlined, register-allocated
     /// bytecode.
-    pub decoded: DecodedFunction,
+    pub decoded: Arc<DecodedFunction>,
     /// This function's own spec, for *its* callers — captured after fusion
     /// and before register allocation.
     pub inline_spec: Option<Arc<InlineSpec>>,
@@ -92,8 +95,8 @@ fn compute_unit(
     stats.regs_after = decoded.nregs;
 
     FunctionUnit {
-        prepared,
-        decoded,
+        prepared: Arc::new(prepared),
+        decoded: Arc::new(decoded),
         inline_spec,
         stats,
     }
@@ -141,12 +144,9 @@ impl PreparedModule {
         let mut pass_stats = PassStats::default();
         for unit in units {
             let unit = unit.expect("bottom-up order visits every function");
-            // Memo-less units are unique here and move; memoized ones are
-            // shared with the store and clone.
-            let unit = Arc::try_unwrap(unit).unwrap_or_else(|shared| (*shared).clone());
             pass_stats += unit.stats;
-            functions.push(unit.prepared);
-            decoded.push(unit.decoded);
+            functions.push(unit.prepared.clone());
+            decoded.push(unit.decoded.clone());
         }
         let prepared = PreparedModule {
             functions,

@@ -224,15 +224,19 @@ fn edit_one_function(m: &Module) -> Module {
 
 /// The static stage has one code path. Run without a memo, against a fresh
 /// `SessionCache`, or against that cache after an edit, it yields the
-/// same summary bytes, classification and pass statistics.
+/// same summary bytes, classification, pass statistics and bytecode. A
+/// memo hit shares the memoized unit: after the edit, every function whose
+/// unit key survived is the *same* allocation in both sessions, not a copy.
 #[test]
 fn static_stage_is_identical_with_and_without_the_unit_memo() {
+    use pt_analysis::{unitkey::unit_keys, CallGraph};
     for app in [lulesh::build(), pt_apps::milc::build()] {
         let fingerprint = |statics: &StaticArtifacts, m: &Module| {
             (
                 static_summary(statics, m).render(),
                 format!("{:?}", statics.classification),
                 statics.prepared.pass_stats,
+                format!("{:?}", statics.prepared.decoded.functions),
             )
         };
         let plain = |m: &Module| {
@@ -251,5 +255,23 @@ fn static_stage_is_identical_with_and_without_the_unit_memo() {
         assert!(warm.reuse.recomputed > 0, "the edited function recomputes");
         assert!(warm.reuse.reused_memory > 0, "untouched units are reused");
         assert_eq!(fingerprint(&warm, &edited), plain(&edited));
+
+        // Any fixed salt ranks keys the same way the session's does.
+        let keys = |m: &Module| unit_keys(m, &CallGraph::build(m), "salt").keys;
+        let (before, after) = (keys(&app.module), keys(&edited));
+        let mut shared = 0;
+        for fid in edited.function_ids() {
+            let untouched = before[fid.index()] == after[fid.index()];
+            let name = &edited.function(fid).name;
+            let same_decoded = std::ptr::eq(
+                cold.prepared.decoded.func(fid),
+                warm.prepared.decoded.func(fid),
+            );
+            assert_eq!(same_decoded, untouched, "{name}: shared bytecode");
+            let same_facts = std::ptr::eq(cold.prepared.func(fid), warm.prepared.func(fid));
+            assert_eq!(same_facts, untouched, "{name}: shared loop facts");
+            shared += untouched as usize;
+        }
+        assert_eq!(shared, warm.reuse.reused_memory);
     }
 }
