@@ -75,14 +75,10 @@ impl Scenario for TaintThroughput {
             insts_total += insts;
             let s = prepared.pass_stats;
             for (name, n) in [
-                ("folded", s.folded),
-                ("reduced_geps", s.reduced_geps),
                 ("fused_cmp_br", s.fused_cmp_br),
                 ("fused_loads", s.fused_loads),
                 ("fused_stores", s.fused_stores),
                 ("inlined_calls", s.inlined_calls),
-                ("regs_before", s.regs_before),
-                ("regs_after", s.regs_after),
             ] {
                 *passes.entry(name).or_default() += n;
             }
@@ -92,14 +88,11 @@ impl Scenario for TaintThroughput {
         outln!(r, "  corpus: {insts_total} insts");
         outln!(
             r,
-            "  passes: {} cmp+br, {} gep+load, {} gep+store fused; {} leaf calls inlined; \
-             frames {} -> {} regs",
+            "  passes: {} cmp+br, {} gep+load, {} gep+store fused; {} leaf calls inlined",
             passes["fused_cmp_br"],
             passes["fused_loads"],
             passes["fused_stores"],
-            passes["inlined_calls"],
-            passes["regs_before"],
-            passes["regs_after"]
+            passes["inlined_calls"]
         );
 
         r.metric("corpus_insts", insts_total as f64);

@@ -216,8 +216,6 @@ fn finalize(
     hypotheses: usize,
 ) -> FittedModel {
     let pred: Vec<f64> = coords.iter().map(|c| model.eval(c)).collect();
-    let design: Vec<Vec<f64>> = coords.iter().map(|_| vec![1.0]).collect();
-    let _ = &design;
     let quality = Quality {
         cv_smape: cv,
         smape: smape(&pred, ys),

@@ -33,15 +33,12 @@
 //! Decoding is part of the static stage ([`crate::unit`] drives it, one
 //! function at a time), so a `perf_taint::Session` shares the decoded
 //! program across every run of a module. After the straight translation
-//! below, the [`passes`] rewrite each function in place: constant
-//! folding, superinstruction fusion of the hot `cmp+condbr` and
-//! `gep+load` / `gep+store` pairs ([`DOp::LoadIdx`], [`DOp::StoreIdx`],
-//! [`DTerm::CondBrCmp`]), leaf-call inlining, and a linear-scan register
-//! allocation that renumbers virtual registers by live range so pooled
-//! frames shrink to the function's true register pressure. The legacy
-//! tree-walker survives as
-//! [`crate::reference`], and [`crate::differential`] states the contract
-//! between the two: bit-identical run artifacts.
+//! below, the [`passes`] rewrite each function in place:
+//! superinstruction fusion of the hot `cmp+condbr` and `gep+load` /
+//! `gep+store` pairs ([`DOp::LoadIdx`], [`DOp::StoreIdx`],
+//! [`DTerm::CondBrCmp`]), then leaf-call inlining. The legacy tree-walker
+//! survives as [`crate::reference`], and [`crate::differential`] states
+//! the contract between the two: bit-identical run artifacts.
 
 pub mod passes;
 
@@ -137,14 +134,6 @@ impl Intrinsic {
 /// is folded into the variant; operands are pre-resolved [`Opnd`]s.
 #[derive(Debug, Clone)]
 pub enum DOp {
-    /// A constant result, produced by the constant-folding pass
-    /// ([`passes::fold_constants`]) from an operation whose operands were
-    /// all immediates. Retires as **one** instruction (the op it
-    /// replaces); the result label is empty exactly as the original op's
-    /// union of immediate (empty) labels would have been.
-    Const {
-        bits: u64,
-    },
     /// Integer binary op (wrapping; `Div`/`Rem` trap on zero).
     BinI {
         op: BinOp,
@@ -341,18 +330,18 @@ pub struct DecodedFunction {
     /// Function name (runtime error messages).
     pub name: String,
     pub nparams: usize,
-    /// Frame size in registers. Straight out of [`decode_function`] this
-    /// is `nparams` argument registers + one per instruction; after
-    /// [`passes::allocate_registers`] it is the function's true register
-    /// pressure (registers renumbered by live range, never larger).
+    /// Frame size in registers: `nparams` argument registers, one per
+    /// instruction ([`Opnd`] has the layout), and after
+    /// [`passes::inline_calls_in`] the locals of every inlined leaf body,
+    /// appended.
     pub nregs: usize,
     /// Whether the function passed semantic SSA verification (definitions
-    /// dominate uses, `pt_analysis::ssa_verify`). Register allocation and
-    /// the interpreter's skip-the-frame-clear fast path are only sound
-    /// under that property, so both are gated on it; a function that fails
-    /// it keeps the naive one-register-per-instruction frame and gets a
-    /// zeroed frame per call — exactly the reference engine's observable
-    /// behavior for such malformed programs.
+    /// dominate uses, `pt_analysis::ssa_verify`). The interpreter's
+    /// skip-the-frame-clear fast path and leaf-call inlining
+    /// ([`passes::inline_spec_of`]) are only sound under that property, so
+    /// both are gated on it; a function that fails it gets a zeroed frame
+    /// per call — exactly the reference engine's observable behavior for
+    /// such malformed programs — and is never inlined.
     pub ssa_clean: bool,
     pub entry: BlockId,
     pub blocks: Vec<DecodedBlock>,
@@ -542,7 +531,7 @@ pub fn decode_function(
         name: func.name.clone(),
         nparams,
         nregs: nparams + func.insts.len(),
-        // Conservative until the pass pipeline proves dominance.
+        // Conservative until the static stage proves dominance.
         ssa_clean: false,
         entry: func.entry,
         blocks,
@@ -687,9 +676,9 @@ mod tests {
         let p = PreparedModule::compute(&m);
         let d = p.decoded.func(FunctionId(0));
         assert_eq!(d.nparams, 1);
-        // Register allocation may only shrink the frame below the naive
-        // one-register-per-instruction layout.
-        assert!(d.nregs <= 1 + m.function(FunctionId(0)).insts.len());
+        // One register per parameter and per instruction (no calls, so
+        // nothing inlined).
+        assert_eq!(d.nregs, 1 + m.function(FunctionId(0)).insts.len());
 
         // Exactly one back edge and one fresh-entry edge somewhere.
         let mut back = 0;

@@ -1,14 +1,13 @@
 //! Post-decode optimization passes over [`DecodedFunction`] bytecode.
 //!
 //! [`super::decode_function`] produces a straight translation of one IR
-//! function: one [`DInst`] per instruction, one virtual register per
-//! instruction result. The passes below rewrite that bytecode in place —
-//! once, at static time — so the dispatch loop retires fewer, denser
-//! operations. Each pass works on one function; the static stage
-//! ([`crate::unit`]) runs them per function in this order:
-//!
-//! * [`fold_constants`] — immediate-only operations become
-//!   [`DOp::Const`], and constant-index `gep`s get a unit stride.
+//! function: one [`DInst`] per instruction, one register per instruction
+//! result. The passes below rewrite that bytecode in place — once, at
+//! static time — so the dispatch loop retires fewer, denser operations.
+//! Neither renumbers a register: parameters stay in `0..nparams`, the
+//! result of instruction `i` in `nparams + i`, and inlined callee locals
+//! are appended after those. Each pass works on one function; the static
+//! stage ([`crate::unit`]) runs them per function in this order:
 //!
 //! * [`fuse`] — **superinstruction fusion**, a peephole over each block:
 //!   - `cmp` + `condbr`, when the comparison's only consumer is the
@@ -29,38 +28,16 @@
 //! * [`inline_calls_in`] — **leaf-call inlining**: a call to a small,
 //!   single-block, call-free callee becomes one [`DOp::CallInlined`],
 //!   against the callee's [`InlineSpec`] (captured by [`inline_spec_of`]
-//!   after fusion and before allocation). Callees are finished first
-//!   because [`crate::unit`] walks the call graph bottom-up.
-//!
-//! * [`allocate_registers`] — **linear-scan register allocation**, last
-//!   and only on SSA-verified functions: virtual registers are renumbered
-//!   by live range so a frame holds the function's true register pressure
-//!   instead of one slot per instruction. Pooled frames get
-//!   proportionally cheaper to clear and the working set drops to a few
-//!   cache lines. Invariants:
-//!   - parameters keep slots `0..nparams` (the frame-setup argument copy
-//!     relies on it);
-//!   - two virtual registers that are ever simultaneously live get
-//!     distinct slots (intervals are conservative block-granularity live
-//!     ranges, so any interference implies interval overlap);
-//!   - a slot freed at position `p` is only reused by an interval
-//!     *starting after* `p`, so within one dispatch (reads happen before
-//!     the write, and phi parallel copies are staged) no value is
-//!     clobbered early.
+//!   after fusion). Callees are finished first because [`crate::unit`]
+//!   walks the call graph bottom-up.
 
 use super::{DInst, DOp, DTerm, DecodedFunction, Edge, Opnd};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// What the passes did to a function, or — summed — to a module
 /// (reported by `taint_throughput`, asserted by tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
-    /// Immediate-only operations folded into [`DOp::Const`].
-    pub folded: usize,
-    /// `gep`s with a constant index strength-reduced to a unit stride.
-    pub reduced_geps: usize,
     /// `cmp+condbr` pairs fused into [`DTerm::CondBrCmp`].
     pub fused_cmp_br: usize,
     /// `gep+load` pairs fused into [`DOp::LoadIdx`].
@@ -69,162 +46,15 @@ pub struct PassStats {
     pub fused_stores: usize,
     /// Leaf call sites flattened into [`DOp::CallInlined`].
     pub inlined_calls: usize,
-    /// Total frame registers before register allocation.
-    pub regs_before: usize,
-    /// Total frame registers after register allocation.
-    pub regs_after: usize,
 }
 
 impl std::ops::AddAssign for PassStats {
     fn add_assign(&mut self, o: PassStats) {
-        self.folded += o.folded;
-        self.reduced_geps += o.reduced_geps;
         self.fused_cmp_br += o.fused_cmp_br;
         self.fused_loads += o.fused_loads;
         self.fused_stores += o.fused_stores;
         self.inlined_calls += o.inlined_calls;
-        self.regs_before += o.regs_before;
-        self.regs_after += o.regs_after;
     }
-}
-
-/// Fold operations whose operands are all immediates into [`DOp::Const`],
-/// and strength-reduce `gep`s with an immediate index to a unit stride
-/// (the scaled offset is precomputed into the index), so the address
-/// arithmetic left at run time is a single add. Returns
-/// `(folded, reduced_geps)`.
-///
-/// Every fold computes its value with the *exact* expressions the
-/// dispatch loop would have used (wrapping integer ops, IEEE float ops on
-/// the same bit patterns), so results — including NaN payloads — are
-/// bit-identical. `Div`/`Rem` by an immediate zero stay unfolded so the
-/// runtime division-by-zero error (which names the function) fires
-/// exactly as before. Label behavior is unchanged: an all-immediate op's
-/// label was the union of empty labels — empty, produced without touching
-/// the label table (the union early-outs) — which is precisely what
-/// [`DOp::Const`] yields. A `select` folds only when its immediate
-/// condition chooses an immediate arm (the other arm's label is never
-/// read by either engine).
-///
-/// Folded values are **not** forwarded into downstream operand slots:
-/// under control-flow policy `All` the register written by a folded op
-/// carries the control context of its program point, which an immediate
-/// operand would not — forwarding would change the label unions.
-pub fn fold_constants(f: &mut DecodedFunction) -> (usize, usize) {
-    use pt_ir::BinOp;
-    let (mut folded, mut reduced) = (0usize, 0usize);
-    for blk in &mut f.blocks {
-        for di in blk.insts.iter_mut() {
-            let bits: Option<u64> = match &di.op {
-                DOp::BinI {
-                    op,
-                    a: Opnd::Imm(a),
-                    b: Opnd::Imm(b),
-                } => {
-                    let (x, y) = (*a as i64, *b as i64);
-                    match op {
-                        BinOp::Add => Some(x.wrapping_add(y) as u64),
-                        BinOp::Sub => Some(x.wrapping_sub(y) as u64),
-                        BinOp::Mul => Some(x.wrapping_mul(y) as u64),
-                        BinOp::Div => (y != 0).then(|| x.wrapping_div(y) as u64),
-                        BinOp::Rem => (y != 0).then(|| x.wrapping_rem(y) as u64),
-                        BinOp::And => Some((x & y) as u64),
-                        BinOp::Or => Some((x | y) as u64),
-                        BinOp::Xor => Some((x ^ y) as u64),
-                        BinOp::Shl => Some(crate::ops::shl_i64(x, y) as u64),
-                        BinOp::Shr => Some(crate::ops::shr_i64(x, y) as u64),
-                        BinOp::Min => Some(x.min(y) as u64),
-                        BinOp::Max => Some(x.max(y) as u64),
-                    }
-                }
-                DOp::BinF {
-                    op,
-                    a: Opnd::Imm(a),
-                    b: Opnd::Imm(b),
-                } => {
-                    let (x, y) = (f64::from_bits(*a), f64::from_bits(*b));
-                    let r = match op {
-                        BinOp::Add => Some(x + y),
-                        BinOp::Sub => Some(x - y),
-                        BinOp::Mul => Some(x * y),
-                        BinOp::Div => Some(x / y),
-                        BinOp::Rem => Some(x % y),
-                        BinOp::Min => Some(x.min(y)),
-                        BinOp::Max => Some(x.max(y)),
-                        // Bitwise float ops decode to Trap; unreachable
-                        // here, but folding nothing is always sound.
-                        _ => None,
-                    };
-                    r.map(f64::to_bits)
-                }
-                DOp::NegI { a: Opnd::Imm(a) } => Some((*a as i64).wrapping_neg() as u64),
-                DOp::NegF { a: Opnd::Imm(a) } => Some((-f64::from_bits(*a)).to_bits()),
-                DOp::NotBool { a: Opnd::Imm(a) } => Some((*a == 0) as u64),
-                DOp::NotInt { a: Opnd::Imm(a) } => Some(!(*a as i64) as u64),
-                DOp::IntToFloat { a: Opnd::Imm(a) } => Some(((*a as i64) as f64).to_bits()),
-                DOp::FloatToInt { a: Opnd::Imm(a) } => {
-                    let f = f64::from_bits(*a);
-                    let clamped = if f.is_nan() {
-                        0
-                    } else {
-                        f.clamp(i64::MIN as f64, i64::MAX as f64) as i64
-                    };
-                    Some(clamped as u64)
-                }
-                DOp::Sqrt { a: Opnd::Imm(a) } => Some(f64::from_bits(*a).max(0.0).sqrt().to_bits()),
-                DOp::AbsI { a: Opnd::Imm(a) } => Some((*a as i64).wrapping_abs() as u64),
-                DOp::AbsF { a: Opnd::Imm(a) } => Some(f64::from_bits(*a).abs().to_bits()),
-                DOp::CmpI {
-                    pred,
-                    a: Opnd::Imm(a),
-                    b: Opnd::Imm(b),
-                } => Some(pred.eval(*a as i64, *b as i64) as u64),
-                DOp::CmpF {
-                    pred,
-                    a: Opnd::Imm(a),
-                    b: Opnd::Imm(b),
-                } => Some(pred.eval(f64::from_bits(*a), f64::from_bits(*b)) as u64),
-                DOp::Select {
-                    c: Opnd::Imm(c),
-                    t,
-                    e,
-                } => match if *c != 0 { t } else { e } {
-                    Opnd::Imm(b) => Some(*b),
-                    Opnd::Reg(_) => None,
-                },
-                DOp::Gep {
-                    base: Opnd::Imm(b),
-                    index: Opnd::Imm(i),
-                    stride,
-                } => Some((*b as i64).wrapping_add((*i as i64).wrapping_mul(*stride)) as u64),
-                _ => None,
-            };
-            if let Some(bits) = bits {
-                di.op = DOp::Const { bits };
-                folded += 1;
-                continue;
-            }
-            // Constant-index gep: precompute `index * stride` so the
-            // remaining runtime arithmetic (and the fused LoadIdx /
-            // StoreIdx address computation) is `base + k * 1`. Wrapping
-            // multiplication is associative with the later `* 1`, so the
-            // address bits are unchanged.
-            if let DOp::Gep {
-                base: Opnd::Reg(_),
-                index: index @ Opnd::Imm(_),
-                stride,
-            } = &mut di.op
-            {
-                if *stride != 1 {
-                    let Opnd::Imm(i) = *index else { unreachable!() };
-                    *index = Opnd::Imm((i as i64).wrapping_mul(*stride) as u64);
-                    *stride = 1;
-                    reduced += 1;
-                }
-            }
-        }
-    }
-    (folded, reduced)
 }
 
 /// Upper bound on the body size of an inlinable callee: beyond this the
@@ -232,8 +62,8 @@ pub fn fold_constants(f: &mut DecodedFunction) -> (usize, usize) {
 /// caller's bytecode.
 const INLINE_MAX_BODY: usize = 48;
 
-/// A callee eligible for whole-call inlining, captured pre-regalloc so
-/// register `nparams + i` is still "instruction `i`".
+/// A callee eligible for whole-call inlining. Its registers keep the
+/// decode layout, so register `nparams + i` is "instruction `i`".
 ///
 /// Kept in each function's unit ([`crate::unit::FunctionUnit`]) so an
 /// edited caller can be re-optimized against memoized callees' specs
@@ -243,7 +73,7 @@ const INLINE_MAX_BODY: usize = 48;
 pub struct InlineSpec {
     pub entry: pt_ir::BlockId,
     pub nparams: usize,
-    /// Callee local register count (`nregs - nparams`, pre-allocation).
+    /// Callee local register count (`nregs - nparams`).
     pub nlocals: usize,
     pub body: Vec<DInst>,
     pub ret: Option<Opnd>,
@@ -251,12 +81,11 @@ pub struct InlineSpec {
 
 /// The [`InlineSpec`] of `f`, if it qualifies for whole-call inlining:
 /// SSA-verified, single-block, call-free, alloca-free, and small. Must be
-/// captured after [`fuse`] but before [`allocate_registers`] and before
-/// inlining into `f` (inlining into an *eligible* function is vacuous —
-/// its body has no calls — so capture order against other functions does
-/// not matter).
-pub fn inline_spec_of(f: &DecodedFunction, clean: bool) -> Option<InlineSpec> {
-    let eligible = clean
+/// captured after [`fuse`] and before inlining into `f` (inlining into an
+/// *eligible* function is vacuous — its body has no calls — so capture
+/// order against other functions does not matter).
+pub fn inline_spec_of(f: &DecodedFunction) -> Option<InlineSpec> {
+    let eligible = f.ssa_clean
         && f.blocks.len() == 1
         && f.blocks[0].insts.len() <= INLINE_MAX_BODY
         && matches!(f.blocks[0].term, DTerm::Ret(_))
@@ -302,7 +131,7 @@ fn inlinable_op(op: &DOp) -> bool {
 /// Arguments are substituted into the body as the caller-space operands
 /// of the call (sound because the body cannot write caller registers:
 /// its locals are renumbered into fresh slots appended to the caller's
-/// frame — which the subsequent register allocation then collapses).
+/// frame).
 pub fn inline_calls_in(f: &mut DecodedFunction, specs: &[Option<Arc<InlineSpec>>]) -> usize {
     let mut inlined = 0usize;
     let mut nregs = f.nregs;
@@ -358,7 +187,6 @@ pub fn inline_calls_in(f: &mut DecodedFunction, specs: &[Option<Arc<InlineSpec>>
 /// Call `visit` with every operand the operation *reads*.
 fn for_each_src(op: &DOp, visit: &mut dyn FnMut(Opnd)) {
     match op {
-        DOp::Const { .. } => {}
         DOp::BinI { a, b, .. }
         | DOp::BinF { a, b, .. }
         | DOp::CmpI { a, b, .. }
@@ -405,19 +233,7 @@ fn for_each_src(op: &DOp, visit: &mut dyn FnMut(Opnd)) {
                 visit(*a);
             }
         }
-        DOp::CallInlined { body, ret, .. } => {
-            // The whole compound occupies one program point: its internal
-            // destinations are visited as reads too, which conservatively
-            // pins every body-local register live at this point so the
-            // allocator cannot overlap them.
-            for bi in body.iter() {
-                for_each_src(&bi.op, visit);
-                visit(Opnd::Reg(bi.dst));
-            }
-            if let Some(o) = ret {
-                visit(*o);
-            }
-        }
+        DOp::CallInlined { .. } => unreachable!("fusion runs before inlining"),
         DOp::Trap { .. } => {}
     }
 }
@@ -599,249 +415,9 @@ pub fn fuse(f: &mut DecodedFunction) -> (usize, usize, usize) {
     (n_cb, n_ld, n_st)
 }
 
-/// Bitset over the function's pre-allocation register space.
-#[derive(Clone, PartialEq, Eq)]
-struct RegSet(Vec<u64>);
-
-impl RegSet {
-    fn new(nregs: usize) -> RegSet {
-        RegSet(vec![0; nregs.div_ceil(64)])
-    }
-    #[inline]
-    fn set(&mut self, r: u32) {
-        self.0[r as usize / 64] |= 1 << (r % 64);
-    }
-    #[inline]
-    fn clear(&mut self, r: u32) {
-        self.0[r as usize / 64] &= !(1 << (r % 64));
-    }
-    fn union_with(&mut self, other: &RegSet) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a |= b;
-        }
-    }
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64)
-                .filter(move |b| bits >> b & 1 == 1)
-                .map(move |b| (w * 64 + b) as u32)
-        })
-    }
-}
-
-/// Linear-scan register allocation: renumber registers by live range and
-/// shrink `nregs` to the function's true register pressure.
-///
-/// Liveness is computed per block (phi moves modelled on their edges:
-/// sources read at the predecessor's end, destinations defined there and
-/// live into the target), then each register gets one conservative
-/// interval `[first def/live point, last use/live point]` over the
-/// linearized block order. Intervals that overlap get distinct slots;
-/// expiry is strict (`end < start`), so a slot is never reused at the
-/// position that last read it.
-pub fn allocate_registers(f: &mut DecodedFunction) {
-    let nold = f.nregs;
-    let nparams = f.nparams;
-    let nblocks = f.blocks.len();
-
-    // Linear positions: parameters are defined at -1, each instruction
-    // takes one position, each terminator (with its edge moves) one more.
-    let mut block_start = vec![0i64; nblocks];
-    let mut block_term = vec![0i64; nblocks];
-    let mut pos = 0i64;
-    for (i, blk) in f.blocks.iter().enumerate() {
-        block_start[i] = pos;
-        pos += blk.insts.len() as i64;
-        block_term[i] = pos;
-        pos += 1;
-    }
-
-    // Block-level liveness to fixpoint.
-    let mut livein = vec![RegSet::new(nold); nblocks];
-    let mut liveout = vec![RegSet::new(nold); nblocks];
-    loop {
-        let mut changed = false;
-        for b in (0..nblocks).rev() {
-            let blk = &f.blocks[b];
-            let mut out = RegSet::new(nold);
-            for_each_edge(&blk.term, &mut |e| {
-                let mut t = livein[e.target.index()].clone();
-                for mv in e.moves.iter() {
-                    t.clear(mv.dst);
-                }
-                for mv in e.moves.iter() {
-                    if let Opnd::Reg(r) = mv.src {
-                        t.set(r);
-                    }
-                }
-                out.union_with(&t);
-            });
-            let mut live = out.clone();
-            for_each_term_src(&blk.term, &mut |o| {
-                if let Opnd::Reg(r) = o {
-                    live.set(r);
-                }
-            });
-            for di in blk.insts.iter().rev() {
-                live.clear(di.dst);
-                for_each_src(&di.op, &mut |o| {
-                    if let Opnd::Reg(r) = o {
-                        live.set(r);
-                    }
-                });
-            }
-            if out != liveout[b] {
-                liveout[b] = out;
-                changed = true;
-            }
-            if live != livein[b] {
-                livein[b] = live;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Conservative intervals.
-    let mut start = vec![i64::MAX; nold];
-    let mut end = vec![i64::MIN; nold];
-    macro_rules! cover {
-        ($r:expr, $p:expr) => {{
-            let (r, p) = ($r as usize, $p);
-            start[r] = start[r].min(p);
-            end[r] = end[r].max(p);
-        }};
-    }
-    for r in 0..nparams {
-        cover!(r as u32, -1);
-    }
-    for (b, blk) in f.blocks.iter().enumerate() {
-        for (p, di) in (block_start[b]..).zip(blk.insts.iter()) {
-            for_each_src(&di.op, &mut |o| {
-                if let Opnd::Reg(r) = o {
-                    cover!(r, p);
-                }
-            });
-            cover!(di.dst, p);
-        }
-        let t = block_term[b];
-        for_each_term_src(&blk.term, &mut |o| {
-            if let Opnd::Reg(r) = o {
-                cover!(r, t);
-            }
-        });
-        for_each_edge(&blk.term, &mut |e| {
-            for mv in e.moves.iter() {
-                if let Opnd::Reg(r) = mv.src {
-                    cover!(r, t);
-                }
-                cover!(mv.dst, t);
-            }
-        });
-        for r in livein[b].iter() {
-            cover!(r, block_start[b]);
-        }
-        for r in liveout[b].iter() {
-            cover!(r, block_term[b]);
-        }
-    }
-
-    // The scan. Parameters are pre-pinned to slots 0..nparams so the
-    // frame-setup argument copy stays an index-free memcpy.
-    let mut slot_of: Vec<u32> = vec![u32::MAX; nold];
-    let mut active: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
-    let mut free: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
-    let mut next_fresh = nparams as u32;
-    for r in 0..nparams {
-        slot_of[r] = r as u32;
-        active.push(Reverse((end[r], r as u32)));
-    }
-    let mut order: Vec<usize> = (nparams..nold).filter(|&r| start[r] != i64::MAX).collect();
-    order.sort_unstable_by_key(|&r| (start[r], r));
-    for r in order {
-        while let Some(&Reverse((e, s))) = active.peek() {
-            if e < start[r] {
-                active.pop();
-                free.push(Reverse(s));
-            } else {
-                break;
-            }
-        }
-        let slot = match free.pop() {
-            Some(Reverse(s)) => s,
-            None => {
-                let s = next_fresh;
-                next_fresh += 1;
-                s
-            }
-        };
-        slot_of[r] = slot;
-        active.push(Reverse((end[r], slot)));
-    }
-
-    // Rewrite every register reference. Registers with no interval are
-    // never referenced (e.g. fused-away gep results) and never appear.
-    let map = |o: &mut Opnd| {
-        if let Opnd::Reg(r) = o {
-            debug_assert_ne!(slot_of[*r as usize], u32::MAX, "referenced reg has a slot");
-            *r = slot_of[*r as usize];
-        }
-    };
-    for blk in &mut f.blocks {
-        for di in blk.insts.iter_mut() {
-            di.dst = slot_of[di.dst as usize];
-            rewrite_op(&mut di.op, &map);
-        }
-        match &mut blk.term {
-            DTerm::Br(e) => rewrite_edge(e, &map),
-            DTerm::CondBr {
-                cond,
-                then_edge,
-                else_edge,
-                ..
-            } => {
-                map(cond);
-                rewrite_edge(then_edge, &map);
-                rewrite_edge(else_edge, &map);
-            }
-            DTerm::CondBrCmp {
-                a,
-                b,
-                then_edge,
-                else_edge,
-                ..
-            } => {
-                map(a);
-                map(b);
-                rewrite_edge(then_edge, &map);
-                rewrite_edge(else_edge, &map);
-            }
-            DTerm::Ret(v) => {
-                if let Some(o) = v {
-                    map(o);
-                }
-            }
-            DTerm::Unreachable => {}
-        }
-    }
-    f.nregs = next_fresh as usize;
-}
-
-fn rewrite_edge(e: &mut Edge, map: &impl Fn(&mut Opnd)) {
-    for mv in e.moves.iter_mut() {
-        let mut d = Opnd::Reg(mv.dst);
-        map(&mut d);
-        let Opnd::Reg(nd) = d else { unreachable!() };
-        mv.dst = nd;
-        map(&mut mv.src);
-    }
-}
-
+/// Rewrite every operand the operation reads with `map`.
 fn rewrite_op(op: &mut DOp, map: &impl Fn(&mut Opnd)) {
     match op {
-        DOp::Const { .. } => {}
         DOp::BinI { a, b, .. }
         | DOp::BinF { a, b, .. }
         | DOp::CmpI { a, b, .. }
@@ -888,18 +464,7 @@ fn rewrite_op(op: &mut DOp, map: &impl Fn(&mut Opnd)) {
                 map(a);
             }
         }
-        DOp::CallInlined { body, ret, .. } => {
-            for bi in body.iter_mut() {
-                let mut d = Opnd::Reg(bi.dst);
-                map(&mut d);
-                let Opnd::Reg(nd) = d else { unreachable!() };
-                bi.dst = nd;
-                rewrite_op(&mut bi.op, map);
-            }
-            if let Some(o) = ret {
-                map(o);
-            }
-        }
+        DOp::CallInlined { .. } => unreachable!("inline specs contain no calls"),
         DOp::Trap { .. } => {}
     }
 }
@@ -979,72 +544,5 @@ mod tests {
         let mut d = decode_one(&m);
         let (_, ld, st) = fuse(&mut d);
         assert_eq!((ld, st), (0, 0));
-    }
-
-    /// Register allocation shrinks a long dependency chain to a handful of
-    /// slots and keeps parameters pinned at the front of the frame.
-    #[test]
-    fn regalloc_shrinks_straightline_chain() {
-        let mut m = Module::new("m");
-        let mut b = FunctionBuilder::new("f", vec![("x".into(), Type::I64)], Type::I64);
-        let mut v = b.param(0);
-        for k in 0..40 {
-            v = b.add(v, Value::int(k));
-        }
-        b.ret(Some(v));
-        m.add_function(b.finish());
-        let mut d = decode_one(&m);
-        let before = d.nregs;
-        allocate_registers(&mut d);
-        assert!(d.nregs < before, "chain must shrink ({before} regs before)");
-        assert!(
-            d.nregs <= 4,
-            "a pure chain needs only a couple of slots, got {}",
-            d.nregs
-        );
-        // The parameter still lives in slot 0: the first add reads Reg(0).
-        let DOp::BinI { a, .. } = &d.blocks[0].insts[0].op else {
-            panic!("first inst is the first add");
-        };
-        assert_eq!(*a, Opnd::Reg(0));
-    }
-
-    /// Values live across a loop keep distinct slots from values defined
-    /// inside it (interference via the back edge).
-    #[test]
-    fn regalloc_respects_loop_live_ranges() {
-        let mut m = Module::new("m");
-        let mut b = FunctionBuilder::new("f", vec![("n".into(), Type::I64)], Type::I64);
-        let acc = b.alloca(1i64); // live across the whole loop
-        b.store(acc, Value::int(0));
-        b.for_loop(0i64, b.param(0), 1i64, |b, iv| {
-            let cur = b.load(acc, Type::I64);
-            let nxt = b.add(cur, iv);
-            b.store(acc, nxt);
-        });
-        let out = b.load(acc, Type::I64);
-        b.ret(Some(out));
-        m.add_function(b.finish());
-        let mut d = decode_one(&m);
-        allocate_registers(&mut d);
-        // Collect the slot the alloca result landed in and every slot
-        // written inside the loop body: they must not collide.
-        let alloca_slot = d
-            .blocks
-            .iter()
-            .flat_map(|blk| blk.insts.iter())
-            .find(|di| matches!(di.op, DOp::Alloca { .. }))
-            .map(|di| di.dst)
-            .expect("alloca present");
-        let writes_alloca_slot = d
-            .blocks
-            .iter()
-            .flat_map(|blk| blk.insts.iter())
-            .filter(|di| !matches!(di.op, DOp::Alloca { .. }) && di.dst == alloca_slot);
-        assert_eq!(
-            writes_alloca_slot.count(),
-            0,
-            "nothing may clobber the buffer address while the loop lives"
-        );
     }
 }

@@ -20,7 +20,7 @@
 //! setup), functions that fail SSA verification execute with the naive
 //! zero-initialized frame in the decoded engine (matching the reference's
 //! zeroed locals), and the post-decode pass pipeline (superinstruction
-//! fusion, leaf-call inlining, register allocation) is constructed to be
+//! fusion, then leaf-call inlining) is constructed to be
 //! observably invisible — fused pairs retire the same instruction counts,
 //! clock additions, and label unions in the same order.
 //!

@@ -85,8 +85,6 @@ pub struct InterpConfig {
     pub taint_policy: PolicyKind,
     /// Record branch coverage and visited blocks.
     pub coverage: bool,
-    /// DFSan's combine-pointer-labels-on-load (default true).
-    pub combine_ptr_labels: bool,
     /// Maximum call depth.
     pub max_depth: usize,
 }
@@ -101,7 +99,6 @@ impl Default for InterpConfig {
             taint: true,
             taint_policy: PolicyKind::from_env(),
             coverage: true,
-            combine_ptr_labels: true,
             max_depth: 256,
         }
     }
@@ -202,8 +199,6 @@ pub(crate) struct CtlScope {
 #[derive(Clone, Copy)]
 struct StepEnv {
     inst_cost: f64,
-    /// DFSan's combine-pointer-labels-on-load, live in taint runs only.
-    combine_ptr: bool,
     /// Stored values join the control context (`StoresOnly` and `All`).
     store_ctx: bool,
     /// Every result joins the control context (`All`, inside a scope).
@@ -587,7 +582,6 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         let fuel = self.config.fuel;
         let policy = self.config.policy;
         let coverage = self.config.coverage;
-        let combine_ptr = P::TAINT && self.config.combine_ptr_labels;
         let store_ctx = P::TAINT && policy != CtlFlowPolicy::Off;
         let mut insts = self.insts;
         let mut clock = self.clock;
@@ -616,8 +610,8 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         // `Vec` itself, so the frame's base and length stay in machine
         // registers instead of being reloaded around every call.
         let regs: &mut [TVal] = &mut frame_buf;
-        // Arity was checked on entry; register allocation pins parameters
-        // to the first `nparams` frame slots, so this stays one memcpy.
+        // Arity was checked on entry; parameters occupy the first
+        // `nparams` frame slots, so this stays one memcpy.
         regs[..dfunc.nparams].copy_from_slice(&args[..dfunc.nparams]);
 
         // Control-flow taint scopes. The inherited scope (from tainted
@@ -661,7 +655,6 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             let apply_all = P::TAINT && policy == CtlFlowPolicy::All && !ctx.is_empty();
             let env = StepEnv {
                 inst_cost,
-                combine_ptr,
                 store_ctx,
                 apply_all,
                 ctx,
@@ -1063,17 +1056,6 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             func: prepared.decoded.func(fid).name.clone(),
         };
         Ok(Some(match op {
-            DOp::Const { bits } => {
-                // Folded constant: the original op's operands were all
-                // immediates, so its label was the union of empty labels —
-                // empty, with no table mutation (the union early-outs).
-                // `join_ctx` still joins the control context, exactly like
-                // the unfolded op.
-                TVal {
-                    bits: *bits,
-                    label: Label::EMPTY,
-                }
-            }
             DOp::BinI { op, a, b } => {
                 let a = resolve(*a, regs);
                 let b = resolve(*b, regs);
@@ -1228,7 +1210,9 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             DOp::Load { addr } => {
                 let a = resolve(*addr, regs);
                 let mut v = self.mem.load(a.as_addr())?;
-                if env.combine_ptr {
+                // DFSan's combine-pointer-labels-on-load: the address's
+                // label joins the loaded value's.
+                if P::TAINT {
                     v.label = self.union_t::<P>(v.label, a.label);
                 }
                 v
@@ -1277,7 +1261,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                 *insts += 1;
                 *clock += env.inst_cost;
                 let mut v = self.mem.load(addr as u64 as usize)?;
-                if env.combine_ptr {
+                if P::TAINT {
                     v.label = self.union_t::<P>(v.label, la);
                 }
                 v

@@ -17,8 +17,8 @@
 //!   flat bytecode (pre-resolved operands, folded types, pre-bound
 //!   callees, per-edge phi move lists, inlined branch metadata), then
 //!   rewritten by the [`decode::passes`] pipeline (superinstruction
-//!   fusion of `cmp+condbr` and `gep+load`/`gep+store`, linear-scan
-//!   register allocation shrinking frames to true register pressure).
+//!   fusion of `cmp+condbr` and `gep+load`/`gep+store`, then leaf-call
+//!   inlining).
 //! * [`ops`] — scalar semantics shared by both engines (shift behavior),
 //!   defined once so the engines cannot diverge on them.
 //! * [`host`] — the external-call interface; `pt-mpisim` plugs in here with

@@ -117,13 +117,11 @@ pub struct PreparedModule {
     /// Shared with the unit memo's entries when one built the module.
     pub functions: Vec<Arc<PreparedFunction>>,
     /// The flat bytecode the interpreter's hot loop executes: decoded,
-    /// superinstruction-fused, and register-allocated (frame sizes in
-    /// each [`crate::decode::DecodedFunction::nregs`] reflect the
-    /// allocated register pressure, not the instruction count).
+    /// superinstruction-fused and leaf-call-inlined (frames keep the
+    /// decode layout; see [`crate::decode::DecodedFunction::nregs`]).
     pub decoded: DecodedModule,
     /// What the post-decode passes ([`crate::decode::passes`]) did:
-    /// folded and fused counts, inlined calls, and frame registers
-    /// before/after allocation, summed over the functions.
+    /// fused pairs and inlined calls, summed over the functions.
     pub pass_stats: PassStats,
 }
 

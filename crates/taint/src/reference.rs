@@ -569,7 +569,8 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
             InstKind::Load { addr, .. } => {
                 let a = self.eval(*addr, locals, args);
                 let mut v = self.mem.load(a.as_addr())?;
-                if self.config.taint && self.config.combine_ptr_labels {
+                // DFSan's combine-pointer-labels-on-load.
+                if self.config.taint {
                     v.label = self.union(v.label, a.label);
                 }
                 v

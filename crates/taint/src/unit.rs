@@ -6,11 +6,10 @@
 //! * decoding needs only the module *symbol environment*
 //!   ([`DecodeEnv`]: function-name table, external table, prim table),
 //!   never another function's body;
-//! * of the passes, constant folding, fusion and register allocation are
-//!   function-local, and leaf-call inlining needs exactly the direct
-//!   callees' [`InlineSpec`]s — captured post-fuse, pre-regalloc, and
-//!   `None` for any function whose body contains calls (so members of a
-//!   call-graph cycle never have one).
+//! * of the passes, fusion is function-local, and leaf-call inlining
+//!   needs exactly the direct callees' [`InlineSpec`]s — captured after
+//!   fusion, and `None` for any function whose body contains calls (so
+//!   members of a call-graph cycle never have one).
 //!
 //! [`PreparedModule::build`] therefore walks the call graph bottom-up
 //! (callees before callers, so every spec a caller inlines is final) and
@@ -22,10 +21,7 @@
 //! lookup and a pointer copy, never a deep clone.
 //! [`PreparedModule::compute`] is the memo-less call.
 
-use crate::decode::passes::{
-    allocate_registers, fold_constants, fuse, inline_calls_in, inline_spec_of, InlineSpec,
-    PassStats,
-};
+use crate::decode::passes::{fuse, inline_calls_in, inline_spec_of, InlineSpec, PassStats};
 use crate::decode::{decode_function, DecodeEnv, DecodedFunction, DecodedModule};
 use crate::prepared::{PreparedFunction, PreparedModule};
 use pt_analysis::unitkey::unit_keys;
@@ -41,11 +37,10 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct FunctionUnit {
     pub prepared: Arc<PreparedFunction>,
-    /// Decoded, folded, fused, (callee-)inlined, register-allocated
-    /// bytecode.
+    /// Decoded, fused and (callee-)inlined bytecode.
     pub decoded: Arc<DecodedFunction>,
     /// This function's own spec, for *its* callers — captured after fusion
-    /// and before register allocation.
+    /// and before inlining into it.
     pub inline_spec: Option<Arc<InlineSpec>>,
     /// Per-function pass statistics; a module's [`PassStats`] is their
     /// field-wise sum.
@@ -73,26 +68,14 @@ fn compute_unit(
     specs: &[Option<Arc<InlineSpec>>],
 ) -> FunctionUnit {
     let prepared = PreparedFunction::compute(func);
-    let ssa_clean = pt_analysis::ssa_verify::verify_ssa(func).is_ok();
     let mut decoded = decode_function(func, &prepared, env);
+    decoded.ssa_clean = pt_analysis::ssa_verify::verify_ssa(func).is_ok();
 
     let _passes_span = pt_util::trace::span("taint", "passes");
-    let mut stats = PassStats {
-        regs_before: decoded.nregs,
-        ..PassStats::default()
-    };
-    (stats.folded, stats.reduced_geps) = fold_constants(&mut decoded);
+    let mut stats = PassStats::default();
     (stats.fused_cmp_br, stats.fused_loads, stats.fused_stores) = fuse(&mut decoded);
-    let inline_spec = inline_spec_of(&decoded, ssa_clean).map(Arc::new);
+    let inline_spec = inline_spec_of(&decoded).map(Arc::new);
     stats.inlined_calls = inline_calls_in(&mut decoded, specs);
-    // Register allocation (and the frame fast path it unlocks) is only
-    // sound when definitions dominate uses; malformed functions keep the
-    // naive frame so both engines observe identical zero-filled registers.
-    if ssa_clean {
-        allocate_registers(&mut decoded);
-        decoded.ssa_clean = true;
-    }
-    stats.regs_after = decoded.nregs;
 
     FunctionUnit {
         prepared: Arc::new(prepared),

@@ -529,6 +529,173 @@ fn fused_indexed_memory_matches_reference() {
     }
 }
 
+/// Store `v` and reload its raw bits, so a float's exact bit pattern (NaN
+/// payloads included) reaches the return value, then mix them into `acc`.
+fn mix_bits(b: &mut FunctionBuilder, slot: Value, acc: Value, v: Value) -> Value {
+    b.store(slot, v);
+    let bits = b.load(slot, Type::I64);
+    let acc = b.mul(acc, Value::int(1_000_003));
+    b.bin(BinOp::Xor, acc, bits)
+}
+
+/// Operations whose operands are all immediates take the generic `step`
+/// path: every integer, float and unary kind (NaN bit patterns too), both
+/// compares, a `select` on an immediate condition with a register arm, and
+/// constant-index `gep`s with a non-unit stride. They run under a tainted
+/// branch, so with policy `All` each result also joins the control context.
+#[test]
+fn immediate_only_operations_match_reference() {
+    use BinOp::*;
+    let quiet_nan = f64::from_bits(0x7ff8_0000_0000_0abc);
+    let signaling_nan = f64::from_bits(0xfff0_0000_0000_0001);
+
+    let mut b = tainted_main(Type::I64);
+    let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+    let buf = b.alloca(16i64);
+    let slot = b.alloca(1i64);
+    let (taken, skipped) = (b.new_block(), b.new_block());
+    let cond = b.cmp(CmpPred::Gt, n, Value::int(0));
+    b.cond_br(cond, taken, skipped);
+    b.switch_to(skipped);
+    b.ret(Some(Value::int(0)));
+
+    b.switch_to(taken);
+    let mut acc = Value::int(0);
+    let int_pairs = [(i64::MIN, -1), (-7, 3), (i64::MAX, 65)];
+    for op in [Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max] {
+        for (x, y) in int_pairs {
+            let v = b.bin(op, Value::int(x), Value::int(y));
+            acc = mix_bits(&mut b, slot, acc, v);
+        }
+    }
+    let float_pairs = [
+        (1.5, -0.0),
+        (quiet_nan, 2.0),
+        (f64::NEG_INFINITY, signaling_nan),
+        (1.0, 0.0),
+    ];
+    for op in [Add, Sub, Mul, Div, Rem, Min, Max] {
+        for (x, y) in float_pairs {
+            let v = b.bin(op, Value::float(x), Value::float(y));
+            acc = mix_bits(&mut b, slot, acc, v);
+        }
+    }
+    let unary = [
+        (
+            UnOp::Neg,
+            vec![Value::int(i64::MIN), Value::float(signaling_nan)],
+        ),
+        (UnOp::Not, vec![Value::bool(true), Value::int(5)]),
+        (UnOp::IntToFloat, vec![Value::int(i64::MIN), Value::int(-3)]),
+        (
+            UnOp::FloatToInt,
+            vec![
+                Value::float(quiet_nan),
+                Value::float(1e300),
+                Value::float(-2.7),
+            ],
+        ),
+        (
+            UnOp::Sqrt,
+            vec![
+                Value::float(-4.0),
+                Value::float(quiet_nan),
+                Value::float(2.0),
+            ],
+        ),
+        (
+            UnOp::Abs,
+            vec![Value::int(i64::MIN), Value::float(signaling_nan)],
+        ),
+    ];
+    for (op, operands) in unary {
+        for a in operands {
+            let v = b.un(op, a);
+            acc = mix_bits(&mut b, slot, acc, v);
+        }
+    }
+    let cmp_pairs = [
+        (Value::int(-3), Value::int(3)),
+        (Value::float(quiet_nan), Value::float(1.0)),
+        (Value::float(-0.0), Value::float(0.0)),
+    ];
+    for pred in [
+        CmpPred::Eq,
+        CmpPred::Ne,
+        CmpPred::Lt,
+        CmpPred::Le,
+        CmpPred::Gt,
+        CmpPred::Ge,
+    ] {
+        for (x, y) in cmp_pairs {
+            let v = b.cmp(pred, x, y);
+            acc = mix_bits(&mut b, slot, acc, v);
+        }
+    }
+    for (c, t, e) in [
+        (true, n, Value::int(9)),
+        (false, n, Value::int(9)),
+        (true, Value::int(4), n),
+        (false, Value::int(4), n),
+    ] {
+        let v = b.select(Value::bool(c), t, e);
+        acc = mix_bits(&mut b, slot, acc, v);
+    }
+    // Constant-index geps off a register base: one fuses with its load,
+    // one is read twice and stays a plain `gep`.
+    let w = b.gep(buf, Value::int(6), 1);
+    b.store(w, n);
+    let fused = b.gep(buf, Value::int(3), 2);
+    let v = b.load(fused, Type::I64);
+    acc = mix_bits(&mut b, slot, acc, v);
+    let plain = b.gep(buf, Value::int(2), 3);
+    b.store(plain, Value::int(11));
+    let v = b.load(plain, Type::I64);
+    acc = mix_bits(&mut b, slot, acc, v);
+    let imm_addr = b.gep(Value::int(100), Value::int(3), 4);
+    acc = mix_bits(&mut b, slot, acc, imm_addr);
+    b.ret(Some(acc));
+
+    let mut m = Module::new("imm-ops");
+    m.add_function(b.finish());
+    for taint in [true, false] {
+        let config = InterpConfig {
+            policy: CtlFlowPolicy::All,
+            taint,
+            ..Default::default()
+        };
+        let (decoded, legacy) = run_both(&m, vec![("n".into(), 5)], config);
+        compare_results(&decoded, &legacy)
+            .unwrap_or_else(|e| panic!("taint {taint}: engines diverge: {e}"));
+        decoded.expect("run succeeds");
+    }
+
+    // Division by an immediate zero fails at run time, naming the function.
+    for op in [Div, Rem] {
+        let mut b = tainted_main(Type::I64);
+        let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+        let cond = b.cmp(CmpPred::Gt, n, Value::int(0));
+        let (taken, skipped) = (b.new_block(), b.new_block());
+        b.cond_br(cond, taken, skipped);
+        b.switch_to(skipped);
+        b.ret(Some(Value::int(0)));
+        b.switch_to(taken);
+        let q = b.bin(op, Value::int(7), Value::int(0));
+        b.ret(Some(q));
+        let mut m = Module::new("imm-div0");
+        m.add_function(b.finish());
+        let config = InterpConfig {
+            policy: CtlFlowPolicy::All,
+            ..Default::default()
+        };
+        let err = assert_identical_failure(&m, vec![("n".into(), 5)], config);
+        assert!(
+            matches!(&err, InterpError::DivisionByZero { func } if func == "main"),
+            "{op:?}: {err:?}"
+        );
+    }
+}
+
 /// A hot leaf call (single-block, call-free accessor) is flattened into a
 /// `CallInlined` superinstruction — its per-call profile entries, path
 /// interning, executed marks, and fuel boundaries must stay bit-identical

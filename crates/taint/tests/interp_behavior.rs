@@ -174,14 +174,6 @@ fn pointer_label_combines_on_load() {
     b.ret(None);
     m.add_function(b.finish());
     run_default(&m, vec![("a".into(), 5)]);
-
-    // With the option off, the load stays clean.
-    let cfg = InterpConfig {
-        combine_ptr_labels: false,
-        ..Default::default()
-    };
-    let err = run_module(&m, vec![("a".into(), 5)], cfg).unwrap_err();
-    assert!(matches!(err, InterpError::Trap(_)));
 }
 
 #[test]

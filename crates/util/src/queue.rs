@@ -223,9 +223,10 @@ mod tests {
         let delivered = AtomicUsize::new(0);
         let accepted = AtomicUsize::new(0);
         let shed = AtomicUsize::new(0);
+        let producers_left = AtomicUsize::new(3);
         std::thread::scope(|scope| {
             for _ in 0..3 {
-                let (q, accepted, shed) = (&q, &accepted, &shed);
+                let (q, accepted, shed, left) = (&q, &accepted, &shed, &producers_left);
                 scope.spawn(move || {
                     for i in 0..200 {
                         match q.try_push(i) {
@@ -238,6 +239,13 @@ mod tests {
                             }
                             Err(TryPushError::Closed(_)) => break,
                         }
+                    }
+                    // The producers may all finish with fewer than 100
+                    // items accepted (they shed while the consumer is
+                    // descheduled); the last one closes the queue so the
+                    // consumer's first loop cannot block in `pop` forever.
+                    if left.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        q.close();
                     }
                 });
             }
