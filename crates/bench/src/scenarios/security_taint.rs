@@ -71,12 +71,12 @@ impl Scenario for SecurityTaint {
         // control scopes off here to keep the comparison like-for-like.
         let security_cfg = InterpConfig {
             policy: pt_taint::CtlFlowPolicy::Off,
-            taint_policy: PolicyKind::Security,
+            taint: Some(PolicyKind::Security),
             ..Default::default()
         };
         let paramset_cfg = InterpConfig {
             policy: pt_taint::CtlFlowPolicy::Off,
-            taint_policy: PolicyKind::ParamSet,
+            taint: Some(PolicyKind::ParamSet),
             ..Default::default()
         };
 

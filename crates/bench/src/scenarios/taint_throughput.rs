@@ -7,10 +7,10 @@
 //! on both engines against one shared `PreparedModule` and proves the
 //! outputs bit-identical (the differential contract) in **both execution
 //! modes**: the full taint run (`InterpConfig::default()`) and the
-//! measurement-mode sweep configuration (`taint: false`,
-//! `coverage: false`). It publishes the corpus instruction count and what
-//! the decode pass pipeline did (`PassStats`); the engine's speed is
-//! measured by `perfbench` (`measure.minsts_per_s`, `stage.decode_ms`).
+//! measurement-mode sweep configuration (`taint: None`). It publishes the
+//! corpus instruction count and what the decode pass pipeline did
+//! (`PassStats`); the engine's speed is measured by `perfbench`
+//! (`measure.minsts_per_s`, `stage.decode_ms`).
 
 use super::{outln, Scenario, ScenarioCtx, ScenarioResult};
 use perf_taint::PtError;
@@ -56,8 +56,7 @@ impl Scenario for TaintThroughput {
         outln!(r, "  {:<14} {:>10}  outputs", "app", "insts");
 
         let measure_cfg = InterpConfig {
-            taint: false,
-            coverage: false,
+            taint: None,
             ..Default::default()
         };
         let mut insts_total = 0u64;

@@ -93,12 +93,13 @@ impl UnitMemo for FunctionArtifactCache {
     }
 }
 
-/// The configuration salt folded into every unit key: the taint-policy
-/// identity. Two policies never share units — the decoded program is
+/// The configuration salt folded into every unit key: the run mode's
+/// taint-policy identity (`measure` for a measurement-mode session). Two
+/// policies never share units — the decoded program is
 /// policy-independent today, but the key contract is "everything the
 /// result could depend on".
-pub(crate) fn unit_salt(policy: PolicyKind) -> String {
-    digest_parts(&["statics-config", policy.name()])
+pub(crate) fn unit_salt(taint: Option<PolicyKind>) -> String {
+    digest_parts(&["statics-config", taint.map_or("measure", PolicyKind::name)])
 }
 
 #[cfg(test)]
@@ -159,7 +160,7 @@ mod tests {
 
     fn config(policy: PolicyKind) -> PipelineConfig {
         let mut config = PipelineConfig::with_mpi_defaults();
-        config.interp.taint_policy = policy;
+        config.interp.taint = Some(policy);
         config
     }
 

@@ -53,8 +53,8 @@
 //!   ([`FunctionArtifactCache`], [`ReuseStats`]) behind [`SessionCache`]'s
 //!   in-process edit loops.
 //! * [`error`] — [`PtError`], the workspace-wide error enum.
-//! * [`volume`] — symbolic compute volumes (Claims 1–2, Theorem 1) and
-//!   [`volume::DepStructure`] monomial sets.
+//! * [`volume`] — [`volume::DepStructure`], the parameter monomial sets
+//!   that compute volumes (Claims 1–2, Theorem 1) project to.
 //! * [`deps`] — from taint records to per-function dependency structures.
 //! * [`census`] — function/loop censuses (Tables 2 and 3).
 //! * [`design`] — experiment-design reduction (§A2).
@@ -95,7 +95,7 @@ pub use validate::{
     detect_contention, detect_segmentation, BranchObservations, BranchSide, ContentionFinding,
     SegmentationWarning,
 };
-pub use volume::{DepStructure, VolExpr};
+pub use volume::DepStructure;
 // The taint-policy selector is part of the session-facing API (it keys
 // `SessionCache` slots and salts unit keys), so re-export it here.
 pub use pt_taint::PolicyKind;

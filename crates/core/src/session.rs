@@ -47,9 +47,21 @@ use pt_taint::{Interpreter, LabelTable, PolicyKind, TaintRecords};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Parse textual IR into a [`Module`], wrapping failures in [`PtError`].
+/// Parse textual IR into a verified [`Module`]. A syntax error is
+/// [`PtError::Parse`]; text that parses but fails
+/// [`pt_ir::verify_module`] (say, a phi that lacks an incoming edge) is
+/// [`PtError::Config`] naming the first issue, so the static stage never
+/// decodes unverified IR.
 pub fn parse_module(text: &str) -> Result<Module, PtError> {
-    pt_ir::parser::parse_module(text).map_err(PtError::from)
+    let module = pt_ir::parser::parse_module(text)?;
+    if let Err(errors) = pt_ir::verify_module(&module) {
+        let (func, err) = &errors[0];
+        return Err(PtError::Config(format!(
+            "module failed verification: {func}: {err} ({} issue(s) total)",
+            errors.len()
+        )));
+    }
+    Ok(module)
 }
 
 /// Everything the static stage (§5.1) produces: computed once per
@@ -92,11 +104,11 @@ impl<'m> SessionBuilder<'m> {
     }
 
     /// Select the taint policy the session's runs execute under (see
-    /// [`pt_taint::policy`]). Shorthand for mutating
-    /// [`PipelineConfig::interp`]'s `taint_policy`; the default is
-    /// [`PolicyKind::from_env`].
+    /// [`pt_taint::policy`]). Shorthand for setting
+    /// [`PipelineConfig::interp`]'s `taint` to `Some(policy)`; the default
+    /// is [`PolicyKind::from_env`].
     pub fn policy(mut self, policy: PolicyKind) -> SessionBuilder<'m> {
-        self.config.interp.taint_policy = policy;
+        self.config.interp.taint = Some(policy);
         self
     }
 
@@ -153,7 +165,7 @@ impl<'m> Session<'m> {
                 // Classification reads the loop facts `build` just
                 // produced, inside the same `decode` span.
                 let _decode = pt_util::trace::span("taint", "decode");
-                let salt = unit_salt(self.config.interp.taint_policy);
+                let salt = unit_salt(self.config.interp.taint);
                 let memo = self
                     .units
                     .as_deref()

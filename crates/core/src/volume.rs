@@ -1,10 +1,14 @@
-//! Compute-volume expressions and dependency structures (§4.2–§4.3).
+//! Dependency structures (§4.2–§4.3).
 //!
 //! The taint analysis gives, per loop, a *class* of symbolic functions
 //! `g(p₁,…,pₙ)` — the parameters that may drive its trip count (Claim 1).
 //! Volumes compose: sequencing adds, nesting multiplies (§4.2), and the
 //! interprocedural accumulation over a recursion-free call tree yields the
-//! asymptotic compute volume of the whole program (Theorem 1).
+//! asymptotic compute volume of the whole program (Theorem 1). The
+//! pipeline never builds the volume expression itself: a nested loop's
+//! exit condition carries its enclosing loops' parameters through the
+//! control-context label, so the taint run already reports each loop's
+//! product term ([`crate::deps`]).
 //!
 //! For the hybrid modeler the salient projection of a volume expression is
 //! its **dependency structure**: the set of parameter *monomials* — maximal
@@ -15,113 +19,6 @@
 use pt_taint::ParamSet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// A symbolic compute-volume expression over unknown loop-count functions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum VolExpr {
-    /// Constant work (straight-line code, constant-trip loops).
-    Const,
-    /// One unknown loop-count function `g(params)`.
-    Loop(ParamSet),
-    /// Sequential composition: sum of volumes.
-    Sum(Vec<VolExpr>),
-    /// Nesting: product of volumes.
-    Prod(Vec<VolExpr>),
-}
-
-impl VolExpr {
-    /// Sequence two volumes (§4.2: `vol(LN) = vol(c1) + vol(c2)`).
-    pub fn seq(a: VolExpr, b: VolExpr) -> VolExpr {
-        match (a, b) {
-            (VolExpr::Const, x) | (x, VolExpr::Const) => x,
-            (VolExpr::Sum(mut xs), VolExpr::Sum(ys)) => {
-                xs.extend(ys);
-                VolExpr::Sum(xs)
-            }
-            (VolExpr::Sum(mut xs), y) => {
-                xs.push(y);
-                VolExpr::Sum(xs)
-            }
-            (x, VolExpr::Sum(mut ys)) => {
-                ys.insert(0, x);
-                VolExpr::Sum(ys)
-            }
-            (x, y) => VolExpr::Sum(vec![x, y]),
-        }
-    }
-
-    /// Nest a volume under a loop with count `g(params)`
-    /// (§4.2: `vol(LN) = g(p) · vol(child)`). The loop's own per-iteration
-    /// overhead is the implicit `+ c` inside: `g(p) · (c + vol(child))`.
-    pub fn nest(count: ParamSet, body: VolExpr) -> VolExpr {
-        let outer = VolExpr::Loop(count);
-        match body {
-            VolExpr::Const => outer,
-            x => VolExpr::Prod(vec![outer, VolExpr::Sum(vec![VolExpr::Const, x])]),
-        }
-    }
-
-    /// The dependency structure: every distinct monomial (product of
-    /// parameter sets along a multiplication chain) in the expression.
-    pub fn monomials(&self) -> Vec<ParamSet> {
-        normalize_monomials(self.monomial_set())
-    }
-
-    /// The full term set of the expanded expression, where a constant term
-    /// is the empty set. Sums concatenate; products take the cross-product
-    /// union of their factors' term sets.
-    fn monomial_set(&self) -> Vec<ParamSet> {
-        match self {
-            VolExpr::Const => vec![ParamSet::EMPTY],
-            VolExpr::Loop(ps) => vec![*ps],
-            VolExpr::Sum(xs) => xs.iter().flat_map(|x| x.monomial_set()).collect(),
-            VolExpr::Prod(xs) => {
-                let mut acc = vec![ParamSet::EMPTY];
-                for x in xs {
-                    let terms = x.monomial_set();
-                    let mut next = Vec::with_capacity(acc.len() * terms.len());
-                    for a in &acc {
-                        for t in &terms {
-                            next.push(a.union(*t));
-                        }
-                    }
-                    next.sort();
-                    next.dedup();
-                    acc = next;
-                }
-                acc
-            }
-        }
-    }
-
-    /// All parameters appearing anywhere.
-    pub fn params(&self) -> ParamSet {
-        self.monomials()
-            .into_iter()
-            .fold(ParamSet::EMPTY, ParamSet::union)
-    }
-
-    /// Render with parameter names, e.g. `g0(size)·g1(size,p) + g2(iters)`.
-    pub fn render(&self, names: &[String]) -> String {
-        match self {
-            VolExpr::Const => "c".into(),
-            VolExpr::Loop(ps) => format!("g{}", ps.display(names)),
-            VolExpr::Sum(xs) => xs
-                .iter()
-                .map(|x| x.render(names))
-                .collect::<Vec<_>>()
-                .join(" + "),
-            VolExpr::Prod(xs) => xs
-                .iter()
-                .map(|x| match x {
-                    VolExpr::Sum(_) => format!("({})", x.render(names)),
-                    _ => x.render(names),
-                })
-                .collect::<Vec<_>>()
-                .join("·"),
-        }
-    }
-}
 
 /// Dedup and drop monomials subsumed by a superset monomial (a term in
 /// `p·s` already covers the lone `p` factor for restriction purposes — but
@@ -245,49 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn sequencing_is_additive() {
-        // for i<p {..}; for j<s {..}  → monomials {p}, {s}
-        let v = VolExpr::seq(VolExpr::Loop(ps(0b01)), VolExpr::Loop(ps(0b10)));
-        assert_eq!(v.monomials(), vec![ps(0b01), ps(0b10)]);
-        let d = DepStructure::from_monomials(v.monomials());
-        assert!(!d.has_multiplicative());
-    }
-
-    #[test]
-    fn nesting_is_multiplicative() {
-        // for i<p { for j<s {..} } → monomials {p}, {p·s}
-        let v = VolExpr::nest(ps(0b01), VolExpr::Loop(ps(0b10)));
-        assert_eq!(v.monomials(), vec![ps(0b01), ps(0b11)]);
-        let d = DepStructure::from_monomials(v.monomials());
-        assert!(d.has_multiplicative());
-    }
-
-    #[test]
-    fn const_elision() {
-        assert_eq!(VolExpr::seq(VolExpr::Const, VolExpr::Const), VolExpr::Const);
-        let v = VolExpr::seq(VolExpr::Const, VolExpr::Loop(ps(1)));
-        assert_eq!(v, VolExpr::Loop(ps(1)));
-        // Nesting constant body: only the loop's own count remains.
-        let n = VolExpr::nest(ps(1), VolExpr::Const);
-        assert_eq!(n.monomials(), vec![ps(1)]);
-    }
-
-    #[test]
-    fn theorem1_style_accumulation() {
-        // main: for it<I { A: for e<S {..}; B: for r<R { for j<S {..} } }
-        let a = VolExpr::Loop(ps(0b001)); // S
-        let b = VolExpr::nest(ps(0b010), VolExpr::Loop(ps(0b001))); // R × S
-        let body = VolExpr::seq(a, b);
-        let main = VolExpr::nest(ps(0b100), body); // I × (...)
-        let ms = main.monomials();
-        // {I}, {I,S}, {I,R}, {I,R,S}
-        assert!(ms.contains(&ps(0b100)));
-        assert!(ms.contains(&ps(0b101)));
-        assert!(ms.contains(&ps(0b110)));
-        assert!(ms.contains(&ps(0b111)));
-    }
-
-    #[test]
     fn projection_drops_fixed_params() {
         let d = DepStructure::from_monomials(vec![ps(0b101), ps(0b010)]);
         let proj = d.project(&[0]);
@@ -328,15 +182,5 @@ mod tests {
         let names = vec!["p".to_string(), "s".to_string()];
         assert_eq!(d.render(&names), "{p} + {s}");
         assert_eq!(DepStructure::constant().render(&names), "constant");
-    }
-
-    #[test]
-    fn volume_rendering() {
-        let names = vec!["p".to_string(), "s".to_string()];
-        let v = VolExpr::nest(
-            ps(0b01),
-            VolExpr::seq(VolExpr::Loop(ps(0b10)), VolExpr::Const),
-        );
-        assert_eq!(v.render(&names), "g{p}·(c + g{s})");
     }
 }

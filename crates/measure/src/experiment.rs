@@ -75,8 +75,7 @@ pub fn run_point(
 ) -> Result<PointProfile, InterpError> {
     let handler = MpiHandler::new(point.machine.clone());
     let config = InterpConfig {
-        taint: false,
-        coverage: false,
+        taint: None,
         probe_cost: probe.to_vec(),
         ..Default::default()
     };

@@ -334,13 +334,6 @@ impl ServerState {
         // a client can probe support before running anything.
         let policy = policy_of(params)?;
         let module = parse_module(text).map_err(ServeError::from)?;
-        if let Err(errors) = pt_ir::verify_module(&module) {
-            let (func, err) = &errors[0];
-            return Err(ServeError::Pt(PtError::Config(format!(
-                "module failed verification: {func}: {err} ({} issue(s) total)",
-                errors.len()
-            ))));
-        }
         let key = StoreKey::module(text);
         let known = self.store.contains(key.kind, &key.hash);
         if !known {

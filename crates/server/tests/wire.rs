@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use pt_server::protocol::{parse_request, request_envelope};
-use pt_server::{handle_line, Server, ServerConfig, ServerState, Store};
+use pt_server::{handle_line, Server, ServerConfig, ServerState, Store, StoreKey};
 use serde::json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -274,6 +274,86 @@ fn a_duplicate_function_name_is_a_parse_error() {
         message.contains("line 5"),
         "names the second definition: {message}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// IR that parses but does not verify: the loop header's phi has no
+/// incoming value for the back edge from `bb2`.
+const UNVERIFIED_TEXT: &str = "func @main(%n: i64) -> void {
+bb0:
+  br bb1
+bb1:
+  %0 = phi i64 [bb0 -> 0]
+  %1 = cmp lt %0, %n
+  cond_br %1, bb2, bb3
+bb2:
+  %3 = add %0, 1
+  br bb1
+bb3:
+  ret
+}
+";
+
+fn error_message(response: &Value) -> &str {
+    response
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .unwrap_or_default()
+}
+
+#[test]
+fn unverified_ir_is_a_config_error_naming_the_first_issue() {
+    let dir = fresh_store_dir("unverified");
+    let state = ServerState::new(Store::open(&dir).expect("store"), 1, 4);
+    let line = request_envelope(
+        1,
+        "submit_module",
+        Value::obj(vec![("text", Value::str(UNVERIFIED_TEXT))]),
+    );
+    let response = handle_line(&state, &line.render());
+    assert_eq!(
+        error_kind(&response),
+        Some("config"),
+        "{}",
+        response.render()
+    );
+    let message = error_message(&response);
+    assert!(
+        message.starts_with("invalid configuration: module failed verification: main: phi in bb1")
+            && message.ends_with("(1 issue(s) total)"),
+        "{message}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stored_module_that_fails_verification_is_an_error_not_a_panic() {
+    let dir = fresh_store_dir("stored-unverified");
+    let store = Store::open(&dir).expect("store");
+    // Plant the text under the key a submission of it would have had.
+    let key = StoreKey::module(UNVERIFIED_TEXT);
+    store
+        .put(key.kind, &key.hash, UNVERIFIED_TEXT)
+        .expect("plant");
+    let state = ServerState::new(store, 1, 4);
+    let line = request_envelope(
+        1,
+        "static_analysis",
+        Value::obj(vec![
+            ("module", Value::str(&key.hash)),
+            ("entry", Value::str("main")),
+        ]),
+    );
+    let response = handle_line(&state, &line.render());
+    assert_eq!(
+        response.get("ok").and_then(Value::as_bool),
+        Some(false),
+        "{}",
+        response.render()
+    );
+    let message = error_message(&response);
+    assert!(!message.contains("panicked"), "{message}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

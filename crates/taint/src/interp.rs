@@ -49,7 +49,7 @@ use crate::policy::{Measure, ParamPolicy, PolicyKind, PolicyMode, SecurityPolicy
 use crate::prepared::PreparedModule;
 use crate::profile::Profile;
 use crate::records::{LoopKey, TaintRecords};
-use pt_ir::{BinOp, BlockId, FunctionId, Module};
+use pt_ir::{BinOp, BlockId, CmpPred, FunctionId, Module};
 
 /// How control-flow taint is applied (ablation knob; the paper's extension
 /// corresponds to `All`).
@@ -75,16 +75,14 @@ pub struct InterpConfig {
     pub probe_cost: Vec<f64>,
     /// Maximum number of instructions to execute.
     pub fuel: u64,
-    /// Propagate taint and record sinks (the *taint run*). Measurement
-    /// sweeps disable this for speed.
-    pub taint: bool,
-    /// Which label policy a taint run propagates ([`crate::policy`]);
-    /// ignored when `taint` is false. Defaults read the `PT_POLICY`
-    /// environment variable so the whole test matrix can run under the
-    /// security policy with no call-site changes.
-    pub taint_policy: PolicyKind,
-    /// Record branch coverage and visited blocks.
-    pub coverage: bool,
+    /// The run mode. `Some(p)` is a *taint run* under label policy `p`
+    /// ([`crate::policy`]): labels propagate, sinks, branch coverage and
+    /// visited blocks are recorded. `None` is measurement mode, which
+    /// sweeps use for speed: no labels and no records beyond the profile.
+    /// The default reads the `PT_POLICY` environment variable, so the
+    /// whole test matrix can run under the security policy with no
+    /// call-site changes.
+    pub taint: Option<PolicyKind>,
     /// Maximum call depth.
     pub max_depth: usize,
 }
@@ -96,9 +94,7 @@ impl Default for InterpConfig {
             inst_cost: 1e-9,
             probe_cost: Vec::new(),
             fuel: u64::MAX,
-            taint: true,
-            taint_policy: PolicyKind::from_env(),
-            coverage: true,
+            taint: Some(PolicyKind::from_env()),
             max_depth: 256,
         }
     }
@@ -407,17 +403,17 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
     ///
     /// Dispatches to one of the policy-monomorphized engines: the paper's
     /// parameter-label policy, the security policy, or the measurement
-    /// mode (`taint: false`) in which label propagation, shadow-label
+    /// mode (`taint: None`) in which label propagation, shadow-label
     /// combining, control scopes, and record taint-merging compile out
     /// of the hot loop entirely ([`crate::policy`]).
     pub fn run(mut self, entry: FunctionId, args: &[i64]) -> Result<RunOutput, InterpError> {
         let argv: Vec<TVal> = args.iter().map(|&a| TVal::from_i64(a)).collect();
-        let (ret, _incl) = match (self.config.taint, self.config.taint_policy) {
-            (false, _) => self.exec_function::<Measure>(entry, &argv, None, Label::EMPTY)?,
-            (true, PolicyKind::ParamSet) => {
+        let (ret, _incl) = match self.config.taint {
+            None => self.exec_function::<Measure>(entry, &argv, None, Label::EMPTY)?,
+            Some(PolicyKind::ParamSet) => {
                 self.exec_function::<ParamPolicy>(entry, &argv, None, Label::EMPTY)?
             }
-            (true, PolicyKind::Security) => {
+            Some(PolicyKind::Security) => {
                 self.exec_function::<SecurityPolicy>(entry, &argv, None, Label::EMPTY)?
             }
         };
@@ -550,48 +546,23 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         parent: Option<PathId>,
         inherited_ctx: Label,
     ) -> Result<(Option<TVal>, f64), InterpError> {
-        debug_assert_eq!(P::TAINT, self.config.taint);
-        // An error aborts the whole run (`run` consumes the interpreter),
-        // so the depth is only unwound on a normal return.
-        self.depth += 1;
-        if self.depth > self.config.max_depth {
-            return Err(InterpError::CallDepthExceeded);
-        }
-        // Reborrow through the `'m` reference so the decoded program can be
-        // held across `&mut self` calls.
-        let prepared: &'m PreparedModule = self.prepared;
-        let dfunc: &'m DecodedFunction = prepared.decoded.func(fid);
-        // A missing argument is a defined error in both engines (shared
-        // differential behavior; previously the engines diverged here).
-        if args.len() < dfunc.nparams {
-            return Err(InterpError::ArityMismatch {
-                func: dfunc.name.clone(),
-                expected: dfunc.nparams,
-                got: args.len(),
-            });
-        }
-        let path = self.intern_path(parent, fid);
-        self.records.executed[fid.index()] = true;
-
+        debug_assert_eq!(P::TAINT, self.config.taint.is_some());
         // Hot per-instruction state lives in locals, synced with `self`
         // around calls, so the dispatch loop keeps it in registers. The
         // f64 additions happen in exactly the reference engine's order —
         // only the storage location differs — so the clock stays
         // bit-identical.
+        let mut insts = self.insts;
+        let mut clock = self.clock;
+        let (path, t_enter) = self.enter_call(fid, parent, Some(args), &mut clock)?;
+        // Reborrow through the `'m` reference so the decoded program can be
+        // held across `&mut self` calls.
+        let prepared: &'m PreparedModule = self.prepared;
+        let dfunc: &'m DecodedFunction = prepared.decoded.func(fid);
         let inst_cost = self.config.inst_cost;
         let fuel = self.config.fuel;
         let policy = self.config.policy;
-        let coverage = self.config.coverage;
         let store_ctx = P::TAINT && policy != CtlFlowPolicy::Off;
-        let mut insts = self.insts;
-        let mut clock = self.clock;
-
-        let t_enter = clock;
-        // Probe cost: charged to this function's exclusive time when the
-        // measurement filter instruments it.
-        if let Some(&probe) = self.config.probe_cost.get(fid.index()) {
-            clock += probe;
-        }
         let mut child_time = 0.0f64;
 
         let frame_mark = self.mem.mark();
@@ -631,7 +602,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         let vb_base = self.records.visited_blocks.offset(fid);
 
         'blocks: loop {
-            if coverage {
+            if P::TAINT {
                 self.records.visited_blocks.set(vb_base + block.index());
             }
             // The phi moves of the edge just taken already ran (at the
@@ -719,7 +690,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                                 resolve_argv!(args, regs, argv);
                                 let ext_index = ext_id.index() - self.module.functions.len();
                                 let token = self.lib_tokens[ext_index];
-                                self.exec_host_call(
+                                self.exec_host_call::<P>(
                                     name,
                                     token,
                                     (ext_index as u32) << 1 | 1,
@@ -738,12 +709,15 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             if insts > fuel {
                 return Err(InterpError::OutOfFuel);
             }
-            match &dblock.term {
+            // Both conditional forms evaluate their condition, then share
+            // one tail: the branch's taint effects and the edge.
+            let (cv, then_edge, else_edge, exiting, join) = match &dblock.term {
                 DTerm::Br(edge) => {
                     self.take_edge::<P>(
                         edge, fid, path, regs, &ctl, base_ctx, &mut insts, &mut clock,
                     );
                     block = edge.target;
+                    continue 'blocks;
                 }
                 DTerm::CondBr {
                     cond,
@@ -751,39 +725,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                     else_edge,
                     exiting,
                     join,
-                } => {
-                    let cv = resolve(*cond, regs);
-                    if P::TAINT {
-                        // Sinks: loop-exit conditions (§4.1).
-                        for &lid in exiting.iter() {
-                            let pset = self.labels.params_of(cv.label);
-                            self.record_sink(
-                                LoopKey {
-                                    func: fid,
-                                    loop_id: lid,
-                                    path,
-                                },
-                                pset,
-                            );
-                        }
-                        // Branch coverage for tainted conditions (§4.4, §C2).
-                        if coverage && !cv.label.is_empty() {
-                            let pset = self.labels.params_of(cv.label);
-                            self.record_branch((fid, block), pset, cv.as_bool());
-                        }
-                        // Open a control scope for tainted branches.
-                        if policy != CtlFlowPolicy::Off && !cv.label.is_empty() {
-                            let enclosing = ctl.last().map_or(base_ctx, |s| s.label);
-                            let label = self.union_t::<P>(cv.label, enclosing);
-                            ctl.push(CtlScope { join: *join, label });
-                        }
-                    }
-                    let edge = if cv.as_bool() { then_edge } else { else_edge };
-                    self.take_edge::<P>(
-                        edge, fid, path, regs, &ctl, base_ctx, &mut insts, &mut clock,
-                    );
-                    block = edge.target;
-                }
+                } => (resolve(*cond, regs), then_edge, else_edge, exiting, join),
                 DTerm::CondBrCmp {
                     pred,
                     float,
@@ -794,54 +736,18 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                     exiting,
                     join,
                 } => {
-                    // Fused cmp+condbr. The comparison half retires here —
-                    // count, clock, and label unions in exactly the order
-                    // the standalone cmp produced them — then the fuel
-                    // boundary that used to sit between the cmp and the
-                    // branch is re-checked before any branch effect.
+                    // Fused cmp+condbr: the comparison retires as the
+                    // standalone cmp did, then the fuel boundary that sat
+                    // between the cmp and the branch is re-checked before
+                    // any branch effect.
                     insts += 1;
                     clock += inst_cost;
-                    let av = resolve(*a, regs);
-                    let bv = resolve(*b, regs);
-                    let mut cond_label = self.union_t::<P>(av.label, bv.label);
-                    let taken = if *float {
-                        pred.eval(av.as_f64(), bv.as_f64())
-                    } else {
-                        pred.eval(av.as_i64(), bv.as_i64())
-                    };
-                    if apply_all {
-                        cond_label = self.union_t::<P>(cond_label, ctx);
-                    }
+                    let cv = self.compare::<P>(*pred, *float, resolve(*a, regs), resolve(*b, regs));
+                    let cv = self.join_ctx::<P>(cv, env);
                     if insts > fuel {
                         return Err(InterpError::OutOfFuel);
                     }
-                    if P::TAINT {
-                        for &lid in exiting.iter() {
-                            let pset = self.labels.params_of(cond_label);
-                            self.record_sink(
-                                LoopKey {
-                                    func: fid,
-                                    loop_id: lid,
-                                    path,
-                                },
-                                pset,
-                            );
-                        }
-                        if coverage && !cond_label.is_empty() {
-                            let pset = self.labels.params_of(cond_label);
-                            self.record_branch((fid, block), pset, taken);
-                        }
-                        if policy != CtlFlowPolicy::Off && !cond_label.is_empty() {
-                            let enclosing = ctl.last().map_or(base_ctx, |s| s.label);
-                            let label = self.union_t::<P>(cond_label, enclosing);
-                            ctl.push(CtlScope { join: *join, label });
-                        }
-                    }
-                    let edge = if taken { then_edge } else { else_edge };
-                    self.take_edge::<P>(
-                        edge, fid, path, regs, &ctl, base_ctx, &mut insts, &mut clock,
-                    );
-                    block = edge.target;
+                    (cv, then_edge, else_edge, exiting, join)
                 }
                 DTerm::Ret(v) => {
                     ret_val = (*v).map(|op| resolve(op, regs));
@@ -853,23 +759,109 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                         dfunc.name
                     )));
                 }
+            };
+            if P::TAINT {
+                // Sinks: loop-exit conditions (§4.1).
+                for &lid in exiting.iter() {
+                    let pset = self.labels.params_of(cv.label);
+                    self.record_sink(
+                        LoopKey {
+                            func: fid,
+                            loop_id: lid,
+                            path,
+                        },
+                        pset,
+                    );
+                }
+                // A tainted condition: branch coverage (§4.4, §C2), and a
+                // control scope that closes at the join.
+                if !cv.label.is_empty() {
+                    let pset = self.labels.params_of(cv.label);
+                    self.record_branch((fid, block), pset, cv.as_bool());
+                    if policy != CtlFlowPolicy::Off {
+                        let enclosing = ctl.last().map_or(base_ctx, |s| s.label);
+                        let label = self.union_t::<P>(cv.label, enclosing);
+                        ctl.push(CtlScope { join: *join, label });
+                    }
+                }
             }
+            let edge = if cv.as_bool() { then_edge } else { else_edge };
+            self.take_edge::<P>(
+                edge, fid, path, regs, &ctl, base_ctx, &mut insts, &mut clock,
+            );
+            block = edge.target;
         }
 
         self.mem.release_to(frame_mark);
         self.insts = insts;
         self.clock = clock;
-        let inclusive = clock - t_enter;
-        let exclusive = inclusive - child_time;
-        self.profile.record_call(path, fid, inclusive, exclusive);
         // Returned frames keep their (stale) contents: SSA-clean callees
         // never read a register before writing it, and unclean callees
         // clear explicitly at frame setup.
         self.reg_pool.push(frame_buf);
         ctl.clear();
         self.ctl_pool.push(ctl);
-        self.depth -= 1;
+        let inclusive = self.exit_call(fid, path, t_enter, clock, child_time);
         Ok((ret_val, inclusive))
+    }
+
+    /// Call entry, shared by a frame and an inlined leaf: the depth
+    /// limit, the arity check (`args` is `None` for an inlined leaf,
+    /// whose arity the inlining pass checked), call-path interning, the
+    /// executed mark and the probe charge. Returns the callee's path and
+    /// its entry clock.
+    #[inline(always)]
+    fn enter_call(
+        &mut self,
+        fid: FunctionId,
+        parent: Option<PathId>,
+        args: Option<&[TVal]>,
+        clock: &mut f64,
+    ) -> Result<(PathId, f64), InterpError> {
+        // An error aborts the whole run (`run` consumes the interpreter),
+        // so the depth is only unwound on a normal return.
+        self.depth += 1;
+        if self.depth > self.config.max_depth {
+            return Err(InterpError::CallDepthExceeded);
+        }
+        if let Some(args) = args {
+            // A missing argument is a defined error in both engines.
+            let dfunc = self.prepared.decoded.func(fid);
+            if args.len() < dfunc.nparams {
+                return Err(InterpError::ArityMismatch {
+                    func: dfunc.name.clone(),
+                    expected: dfunc.nparams,
+                    got: args.len(),
+                });
+            }
+        }
+        let path = self.intern_path(parent, fid);
+        self.records.executed[fid.index()] = true;
+        let t_enter = *clock;
+        // Probe cost: charged to this function's exclusive time when the
+        // measurement filter instruments it.
+        if let Some(&probe) = self.config.probe_cost.get(fid.index()) {
+            *clock += probe;
+        }
+        Ok((path, t_enter))
+    }
+
+    /// Call exit, the counterpart of [`Self::enter_call`]: the profile
+    /// entry and the depth unwind. Returns the call's inclusive time.
+    #[inline(always)]
+    fn exit_call(
+        &mut self,
+        fid: FunctionId,
+        path: PathId,
+        t_enter: f64,
+        clock: f64,
+        child_time: f64,
+    ) -> f64 {
+        let inclusive = clock - t_enter;
+        let exclusive = inclusive - child_time;
+        self.profile.record_call(path, fid, inclusive, exclusive);
+        self.depth -= 1;
+        inclusive
     }
 
     /// Take a decoded CFG edge: loop bookkeeping, then the target's phi
@@ -951,9 +943,9 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
     }
 
     /// Execute a [`DOp::CallInlined`] superinstruction: an entire leaf
-    /// call — depth and fuel boundaries, path interning, executed/visited
-    /// marks, probe cost, body, per-call profile entry — replayed inline
-    /// over the caller's frame. The caller's loop charged the call
+    /// call — the frame's own call entry and exit, fuel boundaries, the
+    /// visited mark and the body — run over the caller's frame. The
+    /// caller's loop charged the call
     /// instruction itself; the callee's control context equals the
     /// caller's at the call site (a single-block callee can neither push
     /// nor pop scopes), so `env` carries over unchanged.
@@ -971,17 +963,8 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         path: PathId,
         env: StepEnv,
     ) -> Result<TVal, InterpError> {
-        self.depth += 1;
-        if self.depth > self.config.max_depth {
-            return Err(InterpError::CallDepthExceeded);
-        }
-        let ipath = self.intern_path(Some(path), callee);
-        self.records.executed[callee.index()] = true;
-        let t_enter = *clock;
-        if let Some(&probe) = self.config.probe_cost.get(callee.index()) {
-            *clock += probe;
-        }
-        if self.config.coverage {
+        let (ipath, t_enter) = self.enter_call(callee, Some(path), None, clock)?;
+        if P::TAINT {
             self.records.visited_blocks.mark(callee, entry);
         }
         // The fuel boundaries the reference engine checks at the callee's
@@ -1002,14 +985,10 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         if *insts > fuel {
             return Err(InterpError::OutOfFuel);
         }
-        self.depth -= 1;
         let rv = ret.map_or(TVal::UNTAINTED_ZERO, |o| resolve(o, regs));
         // No children and no alloca: exclusive == inclusive, and the
         // memory watermark is untouched.
-        let inclusive = *clock - t_enter;
-        self.profile
-            .record_call(ipath, callee, inclusive, inclusive);
-        *child_time += inclusive;
+        *child_time += self.exit_call(callee, ipath, t_enter, *clock, 0.0);
         Ok(rv)
     }
 
@@ -1021,6 +1000,61 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             v.with_label(self.union_t::<P>(v.label, env.ctx))
         } else {
             v
+        }
+    }
+
+    /// The gep rule: address `base + index * stride`, labelled with both
+    /// operands' labels.
+    #[inline(always)]
+    fn gep<P: PolicyMode>(&mut self, b: TVal, i: TVal, stride: &i64) -> TVal {
+        let label = self.union_t::<P>(b.label, i.label);
+        let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
+        TVal {
+            bits: addr as u64,
+            label,
+        }
+    }
+
+    /// The load rule. DFSan's combine-pointer-labels-on-load: the
+    /// address's label joins the loaded value's.
+    #[inline(always)]
+    fn load<P: PolicyMode>(&mut self, a: TVal) -> Result<TVal, InterpError> {
+        let mut v = self.mem.load(a.as_addr())?;
+        if P::TAINT {
+            v.label = self.union_t::<P>(v.label, a.label);
+        }
+        Ok(v)
+    }
+
+    /// The store rule: `StoresOnly` and `All` both taint a stored value
+    /// with the control context.
+    #[inline(always)]
+    fn store<P: PolicyMode>(
+        &mut self,
+        a: TVal,
+        mut v: TVal,
+        env: StepEnv,
+    ) -> Result<TVal, InterpError> {
+        if env.store_ctx {
+            v.label = self.union_t::<P>(v.label, env.ctx);
+        }
+        self.mem.store(a.as_addr(), v)?;
+        Ok(TVal::UNTAINTED_ZERO)
+    }
+
+    /// The compare rule, integer or float: a boolean labelled with both
+    /// operands' labels.
+    #[inline(always)]
+    fn compare<P: PolicyMode>(&mut self, pred: CmpPred, float: bool, a: TVal, b: TVal) -> TVal {
+        let label = self.union_t::<P>(a.label, b.label);
+        let r = if float {
+            pred.eval(a.as_f64(), b.as_f64())
+        } else {
+            pred.eval(a.as_i64(), b.as_i64())
+        };
+        TVal {
+            bits: r as u64,
+            label,
         }
     }
 
@@ -1180,22 +1214,10 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                 }
             }
             DOp::CmpI { pred, a, b } => {
-                let a = resolve(*a, regs);
-                let b = resolve(*b, regs);
-                let label = self.union_t::<P>(a.label, b.label);
-                TVal {
-                    bits: pred.eval(a.as_i64(), b.as_i64()) as u64,
-                    label,
-                }
+                self.compare::<P>(*pred, false, resolve(*a, regs), resolve(*b, regs))
             }
             DOp::CmpF { pred, a, b } => {
-                let a = resolve(*a, regs);
-                let b = resolve(*b, regs);
-                let label = self.union_t::<P>(a.label, b.label);
-                TVal {
-                    bits: pred.eval(a.as_f64(), b.as_f64()) as u64,
-                    label,
-                }
+                self.compare::<P>(*pred, true, resolve(*a, regs), resolve(*b, regs))
             }
             DOp::Select { c, t, e } => {
                 let c = resolve(*c, regs);
@@ -1207,64 +1229,30 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                 let label = self.union_t::<P>(c.label, chosen.label);
                 chosen.with_label(label)
             }
-            DOp::Load { addr } => {
-                let a = resolve(*addr, regs);
-                let mut v = self.mem.load(a.as_addr())?;
-                // DFSan's combine-pointer-labels-on-load: the address's
-                // label joins the loaded value's.
-                if P::TAINT {
-                    v.label = self.union_t::<P>(v.label, a.label);
-                }
-                v
-            }
+            DOp::Load { addr } => self.load::<P>(resolve(*addr, regs))?,
             DOp::Store { addr, value } => {
-                let a = resolve(*addr, regs);
-                let mut v = resolve(*value, regs);
-                if env.store_ctx {
-                    // StoresOnly and All both taint stored values with the
-                    // control context.
-                    v.label = self.union_t::<P>(v.label, env.ctx);
-                }
-                self.mem.store(a.as_addr(), v)?;
-                TVal::UNTAINTED_ZERO
+                self.store::<P>(resolve(*addr, regs), resolve(*value, regs), env)?
             }
             DOp::Gep {
                 base,
                 index,
                 stride,
-            } => {
-                let b = resolve(*base, regs);
-                let i = resolve(*index, regs);
-                let label = self.union_t::<P>(b.label, i.label);
-                let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
-                TVal {
-                    bits: addr as u64,
-                    label,
-                }
-            }
+            } => self.gep::<P>(resolve(*base, regs), resolve(*index, regs), stride),
+            // The fused gep+load and gep+store retire as two
+            // instructions: the caller charged the gep, whose result joins
+            // the control context as a standalone gep's would (so the
+            // label table stays identical), and the memory half charges
+            // itself before touching memory.
             DOp::LoadIdx {
                 base,
                 index,
                 stride,
             } => {
-                // Fused gep+load: this dispatch retires both. The caller
-                // charged the gep; its label unions run here in the
-                // original order, then the load half charges itself before
-                // touching memory.
-                let b = resolve(*base, regs);
-                let i = resolve(*index, regs);
-                let mut la = self.union_t::<P>(b.label, i.label);
-                if env.apply_all {
-                    la = self.union_t::<P>(la, env.ctx);
-                }
-                let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
+                let a = self.gep::<P>(resolve(*base, regs), resolve(*index, regs), stride);
+                let a = self.join_ctx::<P>(a, env);
                 *insts += 1;
                 *clock += env.inst_cost;
-                let mut v = self.mem.load(addr as u64 as usize)?;
-                if P::TAINT {
-                    v.label = self.union_t::<P>(v.label, la);
-                }
-                v
+                self.load::<P>(a)?
             }
             DOp::StoreIdx {
                 base,
@@ -1272,25 +1260,11 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                 stride,
                 value,
             } => {
-                // Fused gep+store, charged like the fused load.
-                let b = resolve(*base, regs);
-                let i = resolve(*index, regs);
-                let gep_label = self.union_t::<P>(b.label, i.label);
-                if env.apply_all {
-                    // The fused-away gep result would have carried the
-                    // control context; the union must still happen so the
-                    // label table stays identical.
-                    let _ = self.union_t::<P>(gep_label, env.ctx);
-                }
-                let addr = b.as_i64().wrapping_add(i.as_i64().wrapping_mul(*stride));
+                let a = self.gep::<P>(resolve(*base, regs), resolve(*index, regs), stride);
+                let a = self.join_ctx::<P>(a, env);
                 *insts += 1;
                 *clock += env.inst_cost;
-                let mut v = resolve(*value, regs);
-                if env.store_ctx {
-                    v.label = self.union_t::<P>(v.label, env.ctx);
-                }
-                self.mem.store(addr as u64 as usize, v)?;
-                TVal::UNTAINTED_ZERO
+                self.store::<P>(a, resolve(*value, regs), env)?
             }
             DOp::CallHostPrim { name, prim, args } => {
                 // Host calls never touch the instruction counter, and the
@@ -1308,7 +1282,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                     TVal::UNTAINTED_ZERO
                 } else {
                     let token = self.prim_tokens[*prim as usize];
-                    self.exec_host_call(name, token, *prim << 1, argv, fid, path, clock, None)?
+                    self.exec_host_call::<P>(name, token, *prim << 1, argv, fid, path, clock, None)?
                 }
             }
             DOp::Trap { message } => return Err(InterpError::Trap(message.to_string())),
@@ -1440,7 +1414,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
     /// token pre-resolved at construction; symbols the handler does not
     /// resolve fall back to by-name dispatch.
     #[allow(clippy::too_many_arguments)]
-    fn exec_host_call(
+    fn exec_host_call<P: PolicyMode>(
         &mut self,
         name: &str,
         token: Option<u32>,
@@ -1451,7 +1425,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         clock: &mut f64,
         lib: Option<(FunctionId, &mut f64)>,
     ) -> Result<TVal, InterpError> {
-        if self.config.taint {
+        if P::TAINT {
             self.record_extern_args(name, sym, argv, caller);
         }
 
@@ -1459,7 +1433,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             mem: &mut self.mem,
             labels: &mut self.labels,
             params: &self.params,
-            taint: self.config.taint,
+            taint: P::TAINT,
         };
         let called = match token {
             Some(t) => self.handler.call_token(t, argv, &mut ctx),

@@ -96,22 +96,28 @@ impl std::fmt::Display for PolicyKind {
 /// Compile-time face of a policy: the interpreter loops are generic over
 /// `P: PolicyMode` and read these `const`s, so the optimizer folds every
 /// policy branch at monomorphization time. Three modes exist because
-/// "taint off" (the measurement sweep) is itself a policy specialization.
+/// "taint off" (the measurement sweep) is itself a policy specialization:
+/// [`crate::InterpConfig::taint`] picks [`Measure`] for `None` and the
+/// policy's own mode for `Some(kind)`.
 pub trait PolicyMode {
     /// Labels propagate at all. `false` compiles label unions, control
-    /// scopes, and record merging out of the loop (the measurement mode).
+    /// scopes, sinks, branch coverage, visited-block marks and record
+    /// merging out of the loop (the measurement mode).
     const TAINT: bool;
     /// The security source/sink/sanitizer intrinsics are live.
     const SECURITY: bool;
 }
 
-/// Measurement mode: no label propagation at all (`taint: false`).
+/// Measurement mode: no label propagation and no coverage at all
+/// (`taint: None`).
 pub struct Measure;
 
-/// The paper's parameter-label policy (`taint: true`, default).
+/// The paper's parameter-label policy (`taint: Some(PolicyKind::ParamSet)`,
+/// the default).
 pub struct ParamPolicy;
 
-/// The security source/sink/sanitizer policy.
+/// The security source/sink/sanitizer policy
+/// (`taint: Some(PolicyKind::Security)`).
 pub struct SecurityPolicy;
 
 impl PolicyMode for Measure {

@@ -125,10 +125,17 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
 
     #[inline]
     fn union(&mut self, a: Label, b: Label) -> Label {
-        if !self.config.taint {
+        if !self.taint() {
             return Label::EMPTY;
         }
         self.labels.union(a, b)
+    }
+
+    /// Whether this is a taint run (`taint: Some(_)`): labels propagate
+    /// and sinks, branch coverage and visited blocks are recorded.
+    #[inline]
+    fn taint(&self) -> bool {
+        self.config.taint.is_some()
     }
 
     /// Whether the security policy's source/sink/sanitizer intrinsics are
@@ -136,7 +143,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
     /// the slow mirror of the decoded engine's monomorphized `P::SECURITY`).
     #[inline]
     fn security(&self) -> bool {
-        self.config.taint && self.config.taint_policy == crate::policy::PolicyKind::Security
+        self.config.taint == Some(crate::policy::PolicyKind::Security)
     }
 
     fn exec_function(
@@ -203,7 +210,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
         let ret_val: Option<TVal>;
 
         'blocks: loop {
-            if self.config.coverage {
+            if self.taint() {
                 self.records.visited_blocks.mark(fid, block);
             }
             let cur_ctx = |ctl: &[CtlScope]| ctl.last().map_or(base_ctx, |s| s.label);
@@ -232,7 +239,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                             .find(|(b, _)| *b == pb)
                             .unwrap_or_else(|| panic!("phi %{} missing incoming for {pb}", iid.0));
                         let mut tv = self.eval(*v, &locals, &args);
-                        if self.config.taint && self.config.policy == CtlFlowPolicy::All {
+                        if self.taint() && self.config.policy == CtlFlowPolicy::All {
                             let ctx = cur_ctx(&ctl);
                             tv.label = self.union(tv.label, ctx);
                         }
@@ -255,7 +262,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
             for &iid in &insts[phi_end..] {
                 self.insts += 1;
                 self.clock += self.config.inst_cost;
-                let ctx = if self.config.taint && self.config.policy != CtlFlowPolicy::Off {
+                let ctx = if self.taint() && self.config.policy != CtlFlowPolicy::Off {
                     cur_ctx(&ctl)
                 } else {
                     Label::EMPTY
@@ -290,7 +297,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                     else_bb,
                 } => {
                     let cv = self.eval(*cond, &locals, &args);
-                    if self.config.taint {
+                    if self.taint() {
                         // Sinks: loop-exit conditions (§4.1).
                         for &lid in &prep.exiting_loops[block.index()] {
                             let pset = self.labels.params_of(cv.label);
@@ -306,7 +313,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                             rec.params = rec.params.union(pset);
                         }
                         // Branch coverage for tainted conditions (§4.4, §C2).
-                        if self.config.coverage && !cv.label.is_empty() {
+                        if !cv.label.is_empty() {
                             let pset = self.labels.params_of(cv.label);
                             let rec = self.records.branches.entry((fid, block)).or_default();
                             rec.params = rec.params.union(pset);
@@ -361,7 +368,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
         to: BlockId,
         prep: &crate::prepared::PreparedFunction,
     ) {
-        if !self.config.taint {
+        if !self.taint() {
             return;
         }
         if let Some(&lid) = prep.back_edges.get(&(from, to)) {
@@ -420,7 +427,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
     ) -> Result<TVal, InterpError> {
         let is_float = prep.operand_float[iid.index()];
         let apply_ctx = |me: &mut Self, mut t: TVal| -> TVal {
-            if me.config.taint && me.config.policy == CtlFlowPolicy::All && !ctx.is_empty() {
+            if me.taint() && me.config.policy == CtlFlowPolicy::All && !ctx.is_empty() {
                 t.label = me.union(t.label, ctx);
             }
             t
@@ -570,7 +577,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                 let a = self.eval(*addr, locals, args);
                 let mut v = self.mem.load(a.as_addr())?;
                 // DFSan's combine-pointer-labels-on-load.
-                if self.config.taint {
+                if self.taint() {
                     v.label = self.union(v.label, a.label);
                 }
                 v
@@ -578,7 +585,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
             InstKind::Store { addr, value } => {
                 let a = self.eval(*addr, locals, args);
                 let mut v = self.eval(*value, locals, args);
-                if self.config.taint && self.config.policy != CtlFlowPolicy::Off {
+                if self.taint() && self.config.policy != CtlFlowPolicy::Off {
                     // StoresOnly and All both taint stored values with the
                     // control context.
                     v.label = self.union(v.label, ctx);
@@ -643,7 +650,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                     self.params.get(idx).cloned().ok_or_else(|| {
                         InterpError::Trap(format!("pt_param_i64: no param {idx}"))
                     })?;
-                let label = if self.config.taint {
+                let label = if self.taint() {
                     self.labels
                         .try_base_label(&name)
                         .map_err(InterpError::LabelCapacity)?
@@ -658,7 +665,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                 let (name, _) = self.params.get(idx).cloned().ok_or_else(|| {
                     InterpError::Trap(format!("pt_register_param: no param {idx}"))
                 })?;
-                if self.config.taint {
+                if self.taint() {
                     let label = self
                         .labels
                         .try_base_label(&name)
@@ -705,7 +712,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                 return Ok(v);
             }
             "pt_assert_has_param" => {
-                if self.config.taint {
+                if self.taint() {
                     let idx = argv[1].as_i64() as usize;
                     if !self.labels.params_of(argv[0].label).contains(idx) {
                         return Err(InterpError::Trap(format!(
@@ -717,7 +724,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                 return Ok(TVal::UNTAINTED_ZERO);
             }
             "pt_assert_not_param" => {
-                if self.config.taint {
+                if self.taint() {
                     let idx = argv[1].as_i64() as usize;
                     if self.labels.params_of(argv[0].label).contains(idx) {
                         return Err(InterpError::Trap(format!(
@@ -737,7 +744,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
         // Record the parameters tainting the call's arguments — the library
         // database turns these into parametric dependencies of the caller
         // (the count-argument mechanism of §5.3).
-        if self.config.taint {
+        if self.taint() {
             let mut pset = crate::label::ParamSet::EMPTY;
             for a in argv {
                 pset = pset.union(self.labels.params_of(a.label));
@@ -761,7 +768,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
             mem: &mut self.mem,
             labels: &mut self.labels,
             params: &self.params,
-            taint: self.config.taint,
+            taint: self.config.taint.is_some(),
         };
         let (ret, cost) = self.handler.call(name, argv, &mut ctx).map_err(|message| {
             InterpError::ExternalFailed {

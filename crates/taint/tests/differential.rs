@@ -10,7 +10,7 @@
 use pt_ir::{BinOp, CmpPred, FunctionBuilder, Module, Type, UnOp, Value};
 use pt_taint::differential::compare_results;
 use pt_taint::{
-    CtlFlowPolicy, InterpConfig, InterpError, Interpreter, MemError, PreparedModule,
+    CtlFlowPolicy, InterpConfig, InterpError, Interpreter, MemError, PolicyKind, PreparedModule,
     ReferenceInterpreter, RunOutput, WorkOnlyHandler,
 };
 
@@ -396,8 +396,7 @@ fn taint_disabled_and_no_coverage_match_reference() {
     let mut m = Module::new("no-taint");
     m.add_function(b.finish());
     let config = InterpConfig {
-        taint: false,
-        coverage: false,
+        taint: None,
         ..Default::default()
     };
     let out = assert_identical(&m, vec![("n".into(), 12)], config);
@@ -661,7 +660,7 @@ fn immediate_only_operations_match_reference() {
     for taint in [true, false] {
         let config = InterpConfig {
             policy: CtlFlowPolicy::All,
-            taint,
+            taint: taint.then(PolicyKind::from_env),
             ..Default::default()
         };
         let (decoded, legacy) = run_both(&m, vec![("n".into(), 5)], config);
@@ -773,7 +772,7 @@ fn division_by_zero_in_inlined_leaf_names_the_leaf() {
 
     for taint in [true, false] {
         let config = InterpConfig {
-            taint,
+            taint: taint.then(PolicyKind::from_env),
             ..Default::default()
         };
         let (decoded, legacy) = run_both(&m, vec![("n".into(), 0)], config);
@@ -798,6 +797,59 @@ fn unreachable_traps_identically() {
     assert!(matches!(err, InterpError::Trap(ref msg) if msg.contains("unreachable")));
 }
 
+/// A fused gep+load and gep+store inside a control scope tainted by its
+/// own parameter. Index, scope and memory word each carry a different
+/// parameter, so the control-context join of each fused-away gep creates
+/// a label node that no other union creates: an engine that skipped or
+/// reordered that join would leave a different label table.
+#[test]
+fn fused_pairs_under_tainted_control_keep_their_label_unions() {
+    let mut b = tainted_main(Type::I64);
+    let a = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+    let k = b.call_external("pt_param_i64", vec![Value::int(1)], Type::I64);
+    let d = b.call_external("pt_param_i64", vec![Value::int(3)], Type::I64);
+    let buf = b.alloca(8i64);
+    let word = b.gep(buf, Value::int(1), 1);
+    b.call_external("pt_register_param", vec![word, Value::int(2)], Type::Void);
+    let load_idx = b.bin(BinOp::And, a, Value::int(1));
+    let low = b.bin(BinOp::And, d, Value::int(1));
+    let store_idx = b.add(low, Value::int(2));
+    let cond = b.cmp(CmpPred::Gt, k, Value::int(0));
+    let (scoped, join) = (b.new_block(), b.new_block());
+    b.cond_br(cond, scoped, join);
+    b.switch_to(scoped);
+    let p = b.gep(buf, load_idx, 1);
+    let v = b.load(p, Type::I64);
+    let q = b.gep(buf, store_idx, 1);
+    b.store(q, v);
+    b.br(join);
+    b.switch_to(join);
+    b.ret(Some(Value::int(0)));
+    let mut m = Module::new("fused-under-scope");
+    m.add_function(b.finish());
+
+    let stats = PreparedModule::compute(&m).pass_stats;
+    assert!(
+        stats.fused_loads >= 1 && stats.fused_stores >= 1 && stats.fused_cmp_br >= 1,
+        "{stats:?}"
+    );
+    let params: Vec<(String, i64)> = ["a", "k", "c", "d"]
+        .iter()
+        .map(|n| (n.to_string(), 1))
+        .collect();
+    for policy in [
+        CtlFlowPolicy::All,
+        CtlFlowPolicy::StoresOnly,
+        CtlFlowPolicy::Off,
+    ] {
+        let config = InterpConfig {
+            policy,
+            ..Default::default()
+        };
+        assert_identical(&m, params.clone(), config);
+    }
+}
+
 // ---- pure-work primitives ----------------------------------------------
 
 /// Run `m` through both engines in measurement mode and in a taint run,
@@ -807,8 +859,7 @@ fn unreachable_traps_identically() {
 fn assert_identical_measure_and_taint(m: &Module, params: Vec<(String, i64)>) -> [RunOutput; 2] {
     [false, true].map(|taint| {
         let config = InterpConfig {
-            taint,
-            coverage: taint,
+            taint: taint.then(PolicyKind::from_env),
             ..Default::default()
         };
         let (decoded, legacy) = run_both(m, params.clone(), config);
@@ -886,7 +937,7 @@ fn oversized_alloca_fails_identically() {
     m.add_function(b.finish());
     for taint in [false, true] {
         let config = InterpConfig {
-            taint,
+            taint: taint.then(PolicyKind::from_env),
             ..Default::default()
         };
         let err = assert_identical_failure(&m, vec![], config);

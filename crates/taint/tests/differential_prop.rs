@@ -243,7 +243,8 @@ proptest! {
         // security lattice (sources/sanitizers/sinks live) and the
         // paper's param-set domain (the intrinsics are pass-throughs).
         let taint_policy = if security { PolicyKind::Security } else { PolicyKind::ParamSet };
-        let config = InterpConfig { policy, taint, coverage: taint, fuel, taint_policy, ..Default::default() };
+        let taint = taint.then_some(taint_policy);
+        let config = InterpConfig { policy, taint, fuel, ..Default::default() };
         let params = vec![("n".to_string(), n), ("k".to_string(), k)];
 
         let prepared = PreparedModule::compute(&m);
@@ -255,7 +256,7 @@ proptest! {
         ).run_named("main", &[]);
         prop_assert!(
             compare_results(&decoded, &legacy).is_ok(),
-            "seed {seed} policy {policy:?} taint {taint} fuel {fuel}: {}",
+            "seed {seed} policy {policy:?} taint {taint:?} fuel {fuel}: {}",
             compare_results(&decoded, &legacy).unwrap_err()
         );
     }

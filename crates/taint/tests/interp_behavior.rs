@@ -472,8 +472,7 @@ fn taint_disabled_runs_clean_and_fast() {
     b.ret(None);
     m.add_function(b.finish());
     let cfg = InterpConfig {
-        taint: false,
-        coverage: false,
+        taint: None,
         ..Default::default()
     };
     let out = run_module(&m, vec![("n".into(), 50)], cfg).unwrap();

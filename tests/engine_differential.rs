@@ -25,7 +25,7 @@ fn assert_app_identical(app: &AppSpec, config: InterpConfig) {
 }
 
 fn assert_app_identical_on(app: &AppSpec, config: InterpConfig, machine: MachineConfig) {
-    let taint_on = config.taint;
+    let taint_on = config.taint.is_some();
     let params = app.taint_run_params();
     let prepared = PreparedModule::compute(&app.module);
     let decoded = Interpreter::new(
@@ -88,8 +88,7 @@ fn milc_measurement_mode_is_bit_identical() {
     assert_app_identical(
         &app,
         InterpConfig {
-            taint: false,
-            coverage: false,
+            taint: None,
             probe_cost: vec![1e-7; nfuncs],
             ..Default::default()
         },
@@ -109,8 +108,7 @@ fn lulesh_measurement_mode_is_bit_identical() {
     assert_app_identical_on(
         &app,
         InterpConfig {
-            taint: false,
-            coverage: false,
+            taint: None,
             // Probes on some functions only, like a filtered sweep.
             probe_cost: (0..nfuncs)
                 .map(|i| if i % 3 == 0 { 1e-6 } else { 0.0 })

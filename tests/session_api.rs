@@ -149,6 +149,37 @@ fn parse_errors_wrap_into_pt_error() {
 }
 
 #[test]
+fn text_that_parses_but_fails_verification_is_a_config_error() {
+    // The loop header's phi lacks an incoming value for the back edge,
+    // which the static stage would otherwise meet while decoding.
+    let text = "\
+func @main(%n: i64) -> void {
+bb0:
+  br bb1
+bb1:
+  %0 = phi i64 [bb0 -> 0]
+  %1 = cmp lt %0, %n
+  cond_br %1, bb2, bb3
+bb2:
+  %3 = add %0, 1
+  br bb1
+bb3:
+  ret
+}
+";
+    assert!(pt_ir::parser::parse_module(text).is_ok(), "the text parses");
+    let err = perf_taint::parse_module(text).unwrap_err();
+    match &err {
+        PtError::Config(message) => assert!(
+            message.starts_with("module failed verification: main: phi in bb1")
+                && message.ends_with("(1 issue(s) total)"),
+            "{message}"
+        ),
+        other => panic!("expected a config error, got {other:?}"),
+    }
+}
+
+#[test]
 fn axis_mapping_cache_is_consistent_across_repeated_projections() {
     // The memoized axis mapping must never change results: repeated and
     // interleaved projections over different axis vectors agree with fresh
