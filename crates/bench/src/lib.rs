@@ -3,7 +3,7 @@
 //! Every artifact is a registered [`scenarios::Scenario`] (one shared
 //! implementation module per artifact under `scenarios/`):
 //!
-//! | scenario (= binary) | artifact |
+//! | scenario | artifact |
 //! |---|---|
 //! | `table1_config` | Table 1 (simulated machine description) |
 //! | `table2_overview` | Table 2 (function/loop censuses) |
@@ -21,10 +21,9 @@
 //! | `security_taint` | security source/sink policy on mini-SecSrv |
 //! | `incremental_edit` | pt-serve edit loop: per-function reuse |
 //!
-//! The per-artifact binaries under `src/bin/` are thin wrappers over the
-//! registry (the last three scenarios are registry-only — they check the
-//! engine, the policy lattice and the service layer, not a paper
-//! artifact). `bench_all` runs any tag/name selection in one process and
+//! The last three scenarios check the engine, the policy lattice and the
+//! service layer, not a paper artifact. `bench_all` runs any tag/name
+//! selection in one process (`--verbose` prints each scenario's text) and
 //! writes a schema-versioned `BENCH_<git-sha>.json`; `bench_compare`
 //! diffs two such reports exactly ([`compare`]) and exits non-zero on any
 //! difference — the CI findings gate, which the registry test also runs

@@ -5,9 +5,9 @@
 //! implementation module under `scenarios/` that renders the same text the
 //! historical one-binary-per-artifact harnesses printed *and* returns named
 //! scalar [`metrics`](ScenarioResult::metrics) for the `BENCH_*.json`
-//! report. The per-artifact binaries under `src/bin/` are thin wrappers
-//! ([`run_cli`]); `bench_all` runs any tag/name selection in one process,
-//! sharing one memoized static stage per app through a
+//! report. `bench_all` runs any tag/name selection in one process
+//! (`--verbose` prints each scenario's text), sharing one memoized static
+//! stage per app through a
 //! [`SessionCache`], and `bench_compare` diffs two reports exactly as the
 //! CI findings gate.
 //!
@@ -16,7 +16,7 @@
 //! report reproduces bit for bit on any machine and the gate compares
 //! each metric for equality (see `crates/bench/README.md`).
 
-use perf_taint::{Analysis, PtError, Session, SessionCache};
+use perf_taint::{Analysis, PolicyKind, PtError, Session, SessionCache};
 use pt_apps::AppSpec;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -141,7 +141,8 @@ impl ScenarioCtx {
 
     /// A session over `app` sharing the context-wide static stage.
     pub fn session<'m>(&self, app: &'m AppSpec) -> Session<'m> {
-        self.cache.get_or_compute(&app.module, &app.entry)
+        self.cache
+            .get_or_compute(&app.module, &app.entry, PolicyKind::from_env())
     }
 
     /// The representative taint run of `app`, computed once per context:
@@ -258,16 +259,6 @@ pub fn matching(filters: &[String]) -> Vec<&'static dyn Scenario> {
                     .any(|f| s.name() == f || s.tags().contains(&f.as_str()))
         })
         .collect()
-}
-
-/// Entry point for the thin per-artifact binaries: run one scenario at
-/// full (non-quick) scale and print its text rendering.
-pub fn run_cli(name: &str) -> Result<(), PtError> {
-    let scenario = find(name).unwrap_or_else(|| panic!("scenario '{name}' is not registered"));
-    let cx = ScenarioCtx::new(false);
-    let result = scenario.run(&cx)?;
-    print!("{}", result.text);
-    Ok(())
 }
 
 #[cfg(test)]

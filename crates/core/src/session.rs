@@ -360,8 +360,10 @@ impl<'m> Session<'m> {
 /// clients) would recompute the §5.1 classification every time. The cache
 /// outlives the sessions: [`SessionCache::get_or_compute`] is the single
 /// entry point, and the first session obtained for a module content hash
-/// computes the artifacts while every later one is seeded with the shared
-/// [`Arc`], whatever its lifetime.
+/// and policy computes the artifacts while every later one is seeded with
+/// the shared [`Arc`], whatever its lifetime. Entries are never evicted:
+/// the unit memo and the callers' own module maps, which hold most of
+/// the memory, are unbounded too.
 ///
 /// Two granularities of sharing compose here:
 /// * **whole-module**: an unchanged module resubmitted under any name hits
@@ -377,23 +379,9 @@ impl<'m> Session<'m> {
 /// static stage may legitimately observe downstream, so build those
 /// sessions directly via [`SessionBuilder`] instead.
 pub struct SessionCache {
-    statics: Mutex<CacheMap>,
+    /// One slot per (module content, policy); never evicted.
+    statics: Mutex<BTreeMap<String, Arc<OnceLock<Arc<StaticArtifacts>>>>>,
     units: Arc<FunctionArtifactCache>,
-    /// Maximum number of module-content entries kept in memory (`None` =
-    /// unbounded, the pre-LRU behavior).
-    capacity: Option<usize>,
-    evictions: pt_util::metrics::Counter,
-}
-
-/// The module-content map plus the logical clock backing its LRU order.
-struct CacheMap {
-    entries: BTreeMap<String, CacheEntry>,
-    tick: u64,
-}
-
-struct CacheEntry {
-    slot: Arc<OnceLock<Arc<StaticArtifacts>>>,
-    last_used: u64,
 }
 
 impl Default for SessionCache {
@@ -405,41 +393,18 @@ impl Default for SessionCache {
 impl SessionCache {
     pub fn new() -> SessionCache {
         SessionCache {
-            statics: Mutex::new(CacheMap {
-                entries: BTreeMap::new(),
-                tick: 0,
-            }),
+            statics: Mutex::new(BTreeMap::new()),
             units: Arc::new(FunctionArtifactCache::new()),
-            capacity: None,
-            evictions: pt_util::metrics::Counter::new(),
         }
     }
 
-    /// Bound the module map to `entries` distinct module contents,
-    /// evicting least-recently-used entries past the cap (each counted in
-    /// [`SessionCache::evictions`]). A capacity of 0 is treated as 1 —
-    /// the entry being requested is never evicted under its requester.
-    /// Eviction is pure degradation: a dropped module recomputes its
-    /// static stage on the next request (against the per-function unit
-    /// memo, which this bound does not touch).
-    pub fn with_capacity(mut self, entries: Option<usize>) -> SessionCache {
-        self.capacity = entries.map(|n| n.max(1));
-        self
-    }
-
-    /// A session over `module` whose static stage is shared with every
-    /// other session this cache produced for the same module *content* —
-    /// and built against the per-function unit memo when the content is
-    /// new.
-    pub fn get_or_compute<'m>(&self, module: &'m Module, entry: &str) -> Session<'m> {
-        self.get_or_compute_with_policy(module, entry, PolicyKind::from_env())
-    }
-
-    /// [`SessionCache::get_or_compute`] under an explicit taint policy.
-    /// The cache slot is keyed by module content *and* policy, so sessions
-    /// under different policies never share static artifacts (their unit
-    /// keys differ too — see [`crate::incremental`]).
-    pub fn get_or_compute_with_policy<'m>(
+    /// A session over `module` under taint policy `policy`, whose static
+    /// stage is shared with every other session this cache produced for
+    /// the same module *content* and policy — and built against the
+    /// per-function unit memo when that pair is new. Sessions under
+    /// different policies never share static artifacts (their unit keys
+    /// differ too — see [`crate::incremental`]).
+    pub fn get_or_compute<'m>(
         &self,
         module: &'m Module,
         entry: &str,
@@ -458,40 +423,7 @@ impl SessionCache {
         // `OnceLock::get_or_init` blocks concurrent first callers until the
         // winner finishes, so the static stage runs exactly once per key
         // even when many sessions are requested at the same time.
-        let slot = {
-            let mut map = self.statics.lock().unwrap();
-            map.tick += 1;
-            let tick = map.tick;
-            let slot = {
-                let entry = map
-                    .entries
-                    .entry(key.clone())
-                    .or_insert_with(|| CacheEntry {
-                        slot: Arc::default(),
-                        last_used: 0,
-                    });
-                entry.last_used = tick;
-                entry.slot.clone()
-            };
-            // LRU bound: evict coldest-first until within capacity. The
-            // just-touched key holds the newest tick, so it survives; a
-            // concurrently computing entry another thread holds a slot
-            // Arc for merely drops out of the map — the computation
-            // finishes on the orphaned slot unharmed.
-            if let Some(cap) = self.capacity {
-                while map.entries.len() > cap {
-                    let coldest = map
-                        .entries
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| k.clone())
-                        .expect("map is non-empty past its cap");
-                    map.entries.remove(&coldest);
-                    self.evictions.inc();
-                }
-            }
-            slot
-        };
+        let slot = self.statics.lock().unwrap().entry(key).or_default().clone();
         let statics = slot.get_or_init(|| session.static_analysis()).clone();
         // No-op when this session was the one that just computed them.
         session.seed_statics(statics);
@@ -504,20 +436,9 @@ impl SessionCache {
         self.units.cumulative()
     }
 
-    /// Module-map entries evicted by the LRU bound so far (0 when
-    /// unbounded).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.get()
-    }
-
-    /// The configured module-map bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Number of distinct module contents cached so far.
+    /// Number of distinct (module content, policy) slots cached so far.
     pub fn len(&self) -> usize {
-        self.statics.lock().unwrap().entries.len()
+        self.statics.lock().unwrap().len()
     }
 
     pub fn is_empty(&self) -> bool {

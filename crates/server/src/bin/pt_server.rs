@@ -2,20 +2,17 @@
 //!
 //! ```text
 //! pt-server [--addr HOST:PORT] [--store DIR] [--workers N] [--queue N]
-//!           [--idle-timeout SECS] [--max-requests N]
-//!           [--shed] [--retry-after-ms N] [--store-budget-bytes N]
-//!           [--session-cache-entries N] [--slow-request-ms N]
-//!           [--trace-sample-every N] [--trace-out PATH]
+//!           [--idle-timeout SECS] [--max-requests N] [--shed]
+//!           [--store-budget-bytes N] [--trace-sample-every N]
+//!           [--trace-out PATH]
 //! ```
 //!
-//! `--max-queue` is an alias of `--queue` (the admission-control reading
-//! of the same bound). `--shed` turns blocking backpressure into
-//! shed-with-`overloaded`; without `--retry-after-ms`, shed envelopes
-//! carry an adaptive hint derived from observed p99 service time.
-//! `--store-budget-bytes` caps the artifact store with LRU eviction and
-//! `--session-cache-entries` does the same for the in-process session
-//! cache. `--slow-request-ms` logs one structured stderr line (with a
-//! per-stage wall breakdown) for each request slower than the threshold.
+//! Defaults are [`ServerConfig::loopback`]'s, listening on
+//! `127.0.0.1:7421` with store `pt-store` and one worker per core (at
+//! most 16). `--shed` turns blocking backpressure into
+//! shed-with-`overloaded`; shed envelopes carry an adaptive hint derived
+//! from observed p99 service time. `--store-budget-bytes` caps the
+//! artifact store with LRU eviction.
 //! `--trace-out` keeps pipeline tracing on for the whole process and
 //! writes a Chrome `trace_event` JSON file on shutdown — load it in
 //! `chrome://tracing` or Perfetto.
@@ -29,22 +26,13 @@ use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(16);
     let mut config = ServerConfig {
         addr: "127.0.0.1:7421".to_string(),
-        store_dir: "pt-store".into(),
-        workers: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(16),
-        queue_capacity: 64,
-        idle_timeout: None,
-        max_requests_per_connection: None,
-        shed: false,
-        retry_after_ms: None,
-        store_budget_bytes: None,
-        session_cache_entries: None,
-        slow_request_ms: None,
-        trace_sample_every: Some(64),
+        ..ServerConfig::loopback("pt-store", workers)
     };
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -61,30 +49,15 @@ fn main() -> ExitCode {
                     .map(|n: usize| config.workers = n.max(1))
                     .map_err(|_| "--workers requires an integer".to_string())
             }),
-            "--queue" | "--max-queue" => take(&arg).and_then(|v| {
+            "--queue" => take("--queue").and_then(|v| {
                 v.parse()
                     .map(|n: usize| config.queue_capacity = n.max(1))
-                    .map_err(|_| format!("{arg} requires an integer"))
+                    .map_err(|_| "--queue requires an integer".to_string())
             }),
             "--shed" => {
                 config.shed = true;
                 Ok(())
             }
-            "--retry-after-ms" => take("--retry-after-ms").and_then(|v| {
-                v.parse()
-                    .map(|n: u64| config.retry_after_ms = Some(n))
-                    .map_err(|_| "--retry-after-ms requires an integer".to_string())
-            }),
-            "--session-cache-entries" => take("--session-cache-entries").and_then(|v| {
-                v.parse()
-                    .map(|n: usize| config.session_cache_entries = Some(n))
-                    .map_err(|_| "--session-cache-entries requires an integer".to_string())
-            }),
-            "--slow-request-ms" => take("--slow-request-ms").and_then(|v| {
-                v.parse()
-                    .map(|n: u64| config.slow_request_ms = Some(n))
-                    .map_err(|_| "--slow-request-ms requires an integer".to_string())
-            }),
             // Sampled always-on tracing: every Nth request feeds the
             // `sampled_profile` object in `metrics`. 0 disables it.
             "--trace-sample-every" => take("--trace-sample-every").and_then(|v| {
@@ -124,9 +97,8 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "pt-server [--addr HOST:PORT] [--store DIR] [--workers N] [--queue N] \
-                     [--idle-timeout SECS] [--max-requests N] [--shed] [--retry-after-ms N] \
-                     [--store-budget-bytes N] [--session-cache-entries N] \
-                     [--slow-request-ms N] [--trace-sample-every N] [--trace-out PATH]"
+                     [--idle-timeout SECS] [--max-requests N] [--shed] \
+                     [--store-budget-bytes N] [--trace-sample-every N] [--trace-out PATH]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -171,12 +143,9 @@ fn main() -> ExitCode {
         config.workers,
         config.queue_capacity,
         if config.shed {
-            match config.retry_after_ms {
-                Some(ms) => format!(" (shed, retry-after {ms} ms)"),
-                None => " (shed, adaptive retry-after)".to_string(),
-            }
+            " (shed, adaptive retry-after)"
         } else {
-            String::new()
+            ""
         }
     );
     if let Err(e) = server.run() {

@@ -22,10 +22,9 @@
 //! The request catalogue (`submit_module`, `static_analysis`, `taint_run`,
 //! `analyze_batch`, `fit_model`, `trace`, `stats`, `metrics`, `shutdown`)
 //! lives in [`state`]; production-operations concerns — per-method latency
-//! metrics, admission control, store eviction budgets, request tracing and
-//! the slow-request log — live in [`ops`], [`store`], and
-//! [`pt_util::trace`]; the wire shapes are documented in
-//! `crates/server/README.md`.
+//! metrics, admission control, store eviction budgets and request tracing
+//! — live in [`ops`], [`store`], and [`pt_util::trace`]; the wire shapes
+//! are documented in `crates/server/README.md`.
 
 pub mod client;
 pub mod ops;
@@ -34,7 +33,6 @@ pub mod state;
 pub mod store;
 
 pub use client::{Client, ClientError};
-pub use ops::AdmissionPolicy;
 pub use protocol::{ServeError, PROTOCOL_MINOR, PROTOCOL_VERSION};
 pub use state::ServerState;
 pub use store::{content_key, ArtifactKind, Store, StoreKey, CONFIG_FINGERPRINT};
@@ -70,32 +68,19 @@ pub struct ServerConfig {
     pub max_requests_per_connection: Option<u64>,
     /// `true`: a full connection queue sheds new arrivals with an
     /// `overloaded` envelope (protocol v1.1) instead of blocking the
-    /// accept loop. `false` (default): classic blocking backpressure.
+    /// accept loop. The envelope's `retry_after_ms` hint is derived from
+    /// the worst observed per-method p99 service time
+    /// ([`ops::Ops::derived_retry_hint_ms`]). `false` (default): classic
+    /// blocking backpressure.
     pub shed: bool,
-    /// Fixed backoff hint (milliseconds) carried in shed envelopes.
-    /// `None` (protocol v1.3): derive the hint adaptively from the worst
-    /// observed per-method p99 service time.
-    pub retry_after_ms: Option<u64>,
     /// Size budget for the artifact store; when total object bytes exceed
     /// it, the coldest objects are evicted (LRU). `None` = unbounded.
     pub store_budget_bytes: Option<u64>,
-    /// Bound on the in-process session cache (module content → shared
-    /// static stage): at most this many module contents stay resident,
-    /// coldest evicted first. `None` = unbounded (the pre-v1.3 behavior).
-    pub session_cache_entries: Option<usize>,
-    /// Slow-request log (protocol v1.3): any request slower than this
-    /// many milliseconds is reported as one structured stderr line with
-    /// its per-stage wall breakdown. Enabling it traces *every* request
-    /// (the breakdown must exist before the request proves slow), so it
-    /// carries tracing's small bookkeeping overhead. `None` = off.
-    pub slow_request_ms: Option<u64>,
     /// Sampled always-on tracing (protocol v1.4): every Nth request runs
     /// under the request tracer and its per-stage wall totals are folded
     /// into a bounded in-memory profile that `metrics` reports as
-    /// `sampled_profile`. Unlike the slow-request log, which only
-    /// surfaces outliers, this keeps a continuous picture of where
-    /// *typical* request time goes, at 1/N of tracing's bookkeeping cost.
-    /// `None` = off.
+    /// `sampled_profile`, a continuous picture of where *typical* request
+    /// time goes at 1/N of tracing's bookkeeping cost. `None` = off.
     pub trace_sample_every: Option<u64>,
 }
 
@@ -111,10 +96,7 @@ impl ServerConfig {
             idle_timeout: None,
             max_requests_per_connection: None,
             shed: false,
-            retry_after_ms: None,
             store_budget_bytes: None,
-            session_cache_entries: None,
-            slow_request_ms: None,
             trace_sample_every: Some(64),
         }
     }
@@ -135,12 +117,7 @@ impl Server {
         let state = Arc::new(
             ServerState::new(store, config.workers, config.queue_capacity)
                 .with_keepalive_limits(config.idle_timeout, config.max_requests_per_connection)
-                .with_admission(AdmissionPolicy {
-                    shed: config.shed,
-                    retry_after_ms: config.retry_after_ms,
-                })
-                .with_session_cache_entries(config.session_cache_entries)
-                .with_slow_request_log(config.slow_request_ms)
+                .with_shedding(config.shed)
                 .with_trace_sampling(config.trace_sample_every),
         );
         Ok(Server { listener, state })
@@ -207,7 +184,7 @@ impl Server {
                     break;
                 }
                 match incoming {
-                    Ok(stream) if state.admission.shed => {
+                    Ok(stream) if state.shed => {
                         // Admission control: never block the accept path. A
                         // full queue answers the newcomer immediately with
                         // `overloaded` + retry_after_ms and moves on.
@@ -215,7 +192,7 @@ impl Server {
                             Ok(()) => state.ops().queue_depth.inc(),
                             Err(TryPushError::Full((stream, _))) => {
                                 state.ops().shed_total.inc();
-                                ops::shed_connection(stream, state.retry_hint());
+                                ops::shed_connection(stream, state.ops().derived_retry_hint_ms());
                             }
                             Err(TryPushError::Closed(_)) => break 'accept,
                         }
@@ -375,63 +352,29 @@ fn handle_connection(state: &ServerState, stream: TcpStream, nudge_addr: SocketA
 /// `catch_unwind`: a handler bug costs the client an `internal` error
 /// envelope, never the server process ("no panics across the wire").
 ///
-/// With the slow-request log configured (`--slow-request-ms`), every
-/// request runs under its own trace so the ones that cross the threshold
-/// report *where* the time went, not merely that it went: one stderr line
-/// with method, trace id, wall time, and the per-stage breakdown. With
-/// sampling configured (`trace_sample_every`), every Nth request runs
-/// under the same per-request trace and its per-stage totals are folded
-/// into the bounded profile `metrics` reports — the always-on complement
-/// to the outlier-only slow log. One request due for both uses one trace.
+/// With sampling configured (`trace_sample_every`), every Nth request
+/// runs under its own trace and its per-stage totals are folded into the
+/// bounded profile `metrics` reports.
 pub fn handle_line(state: &ServerState, line: &str) -> Value {
     let request = match protocol::parse_request(line) {
         Ok(r) => r,
         Err((id, e)) => return protocol::error_response(&id, &e),
     };
-    let sampling = state.sampling_due();
-    let traced = (sampling || state.slow_request_ms.is_some()).then(|| {
-        (
-            pt_util::trace::enable_scoped(),
-            pt_util::trace::next_trace_id(),
-        )
-    });
-    let started = std::time::Instant::now();
-    let outcome = {
-        let _bind = traced
-            .as_ref()
-            .map(|(_, trace_id)| pt_util::trace::set_thread_trace(*trace_id));
-        let _root = traced
-            .as_ref()
-            .map(|_| pt_util::trace::span("server", "request"));
+    let dispatch = || {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             state.dispatch(&request.method, &request.params)
         }))
     };
-    if let Some((_scope, trace_id)) = traced {
-        // Always drain this request's events — a fast request must not
-        // leave its spans behind to bloat the sink or leak into later
-        // slow-request reports.
-        let events = pt_util::trace::take_trace(trace_id);
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let stages = pt_util::trace::stage_totals_ms(&events);
-        if sampling {
-            state.record_sample(wall_ms, &stages);
-        }
-        if state
-            .slow_request_ms
-            .is_some_and(|limit_ms| wall_ms >= limit_ms as f64)
-        {
-            let stages = stages
-                .iter()
-                .map(|(name, ms)| format!("{name}:{ms:.1}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            eprintln!(
-                "pt-server: slow-request method={} trace={} wall_ms={:.1} stages_ms={}",
-                request.method, trace_id, wall_ms, stages
-            );
-        }
-    }
+    let outcome = if state.sampling_due() {
+        let run = state::traced(dispatch);
+        state.record_sample(
+            run.wall.as_secs_f64() * 1e3,
+            &pt_util::trace::stage_totals_ms(&run.events),
+        );
+        run.outcome
+    } else {
+        dispatch()
+    };
     match outcome {
         Ok(Ok(result)) => protocol::ok_response(&request.id, result),
         Ok(Err(e)) => protocol::error_response(&request.id, &e),

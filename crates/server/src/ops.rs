@@ -5,11 +5,14 @@
 //! uptime, queue depth, shed counts, and a per-method request counter +
 //! latency histogram (`pt_util::metrics`; lock-free, one atomic add per
 //! event) — read out by the protocol-v1.1 `metrics` method and, in
-//! abbreviated form, by `stats`. [`AdmissionPolicy`] is the overload
-//! stance: with shedding enabled, a full connection queue answers new
+//! abbreviated form, by `stats`. With shedding enabled
+//! ([`crate::ServerConfig::shed`]), a full connection queue answers new
 //! arrivals *immediately* with an `overloaded` envelope carrying
-//! `retry_after_ms` instead of blocking the accept path — bounded latency
-//! for admitted work, an honest backoff signal for the rest.
+//! `retry_after_ms` ([`Ops::derived_retry_hint_ms`]) instead of blocking
+//! the accept path — bounded latency for admitted work, an honest backoff
+//! signal for the rest. The hint adapts to observed service time, so a
+//! server doing 2 ms `stats` calls and one doing 800 ms `analyze_batch`
+//! fan-outs each tell clients an honest backoff without operator tuning.
 
 use crate::protocol::{self, ServeError};
 use pt_util::metrics::{Counter, Gauge, Histogram};
@@ -33,28 +36,12 @@ pub const METHODS: &[&str] = &[
     "unknown",
 ];
 
-/// How the server behaves when the connection queue is full.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdmissionPolicy {
-    /// `true`: shed new connections with an `overloaded` envelope when the
-    /// queue is full. `false` (default): block the accept loop until a
-    /// slot frees — the pre-v1.1 backpressure behavior.
-    pub shed: bool,
-    /// Fixed backoff hint carried in shed envelopes. `None` (default,
-    /// protocol v1.3): derive the hint adaptively from observed service
-    /// time — [`Ops::derived_retry_hint_ms`] — so a server doing 2 ms
-    /// `stats` calls and one doing 800 ms `analyze_batch` fan-outs each
-    /// tell clients an honest backoff without operator tuning.
-    pub retry_after_ms: Option<u64>,
-}
-
 /// Bounds of the adaptive backoff hint: never tell a client to hammer a
 /// saturated server faster than this...
 pub const MIN_RETRY_HINT_MS: u64 = 25;
 /// ...and never park one longer than this, however slow a batch was.
 pub const MAX_RETRY_HINT_MS: u64 = 5_000;
-/// The hint before any request has been measured (also the pre-v1.3
-/// fixed default).
+/// The hint before any request has been measured.
 pub const DEFAULT_RETRY_HINT_MS: u64 = 100;
 
 /// Counters and latency histogram of one method.

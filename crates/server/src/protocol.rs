@@ -49,9 +49,13 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// the ledger is `total` = `reused_memory` + `recomputed`. It also
 /// rejects a `module` field that is not a 32-digit lowercase hex hash
 /// with `bad_request`.
+/// Revision 7 ("protocol v1.7") removed `capacity` and `evictions` from
+/// the `session_cache` object in `stats`/`metrics`: the session cache is
+/// no longer boundable, so only `entries` remains. Shed envelopes always
+/// carry the adaptive hint; the fixed-hint setting is gone.
 /// No other documented field changed shape; v1 clients are unaffected —
 /// the wire `v` field stays `1`.
-pub const PROTOCOL_MINOR: u64 = 6;
+pub const PROTOCOL_MINOR: u64 = 7;
 
 /// A parsed request envelope.
 #[derive(Debug, Clone)]

@@ -11,7 +11,7 @@
 //! wraps dispatch in `catch_unwind`, so a bug in a handler costs one error
 //! response, never the server.
 
-use crate::ops::{AdmissionPolicy, Ops, METHODS};
+use crate::ops::{Ops, METHODS};
 use crate::protocol::{ServeError, PROTOCOL_MINOR, PROTOCOL_VERSION};
 use crate::store::{is_content_key, Store, StoreKey};
 use perf_taint::report::{analysis_summary, static_summary};
@@ -72,9 +72,9 @@ struct StageTotal {
 /// The sampled always-on request profile (protocol v1.4): every Nth
 /// request runs under the request tracer, and its per-stage wall totals
 /// are folded into this bounded in-memory aggregate. Unlike the `trace`
-/// method (client opts in per request) or the slow-request log (only
-/// outliers surface), this keeps a continuous low-overhead picture of
-/// where *typical* request time goes; `metrics` reports it.
+/// method (client opts in per request), this keeps a continuous
+/// low-overhead picture of where *typical* request time goes; `metrics`
+/// reports it.
 #[derive(Default)]
 struct SampledProfile {
     /// Requests seen by the sampling decision (traced or not).
@@ -163,8 +163,9 @@ pub struct ServerState {
     /// Operational self-observation: uptime, queue depth, shed counts,
     /// per-method counters and latency histograms (read out by `metrics`).
     ops: Ops,
-    /// Overload stance of the accept path (see [`AdmissionPolicy`]).
-    pub admission: AdmissionPolicy,
+    /// Overload stance of the accept path: `true` sheds arrivals at a
+    /// full queue (see [`crate::ServerConfig::shed`]), `false` blocks.
+    pub shed: bool,
     /// Serializes `analyze_batch` fan-outs: each batch uses the full
     /// worker budget, so concurrent batches must queue here rather than
     /// multiply to workers² simultaneous taint runs.
@@ -174,9 +175,6 @@ pub struct ServerState {
     pub idle_timeout: Option<std::time::Duration>,
     /// Close connections after serving this many requests.
     pub max_requests_per_connection: Option<u64>,
-    /// Emit a structured stderr line for requests slower than this
-    /// (protocol v1.3 slow-request log; `None` = off).
-    pub slow_request_ms: Option<u64>,
     /// Sampled always-on tracing (protocol v1.4): every Nth request is
     /// traced into the bounded per-stage sample profile. `None` = off.
     pub trace_sample_every: Option<u64>,
@@ -197,12 +195,11 @@ impl ServerState {
             requests: AtomicU64::new(0),
             served_from_store: AtomicU64::new(0),
             ops: Ops::new(),
-            admission: AdmissionPolicy::default(),
+            shed: false,
             batch_gate: Mutex::new(()),
             stopping: AtomicBool::new(false),
             idle_timeout: None,
             max_requests_per_connection: None,
-            slow_request_ms: None,
             trace_sample_every: None,
             policy_runs: PolicyTotals::default(),
             sampled: SampledProfile::default(),
@@ -220,23 +217,9 @@ impl ServerState {
         self
     }
 
-    /// Set the overload stance (see [`AdmissionPolicy`]).
-    pub fn with_admission(mut self, admission: AdmissionPolicy) -> ServerState {
-        self.admission = admission;
-        self
-    }
-
-    /// Bound the in-process session cache to `entries` module contents
-    /// (LRU eviction; `None` = unbounded, the pre-v1.3 behavior).
-    pub fn with_session_cache_entries(mut self, entries: Option<usize>) -> ServerState {
-        self.sessions = self.sessions.with_capacity(entries);
-        self
-    }
-
-    /// Log one structured stderr line for any request slower than this
-    /// (`None` disables the log; see [`crate::handle_line`]).
-    pub fn with_slow_request_log(mut self, slow_request_ms: Option<u64>) -> ServerState {
-        self.slow_request_ms = slow_request_ms;
+    /// Set the overload stance (see [`crate::ServerConfig::shed`]).
+    pub fn with_shedding(mut self, shed: bool) -> ServerState {
+        self.shed = shed;
         self
     }
 
@@ -261,15 +244,6 @@ impl ServerState {
     /// bounded profile.
     pub fn record_sample(&self, wall_ms: f64, stages: &[(String, f64)]) {
         self.sampled.record(wall_ms, stages);
-    }
-
-    /// The backoff hint for the next shed envelope: the configured fixed
-    /// value when one was given, else adaptive from observed per-method
-    /// p99 service time.
-    pub fn retry_hint(&self) -> u64 {
-        self.admission
-            .retry_after_ms
-            .unwrap_or_else(|| self.ops.derived_retry_hint_ms())
     }
 
     pub fn store(&self) -> &Store {
@@ -399,9 +373,7 @@ impl ServerState {
         if let Some(value) = self.stored(&key) {
             return Ok(value);
         }
-        let session = self
-            .sessions
-            .get_or_compute_with_policy(&module, entry, policy);
+        let session = self.sessions.get_or_compute(&module, entry, policy);
         let summary = static_summary(&session.static_analysis(), &module);
         self.persist(&key, &summary);
         Ok(summary)
@@ -434,9 +406,7 @@ impl ServerState {
             return Ok(value);
         }
         let module = self.module_for(module_key)?;
-        let session = self
-            .sessions
-            .get_or_compute_with_policy(&module, entry, policy);
+        let session = self.sessions.get_or_compute(&module, entry, policy);
         let analysis = session
             .taint_run(run_params.to_vec())
             .map_err(ServeError::from)?;
@@ -577,12 +547,9 @@ impl ServerState {
     /// per-method metrics exactly like an untraced call; `trace` itself is
     /// counted too (the cost of the wrapper is itself observable).
     ///
-    /// Tracing is enabled only for the guard's lifetime (refcounted, so
-    /// concurrent traced and untraced requests coexist; untraced requests
-    /// running meanwhile pay one relaxed load per instrumentation point
-    /// plus buffered span recording). The fresh trace id keeps this
-    /// request's spans — including those from `analyze_batch` workers —
-    /// separate from any concurrent traced request.
+    /// The request runs under [`traced`]: its fresh trace id keeps its
+    /// spans — including those from `analyze_batch` workers — separate
+    /// from any concurrent traced request.
     fn trace_request(&self, params: &Value) -> Result<Value, ServeError> {
         let method = require_str(params, "method")?;
         if method == "trace" {
@@ -593,31 +560,19 @@ impl ServerState {
         if !matches!(inner, Value::Obj(_)) {
             return Err(ServeError::BadRequest("'params' must be an object".into()));
         }
-        let _on = pt_util::trace::enable_scoped();
-        let trace_id = pt_util::trace::next_trace_id();
-        let started = Instant::now();
-        let outcome = {
-            let _bind = pt_util::trace::set_thread_trace(trace_id);
-            let _root = pt_util::trace::span("server", "request");
-            self.dispatch(method, inner)
-        };
-        let wall = started.elapsed();
-        // The root guard dropped above, flushing this thread's buffer, and
-        // `analyze_batch` workers flushed when their scope closed — the
-        // sink now holds the complete trace.
-        let events = pt_util::trace::take_trace(trace_id);
-        let result = outcome?;
-        let stages = pt_util::trace::stage_totals_ms(&events)
+        let run = traced(|| self.dispatch(method, inner));
+        let result = run.outcome?;
+        let stages = pt_util::trace::stage_totals_ms(&run.events)
             .into_iter()
             .map(|(name, ms)| (name, Value::Num(ms)))
             .collect();
         Ok(Value::obj(vec![
-            ("trace_id", Value::int(trace_id as i64)),
+            ("trace_id", Value::int(run.trace_id as i64)),
             ("method", Value::str(method)),
-            ("wall_us", Value::Num(wall.as_secs_f64() * 1e6)),
-            ("events", Value::int(events.len() as i64)),
+            ("wall_us", Value::Num(run.wall.as_secs_f64() * 1e6)),
+            ("events", Value::int(run.events.len() as i64)),
             ("stages_ms", Value::Obj(stages)),
-            ("spans", pt_util::trace::report(&events)),
+            ("spans", pt_util::trace::report(&run.events)),
             ("result", result),
         ]))
     }
@@ -639,19 +594,9 @@ impl ServerState {
     }
 
     /// Protocol v1.3: the in-process session cache (module content →
-    /// static stage) — occupancy, configured LRU bound, and evictions.
+    /// static stage) — its occupancy.
     fn session_cache_json(&self) -> Value {
-        Value::obj(vec![
-            ("entries", Value::int(self.sessions.len() as i64)),
-            (
-                "capacity",
-                match self.sessions.capacity() {
-                    Some(c) => Value::int(c as i64),
-                    None => Value::Null,
-                },
-            ),
-            ("evictions", Value::int(self.sessions.evictions() as i64)),
-        ])
+        Value::obj(vec![("entries", Value::int(self.sessions.len() as i64))])
     }
 
     fn stats(&self) -> Result<Value, ServeError> {
@@ -774,6 +719,41 @@ impl ServerState {
     /// compute-always, it does not fail requests.
     fn persist(&self, key: &StoreKey, doc: &Value) {
         let _ = self.store.put(key.kind, &key.hash, &doc.render());
+    }
+}
+
+/// One request run under its own trace (see [`traced`]).
+pub(crate) struct TracedRun<R> {
+    pub outcome: R,
+    pub trace_id: u64,
+    /// Wall time of the traced closure alone.
+    pub wall: std::time::Duration,
+    /// Every span and event the request recorded, taken from the sink.
+    pub events: Vec<pt_util::trace::SpanEvent>,
+}
+
+/// Run `f` as one traced request: tracing on for its duration, a fresh
+/// trace id bound to this thread and a `server`/`request` root span
+/// around it. The `trace` method and sampled requests
+/// ([`crate::handle_line`]) both go through here.
+pub(crate) fn traced<R>(f: impl FnOnce() -> R) -> TracedRun<R> {
+    let _on = pt_util::trace::enable_scoped();
+    let trace_id = pt_util::trace::next_trace_id();
+    let started = Instant::now();
+    let outcome = {
+        let _bind = pt_util::trace::set_thread_trace(trace_id);
+        let _root = pt_util::trace::span("server", "request");
+        f()
+    };
+    let wall = started.elapsed();
+    // The root guard dropped above, flushing this thread's buffer, and
+    // `analyze_batch` workers flushed when their scope closed — the sink
+    // now holds the complete trace.
+    TracedRun {
+        outcome,
+        trace_id,
+        wall,
+        events: pt_util::trace::take_trace(trace_id),
     }
 }
 

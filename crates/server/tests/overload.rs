@@ -1,19 +1,22 @@
 //! Admission control under saturation: a deliberately tiny server (one
 //! worker, one queue slot, shedding on) driven at far more than 2× its
 //! capacity must (a) answer the overflow *immediately* with `overloaded`
-//! envelopes carrying the configured `retry_after_ms`, (b) keep serving
+//! envelopes carrying an adaptive `retry_after_ms` hint, (b) keep serving
 //! the admitted requests to completion with bounded latency, and (c)
 //! account for every event in the v1.1 `metrics` readout — histogram
 //! counts matching the requests actually dispatched, shed totals matching
 //! the `overloaded` replies observed client-side.
 
+use pt_server::ops::{MAX_RETRY_HINT_MS, MIN_RETRY_HINT_MS};
 use pt_server::{Client, ClientError, Server, ServerConfig};
 use serde::json::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-const RETRY_AFTER_MS: u64 = 25;
+/// How long a shed client of the storm waits before retrying; shorter
+/// than most hints, so the test stays fast.
+const BACKOFF_MS: u64 = 25;
 
 fn fresh_store_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -43,7 +46,6 @@ fn saturating_load_sheds_with_retry_hint_while_admitted_requests_complete() {
         workers: 1,
         queue_capacity: 1,
         shed: true,
-        retry_after_ms: Some(RETRY_AFTER_MS),
         ..ServerConfig::loopback(&store_dir, 1)
     };
     let server = Server::bind(&config).expect("bind");
@@ -97,23 +99,21 @@ fn saturating_load_sheds_with_retry_hint_while_admitted_requests_complete() {
                             }
                             Err(e) if e.remote_kind() == Some("overloaded") => {
                                 overloaded.fetch_add(1, Ordering::Relaxed);
-                                // The backoff hint must be the configured
-                                // value, machine-readable.
-                                assert_eq!(
-                                    e.retry_after_ms(),
-                                    Some(RETRY_AFTER_MS),
-                                    "overloaded envelope must carry retry_after_ms"
+                                // The backoff hint is machine-readable and
+                                // inside the adaptive hint's clamp.
+                                let hint = e
+                                    .retry_after_ms()
+                                    .expect("overloaded envelope must carry retry_after_ms");
+                                assert!(
+                                    (MIN_RETRY_HINT_MS..=MAX_RETRY_HINT_MS).contains(&hint),
+                                    "hint {hint} ms outside its clamp bounds"
                                 );
-                                std::thread::sleep(std::time::Duration::from_millis(
-                                    RETRY_AFTER_MS,
-                                ));
+                                std::thread::sleep(std::time::Duration::from_millis(BACKOFF_MS));
                             }
                             Err(ClientError::Io(_)) | Err(ClientError::Protocol(_)) => {
                                 // Raced the shed write/close; treat like a
                                 // shed without a hint.
-                                std::thread::sleep(std::time::Duration::from_millis(
-                                    RETRY_AFTER_MS,
-                                ));
+                                std::thread::sleep(std::time::Duration::from_millis(BACKOFF_MS));
                             }
                             Err(e) => bad.lock().unwrap().push(e.to_string()),
                         }
@@ -145,7 +145,7 @@ fn saturating_load_sheds_with_retry_hint_while_admitted_requests_complete() {
     let mut client = Client::connect(addr).expect("connect for metrics");
     let metrics = client.metrics().expect("metrics");
     assert_eq!(get(&metrics, &["protocol"]).as_u64(), Some(1));
-    assert_eq!(get(&metrics, &["protocol_minor"]).as_u64(), Some(6));
+    assert_eq!(get(&metrics, &["protocol_minor"]).as_u64(), Some(7));
     assert!(get(&metrics, &["uptime_seconds"]).as_f64().unwrap() > 0.0);
     // Shed requests never reach dispatch, so the taint_run histogram holds
     // exactly the requests that were admitted and served.
@@ -179,7 +179,7 @@ fn saturating_load_sheds_with_retry_hint_while_admitted_requests_complete() {
     let stats = client.stats().expect("stats");
     assert!(get(&stats, &["uptime_seconds"]).as_f64().unwrap() > 0.0);
     assert!(get(&stats, &["queue_depth"]).as_i64().unwrap() >= 0);
-    assert_eq!(get(&stats, &["protocol_minor"]).as_u64(), Some(6));
+    assert_eq!(get(&stats, &["protocol_minor"]).as_u64(), Some(7));
 
     client.shutdown().expect("shutdown");
     handle.join().expect("serve loop exits");
@@ -188,15 +188,14 @@ fn saturating_load_sheds_with_retry_hint_while_admitted_requests_complete() {
 
 #[test]
 fn adaptive_retry_hint_derives_from_observed_service_time() {
-    // Protocol v1.3: with no fixed --retry-after-ms, shed envelopes carry
-    // a hint derived from the worst observed per-method p99 — bounded to
-    // [25, 5000] ms — instead of a hardcoded constant.
+    // Protocol v1.3: shed envelopes carry a hint derived from the worst
+    // observed per-method p99 — bounded to [25, 5000] ms — instead of a
+    // hardcoded constant.
     let store_dir = fresh_store_dir("adaptive");
     let config = ServerConfig {
         workers: 1,
         queue_capacity: 1,
         shed: true,
-        retry_after_ms: None,
         ..ServerConfig::loopback(&store_dir, 1)
     };
     let server = Server::bind(&config).expect("bind");
@@ -238,7 +237,7 @@ fn adaptive_retry_hint_derives_from_observed_service_time() {
     }
     let hint = hint.expect("a shed with an adaptive hint");
     assert!(
-        (25..=5_000).contains(&hint),
+        (MIN_RETRY_HINT_MS..=MAX_RETRY_HINT_MS).contains(&hint),
         "adaptive hint {hint} ms outside its clamp bounds"
     );
 

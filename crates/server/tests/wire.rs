@@ -401,3 +401,49 @@ fn a_connection_serves_valid_requests_after_malformed_ones() {
     handle.join().expect("server exits");
     let _ = std::fs::remove_dir_all(&store_dir);
 }
+
+#[test]
+fn stats_and_metrics_report_minor_7_and_a_session_cache_of_entries_only() {
+    let dir = fresh_store_dir("minor");
+    let state = ServerState::new(Store::open(&dir).expect("store"), 1, 4);
+    let submit = request_envelope(
+        1,
+        "submit_module",
+        Value::obj(vec![("text", Value::str(pt_server::demo_module_text()))]),
+    );
+    let submitted = handle_line(&state, &submit.render());
+    let module = submitted
+        .get("result")
+        .and_then(|r| r.get("module"))
+        .and_then(Value::as_str)
+        .expect("module key")
+        .to_string();
+    let run = request_envelope(
+        2,
+        "static_analysis",
+        Value::obj(vec![
+            ("module", Value::str(&module)),
+            ("entry", Value::str("main")),
+        ]),
+    );
+    let analysed = handle_line(&state, &run.render());
+    assert_eq!(analysed.get("ok").and_then(Value::as_bool), Some(true));
+    for (id, method) in [(3, "stats"), (4, "metrics")] {
+        let response = handle_line(
+            &state,
+            &request_envelope(id, method, Value::Obj(Vec::new())).render(),
+        );
+        let result = response.get("result").expect("result");
+        assert_eq!(
+            result.get("protocol_minor").and_then(Value::as_u64),
+            Some(7),
+            "{method}"
+        );
+        assert_eq!(
+            result.get("session_cache").map(Value::render),
+            Some(r#"{"entries":1}"#.to_string()),
+            "{method}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

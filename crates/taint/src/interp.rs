@@ -64,12 +64,19 @@ pub enum CtlFlowPolicy {
     All,
 }
 
-/// Interpreter configuration for one run.
+/// Simulated seconds per executed IR instruction, in both engines.
+pub const INST_COST: f64 = 1e-9;
+
+/// Maximum call depth in both engines; entering a call deeper than this
+/// is [`InterpError::CallDepthExceeded`].
+pub const MAX_CALL_DEPTH: usize = 256;
+
+/// Interpreter configuration for one run. The per-instruction cost and
+/// the call-depth limit are the constants [`INST_COST`] and
+/// [`MAX_CALL_DEPTH`].
 #[derive(Debug, Clone)]
 pub struct InterpConfig {
     pub policy: CtlFlowPolicy,
-    /// Simulated seconds per executed IR instruction.
-    pub inst_cost: f64,
     /// Per-function probe cost in seconds (indexed by [`FunctionId`],
     /// including pseudo-ids for externals); empty slice = no instrumentation.
     pub probe_cost: Vec<f64>,
@@ -83,19 +90,15 @@ pub struct InterpConfig {
     /// whole test matrix can run under the security policy with no
     /// call-site changes.
     pub taint: Option<PolicyKind>,
-    /// Maximum call depth.
-    pub max_depth: usize,
 }
 
 impl Default for InterpConfig {
     fn default() -> Self {
         InterpConfig {
             policy: CtlFlowPolicy::All,
-            inst_cost: 1e-9,
             probe_cost: Vec::new(),
             fuel: u64::MAX,
             taint: Some(PolicyKind::from_env()),
-            max_depth: 256,
         }
     }
 }
@@ -194,7 +197,6 @@ pub(crate) struct CtlScope {
 /// pop at block entries).
 #[derive(Clone, Copy)]
 struct StepEnv {
-    inst_cost: f64,
     /// Stored values join the control context (`StoresOnly` and `All`).
     store_ctx: bool,
     /// Every result joins the control context (`All`, inside a scope).
@@ -559,7 +561,6 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         // held across `&mut self` calls.
         let prepared: &'m PreparedModule = self.prepared;
         let dfunc: &'m DecodedFunction = prepared.decoded.func(fid);
-        let inst_cost = self.config.inst_cost;
         let fuel = self.config.fuel;
         let policy = self.config.policy;
         let store_ctx = P::TAINT && policy != CtlFlowPolicy::Off;
@@ -625,7 +626,6 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             };
             let apply_all = P::TAINT && policy == CtlFlowPolicy::All && !ctx.is_empty();
             let env = StepEnv {
-                inst_cost,
                 store_ctx,
                 apply_all,
                 ctx,
@@ -634,7 +634,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             let dblock = &dfunc.blocks[block.index()];
             for di in dblock.insts.iter() {
                 insts += 1;
-                clock += inst_cost;
+                clock += INST_COST;
                 // `step` runs every op an inlined body may also contain;
                 // the frame-level ops (calls, `alloca`) run here.
                 let out =
@@ -741,7 +741,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                     // between the cmp and the branch is re-checked before
                     // any branch effect.
                     insts += 1;
-                    clock += inst_cost;
+                    clock += INST_COST;
                     let cv = self.compare::<P>(*pred, *float, resolve(*a, regs), resolve(*b, regs));
                     let cv = self.join_ctx::<P>(cv, env);
                     if insts > fuel {
@@ -821,7 +821,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         // An error aborts the whole run (`run` consumes the interpreter),
         // so the depth is only unwound on a normal return.
         self.depth += 1;
-        if self.depth > self.config.max_depth {
+        if self.depth > MAX_CALL_DEPTH {
             return Err(InterpError::CallDepthExceeded);
         }
         if let Some(args) = args {
@@ -911,13 +911,12 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         // only after the copy) — including a scope this very branch pushed.
         let apply = P::TAINT && self.config.policy == CtlFlowPolicy::All;
         let ctx = ctl.last().map_or(base_ctx, |s| s.label);
-        let inst_cost = self.config.inst_cost;
         if let [mv] = edge.moves.as_ref() {
             // Single-phi edges (every builder loop's induction variable)
             // need no staging: one move cannot hazard with itself reading
             // its own register.
             *insts += 1;
-            *clock += inst_cost;
+            *clock += INST_COST;
             let mut tv = resolve(mv.src, regs);
             if apply {
                 tv.label = self.union_t::<P>(tv.label, ctx);
@@ -929,7 +928,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         stage.clear();
         for mv in edge.moves.iter() {
             *insts += 1;
-            *clock += inst_cost;
+            *clock += INST_COST;
             let mut tv = resolve(mv.src, regs);
             if apply {
                 tv.label = self.union_t::<P>(tv.label, ctx);
@@ -976,7 +975,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         // The inlining pass admits only ops `step` implements.
         for di in body {
             *insts += 1;
-            *clock += env.inst_cost;
+            *clock += INST_COST;
             let out = self
                 .step::<P>(&di.op, regs, callee, ipath, env, insts, clock)?
                 .expect("the inlining pass admits only in-place ops");
@@ -1251,7 +1250,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                 let a = self.gep::<P>(resolve(*base, regs), resolve(*index, regs), stride);
                 let a = self.join_ctx::<P>(a, env);
                 *insts += 1;
-                *clock += env.inst_cost;
+                *clock += INST_COST;
                 self.load::<P>(a)?
             }
             DOp::StoreIdx {
@@ -1263,7 +1262,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
                 let a = self.gep::<P>(resolve(*base, regs), resolve(*index, regs), stride);
                 let a = self.join_ctx::<P>(a, env);
                 *insts += 1;
-                *clock += env.inst_cost;
+                *clock += INST_COST;
                 self.store::<P>(a, resolve(*value, regs), env)?
             }
             DOp::CallHostPrim { name, prim, args } => {

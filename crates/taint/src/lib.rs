@@ -87,7 +87,9 @@ pub mod unit;
 pub use decode::passes::PassStats;
 pub use decode::{DecodedFunction, DecodedModule};
 pub use host::{work_cost, ExternResult, ExternalHandler, HostCtx, NullHandler, WorkOnlyHandler};
-pub use interp::{CtlFlowPolicy, InterpConfig, InterpError, Interpreter, RunOutput};
+pub use interp::{
+    CtlFlowPolicy, InterpConfig, InterpError, Interpreter, RunOutput, INST_COST, MAX_CALL_DEPTH,
+};
 pub use label::{Label, LabelTable, ParamSet};
 pub use memory::{MemError, Memory, TVal};
 pub use path::{CallPathTable, PathId};

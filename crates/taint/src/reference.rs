@@ -15,7 +15,9 @@
 //! fast path, so a bug in one cannot hide in both.
 
 use crate::host::{ExternalHandler, HostCtx};
-use crate::interp::{CtlFlowPolicy, CtlScope, InterpConfig, InterpError, RunOutput};
+use crate::interp::{
+    CtlFlowPolicy, CtlScope, InterpConfig, InterpError, RunOutput, INST_COST, MAX_CALL_DEPTH,
+};
 use crate::label::{Label, LabelTable};
 use crate::memory::{Memory, TVal};
 use crate::path::PathId;
@@ -154,7 +156,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
         inherited_ctx: Label,
     ) -> Result<(Option<TVal>, f64), InterpError> {
         self.depth += 1;
-        if self.depth > self.config.max_depth {
+        if self.depth > MAX_CALL_DEPTH {
             self.depth -= 1;
             return Err(InterpError::CallDepthExceeded);
         }
@@ -232,7 +234,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
                 let mut staged: Vec<(usize, TVal)> = Vec::with_capacity(phi_end);
                 for &iid in &insts[..phi_end] {
                     self.insts += 1;
-                    self.clock += self.config.inst_cost;
+                    self.clock += INST_COST;
                     if let InstKind::Phi { incomings, .. } = &func.inst(iid).kind {
                         let (_, v) = incomings
                             .iter()
@@ -261,7 +263,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
             // Straight-line instructions.
             for &iid in &insts[phi_end..] {
                 self.insts += 1;
-                self.clock += self.config.inst_cost;
+                self.clock += INST_COST;
                 let ctx = if self.taint() && self.config.policy != CtlFlowPolicy::Off {
                     cur_ctx(&ctl)
                 } else {

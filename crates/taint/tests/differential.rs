@@ -882,7 +882,7 @@ fn negative_work_count_from_a_register_matches_reference() {
     let mut m = Module::new("negative-work");
     m.add_function(b.finish());
     let [measure, taint] = assert_identical_measure_and_taint(&m, vec![("n".into(), 5)]);
-    let insts_only = measure.insts as f64 * InterpConfig::default().inst_cost;
+    let insts_only = measure.insts as f64 * pt_taint::INST_COST;
     assert!(measure.time <= insts_only * 1.000_001, "no work charged");
     assert_eq!(taint.records.extern_args.len(), 2, "both calls recorded");
 }

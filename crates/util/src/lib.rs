@@ -16,7 +16,8 @@
 //! Three ways to turn it on:
 //!
 //! * [`trace::enable_scoped`] — refcounted guard; what the server's
-//!   v1.3 `trace` method and `--slow-request-ms` use per request.
+//!   v1.3 `trace` method and its sampled requests use per request.
+//!   Only threads bound to a trace id record while it is held.
 //! * [`trace::force_enable`] — pin it on for the whole process; what
 //!   `pt-server --trace-out` uses, paired with [`trace::drain_all`] +
 //!   [`trace::chrome_trace`] to export Chrome `trace_event` JSON for

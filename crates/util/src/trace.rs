@@ -44,7 +44,12 @@
 //! ([`next_trace_id`] + [`set_thread_trace`]), every span it opens —
 //! including on `parallel_map` workers — inherits that id, and
 //! [`take_trace`] extracts exactly that request's events from the sink,
-//! leaving concurrent traces untouched.
+//! leaving concurrent traces untouched. While tracing is merely scoped
+//! on, a thread bound to no trace id records no spans or events (its
+//! instrumentation points pay the enabled check and one thread-local
+//! read), so concurrent untraced requests add nothing to the sink; only
+//! [`force_enable`] records them, under trace id 0. [`record_span`]
+//! takes its ids explicitly and records whenever tracing is on.
 //!
 //! # Exports
 //!
@@ -336,7 +341,8 @@ struct OpenSpan {
 
 impl SpanGuard {
     /// This span's id, for explicit parenting of out-of-band records;
-    /// `None` when tracing was off at open time.
+    /// `None` when the span was not recorded (tracing off, or the thread
+    /// bound to no trace id).
     pub fn id(&self) -> Option<u64> {
         self.0.as_ref().map(|s| s.id)
     }
@@ -380,24 +386,36 @@ fn close_span(open: OpenSpan) {
     }
 }
 
+/// Does the calling thread record spans? Only under a bound trace id,
+/// unless [`force_enable`] pinned tracing on: a scoped enable is for the
+/// request that asked for it, and an untraced request running on another
+/// thread meanwhile must not leave trace-id-0 events in the sink, where
+/// only [`drain_all`] would ever take them.
+fn records_here(l: &ThreadLocalTrace) -> bool {
+    l.trace_id != 0 || FORCED.load(Ordering::Relaxed)
+}
+
 #[cold]
 #[inline(never)]
 fn open_span(cat: &'static str, name: Cow<'static, str>) -> SpanGuard {
-    let start_nanos = now_nanos();
     let open = with_local(|l| {
+        if !records_here(l) {
+            return None;
+        }
+        let start_nanos = now_nanos();
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let parent = l.stack.last().copied().unwrap_or(0);
         l.stack.push(id);
-        OpenSpan {
+        Some(OpenSpan {
             id,
             parent,
             trace_id: l.trace_id,
             name,
             cat,
             start_nanos,
-        }
+        })
     });
-    SpanGuard(Some(open))
+    SpanGuard(open)
 }
 
 /// Open a span with a static label. Close it by dropping the guard.
@@ -440,8 +458,11 @@ pub fn event_with(cat: &'static str, name: impl FnOnce() -> String) {
 #[cold]
 #[inline(never)]
 fn record_instant(cat: &'static str, name: Cow<'static, str>) {
-    let at = now_nanos();
     with_local(|l| {
+        if !records_here(l) {
+            return;
+        }
+        let at = now_nanos();
         let ev = SpanEvent {
             id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
             parent: l.stack.last().copied().unwrap_or(0),
@@ -529,10 +550,10 @@ pub fn drain_all() -> Vec<SpanEvent> {
 // ---------------------------------------------------------------------------
 // Reports
 
-/// Sum of durations, grouped by span name, in milliseconds — the
-/// slow-request log's stage breakdown. Only top-level-ish aggregation:
-/// every span counts under its own name, so nested stages (e.g. `fuse`
-/// inside `decode`) appear under both names.
+/// Sum of durations, grouped by span name, in milliseconds — the `trace`
+/// method's `stages_ms` and the sampled profile's stage breakdown. Only
+/// top-level-ish aggregation: every span counts under its own name, so
+/// nested stages (e.g. `fuse` inside `decode`) appear under both names.
 pub fn stage_totals_ms(events: &[SpanEvent]) -> Vec<(String, f64)> {
     let mut totals: Vec<(String, f64)> = Vec::new();
     for ev in events {

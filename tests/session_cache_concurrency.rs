@@ -4,7 +4,7 @@
 //! sessions for distinct modules get independent artifacts — the per-key
 //! slot design means one module's computation never blocks another's.
 
-use perf_taint::SessionCache;
+use perf_taint::{PolicyKind, SessionCache};
 use pt_ir::{FunctionBuilder, Module, Type, Value};
 use std::sync::{Arc, Barrier};
 
@@ -43,7 +43,9 @@ fn racing_threads_share_one_static_stage_per_module() {
                     // Line every thread up so the first-computation race is
                     // as hot as we can make it.
                     barrier.wait();
-                    cache.get_or_compute(module, "main").static_analysis()
+                    cache
+                        .get_or_compute(module, "main", PolicyKind::from_env())
+                        .static_analysis()
                 })
             })
             .collect();
@@ -79,7 +81,7 @@ fn distinct_modules_do_not_share_or_block() {
                     (
                         which,
                         cache
-                            .get_or_compute(&modules[which], "main")
+                            .get_or_compute(&modules[which], "main", PolicyKind::from_env())
                             .static_analysis(),
                     )
                 })
@@ -102,7 +104,9 @@ fn distinct_modules_do_not_share_or_block() {
     assert_eq!(cache.len(), modules.len());
 
     // And a session built *after* the race still joins the shared stage.
-    let late = cache.get_or_compute(&modules[0], "main").static_analysis();
+    let late = cache
+        .get_or_compute(&modules[0], "main", PolicyKind::from_env())
+        .static_analysis();
     let first = &artifacts.iter().find(|(i, _)| *i == 0).unwrap().1;
     assert!(Arc::ptr_eq(first, &late));
 }
