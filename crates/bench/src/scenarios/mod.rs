@@ -141,8 +141,9 @@ impl ScenarioCtx {
 
     /// A session over `app` sharing the context-wide static stage.
     pub fn session<'m>(&self, app: &'m AppSpec) -> Session<'m> {
+        let key = pt_ir::fingerprint::module_digest(&app.module);
         self.cache
-            .get_or_compute(&app.module, &app.entry, PolicyKind::from_env())
+            .get_or_compute(&app.module, &key, &app.entry, PolicyKind::from_env())
     }
 
     /// The representative taint run of `app`, computed once per context:

@@ -351,7 +351,8 @@ impl<'m> Session<'m> {
     }
 }
 
-/// A cross-app cache of static-stage artifacts, keyed by module *content*.
+/// A cross-app cache of static-stage artifacts, keyed by module *content*
+/// (a key the caller supplies; see [`SessionCache::get_or_compute`]).
 ///
 /// A [`Session`] memoizes the static stage for *one* module, but its
 /// lifetime is tied to the borrow of that module — callers that create
@@ -400,21 +401,24 @@ impl SessionCache {
 
     /// A session over `module` under taint policy `policy`, whose static
     /// stage is shared with every other session this cache produced for
-    /// the same module *content* and policy — and built against the
+    /// the same content `key` and policy — and built against the
     /// per-function unit memo when that pair is new. Sessions under
     /// different policies never share static artifacts (their unit keys
     /// differ too — see [`crate::incremental`]).
+    ///
+    /// `key` names the module's content, and the cache trusts it: equal
+    /// keys must mean equal modules. A caller that already names modules
+    /// by content passes that name (the analysis service passes the hash
+    /// of the submitted text); any other caller passes
+    /// [`pt_ir::fingerprint::module_digest`]`(module)`.
     pub fn get_or_compute<'m>(
         &self,
         module: &'m Module,
+        key: &str,
         entry: &str,
         policy: PolicyKind,
     ) -> Session<'m> {
-        let key = format!(
-            "{}|{}",
-            pt_ir::fingerprint::module_digest(module),
-            policy.name()
-        );
+        let key = format!("{key}|{}", policy.name());
         let session = SessionBuilder::new(module, entry)
             .policy(policy)
             .units(self.units.clone())

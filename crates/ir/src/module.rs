@@ -4,6 +4,7 @@ use crate::function::{Function, FunctionId};
 use crate::inst::{Callee, InstKind};
 use crate::types::Type;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Declaration of an external runtime symbol (MPI routine, taint intrinsic,
@@ -37,15 +38,22 @@ impl Module {
 
     /// Add a function, returning its id. Function names must be unique.
     pub fn add_function(&mut self, f: Function) -> FunctionId {
-        assert!(
-            !self.name_index.contains_key(&f.name),
-            "duplicate function name: {}",
-            f.name
-        );
+        self.try_add_function(f)
+            .unwrap_or_else(|f| panic!("duplicate function name: {}", f.name))
+    }
+
+    /// Add a function unless the module already has one of that name, in
+    /// which case the function comes back unadded.
+    pub fn try_add_function(&mut self, f: Function) -> Result<FunctionId, Function> {
         let id = FunctionId(self.functions.len() as u32);
-        self.name_index.insert(f.name.clone(), id);
-        self.functions.push(f);
-        id
+        match self.name_index.entry(f.name.clone()) {
+            Entry::Occupied(_) => Err(f),
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+                self.functions.push(f);
+                Ok(id)
+            }
+        }
     }
 
     /// Declare an external symbol (idempotent).

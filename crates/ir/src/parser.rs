@@ -1,15 +1,68 @@
 //! Parser for the textual IR format produced by [`crate::printer`].
 //!
-//! The grammar is line-oriented; see the printer docs for examples. The
-//! parser is used by tests (round-trip properties) and by the quickstart
-//! example, which builds a program from embedded IR text.
+//! # Grammar
+//!
+//! The format is line-oriented. On every line, `;` starts a comment that
+//! runs to the end of the line. Space, tab, CR and form feed at either end
+//! of a line and around `,`, `=`, `[`, `(`, `*` and `->` are ignored, so
+//! CRLF line endings parse like LF; a mnemonic, a `cmp` predicate and the
+//! type after `call` or `phi` end at a space. Blank and comment-only lines
+//! are skipped. At the top level a line is one of:
+//!
+//! ```text
+//! ; module NAME                      the module's name (the last one wins)
+//! extern @NAME(ARITY) -> TYPE        an external symbol
+//! func @NAME(%P: TYPE, ...) -> TYPE {
+//!   ...body...
+//! }
+//! ```
+//!
+//! A body line is a block label `bbK:`, a terminator (`br bbK`,
+//! `cond_br V, bbK, bbL`, `ret`, `ret V`, `unreachable`) or an
+//! instruction, optionally bound to a result as `%N = ...`:
+//!
+//! ```text
+//! add|sub|mul|div|rem|and|or|xor|shl|shr|min|max V, V
+//! neg|not|itof|ftoi|sqrt|abs V
+//! cmp eq|ne|lt|le|gt|ge V, V
+//! select V, V, V
+//! alloca V
+//! load TYPE, V
+//! store VALUE, ADDR
+//! gep BASE[INDEX * STRIDE]
+//! call TYPE @NAME(V, ...)
+//! phi TYPE [bbK -> V, ...]
+//! ```
+//!
+//! A value `V` is `true`/`false`, an integer (`i64`), a float (a token
+//! with `.`, `e`, `inf` or `nan` that parses as `f64`), a parameter
+//! `%NAME` or an instruction result `%N`. Results may be used before the
+//! line that defines them (phi back-edges); the last definition of an
+//! `%N` wins. Instructions are renumbered in text order. A call names a
+//! function of the module if one has that name, and an external symbol
+//! otherwise.
+//!
+//! # Limits
+//!
+//! Nothing the parser allocates is sized by a number in the text:
+//!
+//! * **Labels are dense.** A function with `L` label lines may name only
+//!   `bb0` to `bb{L-1}`, as label, branch target or phi predecessor; any
+//!   other label is a [`ParseError`] on the line that names it. A module
+//!   that verifies has each of `bb0..bbL-1` defined exactly once, so this
+//!   rejects no module that [`crate::verify_module`] would accept.
+//! * **Result ids are bounded.** The table from printed `%N` to
+//!   instruction is as long as the function has instruction lines; the
+//!   rare larger `%N` is looked up in a sorted side list.
+//!
+//! Whitespace is ASCII only: a line padded with other Unicode spaces is
+//! malformed.
 
-use crate::function::{BasicBlock, BlockId, Function, ParamId};
+use crate::function::{BasicBlock, BlockId, Function, FunctionId, ParamId};
 use crate::inst::{BinOp, Callee, CmpPred, Inst, InstId, InstKind, Terminator, UnOp};
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::{Const, Value};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A parse failure with a 1-based line number.
@@ -36,570 +89,776 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
 
 /// Parse a whole module.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
+    let mut lines = Lines::new(text);
     let mut module = Module::new("parsed");
-    let lines: Vec<&str> = text.lines().collect();
-    let mut i = 0;
-    while i < lines.len() {
-        let raw = lines[i];
-        // The printer emits the module name as a `; module NAME` header.
-        if let Some(name) = raw.trim().strip_prefix("; module ") {
-            module.name = name.trim().to_string();
-            i += 1;
-            continue;
-        }
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            i += 1;
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("extern @") {
-            // extern @name(arity) -> ty
-            let (name, rest) = rest.split_once('(').ok_or_else(|| ParseError {
-                line: i + 1,
-                message: "malformed extern".into(),
-            })?;
-            let (arity_s, rest) = rest.split_once(')').ok_or_else(|| ParseError {
-                line: i + 1,
-                message: "malformed extern".into(),
-            })?;
-            let arity: usize = arity_s.trim().parse().map_err(|_| ParseError {
-                line: i + 1,
-                message: "bad extern arity".into(),
-            })?;
-            let ty_s = rest.trim().strip_prefix("->").ok_or_else(|| ParseError {
-                line: i + 1,
-                message: "extern missing ->".into(),
-            })?;
-            let ret_ty = Type::from_mnemonic(ty_s.trim()).ok_or_else(|| ParseError {
-                line: i + 1,
-                message: format!("unknown type {ty_s}"),
-            })?;
-            module.declare_external(name.trim(), arity, ret_ty);
-            i += 1;
-        } else if line.starts_with("func @") {
-            let (func, consumed) = parse_function(&lines, i)?;
-            // `add_function` asserts unique names; untrusted text gets an
-            // error instead.
-            if module.function_by_name(&func.name).is_some() {
-                return err(i + 1, format!("duplicate function @{}", func.name));
+    let mut scratch = Scratch::default();
+    while let Some(line) = lines.next_line() {
+        if line.code.is_empty() {
+            // The printer emits the module name as a `; module NAME` header.
+            let header = line.comment.map(str::trim_ascii_end);
+            if let Some(name) = header.and_then(|c| c.strip_prefix(" module ")) {
+                module.name = name.trim_ascii().to_string();
             }
-            module.add_function(func);
-            i = consumed;
+            continue;
+        }
+        if let Some(rest) = line.code.strip_prefix("extern @") {
+            parse_extern(&mut module, rest, lines.line)?;
+        } else if line.code.starts_with("func @") {
+            let start = lines.line;
+            let func = parse_function(&mut lines, line.code, &mut scratch)?;
+            let fid = match module.try_add_function(func) {
+                Ok(fid) => fid.0,
+                Err(func) => return err(start, format!("duplicate function @{}", func.name)),
+            };
+            scratch
+                .calls
+                .extend(scratch.fn_calls.drain(..).map(|(i, name)| (fid, i, name)));
         } else {
-            return err(i + 1, format!("unexpected line: {line}"));
+            return err(lines.line, format!("unexpected line: {}", line.code));
         }
     }
-    resolve_callees(&mut module);
+    // Calls name functions that may be defined further down, so callees
+    // resolve once the whole module is known. Consecutive calls often name
+    // the same callee, so the last lookup is reused.
+    let mut last: Option<(&str, Option<FunctionId>)> = None;
+    for &(fid, inst, name) in &scratch.calls {
+        let target = match last {
+            Some((prev, target)) if prev == name => target,
+            _ => module.function_by_name(name),
+        };
+        last = Some((name, target));
+        let callee = match target {
+            Some(target) => Callee::Internal(target),
+            None => Callee::External(name.to_string()),
+        };
+        if let InstKind::Call { callee: slot, .. } =
+            &mut module.functions[fid as usize].insts[inst as usize].kind
+        {
+            *slot = callee;
+        }
+    }
     Ok(module)
 }
 
-/// Parse a single function (convenience for tests).
+/// Parse a single function (convenience for tests). Every callee stays
+/// [`Callee::External`], since there is no module to resolve it against.
 pub fn parse_function_text(text: &str) -> Result<Function, ParseError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut start = 0;
-    while start < lines.len() && strip_comment(lines[start]).trim().is_empty() {
-        start += 1;
+    let mut lines = Lines::new(text);
+    let mut scratch = Scratch::default();
+    loop {
+        let Some(line) = lines.next_line() else {
+            return err(lines.line + 1, "expected func");
+        };
+        if line.code.is_empty() {
+            continue;
+        }
+        let mut func = parse_function(&mut lines, line.code, &mut scratch)?;
+        for (inst, name) in scratch.fn_calls.drain(..) {
+            if let InstKind::Call { callee, .. } = &mut func.insts[inst as usize].kind {
+                *callee = Callee::External(name.to_string());
+            }
+        }
+        return Ok(func);
     }
-    let (f, _) = parse_function(&lines, start)?;
-    Ok(f)
 }
 
-fn strip_comment(line: &str) -> &str {
-    match line.find(';') {
-        Some(pos) => &line[..pos],
-        None => line,
-    }
+/// One line of input, split at its first `;`.
+struct Line<'a> {
+    /// The text before the comment, trimmed.
+    code: &'a str,
+    /// The text after the `;`, if the line has one.
+    comment: Option<&'a str>,
 }
 
-/// One not-yet-resolved instruction occurrence.
-struct PendingInst {
-    printed_id: Option<u32>,
-    kind_text: String,
-    block: BlockId,
+/// A forward-only reader over the input's lines (split like
+/// [`str::lines`]: at `\n`, with a trailing `\r` left to trimming).
+struct Lines<'a> {
+    text: &'a str,
+    pos: usize,
+    /// 1-based number of the line [`Lines::next_line`] returned last.
     line: usize,
 }
 
-enum PendingTermKind {
-    Br(BlockId),
-    CondBr {
-        cond: String,
-        then_bb: BlockId,
-        else_bb: BlockId,
-    },
-    Ret(Option<String>),
-    Unreachable,
+impl<'a> Lines<'a> {
+    fn new(text: &'a str) -> Self {
+        Lines {
+            text,
+            pos: 0,
+            line: 0,
+        }
+    }
+
+    fn next_line(&mut self) -> Option<Line<'a>> {
+        let bytes = self.text.as_bytes();
+        if self.pos >= bytes.len() {
+            return None;
+        }
+        let start = self.pos;
+        let stop = find(bytes, start, b'\n', b';');
+        let code = self.text[start..stop].trim_ascii();
+        let mut end = stop;
+        let mut comment = None;
+        if bytes.get(stop) == Some(&b';') {
+            end = find(bytes, stop + 1, b'\n', b'\n');
+            comment = Some(&self.text[stop + 1..end]);
+        }
+        self.pos = end + 1;
+        self.line += 1;
+        Some(Line { code, comment })
+    }
 }
 
-struct PendingTerm {
-    kind: PendingTermKind,
-    block: BlockId,
-    line: usize,
+/// The index of the first `a` or `b` byte at or after `from`, or
+/// `bytes.len()`. Eight bytes at a time: in `w ^ a·0x0101..`, a byte of
+/// `w` equal to `a` becomes zero, and the classic zero-byte test marks
+/// the lowest zero byte exactly.
+fn find(bytes: &[u8], from: usize, a: u8, b: u8) -> usize {
+    const LO: u64 = u64::from_le_bytes([1; 8]);
+    const HI: u64 = LO << 7;
+    let (pa, pb) = (LO * a as u64, LO * b as u64);
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let (x, y) = (w ^ pa, w ^ pb);
+        let hits = (x.wrapping_sub(LO) & !x | y.wrapping_sub(LO) & !y) & HI;
+        if hits != 0 {
+            return i + hits.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    while i < bytes.len() && bytes[i] != a && bytes[i] != b {
+        i += 1;
+    }
+    i
 }
 
-fn parse_function(lines: &[&str], start: usize) -> Result<(Function, usize), ParseError> {
-    let header = strip_comment(lines[start]).trim();
-    let rest = header.strip_prefix("func @").ok_or_else(|| ParseError {
-        line: start + 1,
-        message: "expected func".into(),
-    })?;
-    let (name, rest) = rest.split_once('(').ok_or_else(|| ParseError {
-        line: start + 1,
-        message: "func missing (".into(),
-    })?;
-    let (params_s, rest) = rest.rsplit_once(')').ok_or_else(|| ParseError {
-        line: start + 1,
-        message: "func missing )".into(),
-    })?;
-    let mut params = Vec::new();
-    for p in params_s.split(',') {
-        let p = p.trim();
+/// Per-function working storage, kept across the functions of a module so
+/// its vectors are allocated once.
+#[derive(Default)]
+struct Scratch<'a> {
+    /// Instructions in text order. Their `Value::Inst` operands still hold
+    /// the printed `%N` until [`Scratch::finish`] resolves them.
+    insts: Vec<Inst>,
+    /// Per instruction: its printed result id, if any, and its line.
+    printed: Vec<(Option<u32>, u32)>,
+    /// Terminators as `(block, terminator, line)`, operands unresolved.
+    terms: Vec<(BlockId, Terminator, u32)>,
+    /// Label lines as `(label, line)`.
+    labels: Vec<(u32, u32)>,
+    /// Printed id → instruction index, for ids below the instruction count.
+    ids: Vec<u32>,
+    /// `(printed id, instruction index)` for larger ids, sorted.
+    big_ids: Vec<(u32, u32)>,
+    /// Instructions per block.
+    block_lens: Vec<u32>,
+    /// Operands of the call or phi being parsed.
+    args: Vec<Value>,
+    incomings: Vec<(BlockId, Value)>,
+    /// This function's calls as `(instruction index, callee name)`.
+    fn_calls: Vec<(u32, &'a str)>,
+    /// The module's calls as `(function index, instruction index, name)`.
+    calls: Vec<(u32, u32, &'a str)>,
+}
+
+const NO_ID: u32 = u32::MAX;
+
+/// Parse the function whose header is `header` (the line just read) and
+/// whose body follows in `lines`.
+fn parse_function<'a>(
+    lines: &mut Lines<'a>,
+    header: &'a str,
+    s: &mut Scratch<'a>,
+) -> Result<Function, ParseError> {
+    let start = lines.line;
+    let mut func = parse_header(header, start)?;
+    let mut current: Option<BlockId> = None;
+    loop {
+        let Some(line) = lines.next_line() else {
+            return err(start, "unterminated function body");
+        };
+        let (code, lineno) = (line.code, lines.line);
+        match code.as_bytes() {
+            [] => continue,
+            b"}" => break,
+            [label @ .., b':'] => {
+                let bid = parse_block_label(code[..label.len()].trim_ascii(), lineno)?;
+                s.labels.push((bid.0, lineno as u32));
+                current = Some(bid);
+                continue;
+            }
+            _ => {}
+        }
+        let Some(block) = current else {
+            return err(lineno, "instruction before first block label");
+        };
+        let mut printed = None;
+        let mut text = code;
+        if code.starts_with('%') {
+            if let Some((lhs, rhs)) = split1(code, b'=') {
+                let id_s = strip_start(lhs, b'%');
+                printed = Some(parse_u32(id_s).ok_or_else(|| ParseError {
+                    line: lineno,
+                    message: format!("bad result id %{id_s}"),
+                })?);
+                text = rhs;
+            }
+        }
+        match parse_body_line(text, printed.is_none(), lineno, &func.params, s)? {
+            BodyLine::Inst(kind) => {
+                s.insts.push(Inst { kind, block });
+                s.printed.push((printed, lineno as u32));
+            }
+            BodyLine::Term(term) => s.terms.push((block, term, lineno as u32)),
+        }
+    }
+    s.finish(&mut func)?;
+    Ok(func)
+}
+
+impl Scratch<'_> {
+    /// Check the body's labels, resolve its `%N` operands and move the
+    /// body into `func`, leaving the scratch empty for the next function.
+    fn finish(&mut self, func: &mut Function) -> Result<(), ParseError> {
+        let result = self.build(func);
+        self.insts.clear();
+        self.printed.clear();
+        self.terms.clear();
+        self.labels.clear();
+        result
+    }
+
+    fn build(&mut self, func: &mut Function) -> Result<(), ParseError> {
+        let nlabels = self.labels.len() as u32;
+        let in_range = |b: BlockId, line: u32| {
+            if b.0 < nlabels {
+                Ok(b)
+            } else {
+                err(
+                    line as usize,
+                    format!("block {b} out of range: the function has {nlabels} label(s)"),
+                )
+            }
+        };
+        // Blocks run up to the highest label defined or branched to.
+        let mut nblocks = 0;
+        for &(label, line) in &self.labels {
+            nblocks = nblocks.max(in_range(BlockId(label), line)?.0 + 1);
+        }
+        for (_, term, line) in &self.terms {
+            for target in term.successors() {
+                nblocks = nblocks.max(in_range(target, *line)?.0 + 1);
+            }
+        }
+
+        let n = self.insts.len();
+        self.ids.clear();
+        self.ids.resize(n, NO_ID);
+        self.big_ids.clear();
+        for (idx, &(printed, _)) in self.printed.iter().enumerate() {
+            let Some(printed) = printed else { continue };
+            match self.ids.get_mut(printed as usize) {
+                Some(slot) => *slot = idx as u32,
+                None => self.big_ids.push((printed, idx as u32)),
+            }
+        }
+        // Text order breaks ties, so the last definition of an id wins.
+        self.big_ids.sort_unstable();
+        let (ids, big_ids) = (&self.ids, &self.big_ids);
+        let resolve = |v: &mut Value, line: u32| -> Result<(), ParseError> {
+            if let Value::Inst(printed) = *v {
+                let idx = match ids.get(printed.index()) {
+                    Some(&idx) => idx,
+                    None => {
+                        let end = big_ids.partition_point(|&(p, _)| p <= printed.0);
+                        match end.checked_sub(1).map(|i| big_ids[i]) {
+                            Some((p, idx)) if p == printed.0 => idx,
+                            _ => NO_ID,
+                        }
+                    }
+                };
+                if idx == NO_ID {
+                    return err(line as usize, format!("undefined value %{}", printed.0));
+                }
+                *v = Value::Inst(InstId(idx));
+            }
+            Ok(())
+        };
+
+        self.block_lens.clear();
+        self.block_lens.resize(nblocks as usize, 0);
+        for inst in &self.insts {
+            self.block_lens[inst.block.index()] += 1;
+        }
+        func.blocks = self
+            .block_lens
+            .iter()
+            .map(|&len| BasicBlock {
+                insts: Vec::with_capacity(len as usize),
+                term: None,
+                name: None,
+            })
+            .collect();
+        for (idx, (inst, &(_, line))) in self.insts.iter_mut().zip(&self.printed).enumerate() {
+            match &mut inst.kind {
+                InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
+                    resolve(lhs, line)?;
+                    resolve(rhs, line)?;
+                }
+                InstKind::Un { operand: v, .. }
+                | InstKind::Alloca { words: v }
+                | InstKind::Load { addr: v, .. } => resolve(v, line)?,
+                InstKind::Select {
+                    cond,
+                    then_v,
+                    else_v,
+                } => {
+                    resolve(cond, line)?;
+                    resolve(then_v, line)?;
+                    resolve(else_v, line)?;
+                }
+                InstKind::Store { addr, value } => {
+                    resolve(addr, line)?;
+                    resolve(value, line)?;
+                }
+                InstKind::Gep { base, index, .. } => {
+                    resolve(base, line)?;
+                    resolve(index, line)?;
+                }
+                InstKind::Call { args, .. } => {
+                    for a in args {
+                        resolve(a, line)?;
+                    }
+                }
+                InstKind::Phi { incomings, .. } => {
+                    for (b, v) in incomings {
+                        in_range(*b, line)?;
+                        resolve(v, line)?;
+                    }
+                }
+            }
+            func.blocks[inst.block.index()]
+                .insts
+                .push(InstId(idx as u32));
+        }
+        func.insts = self.insts.drain(..).collect();
+
+        for (block, mut term, line) in self.terms.drain(..) {
+            match &mut term {
+                Terminator::CondBr { cond: v, .. } | Terminator::Ret(Some(v)) => resolve(v, line)?,
+                Terminator::Br(_) | Terminator::Ret(None) | Terminator::Unreachable => {}
+            }
+            let blk = &mut func.blocks[block.index()];
+            if blk.term.is_some() {
+                return err(line as usize, format!("block {block} terminated twice"));
+            }
+            blk.term = Some(term);
+        }
+        Ok(())
+    }
+}
+
+/// `func @NAME(%P: TYPE, ...) -> TYPE {` (the brace is optional).
+fn parse_header(header: &str, line: usize) -> Result<Function, ParseError> {
+    let malformed = |message: String| ParseError { line, message };
+    let rest = header
+        .strip_prefix("func @")
+        .ok_or_else(|| malformed("expected func".into()))?;
+    let (name, rest) = split1(rest, b'(').ok_or_else(|| malformed("func missing (".into()))?;
+    let close = rest
+        .bytes()
+        .rposition(|b| b == b')')
+        .ok_or_else(|| malformed("func missing )".into()))?;
+    let params_s = &rest[..close];
+    let mut params = Vec::with_capacity(params_s.bytes().filter(|&b| b == b',').count() + 1);
+    for p in Fields::new(params_s, b',') {
         if p.is_empty() {
             continue;
         }
-        let p = p.strip_prefix('%').ok_or_else(|| ParseError {
-            line: start + 1,
-            message: format!("param missing %: {p}"),
-        })?;
-        let (pname, pty) = p.split_once(':').ok_or_else(|| ParseError {
-            line: start + 1,
-            message: format!("param missing type: {p}"),
-        })?;
-        let ty = Type::from_mnemonic(pty.trim()).ok_or_else(|| ParseError {
-            line: start + 1,
-            message: format!("unknown type {pty}"),
-        })?;
-        params.push((pname.trim().to_string(), ty));
+        let p = p
+            .strip_prefix('%')
+            .ok_or_else(|| malformed(format!("param missing %: {p}")))?;
+        let (pname, pty) =
+            split1(p, b':').ok_or_else(|| malformed(format!("param missing type: {p}")))?;
+        let ty =
+            Type::from_mnemonic(pty).ok_or_else(|| malformed(format!("unknown type {pty}")))?;
+        params.push((pname.trim_ascii().to_string(), ty));
     }
-    let rest = rest.trim();
-    let ret_s = rest
+    let ret_s = rest[close + 1..]
+        .trim_ascii()
+        .strip_prefix("->")
+        .ok_or_else(|| malformed("func missing ->".into()))?;
+    let ret_s = strip_end(ret_s, b'{').trim_ascii();
+    let ret_ty = Type::from_mnemonic(ret_s)
+        .ok_or_else(|| malformed(format!("unknown return type {ret_s}")))?;
+    Ok(Function::new(name.trim_ascii(), params, ret_ty))
+}
+
+/// `extern @NAME(ARITY) -> TYPE`, given the text after `extern @`.
+fn parse_extern(module: &mut Module, rest: &str, line: usize) -> Result<(), ParseError> {
+    let malformed = || ParseError {
+        line,
+        message: "malformed extern".into(),
+    };
+    let (name, rest) = rest.split_once('(').ok_or_else(malformed)?;
+    let (arity_s, rest) = rest.split_once(')').ok_or_else(malformed)?;
+    let arity: usize = arity_s.trim_ascii().parse().map_err(|_| ParseError {
+        line,
+        message: "bad extern arity".into(),
+    })?;
+    let ty_s = rest
+        .trim_ascii()
         .strip_prefix("->")
         .ok_or_else(|| ParseError {
-            line: start + 1,
-            message: "func missing ->".into(),
-        })?
-        .trim()
-        .trim_end_matches('{')
-        .trim();
-    let ret_ty = Type::from_mnemonic(ret_s).ok_or_else(|| ParseError {
-        line: start + 1,
-        message: format!("unknown return type {ret_s}"),
-    })?;
-
-    let mut func = Function::new(name.trim(), params, ret_ty);
-    let mut pending: Vec<PendingInst> = Vec::new();
-    let mut terms: Vec<PendingTerm> = Vec::new();
-    let mut current: Option<BlockId> = None;
-    let mut max_block: i64 = -1;
-
-    let mut i = start + 1;
-    loop {
-        if i >= lines.len() {
-            return err(start + 1, "unterminated function body");
-        }
-        let lineno = i + 1;
-        let line = strip_comment(lines[i]).trim().to_string();
-        i += 1;
-        if line.is_empty() {
-            continue;
-        }
-        if line == "}" {
-            break;
-        }
-        if let Some(label) = line.strip_suffix(':') {
-            let bid = parse_block_label(label.trim(), lineno)?;
-            while func.blocks.len() <= bid.index() {
-                func.blocks.push(BasicBlock::new());
-            }
-            max_block = max_block.max(bid.0 as i64);
-            current = Some(bid);
-            continue;
-        }
-        let block = current.ok_or_else(|| ParseError {
-            line: lineno,
-            message: "instruction before first block label".into(),
-        })?;
-
-        // Terminators.
-        if let Some(t) = line.strip_prefix("br ") {
-            let target = parse_block_label(t.trim(), lineno)?;
-            max_block = max_block.max(target.0 as i64);
-            terms.push(PendingTerm {
-                kind: PendingTermKind::Br(target),
-                block,
-                line: lineno,
-            });
-            continue;
-        }
-        if let Some(t) = line.strip_prefix("cond_br ") {
-            let parts: Vec<&str> = t.split(',').map(str::trim).collect();
-            if parts.len() != 3 {
-                return err(lineno, "cond_br expects cond, then, else");
-            }
-            let then_bb = parse_block_label(parts[1], lineno)?;
-            let else_bb = parse_block_label(parts[2], lineno)?;
-            max_block = max_block.max(then_bb.0.max(else_bb.0) as i64);
-            terms.push(PendingTerm {
-                kind: PendingTermKind::CondBr {
-                    cond: parts[0].to_string(),
-                    then_bb,
-                    else_bb,
-                },
-                block,
-                line: lineno,
-            });
-            continue;
-        }
-        if line == "ret" {
-            terms.push(PendingTerm {
-                kind: PendingTermKind::Ret(None),
-                block,
-                line: lineno,
-            });
-            continue;
-        }
-        if let Some(v) = line.strip_prefix("ret ") {
-            terms.push(PendingTerm {
-                kind: PendingTermKind::Ret(Some(v.trim().to_string())),
-                block,
-                line: lineno,
-            });
-            continue;
-        }
-        if line == "unreachable" {
-            terms.push(PendingTerm {
-                kind: PendingTermKind::Unreachable,
-                block,
-                line: lineno,
-            });
-            continue;
-        }
-
-        // Instructions, possibly with result assignment.
-        let (printed_id, kind_text) = match line.split_once('=') {
-            Some((lhs, rhs)) if lhs.trim().starts_with('%') => {
-                let id_s = lhs.trim().trim_start_matches('%');
-                let id: u32 = id_s.parse().map_err(|_| ParseError {
-                    line: lineno,
-                    message: format!("bad result id %{id_s}"),
-                })?;
-                (Some(id), rhs.trim().to_string())
-            }
-            _ => (None, line),
-        };
-        pending.push(PendingInst {
-            printed_id,
-            kind_text,
-            block,
-            line: lineno,
-        });
-    }
-
-    while func.blocks.len() <= max_block as usize {
-        func.blocks.push(BasicBlock::new());
-    }
-
-    // Map printed ids to arena ids (text order defines the new arena order).
-    let mut id_map: HashMap<u32, InstId> = HashMap::new();
-    for (idx, p) in pending.iter().enumerate() {
-        if let Some(pid) = p.printed_id {
-            id_map.insert(pid, InstId(idx as u32));
-        }
-    }
-    let param_index: HashMap<String, ParamId> = func
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, (n, _))| (n.clone(), ParamId(i as u32)))
-        .collect();
-
-    let parse_value = |tok: &str, lineno: usize| -> Result<Value, ParseError> {
-        parse_value_token(tok, &id_map, &param_index, lineno)
-    };
-
-    for p in &pending {
-        let kind = parse_inst_kind(&p.kind_text, p.line, &parse_value)?;
-        let iid = InstId(func.insts.len() as u32);
-        func.insts.push(Inst {
-            kind,
-            block: p.block,
-        });
-        func.blocks[p.block.index()].insts.push(iid);
-    }
-    for t in terms {
-        let term = match t.kind {
-            PendingTermKind::Br(b) => Terminator::Br(b),
-            PendingTermKind::CondBr {
-                cond,
-                then_bb,
-                else_bb,
-            } => Terminator::CondBr {
-                cond: parse_value(&cond, t.line)?,
-                then_bb,
-                else_bb,
-            },
-            PendingTermKind::Ret(None) => Terminator::Ret(None),
-            PendingTermKind::Ret(Some(v)) => Terminator::Ret(Some(parse_value(&v, t.line)?)),
-            PendingTermKind::Unreachable => Terminator::Unreachable,
-        };
-        let blk = func.block_mut(t.block);
-        if blk.term.is_some() {
-            return err(t.line, format!("block {} terminated twice", t.block));
-        }
-        blk.term = Some(term);
-    }
-    Ok((func, i))
-}
-
-fn parse_block_label(s: &str, line: usize) -> Result<BlockId, ParseError> {
-    let n = s.strip_prefix("bb").ok_or_else(|| ParseError {
-        line,
-        message: format!("expected block label, got {s}"),
-    })?;
-    let id: u32 = n.parse().map_err(|_| ParseError {
-        line,
-        message: format!("bad block id {s}"),
-    })?;
-    Ok(BlockId(id))
-}
-
-fn parse_value_token(
-    tok: &str,
-    id_map: &HashMap<u32, InstId>,
-    params: &HashMap<String, ParamId>,
-    line: usize,
-) -> Result<Value, ParseError> {
-    let tok = tok.trim();
-    if tok == "true" {
-        return Ok(Value::bool(true));
-    }
-    if tok == "false" {
-        return Ok(Value::bool(false));
-    }
-    if let Some(name) = tok.strip_prefix('%') {
-        if let Ok(pid) = name.parse::<u32>() {
-            return id_map
-                .get(&pid)
-                .copied()
-                .map(Value::Inst)
-                .ok_or_else(|| ParseError {
-                    line,
-                    message: format!("undefined value %{pid}"),
-                });
-        }
-        return params
-            .get(name)
-            .copied()
-            .map(Value::Param)
-            .ok_or_else(|| ParseError {
-                line,
-                message: format!("unknown parameter %{name}"),
-            });
-    }
-    if tok.contains('.') || tok.contains('e') || tok.contains("inf") || tok.contains("nan") {
-        if let Ok(f) = tok.parse::<f64>() {
-            return Ok(Value::Const(Const::Float(f)));
-        }
-    }
-    tok.parse::<i64>()
-        .map(|v| Value::Const(Const::Int(v)))
-        .map_err(|_| ParseError {
             line,
-            message: format!("bad value token: {tok}"),
-        })
+            message: "extern missing ->".into(),
+        })?
+        .trim_ascii();
+    let ret_ty = Type::from_mnemonic(ty_s).ok_or_else(|| ParseError {
+        line,
+        message: format!("unknown type {ty_s}"),
+    })?;
+    module.declare_external(name.trim_ascii(), arity, ret_ty);
+    Ok(())
 }
 
-fn parse_inst_kind(
-    text: &str,
+/// What a body line holds, besides a label.
+enum BodyLine {
+    Inst(InstKind),
+    Term(Terminator),
+}
+
+/// One instruction or terminator. A line bound to a result (`%N = ...`)
+/// holds an instruction, so `terminators` is false for it.
+fn parse_body_line<'a>(
+    text: &'a str,
+    terminators: bool,
     line: usize,
-    parse_value: &impl Fn(&str, usize) -> Result<Value, ParseError>,
+    params: &[(String, Type)],
+    s: &mut Scratch<'a>,
+) -> Result<BodyLine, ParseError> {
+    let (op, rest) = match split1(text, b' ') {
+        Some((op, rest)) => (op, Some(rest)),
+        None => (text, None),
+    };
+    if terminators {
+        if let Some(term) = parse_terminator(op, rest, line, params)? {
+            return Ok(BodyLine::Term(term));
+        }
+    }
+    parse_inst_kind(op, rest.unwrap_or(""), line, params, s).map(BodyLine::Inst)
+}
+
+/// `br bbK`, `cond_br V, bbK, bbL`, `ret`, `ret V` or `unreachable`;
+/// `None` for any other `op`.
+fn parse_terminator(
+    op: &str,
+    rest: Option<&str>,
+    line: usize,
+    params: &[(String, Type)],
+) -> Result<Option<Terminator>, ParseError> {
+    let value = |tok: &str| parse_value(tok, params, line);
+    Ok(Some(match (op, rest) {
+        ("br", Some(target)) => Terminator::Br(parse_block_label(target, line)?),
+        ("cond_br", Some(rest)) => {
+            let [cond, then_bb, else_bb] = split3(rest).ok_or_else(|| ParseError {
+                line,
+                message: "cond_br expects cond, then, else".into(),
+            })?;
+            let then_bb = parse_block_label(then_bb, line)?;
+            let else_bb = parse_block_label(else_bb, line)?;
+            Terminator::CondBr {
+                cond: value(cond)?,
+                then_bb,
+                else_bb,
+            }
+        }
+        ("ret", v) => Terminator::Ret(v.map(value).transpose()?),
+        ("unreachable", None) => Terminator::Unreachable,
+        _ => return Ok(None),
+    }))
+}
+
+/// The instruction `op rest`.
+fn parse_inst_kind<'a>(
+    op: &str,
+    rest: &'a str,
+    line: usize,
+    params: &[(String, Type)],
+    s: &mut Scratch<'a>,
 ) -> Result<InstKind, ParseError> {
-    let (op, rest) = text
-        .split_once(' ')
-        .map(|(a, b)| (a, b.trim()))
-        .unwrap_or((text, ""));
-    if let Some(bop) = BinOp::from_mnemonic(op) {
+    let value = |tok: &str| parse_value(tok, params, line);
+    let ty = |tok: &str| {
+        Type::from_mnemonic(tok).ok_or_else(|| ParseError {
+            line,
+            message: format!("unknown type {tok}"),
+        })
+    };
+    let missing = |what: &str| ParseError {
+        line,
+        message: what.into(),
+    };
+    if let Some(op) = BinOp::from_mnemonic(op) {
         let (a, b) = split2(rest, line)?;
         return Ok(InstKind::Bin {
-            op: bop,
-            lhs: parse_value(a, line)?,
-            rhs: parse_value(b, line)?,
+            op,
+            lhs: value(a)?,
+            rhs: value(b)?,
         });
     }
-    if let Some(uop) = UnOp::from_mnemonic(op) {
+    if let Some(op) = UnOp::from_mnemonic(op) {
         return Ok(InstKind::Un {
-            op: uop,
-            operand: parse_value(rest, line)?,
+            op,
+            operand: value(rest)?,
         });
     }
-    match op {
+    Ok(match op {
         "cmp" => {
-            let (pred_s, rest) = rest.split_once(' ').ok_or_else(|| ParseError {
-                line,
-                message: "cmp missing predicate".into(),
-            })?;
+            let (pred_s, rest) =
+                split1(rest, b' ').ok_or_else(|| missing("cmp missing predicate"))?;
             let pred = CmpPred::from_mnemonic(pred_s).ok_or_else(|| ParseError {
                 line,
                 message: format!("unknown predicate {pred_s}"),
             })?;
-            let (a, b) = split2(rest.trim(), line)?;
-            Ok(InstKind::Cmp {
+            let (a, b) = split2(rest, line)?;
+            InstKind::Cmp {
                 pred,
-                lhs: parse_value(a, line)?,
-                rhs: parse_value(b, line)?,
-            })
+                lhs: value(a)?,
+                rhs: value(b)?,
+            }
         }
         "select" => {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 3 {
-                return err(line, "select expects 3 operands");
+            let [c, t, e] = split3(rest).ok_or_else(|| missing("select expects 3 operands"))?;
+            InstKind::Select {
+                cond: value(c)?,
+                then_v: value(t)?,
+                else_v: value(e)?,
             }
-            Ok(InstKind::Select {
-                cond: parse_value(parts[0], line)?,
-                then_v: parse_value(parts[1], line)?,
-                else_v: parse_value(parts[2], line)?,
-            })
         }
-        "alloca" => Ok(InstKind::Alloca {
-            words: parse_value(rest, line)?,
-        }),
+        "alloca" => InstKind::Alloca {
+            words: value(rest)?,
+        },
         "load" => {
-            let (ty_s, addr_s) = rest.split_once(',').ok_or_else(|| ParseError {
-                line,
-                message: "load expects type, addr".into(),
-            })?;
-            let ty = Type::from_mnemonic(ty_s.trim()).ok_or_else(|| ParseError {
-                line,
-                message: format!("unknown type {ty_s}"),
-            })?;
-            Ok(InstKind::Load {
-                addr: parse_value(addr_s.trim(), line)?,
-                ty,
-            })
+            let (ty_s, addr) =
+                split1(rest, b',').ok_or_else(|| missing("load expects type, addr"))?;
+            InstKind::Load {
+                ty: ty(ty_s)?,
+                addr: value(addr)?,
+            }
         }
         "store" => {
             let (v, addr) = split2(rest, line)?;
-            Ok(InstKind::Store {
-                addr: parse_value(addr, line)?,
-                value: parse_value(v, line)?,
-            })
+            InstKind::Store {
+                addr: value(addr)?,
+                value: value(v)?,
+            }
         }
         "gep" => {
             // gep base[index * stride]
-            let (base_s, rest) = rest.split_once('[').ok_or_else(|| ParseError {
-                line,
-                message: "gep missing [".into(),
-            })?;
-            let inner = rest.trim_end_matches(']');
-            let (idx_s, stride_s) = inner.split_once('*').ok_or_else(|| ParseError {
-                line,
-                message: "gep missing stride".into(),
-            })?;
-            let stride: u32 = stride_s.trim().parse().map_err(|_| ParseError {
-                line,
-                message: "bad gep stride".into(),
-            })?;
-            Ok(InstKind::Gep {
-                base: parse_value(base_s.trim(), line)?,
-                index: parse_value(idx_s.trim(), line)?,
+            let (base, rest) = split1(rest, b'[').ok_or_else(|| missing("gep missing ["))?;
+            let (index, stride) =
+                split1(strip_end(rest, b']'), b'*').ok_or_else(|| missing("gep missing stride"))?;
+            let stride =
+                parse_u32(stride.trim_ascii_end()).ok_or_else(|| missing("bad gep stride"))?;
+            InstKind::Gep {
+                base: value(base)?,
+                index: value(index)?,
                 stride,
-            })
+            }
         }
         "call" => {
             // call ty @name(args)
-            let (ty_s, rest) = rest.split_once(' ').ok_or_else(|| ParseError {
-                line,
-                message: "call missing type".into(),
-            })?;
-            let ret_ty = Type::from_mnemonic(ty_s.trim()).ok_or_else(|| ParseError {
-                line,
-                message: format!("unknown type {ty_s}"),
-            })?;
-            let rest = rest.trim();
-            let name = rest.strip_prefix('@').ok_or_else(|| ParseError {
-                line,
-                message: "call missing @callee".into(),
-            })?;
-            let (name, args_s) = name.split_once('(').ok_or_else(|| ParseError {
-                line,
-                message: "call missing (".into(),
-            })?;
-            let args_s = args_s.trim_end_matches(')');
-            let mut args = Vec::new();
-            for a in args_s.split(',') {
-                let a = a.trim();
-                if a.is_empty() {
-                    continue;
+            let (ty_s, rest) = split1(rest, b' ').ok_or_else(|| missing("call missing type"))?;
+            let ret_ty = ty(ty_s)?;
+            let name = rest
+                .strip_prefix('@')
+                .ok_or_else(|| missing("call missing @callee"))?;
+            let (name, args) = split1(name, b'(').ok_or_else(|| missing("call missing ("))?;
+            s.args.clear();
+            for a in Fields::new(strip_end(args, b')'), b',') {
+                if !a.is_empty() {
+                    s.args.push(value(a)?);
                 }
-                args.push(parse_value(a, line)?);
             }
-            // All callees parse as external; `resolve_callees` rewrites
-            // references to functions defined in the module.
-            Ok(InstKind::Call {
-                callee: Callee::External(name.trim().to_string()),
-                args,
+            // The callee resolves once the module is complete.
+            s.fn_calls.push((s.insts.len() as u32, name.trim_ascii()));
+            InstKind::Call {
+                callee: Callee::External(String::new()),
+                args: s.args.as_slice().to_vec(),
                 ret_ty,
-            })
+            }
         }
         "phi" => {
             // phi ty [bbA -> v, bbB -> v]
-            let (ty_s, rest) = rest.split_once(' ').ok_or_else(|| ParseError {
-                line,
-                message: "phi missing type".into(),
-            })?;
-            let ty = Type::from_mnemonic(ty_s.trim()).ok_or_else(|| ParseError {
-                line,
-                message: format!("unknown type {ty_s}"),
-            })?;
-            let inner = rest.trim().trim_start_matches('[').trim_end_matches(']');
-            let mut incomings = Vec::new();
-            for part in inner.split(',') {
-                let part = part.trim();
+            let (ty_s, rest) = split1(rest, b' ').ok_or_else(|| missing("phi missing type"))?;
+            let ty = ty(ty_s)?;
+            s.incomings.clear();
+            let inner = strip_end(strip_start(rest, b'[').trim_ascii_start(), b']');
+            for part in Fields::new(inner, b',') {
                 if part.is_empty() {
                     continue;
                 }
-                let (b, v) = part.split_once("->").ok_or_else(|| ParseError {
-                    line,
-                    message: "phi incoming missing ->".into(),
-                })?;
-                incomings.push((
-                    parse_block_label(b.trim(), line)?,
-                    parse_value(v.trim(), line)?,
+                let b = part.as_bytes();
+                let arrow = (1..b.len())
+                    .find(|&i| b[i - 1] == b'-' && b[i] == b'>')
+                    .ok_or_else(|| missing("phi incoming missing ->"))?;
+                s.incomings.push((
+                    parse_block_label(part[..arrow - 1].trim_ascii(), line)?,
+                    value(part[arrow + 1..].trim_ascii_start())?,
                 ));
             }
-            Ok(InstKind::Phi { ty, incomings })
+            InstKind::Phi {
+                ty,
+                incomings: s.incomings.as_slice().to_vec(),
+            }
         }
-        other => err(line, format!("unknown instruction {other}")),
+        _ => return err(line, format!("unknown instruction {op}")),
+    })
+}
+
+/// `bbK`.
+fn parse_block_label(s: &str, line: usize) -> Result<BlockId, ParseError> {
+    if !s.as_bytes().starts_with(b"bb") {
+        return err(line, format!("expected block label, got {s}"));
+    }
+    parse_u32(&s[2..]).map(BlockId).ok_or_else(|| ParseError {
+        line,
+        message: format!("bad block id {s}"),
+    })
+}
+
+/// One operand token, trimmed. A `%N` operand comes back as
+/// `Value::Inst(InstId(N))`, the printed id, for [`Scratch::build`] to
+/// resolve.
+fn parse_value(tok: &str, params: &[(String, Type)], line: usize) -> Result<Value, ParseError> {
+    match tok {
+        "true" => return Ok(Value::bool(true)),
+        "false" => return Ok(Value::bool(false)),
+        _ => {}
+    }
+    if let Some(name) = tok.strip_prefix('%') {
+        if let Some(id) = parse_u32(name) {
+            return Ok(Value::Inst(InstId(id)));
+        }
+        return match params.iter().position(|(n, _)| n == name) {
+            Some(i) => Ok(Value::Param(ParamId(i as u32))),
+            None => err(line, format!("unknown parameter %{name}")),
+        };
+    }
+    let b = tok.as_bytes();
+    let floaty = (0..b.len()).any(|i| {
+        matches!(b[i], b'.' | b'e') || b[i..].starts_with(b"inf") || b[i..].starts_with(b"nan")
+    });
+    if floaty {
+        if let Ok(f) = tok.parse::<f64>() {
+            return Ok(Value::Const(Const::Float(f)));
+        }
+    }
+    match parse_i64(b) {
+        Some(v) => Ok(Value::Const(Const::Int(v))),
+        None => err(line, format!("bad value token: {tok}")),
     }
 }
 
-fn split2(s: &str, line: usize) -> Result<(&str, &str), ParseError> {
-    s.split_once(',')
-        .map(|(a, b)| (a.trim(), b.trim()))
-        .ok_or_else(|| ParseError {
-            line,
-            message: format!("expected two operands: {s}"),
-        })
+/// `s` split at the first `delim`, without the whitespace around the
+/// delimiter. `s` starts with no whitespace, and so do both parts.
+fn split1(s: &str, delim: u8) -> Option<(&str, &str)> {
+    let at = s.bytes().position(|b| b == delim)?;
+    Some((s[..at].trim_ascii_end(), s[at + 1..].trim_ascii_start()))
 }
 
-/// Rewrite `Callee::External(name)` to `Callee::Internal` where the module
-/// defines a function of that name.
-fn resolve_callees(module: &mut Module) {
-    let names: HashMap<String, crate::function::FunctionId> = module
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.clone(), crate::function::FunctionId(i as u32)))
-        .collect();
-    for f in &mut module.functions {
-        for inst in &mut f.insts {
-            if let InstKind::Call { callee, .. } = &mut inst.kind {
-                if let Callee::External(name) = callee {
-                    if let Some(&fid) = names.get(name.as_str()) {
-                        *callee = Callee::Internal(fid);
-                    }
-                }
-            }
+/// `a, b`: split at the first comma.
+fn split2(s: &str, line: usize) -> Result<(&str, &str), ParseError> {
+    split1(s, b',').ok_or_else(|| ParseError {
+        line,
+        message: format!("expected two operands: {s}"),
+    })
+}
+
+/// `a, b, c`: exactly three comma-separated parts.
+fn split3(s: &str) -> Option<[&str; 3]> {
+    let mut parts = Fields::new(s, b',');
+    match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some(a), Some(b), Some(c), None) => Some([a, b, c]),
+        _ => None,
+    }
+}
+
+/// The fields of `s` between `delim` bytes, trimmed (like `str::split`:
+/// an empty `s` is one empty field).
+struct Fields<'a> {
+    rest: Option<&'a str>,
+    delim: u8,
+}
+
+impl<'a> Fields<'a> {
+    fn new(s: &'a str, delim: u8) -> Self {
+        Fields {
+            rest: Some(s),
+            delim,
         }
+    }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let s = self.rest?;
+        Some(match split1(s, self.delim) {
+            Some((field, rest)) => {
+                self.rest = Some(rest);
+                field
+            }
+            None => {
+                self.rest = None;
+                s.trim_ascii()
+            }
+        })
+    }
+}
+
+/// `s` without any leading `b` bytes.
+fn strip_start(s: &str, b: u8) -> &str {
+    &s[s.bytes().take_while(|&c| c == b).count()..]
+}
+
+/// `s` without any trailing `b` bytes.
+fn strip_end(s: &str, b: u8) -> &str {
+    &s[..s.len() - s.bytes().rev().take_while(|&c| c == b).count()]
+}
+
+/// Decimal digits after an optional `+`, like `str::parse::<u32>`.
+fn parse_u32(s: &str) -> Option<u32> {
+    let b = s.as_bytes();
+    let digits = match b.first() {
+        Some(b'+') => &b[1..],
+        _ => b,
+    };
+    u32::try_from(parse_digits(digits)?).ok()
+}
+
+/// A nonempty run of decimal digits.
+fn parse_digits(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
+        return None;
+    }
+    let mut n: u64 = 0;
+    for &d in digits {
+        let d = d.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n = n.checked_mul(10)?.checked_add(d as u64)?;
+    }
+    Some(n)
+}
+
+/// Decimal digits after an optional sign, like `str::parse::<i64>`.
+fn parse_i64(b: &[u8]) -> Option<i64> {
+    match b.first() {
+        Some(b'-') => 0i64.checked_sub_unsigned(parse_digits(&b[1..])?),
+        Some(b'+') => i64::try_from(parse_digits(&b[1..])?).ok(),
+        _ => i64::try_from(parse_digits(b)?).ok(),
     }
 }
 

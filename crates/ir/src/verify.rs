@@ -7,26 +7,51 @@
 //! `pt_analysis::ssa_verify`.
 
 use crate::function::{BlockId, Function};
-use crate::inst::{Callee, InstKind, Terminator};
+use crate::inst::{Callee, InstId, InstKind, Terminator};
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::Value;
+use std::cell::Cell;
 use std::fmt;
 
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyError {
     UnterminatedBlock(BlockId),
-    BranchTargetOutOfRange { block: BlockId, target: BlockId },
-    OperandOutOfRange { block: BlockId, detail: String },
-    PhiNotAtBlockStart { block: BlockId },
-    PhiArityMismatch { block: BlockId, detail: String },
-    NonBoolBranchCondition { block: BlockId },
-    ReturnTypeMismatch { detail: String },
+    BranchTargetOutOfRange {
+        block: BlockId,
+        target: BlockId,
+    },
+    OperandOutOfRange {
+        block: BlockId,
+        detail: String,
+    },
+    PhiNotAtBlockStart {
+        block: BlockId,
+    },
+    PhiArityMismatch {
+        block: BlockId,
+        detail: String,
+    },
+    NonBoolBranchCondition {
+        block: BlockId,
+    },
+    ReturnTypeMismatch {
+        detail: String,
+    },
     EmptyFunction,
-    CallArityMismatch { detail: String },
-    UnknownCallee { detail: String },
-    InstBlockMismatch { detail: String },
+    CallArityMismatch {
+        detail: String,
+    },
+    UnknownCallee {
+        detail: String,
+    },
+    InstBlockMismatch {
+        detail: String,
+    },
+    /// A result whose type, followed through the operands it is taken
+    /// from (`Bin`, `Un`, `Select`), comes back to itself.
+    CyclicType(InstId),
 }
 
 impl fmt::Display for VerifyError {
@@ -57,6 +82,7 @@ impl fmt::Display for VerifyError {
             VerifyError::InstBlockMismatch { detail } => {
                 write!(f, "instruction/block bookkeeping mismatch: {detail}")
             }
+            VerifyError::CyclicType(inst) => write!(f, "the type of {inst} depends on itself"),
         }
     }
 }
@@ -98,6 +124,8 @@ pub fn verify_function(func: &Function) -> Result<(), VerifyError> {
         }
     };
 
+    // `Function::value_type` would never return on such a cycle.
+    check_type_sources(func)?;
     let preds = func.predecessors();
 
     for bid in func.block_ids() {
@@ -193,6 +221,45 @@ pub fn verify_function(func: &Function) -> Result<(), VerifyError> {
                 }
             }
         }
+    }
+    Ok(())
+}
+
+/// Reject a result whose type is taken, operand by operand, from itself
+/// (`%0 = add %0, 1`). Each instruction's type source is the one operand
+/// [`crate::Inst::result_type`] asks about, so the walk is linear.
+fn check_type_sources(func: &Function) -> Result<(), VerifyError> {
+    const OPEN: u8 = 1;
+    const DONE: u8 = 2;
+    let mut state = vec![0u8; func.insts.len()];
+    let mut path = Vec::new();
+    for start in 0..func.insts.len() {
+        let mut i = start;
+        let cyclic = loop {
+            match state[i] {
+                OPEN => break true,
+                DONE => break false,
+                _ => {}
+            }
+            state[i] = OPEN;
+            path.push(i);
+            let source = Cell::new(None);
+            func.insts[i].result_type(|v| {
+                source.set(v.as_inst());
+                Type::Void
+            });
+            match source.get() {
+                Some(next) if next.index() < state.len() => i = next.index(),
+                _ => break false,
+            }
+        };
+        if cyclic {
+            return Err(VerifyError::CyclicType(InstId(i as u32)));
+        }
+        for &p in &path {
+            state[p] = DONE;
+        }
+        path.clear();
     }
     Ok(())
 }
@@ -332,6 +399,20 @@ mod tests {
             verify_function(&f),
             Err(VerifyError::OperandOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn self_typed_result_rejected() {
+        let mut b = FunctionBuilder::new("bad", vec![], Type::I64);
+        let s = b.add(1i64, 2i64);
+        let t = b.mul(s, 3i64);
+        b.ret(Some(t));
+        let mut f = b.finish_unchecked();
+        // `%0 = add %1, 2` and `%1 = mul %0, 3`: each typed by the other.
+        if let InstKind::Bin { lhs, .. } = &mut f.insts[0].kind {
+            *lhs = t;
+        }
+        assert_eq!(verify_function(&f), Err(VerifyError::CyclicType(InstId(0))));
     }
 
     #[test]

@@ -373,7 +373,9 @@ impl ServerState {
         if let Some(value) = self.stored(&key) {
             return Ok(value);
         }
-        let session = self.sessions.get_or_compute(&module, entry, policy);
+        let session = self
+            .sessions
+            .get_or_compute(&module, module_key, entry, policy);
         let summary = static_summary(&session.static_analysis(), &module);
         self.persist(&key, &summary);
         Ok(summary)
@@ -406,7 +408,9 @@ impl ServerState {
             return Ok(value);
         }
         let module = self.module_for(module_key)?;
-        let session = self.sessions.get_or_compute(&module, entry, policy);
+        let session = self
+            .sessions
+            .get_or_compute(&module, module_key, entry, policy);
         let analysis = session
             .taint_run(run_params.to_vec())
             .map_err(ServeError::from)?;

@@ -447,3 +447,88 @@ fn stats_and_metrics_report_minor_7_and_a_session_cache_of_entries_only() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A branch to `bb4294967295` once made the parser grow ~4.3 billion
+/// blocks before the verifier could reject the module; it is a located
+/// parse error now, and the server keeps answering.
+#[test]
+fn a_label_past_the_defined_ones_is_a_parse_error() {
+    let dir = fresh_store_dir("hostile-label");
+    let state = ServerState::new(Store::open(&dir).expect("store"), 1, 4);
+    let text = "func @main() -> void {\nbb0:\n  br bb4294967295\n}\n";
+    let line = request_envelope(
+        1,
+        "submit_module",
+        Value::obj(vec![("text", Value::str(text))]),
+    );
+    let response = handle_line(&state, &line.render());
+    assert_eq!(
+        error_kind(&response),
+        Some("parse"),
+        "{}",
+        response.render()
+    );
+    assert!(
+        error_message(&response).contains("line 3"),
+        "{}",
+        response.render()
+    );
+    let stats = handle_line(
+        &state,
+        &request_envelope(2, "stats", Value::Obj(Vec::new())).render(),
+    );
+    assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The session cache keys a served module by the hash of its text: the
+/// same text submitted twice shares one slot, and a variant that differs
+/// only in whitespace gets a slot of its own with the same summary bytes.
+#[test]
+fn session_slots_follow_the_submitted_text() {
+    let dir = fresh_store_dir("slots");
+    let state = ServerState::new(Store::open(&dir).expect("store"), 1, 4);
+    let mut id = 0;
+    let mut call = |method: &str, params: Value| {
+        id += 1;
+        let response = handle_line(&state, &request_envelope(id, method, params).render());
+        assert_eq!(
+            response.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{}",
+            response.render()
+        );
+        response.get("result").cloned().expect("result")
+    };
+    let mut summary_of = |text: &str| {
+        let submitted = call(
+            "submit_module",
+            Value::obj(vec![("text", Value::str(text))]),
+        );
+        let module = submitted.get("module").and_then(Value::as_str).unwrap();
+        let summary = call(
+            "static_analysis",
+            Value::obj(vec![
+                ("module", Value::str(module)),
+                ("entry", Value::str("main")),
+            ]),
+        );
+        let stats = call("stats", Value::Obj(Vec::new()));
+        let entries = stats
+            .get("session_cache")
+            .and_then(|c| c.get("entries"))
+            .and_then(Value::as_u64);
+        (summary.render(), entries)
+    };
+    let text = pt_server::demo_module_text();
+    let (first, entries) = summary_of(&text);
+    assert_eq!(entries, Some(1));
+    let (again, entries) = summary_of(&text);
+    assert_eq!(again, first);
+    assert_eq!(entries, Some(1), "the same text shares its slot");
+    let spaced = text.replace('\n', "  \n");
+    let (variant, entries) = summary_of(&spaced);
+    assert_eq!(variant, first, "whitespace changes no summary byte");
+    assert_eq!(entries, Some(2), "a different text gets its own slot");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -7,6 +7,7 @@ use perf_taint::{
     static_summary, PolicyKind, PtError, SessionBuilder, SessionCache, StaticArtifacts,
 };
 use pt_apps::lulesh;
+use pt_ir::fingerprint::module_digest;
 use pt_ir::{Callee, Const, InstKind, Module, Value};
 use std::sync::Arc;
 
@@ -209,8 +210,18 @@ fn session_cache_shares_statics_across_sessions_and_apps() {
     assert!(cache.is_empty());
 
     // Two sessions over the same module content share one static stage.
-    let s1 = cache.get_or_compute(&lulesh.module, &lulesh.entry, PolicyKind::from_env());
-    let s2 = cache.get_or_compute(&lulesh.module, &lulesh.entry, PolicyKind::from_env());
+    let s1 = cache.get_or_compute(
+        &lulesh.module,
+        &module_digest(&lulesh.module),
+        &lulesh.entry,
+        PolicyKind::from_env(),
+    );
+    let s2 = cache.get_or_compute(
+        &lulesh.module,
+        &module_digest(&lulesh.module),
+        &lulesh.entry,
+        PolicyKind::from_env(),
+    );
     assert!(Arc::ptr_eq(&s1.static_analysis(), &s2.static_analysis()));
     assert_eq!(cache.len(), 1);
 
@@ -221,7 +232,12 @@ fn session_cache_shares_statics_across_sessions_and_apps() {
     assert_eq!(reuse.recomputed, lulesh.module.functions.len());
 
     // A different app gets its own entry, not the cached one.
-    let s3 = cache.get_or_compute(&milc.module, &milc.entry, PolicyKind::from_env());
+    let s3 = cache.get_or_compute(
+        &milc.module,
+        &module_digest(&milc.module),
+        &milc.entry,
+        PolicyKind::from_env(),
+    );
     assert!(!Arc::ptr_eq(&s1.static_analysis(), &s3.static_analysis()));
     assert_eq!(cache.len(), 2);
 
@@ -278,14 +294,24 @@ fn static_stage_is_identical_with_and_without_the_unit_memo() {
         };
         let cache = SessionCache::new();
         let cold = cache
-            .get_or_compute(&app.module, &app.entry, PolicyKind::from_env())
+            .get_or_compute(
+                &app.module,
+                &module_digest(&app.module),
+                &app.entry,
+                PolicyKind::from_env(),
+            )
             .static_analysis();
         assert_eq!(cold.reuse.recomputed, app.module.functions.len());
         assert_eq!(fingerprint(&cold, &app.module), plain(&app.module));
 
         let edited = edit_one_function(&app.module);
         let warm = cache
-            .get_or_compute(&edited, &app.entry, PolicyKind::from_env())
+            .get_or_compute(
+                &edited,
+                &module_digest(&edited),
+                &app.entry,
+                PolicyKind::from_env(),
+            )
             .static_analysis();
         assert!(warm.reuse.recomputed > 0, "the edited function recomputes");
         assert!(warm.reuse.reused_memory > 0, "untouched units are reused");

@@ -5,6 +5,7 @@
 //! slot design means one module's computation never blocks another's.
 
 use perf_taint::{PolicyKind, SessionCache};
+use pt_ir::fingerprint::module_digest;
 use pt_ir::{FunctionBuilder, Module, Type, Value};
 use std::sync::{Arc, Barrier};
 
@@ -44,7 +45,12 @@ fn racing_threads_share_one_static_stage_per_module() {
                     // as hot as we can make it.
                     barrier.wait();
                     cache
-                        .get_or_compute(module, "main", PolicyKind::from_env())
+                        .get_or_compute(
+                            module,
+                            &module_digest(module),
+                            "main",
+                            PolicyKind::from_env(),
+                        )
                         .static_analysis()
                 })
             })
@@ -81,7 +87,12 @@ fn distinct_modules_do_not_share_or_block() {
                     (
                         which,
                         cache
-                            .get_or_compute(&modules[which], "main", PolicyKind::from_env())
+                            .get_or_compute(
+                                &modules[which],
+                                &module_digest(&modules[which]),
+                                "main",
+                                PolicyKind::from_env(),
+                            )
                             .static_analysis(),
                     )
                 })
@@ -105,7 +116,12 @@ fn distinct_modules_do_not_share_or_block() {
 
     // And a session built *after* the race still joins the shared stage.
     let late = cache
-        .get_or_compute(&modules[0], "main", PolicyKind::from_env())
+        .get_or_compute(
+            &modules[0],
+            &module_digest(&modules[0]),
+            "main",
+            PolicyKind::from_env(),
+        )
         .static_analysis();
     let first = &artifacts.iter().find(|(i, _)| *i == 0).unwrap().1;
     assert!(Arc::ptr_eq(first, &late));
