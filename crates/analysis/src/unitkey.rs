@@ -26,7 +26,7 @@
 //! else keeps its key and its cached unit.
 
 use crate::callgraph::CallGraph;
-use pt_ir::fingerprint::{digest_parts, function_digest};
+use pt_ir::fingerprint::{function_digest, Digest, DigestHasher};
 use pt_ir::Module;
 
 /// Per-function unit keys for one module (index = function index).
@@ -34,49 +34,62 @@ use pt_ir::Module;
 pub struct UnitKeys {
     /// Environment digest shared by every key (function names in order,
     /// external symbols, salt).
-    pub env: String,
+    pub env: Digest,
     /// Unit key per function.
-    pub keys: Vec<String>,
+    pub keys: Vec<Digest>,
 }
 
 /// Compute the per-function unit keys of `module`. `salt` folds in any
 /// configuration the units depend on beyond the module text (e.g. the
 /// taint policy).
-pub fn unit_keys(module: &Module, cg: &CallGraph, salt: &str) -> UnitKeys {
+pub fn unit_keys(module: &Module, cg: &CallGraph, salt: Digest) -> UnitKeys {
     let n = module.functions.len();
-    let bodies: Vec<String> = module
+    let bodies: Vec<Digest> = module
         .function_ids()
         .map(|fid| function_digest(module, fid))
         .collect();
 
-    let mut env_parts: Vec<&str> = vec!["env", salt];
+    let mut h = DigestHasher::new();
+    h.str("env");
+    h.digest(salt);
+    h.len(n);
     for f in &module.functions {
-        env_parts.push(&f.name);
+        h.str(&f.name);
     }
-    env_parts.push("externals");
     let externals = module.used_externals();
-    env_parts.extend(externals.iter().copied());
-    let env = digest_parts(&env_parts);
+    h.len(externals.len());
+    for name in externals {
+        h.str(name);
+    }
+    let env = h.finish();
 
-    let mut keys = vec![String::new(); n];
+    let mut keys = vec![Digest(0); n];
     // Tarjan emits SCCs in reverse topological order: every out-of-component
     // callee's key is already computed when its caller's SCC is reached.
     for (si, scc) in cg.sccs.iter().enumerate() {
-        let mut parts: Vec<&str> = vec!["scc", &env];
+        let mut h = DigestHasher::new();
+        h.str("scc");
+        h.digest(env);
+        h.len(scc.len());
         for &m in scc {
-            parts.push(&bodies[m.index()]);
+            h.digest(bodies[m.index()]);
         }
         for &m in scc {
             for &c in &cg.callees[m.index()] {
                 if cg.scc_of[c.index()] != si {
-                    parts.push(&keys[c.index()]);
+                    h.digest(keys[c.index()]);
                 }
             }
         }
-        let joint = digest_parts(&parts);
+        // Callee keys are whole words after the fixed-length bodies, so
+        // their number needs no prefix of its own.
+        let joint = h.finish();
         for (pos, &m) in scc.iter().enumerate() {
-            let pos = pos.to_string();
-            keys[m.index()] = digest_parts(&["unit", &joint, &pos]);
+            let mut h = DigestHasher::new();
+            h.str("unit");
+            h.digest(joint);
+            h.len(pos);
+            keys[m.index()] = h.finish();
         }
     }
     UnitKeys { env, keys }
@@ -104,8 +117,12 @@ mod tests {
         m
     }
 
-    fn keys(m: &Module) -> Vec<String> {
-        unit_keys(m, &CallGraph::build(m), "salt").keys
+    fn salt(name: &str) -> Digest {
+        pt_ir::fingerprint::digest_parts(&[name])
+    }
+
+    fn keys(m: &Module) -> Vec<Digest> {
+        unit_keys(m, &CallGraph::build(m), salt("salt")).keys
     }
 
     #[test]
@@ -129,8 +146,8 @@ mod tests {
     fn salt_and_environment_invalidate_everything() {
         let m = module(0);
         let cg = CallGraph::build(&m);
-        let a = unit_keys(&m, &cg, "salt-a");
-        let b = unit_keys(&m, &cg, "salt-b");
+        let a = unit_keys(&m, &cg, salt("salt-a"));
+        let b = unit_keys(&m, &cg, salt("salt-b"));
         for i in 0..3 {
             assert_ne!(a.keys[i], b.keys[i]);
         }

@@ -143,7 +143,7 @@ impl ScenarioCtx {
     pub fn session<'m>(&self, app: &'m AppSpec) -> Session<'m> {
         let key = pt_ir::fingerprint::module_digest(&app.module);
         self.cache
-            .get_or_compute(&app.module, &key, &app.entry, PolicyKind::from_env())
+            .get_or_compute(&app.module, key, &app.entry, PolicyKind::from_env())
     }
 
     /// The representative taint run of `app`, computed once per context:

@@ -28,7 +28,7 @@
 //! [`crate::StaticArtifacts`] reports how many units were reused from
 //! memory or recomputed.
 
-use pt_ir::fingerprint::digest_parts;
+use pt_ir::fingerprint::{digest_parts, Digest};
 use pt_taint::policy::PolicyKind;
 use pt_taint::unit::{FunctionUnit, UnitMemo};
 use std::collections::HashMap;
@@ -53,7 +53,7 @@ pub struct ReuseStats {
 /// unit no matter which session computed it first.
 #[derive(Default)]
 pub struct FunctionArtifactCache {
-    units: Mutex<HashMap<String, Arc<FunctionUnit>>>,
+    units: Mutex<HashMap<Digest, Arc<FunctionUnit>>>,
     // Cumulative process-lifetime counters (served via `pt-serve` stats).
     total: AtomicU64,
     reused_memory: AtomicU64,
@@ -76,8 +76,8 @@ impl FunctionArtifactCache {
 }
 
 impl UnitMemo for FunctionArtifactCache {
-    fn get(&self, key: &str) -> Option<Arc<FunctionUnit>> {
-        let hit = self.units.lock().unwrap().get(key).cloned();
+    fn get(&self, key: Digest) -> Option<Arc<FunctionUnit>> {
+        let hit = self.units.lock().unwrap().get(&key).cloned();
         self.total.fetch_add(1, Ordering::Relaxed);
         let bucket = if hit.is_some() {
             &self.reused_memory
@@ -88,7 +88,7 @@ impl UnitMemo for FunctionArtifactCache {
         hit
     }
 
-    fn put(&self, key: String, unit: Arc<FunctionUnit>) {
+    fn put(&self, key: Digest, unit: Arc<FunctionUnit>) {
         self.units.lock().unwrap().insert(key, unit);
     }
 }
@@ -98,7 +98,7 @@ impl UnitMemo for FunctionArtifactCache {
 /// policies never share units — the decoded program is
 /// policy-independent today, but the key contract is "everything the
 /// result could depend on".
-pub(crate) fn unit_salt(taint: Option<PolicyKind>) -> String {
+pub(crate) fn unit_salt(taint: Option<PolicyKind>) -> Digest {
     digest_parts(&["statics-config", taint.map_or("measure", PolicyKind::name)])
 }
 

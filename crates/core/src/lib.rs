@@ -90,7 +90,9 @@ pub use pipeline::PipelineConfig;
 pub use report::{
     analysis_summary, static_summary, BenchReport, RunStatus, ScenarioRecord, BENCH_SCHEMA_VERSION,
 };
-pub use session::{parse_module, Analysis, Session, SessionBuilder, SessionCache, StaticArtifacts};
+pub use session::{
+    parse_module, reparse_module, Analysis, Session, SessionBuilder, SessionCache, StaticArtifacts,
+};
 pub use validate::{
     detect_contention, detect_segmentation, BranchObservations, BranchSide, ContentionFinding,
     SegmentationWarning,

@@ -39,6 +39,8 @@ use crate::validate::BranchObservations;
 use crate::volume::DepStructure;
 use pt_analysis::classify::{classify_module, StaticClassification};
 use pt_extrap::Restriction;
+use pt_ir::fingerprint::Digest;
+use pt_ir::parser::{Base, Reparsed};
 use pt_ir::{FunctionId, Module};
 use pt_mpisim::MpiHandler;
 use pt_taint::prepared::PreparedModule;
@@ -53,15 +55,32 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// [`PtError::Config`] naming the first issue, so the static stage never
 /// decodes unverified IR.
 pub fn parse_module(text: &str) -> Result<Module, PtError> {
-    let module = pt_ir::parser::parse_module(text)?;
-    if let Err(errors) = pt_ir::verify_module(&module) {
+    reparse_module(text, None).map(|reparsed| reparsed.module)
+}
+
+/// [`parse_module`] against a base, an earlier parse of another text.
+/// Functions the edit left byte-identical are cloned from the base, and
+/// only the re-parsed ones are verified, with the calls they make; every
+/// other input goes through a full parse, and any error is exactly
+/// [`parse_module`]'s (see [`pt_ir::parser::reparse_module`]). The
+/// result's [`Reparsed::spans`] let it serve as the next base.
+pub fn reparse_module(text: &str, base: Option<Base>) -> Result<Reparsed, PtError> {
+    let reparsed = pt_ir::parser::reparse_module(text, base)?;
+    let module = &reparsed.module;
+    let mut verified = pt_ir::verify_functions(module, reparsed.parsed.iter().copied());
+    if verified.is_err() && reparsed.parsed.len() < module.functions.len() {
+        // The error names the first issue and counts all of them, so it
+        // comes from verifying every function.
+        verified = pt_ir::verify_module(module);
+    }
+    if let Err(errors) = verified {
         let (func, err) = &errors[0];
         return Err(PtError::Config(format!(
             "module failed verification: {func}: {err} ({} issue(s) total)",
             errors.len()
         )));
     }
-    Ok(module)
+    Ok(reparsed)
 }
 
 /// Everything the static stage (§5.1) produces: computed once per
@@ -169,7 +188,7 @@ impl<'m> Session<'m> {
                 let memo = self
                     .units
                     .as_deref()
-                    .map(|cache| (cache as &dyn UnitMemo, salt.as_str()));
+                    .map(|cache| (cache as &dyn UnitMemo, salt));
                 let (prepared, reused) = PreparedModule::build(self.module, memo);
                 let relevant: HashSet<String> =
                     self.config.db.relevant_names().map(String::from).collect();
@@ -381,9 +400,12 @@ impl<'m> Session<'m> {
 /// sessions directly via [`SessionBuilder`] instead.
 pub struct SessionCache {
     /// One slot per (module content, policy); never evicted.
-    statics: Mutex<BTreeMap<String, Arc<OnceLock<Arc<StaticArtifacts>>>>>,
+    statics: Mutex<BTreeMap<(Digest, PolicyKind), Arc<StaticsSlot>>>,
     units: Arc<FunctionArtifactCache>,
 }
+
+/// A static stage computed at most once, by whichever session asks first.
+type StaticsSlot = OnceLock<Arc<StaticArtifacts>>;
 
 impl Default for SessionCache {
     fn default() -> SessionCache {
@@ -408,17 +430,17 @@ impl SessionCache {
     ///
     /// `key` names the module's content, and the cache trusts it: equal
     /// keys must mean equal modules. A caller that already names modules
-    /// by content passes that name (the analysis service passes the hash
-    /// of the submitted text); any other caller passes
+    /// by content passes that name (the analysis service passes the
+    /// digest of the submitted text its module key names); any other
+    /// caller passes
     /// [`pt_ir::fingerprint::module_digest`]`(module)`.
     pub fn get_or_compute<'m>(
         &self,
         module: &'m Module,
-        key: &str,
+        key: Digest,
         entry: &str,
         policy: PolicyKind,
     ) -> Session<'m> {
-        let key = format!("{key}|{}", policy.name());
         let session = SessionBuilder::new(module, entry)
             .policy(policy)
             .units(self.units.clone())
@@ -427,7 +449,13 @@ impl SessionCache {
         // `OnceLock::get_or_init` blocks concurrent first callers until the
         // winner finishes, so the static stage runs exactly once per key
         // even when many sessions are requested at the same time.
-        let slot = self.statics.lock().unwrap().entry(key).or_default().clone();
+        let slot = self
+            .statics
+            .lock()
+            .unwrap()
+            .entry((key, policy))
+            .or_default()
+            .clone();
         let statics = slot.get_or_init(|| session.static_analysis()).clone();
         // No-op when this session was the one that just computed them.
         session.seed_statics(statics);

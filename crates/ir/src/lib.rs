@@ -46,4 +46,4 @@ pub use inst::{BinOp, Callee, CmpPred, Inst, InstId, InstKind, Terminator, UnOp}
 pub use module::Module;
 pub use types::Type;
 pub use value::{Const, Value};
-pub use verify::{verify_function, verify_module, VerifyError};
+pub use verify::{verify_function, verify_functions, verify_module, VerifyError};

@@ -35,7 +35,7 @@
 //! ```
 //!
 //! A value `V` is `true`/`false`, an integer (`i64`), a float (a token
-//! with `.`, `e`, `inf` or `nan` that parses as `f64`), a parameter
+//! with `.`, `e`, `inf`, `nan` or `NaN` that parses as `f64`), a parameter
 //! `%NAME` or an instruction result `%N`. Results may be used before the
 //! line that defines them (phi back-edges); the last definition of an
 //! `%N` wins. Instructions are renumbered in text order. A call names a
@@ -57,6 +57,26 @@
 //!
 //! Whitespace is ASCII only: a line padded with other Unicode spaces is
 //! malformed.
+//!
+//! # Re-parsing an edit
+//!
+//! [`parse_module`] is one walk over the text's top-level items: the
+//! `; module` header, `extern` lines and function spans (a `func` line
+//! through the next `}` line), read with the line reader every body line
+//! goes through. [`reparse_module`] is the same walk given a [`Base`]:
+//! an earlier text, the module parsed from it and where that parse found
+//! each function ([`Reparsed::spans`]). When the new text keeps the
+//! base's *skeleton* (everything outside function bodies) byte for byte,
+//! a function whose span is byte-identical to the base's is cloned from
+//! the base module, and only the others are parsed, against the same name
+//! table. The result then equals a full parse of the new text, and
+//! [`Reparsed::parsed`] names the functions that were parsed, so a caller
+//! can verify just those (see [`crate::verify_functions`]). Any other
+//! text, and any error, falls back to the full parse, so errors and their
+//! lines are a full parse's. A text that leaves the skeleton costs, on
+//! top of the full parse, the walk up to where it leaves it: byte
+//! comparisons, plus parsing any changed function before that point. The
+//! base's text is not re-read and nothing is cloned.
 
 use crate::function::{BasicBlock, BlockId, Function, FunctionId, ParamId};
 use crate::inst::{BinOp, Callee, CmpPred, Inst, InstId, InstKind, Terminator, UnOp};
@@ -89,9 +109,102 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
 
 /// Parse a whole module.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
+    walk(text, None).map(|r| r.module)
+}
+
+/// A module parsed by [`reparse_module`].
+#[derive(Debug)]
+pub struct Reparsed {
+    pub module: Module,
+    /// The functions parsed from the text, in order. The rest are clones
+    /// of the base's functions; with no usable base, this is every
+    /// function.
+    pub parsed: Vec<FunctionId>,
+    /// Where the text's functions sit: with the text and the module, what
+    /// a later [`reparse_module`] needs to use this parse as its [`Base`].
+    pub spans: Spans,
+}
+
+/// Where each function of a parsed text sits in it. It comes from a
+/// [`Reparsed`] and goes into a later [`Base`], so the base text is not
+/// read again.
+#[derive(Clone, Debug, Default)]
+pub struct Spans(Vec<Span>);
+
+/// An earlier parse for [`reparse_module`] to reuse: its text, the module
+/// parsed from it and the [`Reparsed::spans`] of that parse. The three
+/// must come from one parse; parts of different parses make an
+/// unspecified module, but never a panic.
+#[derive(Clone, Copy)]
+pub struct Base<'b> {
+    pub text: &'b str,
+    pub module: &'b Module,
+    pub spans: &'b Spans,
+}
+
+impl Base<'_> {
+    /// Whether `part` of the new text is there and equals the base's text
+    /// at `from..to`.
+    fn has(&self, part: Option<&str>, from: usize, to: usize) -> bool {
+        part.is_some() && part == self.text.get(from..to)
+    }
+}
+
+/// Parse a module, reusing an earlier parse. If `text` keeps the base's
+/// skeleton (the `; module` header, the `extern` lines, each `func @...{`
+/// and `}` line and the gaps between them) byte for byte, every function
+/// whose span is unchanged is cloned from the base module and only the
+/// others are parsed; the result equals a full parse of `text`. On any
+/// other input, on any error, and without a base, this is a full parse
+/// (see "Re-parsing an edit" in the module docs).
+pub fn reparse_module(text: &str, base: Option<Base>) -> Result<Reparsed, ParseError> {
+    if let Some(base) = base.filter(|b| b.spans.0.len() == b.module.functions.len()) {
+        if let Ok(reparsed) = walk(text, Some(&base)) {
+            return Ok(reparsed);
+        }
+    }
+    walk(text, None)
+}
+
+/// Where a function sits in its text, as byte offsets.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    /// The start of the gap before the function: the end of the previous
+    /// span, or 0.
+    gap: usize,
+    /// The start of the `func` line.
+    start: usize,
+    /// The start of the line after it.
+    body: usize,
+    /// The start of the `}` line.
+    close: usize,
+    /// The end of the `}` line, past its newline.
+    end: usize,
+    /// The lines from the `func` line through the `}` line.
+    lines: usize,
+}
+
+/// The error [`walk`] stops with where `text` leaves the base's skeleton;
+/// [`reparse_module`] then parses the text in full.
+fn off_base<T>(line: usize) -> Result<T, ParseError> {
+    err(line, "the skeleton differs from the base")
+}
+
+/// The one walk over a text's top-level items. With a base, a function
+/// whose span equals the base's is reused and the skeleton is checked
+/// against the base's as the walk goes; the module is assembled only once
+/// the whole text is known to keep the skeleton, so a text that leaves it
+/// clones nothing.
+fn walk(text: &str, base: Option<&Base>) -> Result<Reparsed, ParseError> {
     let mut lines = Lines::new(text);
     let mut module = Module::new("parsed");
     let mut scratch = Scratch::default();
+    let mut parsed = Vec::new();
+    let mut spans = Vec::new();
+    // With a base, the parsed functions, in the order of `parsed`.
+    let mut funcs = Vec::new();
+    // Where the gap before the next function starts.
+    let mut gap = 0;
     while let Some(line) = lines.next_line() {
         if line.code.is_empty() {
             // The printer emits the module name as a `; module NAME` header.
@@ -103,18 +216,81 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
         }
         if let Some(rest) = line.code.strip_prefix("extern @") {
             parse_extern(&mut module, rest, lines.line)?;
-        } else if line.code.starts_with("func @") {
-            let start = lines.line;
-            let func = parse_function(&mut lines, line.code, &mut scratch)?;
-            let fid = match module.try_add_function(func) {
-                Ok(fid) => fid.0,
-                Err(func) => return err(start, format!("duplicate function @{}", func.name)),
-            };
-            scratch
-                .calls
-                .extend(scratch.fn_calls.drain(..).map(|(i, name)| (fid, i, name)));
-        } else {
+            continue;
+        } else if !line.code.starts_with("func @") {
             return err(lines.line, format!("unexpected line: {}", line.code));
+        }
+        let (first, start, body) = (lines.line, lines.start, lines.end());
+        let fid = FunctionId(spans.len() as u32);
+        let func = match base {
+            None => parse_function(&mut lines, line.code, &mut scratch)?,
+            Some(base) => {
+                let Some(&was) = base.spans.0.get(spans.len()) else {
+                    return off_base(first);
+                };
+                if !base.has(text.get(gap..start), was.gap, was.start) {
+                    return off_base(first);
+                }
+                let end = start + (was.end - was.start);
+                if base.has(text.get(start..end), was.start, was.end)
+                    && (text.as_bytes()[end - 1] == b'\n' || end == text.len())
+                {
+                    lines.skip(end, was.lines - 1);
+                    spans.push(Span {
+                        gap,
+                        start,
+                        body: start + (was.body - was.start),
+                        close: start + (was.close - was.start),
+                        end,
+                        lines: was.lines,
+                    });
+                    gap = end;
+                    continue;
+                }
+                if !base.has(text.get(start..body), was.start, was.body) {
+                    return off_base(first);
+                }
+                let func = parse_function(&mut lines, line.code, &mut scratch)?;
+                if !base.has(text.get(lines.start..lines.end()), was.close, was.end) {
+                    return off_base(lines.line);
+                }
+                func
+            }
+        };
+        spans.push(Span {
+            gap,
+            start,
+            body,
+            close: lines.start,
+            end: lines.end(),
+            lines: lines.line + 1 - first,
+        });
+        gap = lines.end();
+        if base.is_some() {
+            funcs.push(func);
+        } else if let Err(func) = module.try_add_function(func) {
+            return err(first, format!("duplicate function @{}", func.name));
+        }
+        parsed.push(fid);
+        scratch
+            .calls
+            .extend(scratch.fn_calls.drain(..).map(|(i, name)| (fid.0, i, name)));
+    }
+    if let Some(base) = base {
+        let last = base.spans.0.last().map_or(0, |span| span.end);
+        if spans.len() != base.spans.0.len() || !base.has(text.get(gap..), last, base.text.len()) {
+            return off_base(lines.line);
+        }
+        let mut funcs = parsed.iter().zip(funcs).peekable();
+        for (index, was) in base.module.functions.iter().enumerate() {
+            let func = match funcs.next_if(|(fid, _)| fid.0 as usize == index) {
+                Some((_, func)) => func,
+                None => was.clone(),
+            };
+            // The `func` lines are the base's, so the names are distinct.
+            if module.try_add_function(func).is_err() {
+                return off_base(lines.line);
+            }
         }
     }
     // Calls name functions that may be defined further down, so callees
@@ -137,7 +313,11 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
             *slot = callee;
         }
     }
-    Ok(module)
+    Ok(Reparsed {
+        module,
+        parsed,
+        spans: Spans(spans),
+    })
 }
 
 /// Parse a single function (convenience for tests). Every callee stays
@@ -174,7 +354,11 @@ struct Line<'a> {
 /// [`str::lines`]: at `\n`, with a trailing `\r` left to trimming).
 struct Lines<'a> {
     text: &'a str,
+    /// Where the next line starts (one past the text's end after a last
+    /// line without a newline).
     pos: usize,
+    /// Where the line [`Lines::next_line`] returned last starts.
+    start: usize,
     /// 1-based number of the line [`Lines::next_line`] returned last.
     line: usize,
 }
@@ -184,8 +368,20 @@ impl<'a> Lines<'a> {
         Lines {
             text,
             pos: 0,
+            start: 0,
             line: 0,
         }
+    }
+
+    /// Where the line returned last ends, past its newline.
+    fn end(&self) -> usize {
+        self.pos.min(self.text.len())
+    }
+
+    /// Continue at byte `pos`, `lines` lines further on.
+    fn skip(&mut self, pos: usize, lines: usize) {
+        self.pos = pos;
+        self.line += lines;
     }
 
     fn next_line(&mut self) -> Option<Line<'a>> {
@@ -194,6 +390,7 @@ impl<'a> Lines<'a> {
             return None;
         }
         let start = self.pos;
+        self.start = start;
         let stop = find(bytes, start, b'\n', b';');
         let code = self.text[start..stop].trim_ascii();
         let mut end = stop;
@@ -744,9 +941,13 @@ fn parse_value(tok: &str, params: &[(String, Type)], line: usize) -> Result<Valu
             None => err(line, format!("unknown parameter %{name}")),
         };
     }
+    // The printer writes a NaN constant as `NaN`.
     let b = tok.as_bytes();
     let floaty = (0..b.len()).any(|i| {
-        matches!(b[i], b'.' | b'e') || b[i..].starts_with(b"inf") || b[i..].starts_with(b"nan")
+        matches!(b[i], b'.' | b'e')
+            || b[i..].starts_with(b"inf")
+            || b[i..].starts_with(b"nan")
+            || b[i..].starts_with(b"NaN")
     });
     if floaty {
         if let Ok(f) = tok.parse::<f64>() {
@@ -958,6 +1159,42 @@ mod tests {
         let parsed = parse_function_text(&text).unwrap();
         crate::verify::verify_function(&parsed).unwrap();
         assert_eq!(print_function(&parsed, None), text);
+    }
+
+    #[test]
+    fn special_float_constants_round_trip() {
+        let text =
+            "; module m\nfunc @g() -> f64 {\nbb0:\n  %0 = add NaN, 1.0\n  %1 = add inf, -inf\n  \
+                    %2 = add -0.0, 5e-324\n  %3 = add %0, -1e-310\n  ret %3\n}\n";
+        let m = parse_module(text).unwrap();
+        let printed = print_module(&m);
+        assert_eq!(print_module(&parse_module(&printed).unwrap()), printed);
+        let consts: Vec<f64> = m.functions[0]
+            .insts
+            .iter()
+            .flat_map(|inst| match inst.kind {
+                InstKind::Bin { lhs, rhs, .. } => [lhs, rhs],
+                _ => unreachable!(),
+            })
+            .filter_map(|v| match v {
+                Value::Const(Const::Float(f)) => Some(f),
+                _ => None,
+            })
+            .collect();
+        let [nan, one, inf, neg_inf, neg_zero, tiny, sub] = consts[..] else {
+            panic!("{consts:?}");
+        };
+        assert!(nan.is_nan());
+        assert_eq!((one, inf, neg_inf), (1.0, f64::INFINITY, f64::NEG_INFINITY));
+        assert_eq!(neg_zero.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(tiny.to_bits(), 1, "the smallest subnormal");
+        assert!(sub.is_subnormal() && sub < 0.0);
+        // The printed forms parse back to the same bits.
+        let again = parse_module(&printed).unwrap();
+        assert_eq!(
+            format!("{:?}", again.functions[0].insts),
+            format!("{:?}", m.functions[0].insts)
+        );
     }
 
     #[test]

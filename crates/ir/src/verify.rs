@@ -6,7 +6,7 @@
 //! dominate uses — requires a dominator tree and is verified by
 //! `pt_analysis::ssa_verify`.
 
-use crate::function::{BlockId, Function};
+use crate::function::{BlockId, Function, FunctionId};
 use crate::inst::{Callee, InstId, InstKind, Terminator};
 use crate::module::Module;
 use crate::types::Type;
@@ -266,57 +266,27 @@ fn check_type_sources(func: &Function) -> Result<(), VerifyError> {
 
 /// Verify all functions of a module plus inter-procedural call invariants.
 pub fn verify_module(module: &Module) -> Result<(), Vec<(String, VerifyError)>> {
+    verify_functions(module, module.function_ids())
+}
+
+/// Verify the functions `fids` of `module`, in the order given: each one's
+/// structure, and the arity of every call it makes. A module whose other
+/// functions verified before, with the same headers and externals, then
+/// verifies as a whole exactly when this passes.
+pub fn verify_functions(
+    module: &Module,
+    fids: impl IntoIterator<Item = FunctionId>,
+) -> Result<(), Vec<(String, VerifyError)>> {
     let mut errors = Vec::new();
-    for f in &module.functions {
+    for fid in fids {
+        let f = module.function(fid);
         if let Err(e) = verify_function(f) {
             errors.push((f.name.clone(), e));
         }
         for inst in &f.insts {
             if let InstKind::Call { callee, args, .. } = &inst.kind {
-                match callee {
-                    Callee::Internal(fid) => {
-                        if fid.index() >= module.functions.len() {
-                            errors.push((
-                                f.name.clone(),
-                                VerifyError::UnknownCallee {
-                                    detail: format!("internal #{}", fid.0),
-                                },
-                            ));
-                        } else {
-                            let callee_fn = module.function(*fid);
-                            if callee_fn.params.len() != args.len() {
-                                errors.push((
-                                    f.name.clone(),
-                                    VerifyError::CallArityMismatch {
-                                        detail: format!(
-                                            "{} expects {}, got {}",
-                                            callee_fn.name,
-                                            callee_fn.params.len(),
-                                            args.len()
-                                        ),
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                    Callee::External(name) => {
-                        if let Some(decl) = module.externals.iter().find(|e| &e.name == name) {
-                            if decl.arity != args.len() {
-                                errors.push((
-                                    f.name.clone(),
-                                    VerifyError::CallArityMismatch {
-                                        detail: format!(
-                                            "{name} declared arity {}, got {}",
-                                            decl.arity,
-                                            args.len()
-                                        ),
-                                    },
-                                ));
-                            }
-                        }
-                        // Undeclared externals are allowed: hosts resolve by
-                        // name and unknown symbols fail at interpretation time.
-                    }
+                if let Err(e) = check_call(module, callee, args.len()) {
+                    errors.push((f.name.clone(), e));
                 }
             }
         }
@@ -326,6 +296,40 @@ pub fn verify_module(module: &Module) -> Result<(), Vec<(String, VerifyError)>> 
     } else {
         Err(errors)
     }
+}
+
+/// A call's callee exists and takes `args` arguments. Undeclared
+/// externals are allowed: hosts resolve by name, and unknown symbols fail
+/// at interpretation time.
+fn check_call(module: &Module, callee: &Callee, args: usize) -> Result<(), VerifyError> {
+    match callee {
+        Callee::Internal(fid) => {
+            let Some(callee_fn) = module.functions.get(fid.index()) else {
+                return Err(VerifyError::UnknownCallee {
+                    detail: format!("internal #{}", fid.0),
+                });
+            };
+            if callee_fn.params.len() != args {
+                return Err(VerifyError::CallArityMismatch {
+                    detail: format!(
+                        "{} expects {}, got {args}",
+                        callee_fn.name,
+                        callee_fn.params.len()
+                    ),
+                });
+            }
+        }
+        Callee::External(name) => {
+            if let Some(decl) = module.externals.iter().find(|e| &e.name == name) {
+                if decl.arity != args {
+                    return Err(VerifyError::CallArityMismatch {
+                        detail: format!("{name} declared arity {}, got {args}", decl.arity),
+                    });
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -127,10 +127,14 @@ impl Client {
             }
         }
         match ok {
-            Some(true) => doc
-                .get("result")
-                .cloned()
-                .ok_or_else(|| ClientError::Protocol("ok response without 'result'".into())),
+            // Moved out of the envelope, not copied: an answer can hold
+            // hundreds of strings.
+            Some(true) => match doc {
+                Value::Obj(fields) => fields.into_iter().find(|(k, _)| k == "result"),
+                _ => None,
+            }
+            .map(|(_, result)| result)
+            .ok_or_else(|| ClientError::Protocol("ok response without 'result'".into())),
             Some(false) => {
                 let err = doc.get("error");
                 Err(ClientError::Remote {

@@ -15,8 +15,10 @@ use crate::ops::{Ops, METHODS};
 use crate::protocol::{ServeError, PROTOCOL_MINOR, PROTOCOL_VERSION};
 use crate::store::{is_content_key, Store, StoreKey};
 use perf_taint::report::{analysis_summary, static_summary};
-use perf_taint::{parse_module, PolicyKind, PtError, SessionCache};
+use perf_taint::{parse_module, reparse_module, PolicyKind, PtError, SessionCache};
 use pt_extrap::{fit_multi_param, MeasurementSet, Restriction, SearchSpace};
+use pt_ir::fingerprint::Digest;
+use pt_ir::parser::{Base, Spans};
 use pt_ir::Module;
 use serde::json::Value;
 use std::collections::{BTreeMap, HashMap};
@@ -142,12 +144,26 @@ impl SampledProfile {
     }
 }
 
+/// A submitted text, the module parsed from it and where its functions
+/// sit: the parts of a [`Base`].
+struct Submission {
+    text: String,
+    module: Arc<Module>,
+    spans: Spans,
+}
+
 /// Everything the worker threads share.
 pub struct ServerState {
     store: Store,
     /// Parsed modules by content hash (loaded lazily from the store, so a
     /// restarted server can serve hashes submitted to a previous process).
     modules: Mutex<HashMap<String, Arc<Module>>>,
+    /// The last module `submit_module` accepted, with its text: the base
+    /// the next submission is parsed against, so an edit re-parses only
+    /// the functions it changed. One slot: a submission of another module
+    /// misses (a full parse, after comparing the texts up to where they
+    /// part) and takes the slot.
+    last_submit: Mutex<Option<Arc<Submission>>>,
     /// In-process static-stage sharing, keyed by module content hash —
     /// backed by an in-memory per-function unit memo, so an edited module
     /// recomputes only the edited function's cone.
@@ -189,6 +205,7 @@ impl ServerState {
         ServerState {
             store,
             modules: Mutex::new(HashMap::new()),
+            last_submit: Mutex::new(None),
             sessions: SessionCache::new(),
             workers: workers.max(1),
             queue_capacity,
@@ -301,13 +318,26 @@ impl ServerState {
     // ---- submit_module ---------------------------------------------------
 
     /// Parse, verify, and persist a module; the returned content hash is
-    /// how every later request names it.
+    /// how every later request names it. The text is parsed against the
+    /// last accepted submission ([`reparse_module`]).
     fn submit_module(&self, params: &Value) -> Result<Value, ServeError> {
         let text = require_str(params, "text")?;
         // Protocol v1.4: an optional `policy` is validated and echoed, so
         // a client can probe support before running anything.
         let policy = policy_of(params)?;
-        let module = parse_module(text).map_err(ServeError::from)?;
+        let last = self.last_submit.lock().unwrap().clone();
+        let base = last.as_deref().map(|last| Base {
+            text: &last.text,
+            module: &last.module,
+            spans: &last.spans,
+        });
+        let reparsed = reparse_module(text, base).map_err(ServeError::from)?;
+        let module = Arc::new(reparsed.module);
+        *self.last_submit.lock().unwrap() = Some(Arc::new(Submission {
+            text: text.to_string(),
+            module: module.clone(),
+            spans: reparsed.spans,
+        }));
         let key = StoreKey::module(text);
         let known = self.store.contains(key.kind, &key.hash);
         if !known {
@@ -320,7 +350,7 @@ impl ServerState {
         self.modules
             .lock()
             .unwrap()
-            .insert(key.hash.clone(), Arc::new(module));
+            .insert(key.hash.clone(), module);
         Ok(Value::obj(vec![
             ("module", Value::str(&key.hash)),
             ("name", Value::str(name)),
@@ -373,9 +403,9 @@ impl ServerState {
         if let Some(value) = self.stored(&key) {
             return Ok(value);
         }
-        let session = self
-            .sessions
-            .get_or_compute(&module, module_key, entry, policy);
+        let session =
+            self.sessions
+                .get_or_compute(&module, session_key(module_key)?, entry, policy);
         let summary = static_summary(&session.static_analysis(), &module);
         self.persist(&key, &summary);
         Ok(summary)
@@ -408,9 +438,9 @@ impl ServerState {
             return Ok(value);
         }
         let module = self.module_for(module_key)?;
-        let session = self
-            .sessions
-            .get_or_compute(&module, module_key, entry, policy);
+        let session =
+            self.sessions
+                .get_or_compute(&module, session_key(module_key)?, entry, policy);
         let analysis = session
             .taint_run(run_params.to_vec())
             .map_err(ServeError::from)?;
@@ -792,6 +822,11 @@ fn require_module_hash(params: &Value) -> Result<&str, ServeError> {
         return Err(not_a_module_hash());
     }
     Ok(hash)
+}
+
+/// The digest a module key names, which keys the session cache.
+fn session_key(module_key: &str) -> Result<Digest, ServeError> {
+    Digest::from_hex(module_key).ok_or_else(not_a_module_hash)
 }
 
 fn not_a_module_hash() -> ServeError {

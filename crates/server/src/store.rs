@@ -53,20 +53,21 @@ fn is_temp(name: &std::ffi::OsStr) -> bool {
     name.to_str().is_some_and(|n| n.contains(".tmp."))
 }
 
-/// 128-bit FNV-1a over length-prefixed parts
-/// ([`pt_ir::fingerprint::digest_parts`]), as 32 hex digits. Not
-/// cryptographic — the store defends against accidents, not adversaries —
+/// The SipHash-1-3-128 digest of length-prefixed parts
+/// ([`pt_ir::fingerprint::digest_parts`]), as 32 hex digits. Not a
+/// defence against adversaries — the store defends against accidents —
 /// but 128 bits keep accidental collisions out of reach for any realistic
 /// corpus. These keys name objects on disk and modules on the wire, so
-/// their values must never drift.
+/// their values change only with a release note: a key issued under
+/// another encoding still names its object while the object exists.
 pub fn content_key(parts: &[&str]) -> String {
-    pt_ir::fingerprint::digest_parts(parts)
+    pt_ir::fingerprint::digest_parts(parts).hex()
 }
 
 /// Does `s` have the shape [`content_key`] produces: 32 lowercase hex
 /// digits? Only such strings may name an object on disk.
 pub fn is_content_key(s: &str) -> bool {
-    s.len() == 32 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    pt_ir::fingerprint::Digest::from_hex(s).is_some()
 }
 
 /// The artifact families the store knows, each in its own subdirectory.
@@ -488,8 +489,9 @@ mod tests {
         let a = content_key(&["module", "func @f() -> void {"]);
         let b = content_key(&["module", "func @f() -> void {"]);
         // Pinned: on-disk objects and protocol module keys are named by
-        // these values.
-        assert_eq!(a, "316823813aef8fa46e9571b86ff05299");
+        // these values. (SipHash-1-3-128; the FNV-1a keys of earlier
+        // releases read 316823813aef8fa46e9571b86ff05299 here.)
+        assert_eq!(a, "e875603e52d95f62597cd3434142e836");
         assert_eq!(a, b);
         assert_eq!(a.len(), 32);
         assert_ne!(a, content_key(&["module", "func @g() -> void {"]));

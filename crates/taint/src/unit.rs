@@ -26,6 +26,7 @@ use crate::decode::{decode_function, DecodeEnv, DecodedFunction, DecodedModule};
 use crate::prepared::{PreparedFunction, PreparedModule};
 use pt_analysis::unitkey::unit_keys;
 use pt_analysis::CallGraph;
+use pt_ir::fingerprint::Digest;
 use pt_ir::{Function, Module};
 use std::sync::Arc;
 
@@ -53,9 +54,9 @@ pub struct FunctionUnit {
 /// what a key closes over.
 pub trait UnitMemo {
     /// The unit stored under `key`, if any.
-    fn get(&self, key: &str) -> Option<Arc<FunctionUnit>>;
+    fn get(&self, key: Digest) -> Option<Arc<FunctionUnit>>;
     /// Keep a freshly computed unit under `key`.
-    fn put(&self, key: String, unit: Arc<FunctionUnit>);
+    fn put(&self, key: Digest, unit: Arc<FunctionUnit>);
 }
 
 /// Run the static stage for one function. `specs[i]` holds function `i`'s
@@ -93,7 +94,10 @@ impl PreparedModule {
     /// computed under. With one, each unit is looked up by key and only
     /// misses are computed (and stored); without one, no key is computed.
     /// Returns the module and how many of its units came from the memo.
-    pub fn build(module: &Module, memo: Option<(&dyn UnitMemo, &str)>) -> (PreparedModule, usize) {
+    pub fn build(
+        module: &Module,
+        memo: Option<(&dyn UnitMemo, Digest)>,
+    ) -> (PreparedModule, usize) {
         let env = DecodeEnv::of(module);
         let cg = CallGraph::build(module);
         let memo = memo.map(|(store, salt)| (store, unit_keys(module, &cg, salt).keys));
@@ -105,7 +109,7 @@ impl PreparedModule {
             let func = module.function(fid);
             let hit = memo
                 .as_ref()
-                .and_then(|(store, keys)| store.get(&keys[fid.index()]));
+                .and_then(|(store, keys)| store.get(keys[fid.index()]));
             let unit = if let Some(unit) = hit {
                 hits += 1;
                 pt_util::trace::event_with("unit", || format!("hit_memory:{}", func.name));
@@ -114,7 +118,7 @@ impl PreparedModule {
                 let _span = pt_util::trace::span_with("unit", || format!("compute:{}", func.name));
                 let unit = Arc::new(compute_unit(func, &env, &specs));
                 if let Some((store, keys)) = &memo {
-                    store.put(keys[fid.index()].clone(), unit.clone());
+                    store.put(keys[fid.index()], unit.clone());
                 }
                 unit
             };

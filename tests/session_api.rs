@@ -212,13 +212,13 @@ fn session_cache_shares_statics_across_sessions_and_apps() {
     // Two sessions over the same module content share one static stage.
     let s1 = cache.get_or_compute(
         &lulesh.module,
-        &module_digest(&lulesh.module),
+        module_digest(&lulesh.module),
         &lulesh.entry,
         PolicyKind::from_env(),
     );
     let s2 = cache.get_or_compute(
         &lulesh.module,
-        &module_digest(&lulesh.module),
+        module_digest(&lulesh.module),
         &lulesh.entry,
         PolicyKind::from_env(),
     );
@@ -234,7 +234,7 @@ fn session_cache_shares_statics_across_sessions_and_apps() {
     // A different app gets its own entry, not the cached one.
     let s3 = cache.get_or_compute(
         &milc.module,
-        &module_digest(&milc.module),
+        module_digest(&milc.module),
         &milc.entry,
         PolicyKind::from_env(),
     );
@@ -296,7 +296,7 @@ fn static_stage_is_identical_with_and_without_the_unit_memo() {
         let cold = cache
             .get_or_compute(
                 &app.module,
-                &module_digest(&app.module),
+                module_digest(&app.module),
                 &app.entry,
                 PolicyKind::from_env(),
             )
@@ -308,7 +308,7 @@ fn static_stage_is_identical_with_and_without_the_unit_memo() {
         let warm = cache
             .get_or_compute(
                 &edited,
-                &module_digest(&edited),
+                module_digest(&edited),
                 &app.entry,
                 PolicyKind::from_env(),
             )
@@ -318,7 +318,14 @@ fn static_stage_is_identical_with_and_without_the_unit_memo() {
         assert_eq!(fingerprint(&warm, &edited), plain(&edited));
 
         // Any fixed salt ranks keys the same way the session's does.
-        let keys = |m: &Module| unit_keys(m, &CallGraph::build(m), "salt").keys;
+        let keys = |m: &Module| {
+            unit_keys(
+                m,
+                &CallGraph::build(m),
+                pt_ir::fingerprint::digest_parts(&["salt"]),
+            )
+            .keys
+        };
         let (before, after) = (keys(&app.module), keys(&edited));
         let mut shared = 0;
         for fid in edited.function_ids() {

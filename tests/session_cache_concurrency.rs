@@ -47,7 +47,7 @@ fn racing_threads_share_one_static_stage_per_module() {
                     cache
                         .get_or_compute(
                             module,
-                            &module_digest(module),
+                            module_digest(module),
                             "main",
                             PolicyKind::from_env(),
                         )
@@ -89,7 +89,7 @@ fn distinct_modules_do_not_share_or_block() {
                         cache
                             .get_or_compute(
                                 &modules[which],
-                                &module_digest(&modules[which]),
+                                module_digest(&modules[which]),
                                 "main",
                                 PolicyKind::from_env(),
                             )
@@ -118,7 +118,7 @@ fn distinct_modules_do_not_share_or_block() {
     let late = cache
         .get_or_compute(
             &modules[0],
-            &module_digest(&modules[0]),
+            module_digest(&modules[0]),
             "main",
             PolicyKind::from_env(),
         )
