@@ -59,7 +59,7 @@ pub fn parse_module(text: &str) -> Result<Module, PtError> {
 }
 
 /// [`parse_module`] against a base, an earlier parse of another text.
-/// Functions the edit left byte-identical are cloned from the base, and
+/// Functions the edit left byte-identical are shared with the base, and
 /// only the re-parsed ones are verified, with the calls they make; every
 /// other input goes through a full parse, and any error is exactly
 /// [`parse_module`]'s (see [`pt_ir::parser::reparse_module`]). The

@@ -67,16 +67,18 @@
 //! an earlier text, the module parsed from it and where that parse found
 //! each function ([`Reparsed::spans`]). When the new text keeps the
 //! base's *skeleton* (everything outside function bodies) byte for byte,
-//! a function whose span is byte-identical to the base's is cloned from
-//! the base module, and only the others are parsed, against the same name
-//! table. The result then equals a full parse of the new text, and
+//! a function whose span is byte-identical to the base's is shared with
+//! the base module (an [`Arc`] clone: a pointer copy, see "Sharing" in
+//! [`crate::module`]), and only the others are parsed, against the same
+//! name table, which is shared with the base too. The result then equals
+//! a full parse of the new text, and
 //! [`Reparsed::parsed`] names the functions that were parsed, so a caller
 //! can verify just those (see [`crate::verify_functions`]). Any other
 //! text, and any error, falls back to the full parse, so errors and their
 //! lines are a full parse's. A text that leaves the skeleton costs, on
 //! top of the full parse, the walk up to where it leaves it: byte
 //! comparisons, plus parsing any changed function before that point. The
-//! base's text is not re-read and nothing is cloned.
+//! base's text is not re-read and nothing is shared.
 
 use crate::function::{BasicBlock, BlockId, Function, FunctionId, ParamId};
 use crate::inst::{BinOp, Callee, CmpPred, Inst, InstId, InstKind, Terminator, UnOp};
@@ -84,6 +86,7 @@ use crate::module::Module;
 use crate::types::Type;
 use crate::value::{Const, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A parse failure with a 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,8 +119,8 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
 #[derive(Debug)]
 pub struct Reparsed {
     pub module: Module,
-    /// The functions parsed from the text, in order. The rest are clones
-    /// of the base's functions; with no usable base, this is every
+    /// The functions parsed from the text, in order. The rest are shared
+    /// with the base's module; with no usable base, this is every
     /// function.
     pub parsed: Vec<FunctionId>,
     /// Where the text's functions sit: with the text and the module, what
@@ -153,7 +156,7 @@ impl Base<'_> {
 /// Parse a module, reusing an earlier parse. If `text` keeps the base's
 /// skeleton (the `; module` header, the `extern` lines, each `func @...{`
 /// and `}` line and the gaps between them) byte for byte, every function
-/// whose span is unchanged is cloned from the base module and only the
+/// whose span is unchanged is shared with the base module and only the
 /// others are parsed; the result equals a full parse of `text`. On any
 /// other input, on any error, and without a base, this is a full parse
 /// (see "Re-parsing an edit" in the module docs).
@@ -194,7 +197,7 @@ fn off_base<T>(line: usize) -> Result<T, ParseError> {
 /// whose span equals the base's is reused and the skeleton is checked
 /// against the base's as the walk goes; the module is assembled only once
 /// the whole text is known to keep the skeleton, so a text that leaves it
-/// clones nothing.
+/// shares nothing.
 fn walk(text: &str, base: Option<&Base>) -> Result<Reparsed, ParseError> {
     let mut lines = Lines::new(text);
     let mut module = Module::new("parsed");
@@ -281,17 +284,18 @@ fn walk(text: &str, base: Option<&Base>) -> Result<Reparsed, ParseError> {
         if spans.len() != base.spans.0.len() || !base.has(text.get(gap..), last, base.text.len()) {
             return off_base(lines.line);
         }
+        // The `func` lines are the base's, so every function has the name
+        // and position it has in the base, and the base's name index holds.
         let mut funcs = parsed.iter().zip(funcs).peekable();
+        module.functions.reserve_exact(base.module.functions.len());
         for (index, was) in base.module.functions.iter().enumerate() {
-            let func = match funcs.next_if(|(fid, _)| fid.0 as usize == index) {
-                Some((_, func)) => func,
-                None => was.clone(),
+            let func = match funcs.next_if(|(fid, _)| fid.index() == index) {
+                Some((_, func)) => Arc::new(func),
+                None => Arc::clone(was),
             };
-            // The `func` lines are the base's, so the names are distinct.
-            if module.try_add_function(func).is_err() {
-                return off_base(lines.line);
-            }
+            module.functions.push(func);
         }
+        module.share_index_of(base.module);
     }
     // Calls name functions that may be defined further down, so callees
     // resolve once the whole module is known. Consecutive calls often name
@@ -307,9 +311,10 @@ fn walk(text: &str, base: Option<&Base>) -> Result<Reparsed, ParseError> {
             Some(target) => Callee::Internal(target),
             None => Callee::External(name.to_string()),
         };
-        if let InstKind::Call { callee: slot, .. } =
-            &mut module.functions[fid as usize].insts[inst as usize].kind
-        {
+        // Only parsed functions make calls to resolve, and those are not
+        // shared yet, so this copies nothing.
+        let func = module.function_mut(FunctionId(fid));
+        if let InstKind::Call { callee: slot, .. } = &mut func.insts[inst as usize].kind {
             *slot = callee;
         }
     }

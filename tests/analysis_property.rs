@@ -8,8 +8,9 @@ use pt_analysis::loops::LoopForest;
 use pt_analysis::scev::{all_trip_counts, TripCount};
 use pt_apps::synth::{generate, SynthConfig};
 use pt_ir::Function;
+use std::sync::Arc;
 
-fn synth_functions(seed: u64) -> Vec<Function> {
+fn synth_functions(seed: u64) -> Vec<Arc<Function>> {
     let cfg = SynthConfig {
         seed,
         num_params: 3,

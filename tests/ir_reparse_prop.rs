@@ -3,8 +3,9 @@
 //! body, constant changes, header edits, byte flips, and deleted or
 //! duplicated lines — and `perf_taint::reparse_module` against the
 //! unmutated text must return what `perf_taint::parse_module` returns:
-//! on success the same printed text, module digest and functions; on
-//! error the identical `PtError`.
+//! on success the same printed text, module digest and functions, with
+//! every function it did not re-parse shared (`Arc::ptr_eq`) with the
+//! base's; on error the identical `PtError`.
 
 use perf_taint::{parse_module, reparse_module, PtError};
 use proptest::prelude::*;
@@ -13,7 +14,7 @@ use pt_ir::fingerprint::module_digest;
 use pt_ir::parser::{Base, Reparsed};
 use pt_ir::printer::print_module;
 use pt_ir::{FunctionId, Module};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// SplitMix64 for the mutation choices.
 struct Rng(u64);
@@ -259,7 +260,14 @@ fn check(text: &str, base: Base, what: &str) -> Result<Reparsed, PtError> {
     let full = parse_module(text);
     let incremental = reparse_module(text, Some(base));
     match (&full, &incremental) {
-        (Ok(want), Ok(Reparsed { module: got, .. })) => {
+        (
+            Ok(want),
+            Ok(Reparsed {
+                module: got,
+                parsed,
+                ..
+            }),
+        ) => {
             assert_eq!(fingerprint(got), fingerprint(want), "{what}");
             assert_eq!(module_digest(got), module_digest(want), "{what}");
             for (i, f) in got.functions.iter().enumerate() {
@@ -267,6 +275,16 @@ fn check(text: &str, base: Base, what: &str) -> Result<Reparsed, PtError> {
                     got.function_by_name(&f.name),
                     Some(FunctionId(i as u32)),
                     "{what}: name table"
+                );
+                let shared = base
+                    .module
+                    .functions
+                    .get(i)
+                    .is_some_and(|was| Arc::ptr_eq(f, was));
+                assert_eq!(
+                    shared,
+                    !parsed.contains(&FunctionId(i as u32)),
+                    "{what}: function {i} is shared with the base exactly when not re-parsed"
                 );
             }
         }
@@ -316,8 +334,12 @@ fn reparse_against_edit_base(text: &str) -> Reparsed {
 #[test]
 fn a_body_edit_parses_only_the_edited_function() {
     let edited = edit_module(Some((17, 1000)));
-    assert_eq!(reparse_against_edit_base(&edited).parsed, [FunctionId(17)]);
-    let (base, _) = &bases()[3];
+    let reparsed = reparse_against_edit_base(&edited);
+    assert_eq!(reparsed.parsed, [FunctionId(17)]);
+    // Every other function is the base's own allocation.
+    let (base, parsed) = &bases()[3];
+    let shared = |i: usize| Arc::ptr_eq(&reparsed.module.functions[i], &parsed.module.functions[i]);
+    assert!((0..=KERNELS).all(|i| shared(i) == (i != 17)));
     assert!(
         reparse_against_edit_base(base).parsed.is_empty(),
         "an unchanged text"

@@ -254,6 +254,8 @@ fn edit_one_function(m: &Module) -> Module {
     let flops = edited
         .functions
         .iter_mut()
+        // Copy-on-write: functions before the charge are copied unchanged.
+        .map(Arc::make_mut)
         .flat_map(|f| f.insts.iter_mut())
         .find_map(|inst| match &mut inst.kind {
             InstKind::Call {
