@@ -220,13 +220,6 @@ impl LoopForest {
         self.block_loop.get(b.index()).copied().flatten()
     }
 
-    /// The innermost-loop-per-block table (index = block index). Exposed so
-    /// a forest can be serialized and rebuilt via [`LoopForest::from_parts`]
-    /// without recomputing loop detection.
-    pub fn block_map(&self) -> &[Option<LoopId>] {
-        &self.block_loop
-    }
-
     /// Reassemble a forest from its parts (deserialization path). The caller
     /// is responsible for internal consistency — `block_loop` must be the
     /// innermost-loop table matching `loops`.
@@ -240,11 +233,6 @@ impl LoopForest {
             block_loop,
             irreducible,
         }
-    }
-
-    /// The loop headed at `header`, if any.
-    pub fn loop_with_header(&self, header: BlockId) -> Option<&LoopInfo> {
-        self.loops.iter().find(|l| l.header == header)
     }
 
     /// Top-level loops (no parent).
@@ -263,12 +251,6 @@ impl LoopForest {
 
     pub fn is_empty(&self) -> bool {
         self.loops.is_empty()
-    }
-
-    /// Whether the CondBr terminating `b` exits loop `id` (one successor
-    /// outside the loop).
-    pub fn is_exiting_branch(&self, id: LoopId, b: BlockId) -> bool {
-        self.loops[id.index()].exiting.contains(&b)
     }
 }
 

@@ -17,9 +17,9 @@ pub struct SsaViolation {
     pub message: String,
 }
 
-/// Check that all uses are dominated by their definitions.
-pub fn verify_ssa(func: &Function) -> Result<(), Vec<SsaViolation>> {
-    let dt = DomTree::dominators(func);
+/// Check that all uses are dominated by their definitions; `dt` is
+/// `func`'s dominator tree.
+pub fn verify_ssa(func: &Function, dt: &DomTree) -> Result<(), Vec<SsaViolation>> {
     // Position of each instruction within its block.
     let mut pos_in_block = vec![usize::MAX; func.insts.len()];
     for bid in func.block_ids() {
@@ -104,6 +104,10 @@ mod tests {
     use super::*;
     use pt_ir::{BinOp, CmpPred, FunctionBuilder, Inst, Type, Value};
 
+    fn verify_ssa_of(func: &Function) -> Result<(), Vec<SsaViolation>> {
+        verify_ssa(func, &DomTree::dominators(func))
+    }
+
     #[test]
     fn builder_loops_are_ssa_clean() {
         let mut b = FunctionBuilder::new("l", vec![("n".into(), Type::I64)], Type::I64);
@@ -116,7 +120,7 @@ mod tests {
         });
         let out = b.load(acc, Type::I64);
         b.ret(Some(out));
-        assert!(verify_ssa(&b.finish()).is_ok());
+        assert!(verify_ssa_of(&b.finish()).is_ok());
     }
 
     #[test]
@@ -135,7 +139,7 @@ mod tests {
         b.ret(Some(y));
         let f = b.finish_unchecked();
         assert!(pt_ir::verify_function(&f).is_ok(), "structurally fine");
-        assert!(verify_ssa(&f).is_err(), "semantically broken");
+        assert!(verify_ssa_of(&f).is_err(), "semantically broken");
     }
 
     #[test]
@@ -161,7 +165,7 @@ mod tests {
             block: pt_ir::BlockId(0),
         });
         f.blocks[0].insts = vec![pt_ir::InstId(0), pt_ir::InstId(1)];
-        assert!(verify_ssa(&f).is_err());
+        assert!(verify_ssa_of(&f).is_err());
     }
 
     #[test]
@@ -170,6 +174,6 @@ mod tests {
         let mut b = FunctionBuilder::new("l", vec![("n".into(), Type::I64)], Type::Void);
         b.for_loop(0i64, b.param(0), 1i64, |_, _| {});
         b.ret(None);
-        assert!(verify_ssa(&b.finish()).is_ok());
+        assert!(verify_ssa_of(&b.finish()).is_ok());
     }
 }

@@ -7,8 +7,7 @@
 //!
 //! * the **environment**: the module's function-name table (which binds
 //!   `@name` call sites to numeric ids) and its external-symbol table
-//!   (which binds library calls and host primitives to slots), plus a
-//!   caller-provided salt for configuration (the taint policy);
+//!   (which binds library calls and host primitives to slots);
 //! * its **own body**: a structural digest of the function's IR with
 //!   callees named, not numbered ([`pt_ir::fingerprint::function_digest`]);
 //! * its **strongly connected component**: any recursive cycle through a
@@ -33,16 +32,15 @@ use pt_ir::Module;
 #[derive(Debug, Clone)]
 pub struct UnitKeys {
     /// Environment digest shared by every key (function names in order,
-    /// external symbols, salt).
+    /// external symbols).
     pub env: Digest,
     /// Unit key per function.
     pub keys: Vec<Digest>,
 }
 
-/// Compute the per-function unit keys of `module`. `salt` folds in any
-/// configuration the units depend on beyond the module text (e.g. the
-/// taint policy).
-pub fn unit_keys(module: &Module, cg: &CallGraph, salt: Digest) -> UnitKeys {
+/// Compute the per-function unit keys of `module`. Nothing outside the
+/// module goes into a key: a unit depends on no configuration.
+pub fn unit_keys(module: &Module, cg: &CallGraph) -> UnitKeys {
     let n = module.functions.len();
     let bodies: Vec<Digest> = module
         .function_ids()
@@ -51,7 +49,6 @@ pub fn unit_keys(module: &Module, cg: &CallGraph, salt: Digest) -> UnitKeys {
 
     let mut h = DigestHasher::new();
     h.str("env");
-    h.digest(salt);
     h.len(n);
     for f in &module.functions {
         h.str(&f.name);
@@ -117,12 +114,8 @@ mod tests {
         m
     }
 
-    fn salt(name: &str) -> Digest {
-        pt_ir::fingerprint::digest_parts(&[name])
-    }
-
     fn keys(m: &Module) -> Vec<Digest> {
-        unit_keys(m, &CallGraph::build(m), salt("salt")).keys
+        unit_keys(m, &CallGraph::build(m)).keys
     }
 
     #[test]
@@ -142,14 +135,18 @@ mod tests {
         assert_eq!(a.iter().collect::<std::collections::HashSet<_>>().len(), 3);
     }
 
+    /// A function added at the end changes only the symbol environment
+    /// for the three functions already there, and re-keys all of them.
     #[test]
-    fn salt_and_environment_invalidate_everything() {
-        let m = module(0);
-        let cg = CallGraph::build(&m);
-        let a = unit_keys(&m, &cg, salt("salt-a"));
-        let b = unit_keys(&m, &cg, salt("salt-b"));
+    fn environment_change_invalidates_everything() {
+        let before = keys(&module(0));
+        let mut m = module(0);
+        let mut b = FunctionBuilder::new("extra", vec![], Type::Void);
+        b.ret(None);
+        m.add_function(b.finish());
+        let after = keys(&m);
         for i in 0..3 {
-            assert_ne!(a.keys[i], b.keys[i]);
+            assert_ne!(before[i], after[i]);
         }
     }
 

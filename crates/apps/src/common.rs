@@ -12,7 +12,7 @@
 //! * work charged through `pt_work_flops` (compute-bound) and
 //!   `pt_work_mem` (memory-bound; subject to the §C1 contention model).
 
-use pt_ir::{BinOp, FunctionBuilder, FunctionId, Module, Type, Value};
+use pt_ir::{FunctionBuilder, FunctionId, Module, Type, Value};
 
 /// A parameter of an application.
 #[derive(Debug, Clone)]
@@ -242,11 +242,6 @@ pub fn add_iarray_setter(module: &mut Module, name: &str, slot: i64) -> Function
     b.store(addr, b.param(2));
     b.ret(None);
     module.add_function(b.finish())
-}
-
-/// Integer helper: `a*b` via builder (readability in app code).
-pub fn imul(b: &mut FunctionBuilder, x: Value, y: Value) -> Value {
-    b.bin(BinOp::Mul, x, y)
 }
 
 #[cfg(test)]

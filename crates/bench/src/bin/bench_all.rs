@@ -16,8 +16,8 @@
 //! The report holds findings only, no timings: `perfbench` measures speed.
 //!
 //! Independent scenarios run concurrently via `pt_util::parallel_map`; the
-//! per-app static stage is computed once and shared through the context's
-//! `SessionCache`.
+//! per-app static stage is computed once and shared through the slot the
+//! context keeps beside each app.
 
 use perf_taint::report::{BenchReport, RunStatus, ScenarioRecord, BENCH_SCHEMA_VERSION};
 use pt_bench::scenarios::{matching, registry, Scenario, ScenarioCtx, ScenarioResult};

@@ -39,7 +39,7 @@
 pub mod compare;
 pub mod scenarios;
 
-use perf_taint::{Analysis, PtError, Session, SessionBuilder};
+use perf_taint::Analysis;
 use pt_apps::AppSpec;
 use pt_measure::{run_sweep, Filter, PointProfile, SweepPoint};
 use pt_mpisim::{ContentionModel, MachineConfig};
@@ -84,20 +84,6 @@ pub fn machine(p: i64) -> MachineConfig {
     MachineConfig::default()
         .with_ranks(p as u32)
         .with_ranks_per_node((p as u32).min(36))
-}
-
-/// An analysis [`Session`] over an application (MPI defaults). Reuse it
-/// when a harness needs several taint runs — the static stage is shared.
-pub fn session_for(app: &AppSpec) -> Session<'_> {
-    SessionBuilder::new(&app.module, &app.entry).build()
-}
-
-/// Run the white-box pipeline on an application at its representative
-/// taint-run configuration. Failures propagate as [`PtError`] so harness
-/// binaries report them (`fn main() -> Result<(), PtError>`) instead of
-/// aborting.
-pub fn try_analyze_app(app: &AppSpec) -> Result<Analysis, PtError> {
-    session_for(app).taint_run(app.taint_run_params())
 }
 
 /// Build the full (size × p) grid of sweep points for an app, using its

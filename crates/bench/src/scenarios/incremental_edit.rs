@@ -5,7 +5,7 @@
 //! module, then drives an editor's inner loop: change one function's
 //! constant, resubmit, re-request the static analysis. Every resubmission
 //! is a new module hash (so the response store cannot answer it), but the
-//! per-function unit memo behind the server's `SessionCache` reuses
+//! per-function unit memo the server's static stages share reuses
 //! every untouched function, so the recomputed share of the static stage
 //! (`edit_recompute_fraction`, from the server's `stats` ledger) tracks the
 //! edited cones, not the module size. The served bytes are checked against

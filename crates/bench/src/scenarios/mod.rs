@@ -7,8 +7,8 @@
 //! scalar [`metrics`](ScenarioResult::metrics) for the `BENCH_*.json`
 //! report. `bench_all` runs any tag/name selection in one process
 //! (`--verbose` prints each scenario's text), sharing one memoized static
-//! stage per app through a
-//! [`SessionCache`], and `bench_compare` diffs two reports exactly as the
+//! stage and one representative taint run per app through the
+//! [`ScenarioCtx`], and `bench_compare` diffs two reports exactly as the
 //! CI findings gate.
 //!
 //! Metric convention: every metric is **deterministic** — a count, a
@@ -16,10 +16,10 @@
 //! report reproduces bit for bit on any machine and the gate compares
 //! each metric for equality (see `crates/bench/README.md`).
 
-use perf_taint::{Analysis, PolicyKind, PtError, Session, SessionCache};
+use perf_taint::{Analysis, PolicyKind, PtError, Session, SessionBuilder, StaticSlot};
 use pt_apps::AppSpec;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 mod a2_experiment_design;
 mod a3_cost_summary;
@@ -93,24 +93,38 @@ pub trait Scenario: Sync {
 }
 
 /// Shared run context: quick-mode sweep reductions, the per-scenario
-/// thread budget, lazily built evaluation apps, and the cross-scenario
-/// [`SessionCache`] that shares each app's static stage.
+/// thread budget, and lazily built evaluation apps, each with the static
+/// stage and the representative taint run every scenario shares.
 pub struct ScenarioCtx {
     /// Reduced sweeps for CI / `cargo test` (still ≥3 values per modeled
     /// axis so the Extra-P searches stay well-posed).
     pub quick: bool,
     /// Worker threads each scenario may use for its internal sweeps.
     pub threads: usize,
-    lulesh: OnceLock<AppSpec>,
-    milc: OnceLock<AppSpec>,
-    cache: SessionCache,
-    /// Memoized representative taint runs, keyed by app name (the slot
-    /// pattern mirrors `SessionCache`: reserve under the lock, compute via
-    /// `OnceLock` so concurrent scenarios block on one run instead of
-    /// repeating it). Errors are cached as rendered messages — a failing
-    /// app fails every scenario identically without rerunning.
-    #[allow(clippy::type_complexity)]
-    analyses: Mutex<BTreeMap<String, Arc<OnceLock<Result<Arc<Analysis>, String>>>>>,
+    lulesh: OnceLock<BuiltApp>,
+    milc: OnceLock<BuiltApp>,
+}
+
+/// An app the context built, beside what its scenarios share of it.
+struct BuiltApp {
+    app: AppSpec,
+    /// The app's static stage, computed by the first session that asks.
+    statics: StaticSlot,
+    /// The representative taint run, computed once (`OnceLock` makes
+    /// concurrent scenarios wait for one run instead of repeating it).
+    /// Errors are cached as rendered messages — a failing app fails every
+    /// scenario identically without rerunning.
+    analysis: OnceLock<Result<Arc<Analysis>, String>>,
+}
+
+impl BuiltApp {
+    fn new(app: AppSpec) -> BuiltApp {
+        BuiltApp {
+            app,
+            statics: StaticSlot::default(),
+            analysis: OnceLock::new(),
+        }
+    }
 }
 
 impl ScenarioCtx {
@@ -124,44 +138,60 @@ impl ScenarioCtx {
             threads: threads.max(1),
             lulesh: OnceLock::new(),
             milc: OnceLock::new(),
-            cache: SessionCache::new(),
-            analyses: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// The mini-LULESH app, built once per context.
     pub fn lulesh(&self) -> &AppSpec {
-        self.lulesh.get_or_init(pt_apps::lulesh::build)
+        &self
+            .lulesh
+            .get_or_init(|| BuiltApp::new(pt_apps::lulesh::build()))
+            .app
     }
 
     /// The mini-MILC app, built once per context.
     pub fn milc(&self) -> &AppSpec {
-        self.milc.get_or_init(pt_apps::milc::build)
+        &self
+            .milc
+            .get_or_init(|| BuiltApp::new(pt_apps::milc::build()))
+            .app
     }
 
-    /// A session over `app` sharing the context-wide static stage.
+    /// What the context keeps beside `app`, if the context built it.
+    fn built(&self, app: &AppSpec) -> Option<&BuiltApp> {
+        [&self.lulesh, &self.milc]
+            .into_iter()
+            .filter_map(OnceLock::get)
+            .find(|built| std::ptr::eq(&built.app, app))
+    }
+
+    /// A session over `app`. An app the context built shares its static
+    /// stage with every other session over it; any other app gets a
+    /// stage of its own.
     pub fn session<'m>(&self, app: &'m AppSpec) -> Session<'m> {
-        let key = pt_ir::fingerprint::module_digest(&app.module);
-        self.cache
-            .get_or_compute(&app.module, key, &app.entry, PolicyKind::from_env())
+        let mut builder =
+            SessionBuilder::new(&app.module, &app.entry).policy(PolicyKind::from_env());
+        if let Some(built) = self.built(app) {
+            builder = builder.statics(built.statics.clone());
+        }
+        builder.build()
     }
 
-    /// The representative taint run of `app`, computed once per context:
-    /// the run is deterministic (fixed `taint_run_params`), so every
-    /// scenario shares one `Analysis` instead of repeating the dynamic
-    /// stage per artifact.
+    /// The representative taint run of `app`, computed once per context
+    /// for an app the context built: the run is deterministic (fixed
+    /// `taint_run_params`), so every scenario shares one `Analysis`
+    /// instead of repeating the dynamic stage per artifact.
     pub fn analysis(&self, app: &AppSpec) -> Result<Arc<Analysis>, PtError> {
-        let slot = {
-            let mut map = self.analyses.lock().unwrap();
-            map.entry(app.name.clone()).or_default().clone()
-        };
-        slot.get_or_init(|| {
+        let run = || {
             self.session(app)
                 .taint_run(app.taint_run_params())
                 .map(Arc::new)
                 .map_err(|e| e.to_string())
-        })
-        .clone()
+        };
+        match self.built(app) {
+            Some(built) => built.analysis.get_or_init(run).clone(),
+            None => run(),
+        }
         .map_err(PtError::Config)
     }
 

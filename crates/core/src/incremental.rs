@@ -1,5 +1,6 @@
-//! The unit memo behind [`crate::SessionCache`]: a content-addressed
-//! per-function store that makes re-analyzing an *edited* module cheap.
+//! The unit memo sessions share ([`crate::SessionBuilder::units`]): a
+//! content-addressed per-function store that makes re-analyzing an
+//! *edited* module cheap.
 //!
 //! The static stage has one entry point, [`pt_taint::PreparedModule::build`]:
 //! it walks the call graph bottom-up and produces one
@@ -7,8 +8,9 @@
 //! per function. Each unit is a pure function of a content key
 //! ([`pt_analysis::unitkey`]): the structural digest of the function's
 //! body ([`pt_ir::fingerprint`]), its strongly connected component, its
-//! out-of-component callees' keys, the module symbol environment, and the
-//! taint policy.
+//! out-of-component callees' keys and the module symbol environment. No
+//! unit reads the taint policy or the library database, so neither is in
+//! a key: sessions under every policy share one memo's units.
 //!
 //! [`FunctionArtifactCache`] is the memo `build` consults. It keeps
 //! one unit per key in memory, so re-analyzing a module after editing one
@@ -28,8 +30,7 @@
 //! [`crate::StaticArtifacts`] reports how many units were reused from
 //! memory or recomputed.
 
-use pt_ir::fingerprint::{digest_parts, Digest};
-use pt_taint::policy::PolicyKind;
+use pt_ir::fingerprint::Digest;
 use pt_taint::unit::{FunctionUnit, UnitMemo};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,10 +48,9 @@ pub struct ReuseStats {
     pub recomputed: usize,
 }
 
-/// The content-addressed per-function unit memo. One of these lives in
-/// every [`crate::SessionCache`]; long-running services share one across
-/// all submissions, so an edited module reuses every untouched function's
-/// unit no matter which session computed it first.
+/// The content-addressed per-function unit memo. Long-running services
+/// share one across all submissions, so an edited module reuses every
+/// untouched function's unit no matter which session computed it first.
 #[derive(Default)]
 pub struct FunctionArtifactCache {
     units: Mutex<HashMap<Digest, Arc<FunctionUnit>>>,
@@ -93,21 +93,13 @@ impl UnitMemo for FunctionArtifactCache {
     }
 }
 
-/// The configuration salt folded into every unit key: the run mode's
-/// taint-policy identity (`measure` for a measurement-mode session). Two
-/// policies never share units — the decoded program is
-/// policy-independent today, but the key contract is "everything the
-/// result could depend on".
-pub(crate) fn unit_salt(taint: Option<PolicyKind>) -> Digest {
-    digest_parts(&["statics-config", taint.map_or("measure", PolicyKind::name)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
     use crate::session::{SessionBuilder, StaticArtifacts};
     use pt_ir::{FunctionBuilder, FunctionId, Module, Type, Value as IrValue};
+    use pt_taint::policy::PolicyKind;
 
     /// leaf (inlinable) ← kernel (parametric loop) ← main; ping ↔ pong
     /// mutual recursion; `konst` parameterizes the leaf body so tests can
@@ -225,16 +217,24 @@ mod tests {
         assert!(!barrier(&warm), "main no longer keeps MPI_Barrier");
     }
 
+    /// The static stage reads no taint policy, so a session under another
+    /// policy is served every unit from the memo, and its stage equals a
+    /// memo-less one under that policy.
     #[test]
-    fn policy_change_invalidates_everything() {
+    fn policy_change_reuses_every_unit() {
         let cache = Arc::new(FunctionArtifactCache::new());
         let m = app(3);
         let cold = stage(&m, &config(PolicyKind::ParamSet), Some(&cache));
         assert_eq!(cold.reuse.recomputed, 5);
-        let other = stage(&m, &config(PolicyKind::Security), Some(&cache));
-        assert_eq!(other.reuse.recomputed, 5, "salt covers the taint policy");
-        // Units under either policy stay cached independently.
-        let warm = stage(&m, &config(PolicyKind::ParamSet), Some(&cache));
-        assert_eq!(warm.reuse.reused_memory, 5);
+        let security = config(PolicyKind::Security);
+        let other = stage(&m, &security, Some(&cache));
+        assert_eq!(other.reuse.reused_memory, 5, "no unit key names the policy");
+        assert_eq!(other.reuse.recomputed, 0);
+        assert_statics_identical(&other, &m, &security);
+        let mut measure = config(PolicyKind::ParamSet);
+        measure.interp.taint = None;
+        let warm = stage(&m, &measure, Some(&cache));
+        assert_eq!(warm.reuse.reused_memory, 5, "measurement mode too");
+        assert_eq!(cache.cumulative().recomputed, 5);
     }
 }

@@ -37,21 +37,24 @@
 //! ```
 //!
 //! One-shot use is just a throwaway session (`SessionBuilder::new(&m,
-//! entry).build().taint_run(params)`). Long-lived callers share static
-//! stages across sessions — and across module *edits* — through a
-//! content-keyed [`SessionCache`] backed by the per-function unit memo
-//! of [`incremental`]. Every fallible API returns the unified
+//! entry).build().taint_run(params)`). Long-lived callers keep a
+//! [`StaticSlot`] beside each module they hold, so every session over it
+//! (under any taint policy) shares one static stage, and share across
+//! module *edits* through the per-function unit memo of [`incremental`]
+//! ([`SessionBuilder::statics`], [`SessionBuilder::units`]). Every
+//! fallible API returns the unified
 //! [`PtError`]; substrate error types (`InterpError`, `ParseError`) never
 //! leak.
 //!
 //! ## Crate map
 //!
 //! * [`session`] — [`Session`] / [`SessionBuilder`]: memoized static stage
-//!   ([`StaticArtifacts`]), staged taint runs, parallel batching, and the
-//!   [`Analysis`] artifact they produce.
+//!   ([`StaticArtifacts`], shareable through a [`StaticSlot`]), staged
+//!   taint runs, parallel batching, and the [`Analysis`] artifact they
+//!   produce.
 //! * [`incremental`] — the content-addressed per-function unit memo
-//!   ([`FunctionArtifactCache`], [`ReuseStats`]) behind [`SessionCache`]'s
-//!   in-process edit loops.
+//!   ([`FunctionArtifactCache`], [`ReuseStats`]) behind in-process edit
+//!   loops.
 //! * [`error`] — [`PtError`], the workspace-wide error enum.
 //! * [`volume`] — [`volume::DepStructure`], the parameter monomial sets
 //!   that compute volumes (Claims 1–2, Theorem 1) project to.
@@ -91,13 +94,14 @@ pub use report::{
     analysis_summary, static_summary, BenchReport, RunStatus, ScenarioRecord, BENCH_SCHEMA_VERSION,
 };
 pub use session::{
-    parse_module, reparse_module, Analysis, Session, SessionBuilder, SessionCache, StaticArtifacts,
+    parse_module, reparse_module, Analysis, Session, SessionBuilder, StaticArtifacts, StaticSlot,
 };
 pub use validate::{
     detect_contention, detect_segmentation, BranchObservations, BranchSide, ContentionFinding,
     SegmentationWarning,
 };
 pub use volume::DepStructure;
-// The taint-policy selector is part of the session-facing API (it keys
-// `SessionCache` slots and salts unit keys), so re-export it here.
+// The taint-policy selector is part of the session-facing API (it picks
+// the policy a session's taint runs execute under; the static stage does
+// not read it), so re-export it here.
 pub use pt_taint::PolicyKind;

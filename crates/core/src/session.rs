@@ -2,13 +2,14 @@
 //!
 //! The pipeline is explicitly staged — static analysis → dynamic taint run
 //! → dependency extraction — and the static stage depends only on the
-//! module and the library database, not on parameter values. A [`Session`]
-//! owns that observation: it memoizes the static artifacts
-//! ([`StaticArtifacts`]: the §5.1 classification and the precomputed
-//! per-function facts) and lets any number of taint runs — sequential via
-//! [`Session::taint_run`] or fanned across threads via
-//! [`Session::analyze_batch`] — share them. Related systems lean on the
-//! same amortization: the Taint Rabbit caches pre-generated fast paths
+//! module and the library database, not on parameter values or the taint
+//! policy. A [`Session`] owns that observation: it memoizes the static
+//! artifacts ([`StaticArtifacts`]: the §5.1 classification and the
+//! precomputed per-function facts) and lets any number of taint runs —
+//! sequential via [`Session::taint_run`] or fanned across threads via
+//! [`Session::analyze_batch`] — share them, and sessions over one module
+//! may share them too through a [`StaticSlot`]. Related systems lean on
+//! the same amortization: the Taint Rabbit caches pre-generated fast paths
 //! across runs, and partial-instrumentation tracking computes its scope
 //! once and reuses it.
 //!
@@ -33,13 +34,12 @@
 use crate::census::{classify_kinds, table2, table3, FuncKind, Table2, Table3};
 use crate::deps::{extern_deps, extract_deps};
 use crate::error::PtError;
-use crate::incremental::{unit_salt, FunctionArtifactCache, ReuseStats};
+use crate::incremental::{FunctionArtifactCache, ReuseStats};
 use crate::pipeline::PipelineConfig;
 use crate::validate::BranchObservations;
 use crate::volume::DepStructure;
 use pt_analysis::classify::{classify_module, StaticClassification};
 use pt_extrap::Restriction;
-use pt_ir::fingerprint::Digest;
 use pt_ir::parser::{Base, Reparsed};
 use pt_ir::{FunctionId, Module};
 use pt_mpisim::MpiHandler;
@@ -84,7 +84,7 @@ pub fn reparse_module(text: &str, base: Option<Base>) -> Result<Reparsed, PtErro
 }
 
 /// Everything the static stage (§5.1) produces: computed once per
-/// [`Session`], shared by every taint run through an [`Arc`].
+/// [`StaticSlot`], shared by every taint run through an [`Arc`].
 pub struct StaticArtifacts {
     /// Interprocedural constant-function classification.
     pub classification: StaticClassification,
@@ -97,6 +97,17 @@ pub struct StaticArtifacts {
     pub reuse: ReuseStats,
 }
 
+/// A module's static stage, computed at most once by whichever session
+/// asks first and then shared by every session holding the slot.
+///
+/// The stage depends only on the module and the library database, never
+/// on parameter values or the taint policy, so sessions over the same
+/// module (under any policy, with the same database) may share one
+/// slot: pass it to [`SessionBuilder::statics`]. `OnceLock` makes
+/// concurrent first callers wait for one computation. A plain session
+/// gets a fresh slot of its own.
+pub type StaticSlot = Arc<OnceLock<Arc<StaticArtifacts>>>;
+
 /// Builder for a [`Session`]. Defaults to the MPI library database and
 /// machine ([`PipelineConfig::with_mpi_defaults`]).
 pub struct SessionBuilder<'m> {
@@ -104,6 +115,7 @@ pub struct SessionBuilder<'m> {
     entry: String,
     config: PipelineConfig,
     units: Option<Arc<FunctionArtifactCache>>,
+    statics: StaticSlot,
 }
 
 impl<'m> SessionBuilder<'m> {
@@ -113,6 +125,7 @@ impl<'m> SessionBuilder<'m> {
             entry: entry.into(),
             config: PipelineConfig::with_mpi_defaults(),
             units: None,
+            statics: StaticSlot::default(),
         }
     }
 
@@ -133,9 +146,17 @@ impl<'m> SessionBuilder<'m> {
 
     /// Run the static stage against a shared per-function unit memo, so
     /// only units whose content keys are new get computed (see
-    /// [`crate::incremental`]). [`SessionCache`] wires this automatically.
+    /// [`crate::incremental`]).
     pub fn units(mut self, cache: Arc<FunctionArtifactCache>) -> SessionBuilder<'m> {
         self.units = Some(cache);
+        self
+    }
+
+    /// Share `slot`'s static stage: computed by the first session over it
+    /// that asks, reused by every other. The slot must belong to this
+    /// module and library database (see [`StaticSlot`]).
+    pub fn statics(mut self, slot: StaticSlot) -> SessionBuilder<'m> {
+        self.statics = slot;
         self
     }
 
@@ -145,7 +166,7 @@ impl<'m> SessionBuilder<'m> {
             entry: self.entry,
             config: self.config,
             units: self.units,
-            statics: OnceLock::new(),
+            statics: self.statics,
         }
     }
 }
@@ -157,7 +178,7 @@ pub struct Session<'m> {
     entry: String,
     config: PipelineConfig,
     units: Option<Arc<FunctionArtifactCache>>,
-    statics: OnceLock<Arc<StaticArtifacts>>,
+    statics: StaticSlot,
 }
 
 impl<'m> Session<'m> {
@@ -184,11 +205,7 @@ impl<'m> Session<'m> {
                 // Classification reads the loop facts `build` just
                 // produced, inside the same `decode` span.
                 let _decode = pt_util::trace::span("taint", "decode");
-                let salt = unit_salt(self.config.interp.taint);
-                let memo = self
-                    .units
-                    .as_deref()
-                    .map(|cache| (cache as &dyn UnitMemo, salt));
+                let memo = self.units.as_deref().map(|cache| cache as &dyn UnitMemo);
                 let (prepared, reused) = PreparedModule::build(self.module, memo);
                 let relevant: HashSet<String> =
                     self.config.db.relevant_names().map(String::from).collect();
@@ -344,14 +361,6 @@ impl<'m> Session<'m> {
         })
     }
 
-    /// Seed the memoized static stage with artifacts computed elsewhere
-    /// (a [`SessionCache`] hit). No-op if this session already computed
-    /// its own. The artifacts must come from a session over the *same
-    /// module* — the cache keys by module name to ensure this.
-    fn seed_statics(&self, statics: Arc<StaticArtifacts>) {
-        let _ = self.statics.set(statics);
-    }
-
     /// Run one taint analysis per parameter set, fanned across worker
     /// threads, all sharing this session's static artifacts. Results keep
     /// the input order; each entry fails independently.
@@ -367,114 +376,6 @@ impl<'m> Session<'m> {
             .map(|n| n.get())
             .unwrap_or(4);
         pt_util::parallel_map(param_sets, workers, |params| self.taint_run(params.clone()))
-    }
-}
-
-/// A cross-app cache of static-stage artifacts, keyed by module *content*
-/// (a key the caller supplies; see [`SessionCache::get_or_compute`]).
-///
-/// A [`Session`] memoizes the static stage for *one* module, but its
-/// lifetime is tied to the borrow of that module — callers that create
-/// sessions on demand (the bench scenario registry runs 12 scenarios over
-/// the same two apps; the analysis service accepts modules from many
-/// clients) would recompute the §5.1 classification every time. The cache
-/// outlives the sessions: [`SessionCache::get_or_compute`] is the single
-/// entry point, and the first session obtained for a module content hash
-/// and policy computes the artifacts while every later one is seeded with
-/// the shared [`Arc`], whatever its lifetime. Entries are never evicted:
-/// the unit memo and the callers' own module maps, which hold most of
-/// the memory, are unbounded too.
-///
-/// Two granularities of sharing compose here:
-/// * **whole-module**: an unchanged module resubmitted under any name hits
-///   the content-keyed slot and pays nothing;
-/// * **per-function**: an *edited* module misses the slot but builds its
-///   static stage against the [`FunctionArtifactCache`] unit memo the
-///   sessions share, recomputing only the edited function's invalidation
-///   cone (see [`crate::incremental`]). Units live in memory only: a new
-///   process recomputes them, which is cheaper than loading them would be.
-///
-/// One caveat: cached sessions use the default MPI pipeline configuration
-/// — custom configurations (e.g. ablated taint policies) change what the
-/// static stage may legitimately observe downstream, so build those
-/// sessions directly via [`SessionBuilder`] instead.
-pub struct SessionCache {
-    /// One slot per (module content, policy); never evicted.
-    statics: Mutex<BTreeMap<(Digest, PolicyKind), Arc<StaticsSlot>>>,
-    units: Arc<FunctionArtifactCache>,
-}
-
-/// A static stage computed at most once, by whichever session asks first.
-type StaticsSlot = OnceLock<Arc<StaticArtifacts>>;
-
-impl Default for SessionCache {
-    fn default() -> SessionCache {
-        SessionCache::new()
-    }
-}
-
-impl SessionCache {
-    pub fn new() -> SessionCache {
-        SessionCache {
-            statics: Mutex::new(BTreeMap::new()),
-            units: Arc::new(FunctionArtifactCache::new()),
-        }
-    }
-
-    /// A session over `module` under taint policy `policy`, whose static
-    /// stage is shared with every other session this cache produced for
-    /// the same content `key` and policy — and built against the
-    /// per-function unit memo when that pair is new. Sessions under
-    /// different policies never share static artifacts (their unit keys
-    /// differ too — see [`crate::incremental`]).
-    ///
-    /// `key` names the module's content, and the cache trusts it: equal
-    /// keys must mean equal modules. A caller that already names modules
-    /// by content passes that name (the analysis service passes the
-    /// digest of the submitted text its module key names); any other
-    /// caller passes
-    /// [`pt_ir::fingerprint::module_digest`]`(module)`.
-    pub fn get_or_compute<'m>(
-        &self,
-        module: &'m Module,
-        key: Digest,
-        entry: &str,
-        policy: PolicyKind,
-    ) -> Session<'m> {
-        let session = SessionBuilder::new(module, entry)
-            .policy(policy)
-            .units(self.units.clone())
-            .build();
-        // Reserve the per-key slot under the lock, compute outside it:
-        // `OnceLock::get_or_init` blocks concurrent first callers until the
-        // winner finishes, so the static stage runs exactly once per key
-        // even when many sessions are requested at the same time.
-        let slot = self
-            .statics
-            .lock()
-            .unwrap()
-            .entry((key, policy))
-            .or_default()
-            .clone();
-        let statics = slot.get_or_init(|| session.static_analysis()).clone();
-        // No-op when this session was the one that just computed them.
-        session.seed_statics(statics);
-        session
-    }
-
-    /// Cumulative per-function reuse accounting over every static stage
-    /// this cache computed (the observable `pt-serve` reports in `stats`).
-    pub fn unit_reuse(&self) -> ReuseStats {
-        self.units.cumulative()
-    }
-
-    /// Number of distinct (module content, policy) slots cached so far.
-    pub fn len(&self) -> usize {
-        self.statics.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -551,11 +452,6 @@ impl Analysis {
         );
         cache.push((model_params.to_vec(), mapping.clone()));
         mapping
-    }
-
-    /// A function's dependency structure projected onto the model axes.
-    pub fn model_deps(&self, f: FunctionId, model_params: &[String]) -> DepStructure {
-        self.deps[&f].remap(&self.axis_mapping(model_params))
     }
 
     /// Per-function search-space restrictions for the hybrid modeler,

@@ -73,13 +73,6 @@ impl FunctionBuilder {
         id
     }
 
-    /// Create a new named block.
-    pub fn new_named_block(&mut self, name: impl Into<String>) -> BlockId {
-        let id = self.new_block();
-        self.func.blocks[id.index()].name = Some(name.into());
-        id
-    }
-
     /// Select the block subsequent instructions are appended to.
     pub fn switch_to(&mut self, b: BlockId) {
         assert!(b.index() < self.func.blocks.len(), "unknown block {b}");

@@ -183,17 +183,6 @@ impl Function {
         preds
     }
 
-    /// All call sites in this function.
-    pub fn call_sites(&self) -> Vec<(InstId, &crate::inst::Callee)> {
-        let mut out = Vec::new();
-        for (i, inst) in self.insts.iter().enumerate() {
-            if let InstKind::Call { callee, .. } = &inst.kind {
-                out.push((InstId(i as u32), callee));
-            }
-        }
-        out
-    }
-
     /// Whether any block of the function contains a phi node.
     pub fn has_phis(&self) -> bool {
         self.insts

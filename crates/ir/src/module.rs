@@ -175,11 +175,6 @@ impl Module {
         }
         out
     }
-
-    /// Total instruction count across all functions.
-    pub fn total_insts(&self) -> usize {
-        self.functions.iter().map(|f| f.insts.len()).sum()
-    }
 }
 
 #[cfg(test)]

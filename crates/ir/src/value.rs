@@ -74,15 +74,6 @@ impl Value {
         Value::Const(Const::Bool(v))
     }
 
-    /// Returns the constant if this operand is an immediate.
-    #[inline]
-    pub fn as_const(self) -> Option<Const> {
-        match self {
-            Value::Const(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Returns the integer constant if this operand is an immediate integer.
     #[inline]
     pub fn as_int(self) -> Option<i64> {

@@ -8,7 +8,8 @@
 //! persistent content-addressed artifact [`store`] caches parsed modules,
 //! static-stage summaries, taint-run analyses, and fitted models on disk —
 //! so repeat requests skip the pipeline entirely, across clients *and*
-//! across server restarts. Effectively `SessionCache` made durable.
+//! across server restarts. Effectively the in-process served-module table
+//! made durable.
 //!
 //! Architecture (all std, no async runtime):
 //!
@@ -367,10 +368,7 @@ pub fn handle_line(state: &ServerState, line: &str) -> Value {
     };
     let outcome = if state.sampling_due() {
         let run = state::traced(dispatch);
-        state.record_sample(
-            run.wall.as_secs_f64() * 1e3,
-            &pt_util::trace::stage_totals_ms(&run.events),
-        );
+        state.record_sample(run.wall.as_secs_f64() * 1e3, &run.events);
         run.outcome
     } else {
         dispatch()

@@ -1,4 +1,4 @@
-//! The wire protocol: newline-delimited JSON, version 1 (revision 1.6).
+//! The wire protocol: newline-delimited JSON, version 1 (revision 1.8).
 //!
 //! One request per line, one response per line, both single JSON objects
 //! rendered compactly (the renderer escapes every control character, so a
@@ -53,9 +53,16 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// the `session_cache` object in `stats`/`metrics`: the session cache is
 /// no longer boundable, so only `entries` remains. Shed envelopes always
 /// carry the adaptive hint; the fixed-hint setting is gone.
+/// Revision 8 ("protocol v1.8") keys the static stage by module alone:
+/// it reads no taint policy, so requests under every policy share one
+/// computed stage per module and one stored `static_analysis` summary
+/// (summaries stored under the older policy-salted keys are no longer
+/// read). `session_cache.entries` keeps its name and counts the modules
+/// whose static stage the process holds; for single-policy traffic the
+/// value is unchanged.
 /// No other documented field changed shape; v1 clients are unaffected —
 /// the wire `v` field stays `1`.
-pub const PROTOCOL_MINOR: u64 = 7;
+pub const PROTOCOL_MINOR: u64 = 8;
 
 /// A parsed request envelope.
 #[derive(Debug, Clone)]

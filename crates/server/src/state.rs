@@ -1,11 +1,11 @@
 //! Request routing and shared server state.
 //!
 //! One [`ServerState`] is shared by every worker thread. It owns the
-//! persistent [`Store`], an in-memory cache of parsed modules (keyed by
-//! content hash), and a [`SessionCache`] keyed by the same hashes so the
-//! static stage is computed at most once per module *per process* — with
-//! the store extending that guarantee across processes at the response
-//! granularity.
+//! persistent [`Store`], one table of served modules keyed by content
+//! hash, each next to the slot its static stage is computed in (at most
+//! once per module *per process*, under any policy), and the unit memo
+//! every static stage shares. The store extends that guarantee across
+//! processes at the response granularity.
 //!
 //! Every handler returns `Result<Value, ServeError>`; the connection layer
 //! wraps dispatch in `catch_unwind`, so a bug in a handler costs one error
@@ -13,13 +13,17 @@
 
 use crate::ops::{Ops, METHODS};
 use crate::protocol::{ServeError, PROTOCOL_MINOR, PROTOCOL_VERSION};
-use crate::store::{is_content_key, Store, StoreKey};
+use crate::store::{Store, StoreKey};
 use perf_taint::report::{analysis_summary, static_summary};
-use perf_taint::{parse_module, reparse_module, PolicyKind, PtError, SessionCache};
+use perf_taint::{
+    parse_module, reparse_module, FunctionArtifactCache, PolicyKind, PtError, Session,
+    SessionBuilder, StaticSlot,
+};
 use pt_extrap::{fit_multi_param, MeasurementSet, Restriction, SearchSpace};
 use pt_ir::fingerprint::Digest;
 use pt_ir::parser::{Base, Spans};
 use pt_ir::Module;
+use pt_util::trace::SpanEvent;
 use serde::json::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,9 +63,21 @@ impl PolicyTotals {
 }
 
 /// Stage-name cardinality bound of the sampled profile: stage names come
-/// from our own instrumentation (a small fixed set), but the bound makes
-/// the memory ceiling explicit no matter what future spans appear.
+/// from our own instrumentation (a small fixed set once per-function
+/// spans are folded, see [`profile_stage`]), but the bound makes the
+/// memory ceiling explicit no matter what future spans appear.
 const MAX_PROFILE_STAGES: usize = 64;
+
+/// The sampled-profile stage a span counts under: its name, except that
+/// the per-function spans (`unit` computes and memo hits, `function` exec
+/// shares) are named after a function each, so they fold under their
+/// category instead. The `trace` method still reports them by name.
+fn profile_stage(ev: &SpanEvent) -> &str {
+    match ev.cat {
+        "unit" | "function" => ev.cat,
+        _ => ev.name.as_ref(),
+    }
+}
 
 /// One stage's aggregate across every sampled request (protocol v1.4).
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,7 +103,8 @@ struct SampledProfile {
 }
 
 impl SampledProfile {
-    fn record(&self, wall_ms: f64, stages: &[(String, f64)]) {
+    fn record(&self, wall_ms: f64, events: &[SpanEvent]) {
+        let stages = pt_util::trace::stage_totals_ms_by(events, profile_stage);
         self.sampled.fetch_add(1, Ordering::Relaxed);
         let mut map = self.stages.lock().unwrap();
         let mut fold = |name: &str, ms: f64| {
@@ -100,7 +117,7 @@ impl SampledProfile {
             slot.max_ms = slot.max_ms.max(ms);
         };
         fold("request", wall_ms);
-        for (name, ms) in stages {
+        for (name, ms) in &stages {
             fold(name, *ms);
         }
     }
@@ -152,22 +169,38 @@ struct Submission {
     spans: Spans,
 }
 
+/// A served module and the slot its static stage is computed in, once,
+/// for every request under every policy.
+struct Served {
+    module: Arc<Module>,
+    statics: StaticSlot,
+}
+
+impl Served {
+    fn new(module: Arc<Module>) -> Served {
+        Served {
+            module,
+            statics: StaticSlot::default(),
+        }
+    }
+}
+
 /// Everything the worker threads share.
 pub struct ServerState {
     store: Store,
-    /// Parsed modules by content hash (loaded lazily from the store, so a
-    /// restarted server can serve hashes submitted to a previous process).
-    modules: Mutex<HashMap<String, Arc<Module>>>,
+    /// Served modules by the content hash their key names (loaded lazily
+    /// from the store, so a restarted server can serve hashes submitted to
+    /// a previous process). Never evicted.
+    modules: Mutex<HashMap<Digest, Arc<Served>>>,
     /// The last module `submit_module` accepted, with its text: the base
     /// the next submission is parsed against, so an edit re-parses only
     /// the functions it changed. One slot: a submission of another module
     /// misses (a full parse, after comparing the texts up to where they
     /// part) and takes the slot.
     last_submit: Mutex<Option<Arc<Submission>>>,
-    /// In-process static-stage sharing, keyed by module content hash —
-    /// backed by an in-memory per-function unit memo, so an edited module
-    /// recomputes only the edited function's cone.
-    sessions: SessionCache,
+    /// The per-function unit memo every static stage runs against, so an
+    /// edited module recomputes only the edited function's cone.
+    units: Arc<FunctionArtifactCache>,
     /// Worker threads available to `analyze_batch` fan-out.
     pub workers: usize,
     /// Connection-queue bound (reported in `stats`).
@@ -206,7 +239,7 @@ impl ServerState {
             store,
             modules: Mutex::new(HashMap::new()),
             last_submit: Mutex::new(None),
-            sessions: SessionCache::new(),
+            units: Arc::default(),
             workers: workers.max(1),
             queue_capacity,
             requests: AtomicU64::new(0),
@@ -257,10 +290,10 @@ impl ServerState {
         self.sampled.seen.fetch_add(1, Ordering::Relaxed) % every == 0
     }
 
-    /// Fold one sampled request's wall time and per-stage totals into the
-    /// bounded profile.
-    pub fn record_sample(&self, wall_ms: f64, stages: &[(String, f64)]) {
-        self.sampled.record(wall_ms, stages);
+    /// Fold one sampled request's wall time and per-stage totals (from
+    /// the spans it recorded) into the bounded profile.
+    pub fn record_sample(&self, wall_ms: f64, events: &[SpanEvent]) {
+        self.sampled.record(wall_ms, events);
     }
 
     pub fn store(&self) -> &Store {
@@ -347,10 +380,13 @@ impl ServerState {
         }
         let functions = module.functions.len();
         let name = module.name.clone();
+        // A resubmitted module keeps its entry, and with it the static
+        // stage already computed for it.
         self.modules
             .lock()
             .unwrap()
-            .insert(key.hash.clone(), module);
+            .entry(digest_of(&key.hash)?)
+            .or_insert_with(|| Arc::new(Served::new(module)));
         Ok(Value::obj(vec![
             ("module", Value::str(&key.hash)),
             ("name", Value::str(name)),
@@ -360,53 +396,64 @@ impl ServerState {
         ]))
     }
 
-    /// Resolve a module hash: in-memory first, then the persistent store
+    /// Resolve a module key: in-memory first, then the persistent store
     /// (how a restarted server recovers modules submitted to an earlier
     /// process).
-    fn module_for(&self, key: &str) -> Result<Arc<Module>, ServeError> {
-        if let Some(m) = self.modules.lock().unwrap().get(key) {
-            return Ok(m.clone());
+    fn served(&self, key: Digest) -> Result<Arc<Served>, ServeError> {
+        if let Some(served) = self.modules.lock().unwrap().get(&key) {
+            return Ok(served.clone());
         }
-        let k = StoreKey::module_by_hash(key).ok_or_else(not_a_module_hash)?;
+        let hash = key.hex();
+        let k = StoreKey::module_by_hash(&hash).ok_or_else(not_a_module_hash)?;
         let text = self.store.get(k.kind, &k.hash).ok_or_else(|| {
-            ServeError::BadRequest(format!("unknown module '{key}' (submit_module it first)"))
+            ServeError::BadRequest(format!("unknown module '{hash}' (submit_module it first)"))
         })?;
-        let module = Arc::new(parse_module(&text).map_err(|e| {
-            ServeError::Internal(format!("stored module '{key}' no longer parses: {e}"))
-        })?);
-        self.modules
+        let module = parse_module(&text).map_err(|e| {
+            ServeError::Internal(format!("stored module '{hash}' no longer parses: {e}"))
+        })?;
+        let served = Arc::new(Served::new(Arc::new(module)));
+        Ok(self
+            .modules
             .lock()
             .unwrap()
-            .entry(key.to_string())
-            .or_insert_with(|| module.clone());
-        Ok(module)
+            .entry(key)
+            .or_insert(served)
+            .clone())
+    }
+
+    /// A session over `served` that shares its static-stage slot and the
+    /// unit memo.
+    fn session<'m>(&self, served: &'m Served, entry: &str, policy: PolicyKind) -> Session<'m> {
+        SessionBuilder::new(&served.module, entry)
+            .policy(policy)
+            .units(self.units.clone())
+            .statics(served.statics.clone())
+            .build()
     }
 
     // ---- static_analysis -------------------------------------------------
 
     fn static_analysis(&self, params: &Value) -> Result<Value, ServeError> {
-        let module_key = require_module_hash(params)?;
+        let module_key = require_module_key(params)?;
         let entry = require_str(params, "entry")?;
         let policy = policy_of(params)?;
-        // The static stage is entry-independent, so the artifact is keyed
-        // by (module, config, policy) alone — every entry shares one
-        // object. The entry is still validated on every request (the
-        // module is memory-cached, so this is one map lookup on the warm
-        // path).
-        let module = self.module_for(module_key)?;
-        if module.function_by_name(entry).is_none() {
+        // The static stage depends on neither the entry nor the policy, so
+        // the artifact is keyed by (module, config) alone — every entry
+        // and policy shares one object. The entry is still validated on
+        // every request (the module is memory-cached, so this is one map
+        // lookup on the warm path).
+        let served = self.served(module_key)?;
+        if served.module.function_by_name(entry).is_none() {
             return Err(ServeError::Pt(PtError::EntryNotFound {
                 entry: entry.to_string(),
             }));
         }
-        let key = StoreKey::static_summary(module_key, policy.name());
+        let key = StoreKey::static_summary(&module_key.hex());
         if let Some(value) = self.stored(&key) {
             return Ok(value);
         }
-        let session =
-            self.sessions
-                .get_or_compute(&module, session_key(module_key)?, entry, policy);
-        let summary = static_summary(&session.static_analysis(), &module);
+        let statics = self.session(&served, entry, policy).static_analysis();
+        let summary = static_summary(&statics, &served.module);
         self.persist(&key, &summary);
         Ok(summary)
     }
@@ -414,7 +461,7 @@ impl ServerState {
     // ---- taint_run -------------------------------------------------------
 
     fn taint_run(&self, params: &Value) -> Result<Value, ServeError> {
-        let module_key = require_module_hash(params)?;
+        let module_key = require_module_key(params)?;
         let entry = require_str(params, "entry")?;
         let policy = policy_of(params)?;
         let run_params = param_pairs(params.get("params"))?;
@@ -423,13 +470,13 @@ impl ServerState {
 
     fn taint_run_inner(
         &self,
-        module_key: &str,
+        module_key: Digest,
         entry: &str,
         run_params: &[(String, i64)],
         policy: PolicyKind,
     ) -> Result<Value, ServeError> {
         let key = StoreKey::analysis(
-            module_key,
+            &module_key.hex(),
             entry,
             &canonical_params(run_params),
             policy.name(),
@@ -437,15 +484,13 @@ impl ServerState {
         if let Some(value) = self.stored(&key) {
             return Ok(value);
         }
-        let module = self.module_for(module_key)?;
-        let session =
-            self.sessions
-                .get_or_compute(&module, session_key(module_key)?, entry, policy);
-        let analysis = session
+        let served = self.served(module_key)?;
+        let analysis = self
+            .session(&served, entry, policy)
             .taint_run(run_params.to_vec())
             .map_err(ServeError::from)?;
         self.policy_runs.record(policy);
-        let summary = analysis_summary(&analysis, &module);
+        let summary = analysis_summary(&analysis, &served.module);
         self.persist(&key, &summary);
         Ok(summary)
     }
@@ -457,7 +502,7 @@ impl ServerState {
     /// `Session::analyze_batch` — and each entry goes through the same
     /// persistent cache as a lone `taint_run`.
     fn analyze_batch(&self, params: &Value) -> Result<Value, ServeError> {
-        let module_key = require_module_hash(params)?;
+        let module_key = require_module_key(params)?;
         let entry = require_str(params, "entry")?;
         let policy = policy_of(params)?;
         let sets = params
@@ -468,7 +513,7 @@ impl ServerState {
             sets.iter().map(|s| param_pairs(Some(s))).collect();
         // Resolve the module once up front so a bad hash fails the whole
         // request instead of failing N times in parallel.
-        self.module_for(module_key)?;
+        self.served(module_key)?;
         // One batch fans out at a time; the lock is not poisoned in
         // practice (parallel_map catches worker panics), but recover
         // rather than unwrap to keep the no-panics-across-the-wire rule.
@@ -619,7 +664,7 @@ impl ServerState {
     /// loop is warm exactly when `recomputed` grows by the edited cone
     /// only.
     fn function_reuse_json(&self) -> Value {
-        let reuse = self.sessions.unit_reuse();
+        let reuse = self.units.cumulative();
         Value::obj(vec![
             ("total", Value::int(reuse.total as i64)),
             ("reused_memory", Value::int(reuse.reused_memory as i64)),
@@ -627,10 +672,18 @@ impl ServerState {
         ])
     }
 
-    /// Protocol v1.3: the in-process session cache (module content →
-    /// static stage) — its occupancy.
+    /// Protocol v1.3: the in-process session cache — since v1.8 the
+    /// number of served modules whose static stage this process holds
+    /// (one per module, whatever policies its requests named).
     fn session_cache_json(&self) -> Value {
-        Value::obj(vec![("entries", Value::int(self.sessions.len() as i64))])
+        let entries = self
+            .modules
+            .lock()
+            .unwrap()
+            .values()
+            .filter(|served| served.statics.get().is_some())
+            .count();
+        Value::obj(vec![("entries", Value::int(entries as i64))])
     }
 
     fn stats(&self) -> Result<Value, ServeError> {
@@ -813,20 +866,17 @@ fn policy_of(params: &Value) -> Result<PolicyKind, ServeError> {
     }
 }
 
-/// The `module` request field: a hash `submit_module` returned. It names a
-/// file under the store root, so anything not shaped like a content key
-/// (a path, `..`, ...) is refused here, before the store is touched.
-fn require_module_hash(params: &Value) -> Result<&str, ServeError> {
-    let hash = require_str(params, "module")?;
-    if !is_content_key(hash) {
-        return Err(not_a_module_hash());
-    }
-    Ok(hash)
+/// The `module` request field, a hash `submit_module` returned, parsed
+/// once into the digest it names. The hash names a file under the store
+/// root, so anything not shaped like a content key (a path, `..`, ...)
+/// is refused here, before the store is touched.
+fn require_module_key(params: &Value) -> Result<Digest, ServeError> {
+    digest_of(require_str(params, "module")?)
 }
 
-/// The digest a module key names, which keys the session cache.
-fn session_key(module_key: &str) -> Result<Digest, ServeError> {
-    Digest::from_hex(module_key).ok_or_else(not_a_module_hash)
+/// The digest a content key names.
+fn digest_of(hash: &str) -> Result<Digest, ServeError> {
+    Digest::from_hex(hash).ok_or_else(not_a_module_hash)
 }
 
 fn not_a_module_hash() -> ServeError {
@@ -885,4 +935,40 @@ fn f64_array(v: Option<&Value>, what: &str) -> Result<Vec<f64>, ServeError> {
                 .ok_or_else(|| ServeError::BadRequest(format!("'{what}' must hold numbers")))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A resubmitted module keeps its served entry: the module first
+    /// parsed and the slot its static stage was computed in, so the
+    /// stage is neither recomputed nor held twice.
+    #[test]
+    fn a_resubmitted_module_keeps_its_slot() {
+        let dir = std::env::temp_dir().join(format!("pt-state-resubmit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = ServerState::new(Store::open(&dir).expect("store"), 1, 4);
+        let text = crate::demo_module_text();
+        let submit = Value::obj(vec![("text", Value::str(&text))]);
+        let submitted = state.dispatch("submit_module", &submit).expect("submit");
+        let hash = submitted.get("module").and_then(Value::as_str).unwrap();
+        let key = Digest::from_hex(hash).unwrap();
+        let analyse = Value::obj(vec![
+            ("module", Value::str(hash)),
+            ("entry", Value::str("main")),
+        ]);
+        state.dispatch("static_analysis", &analyse).expect("static");
+        let served = |state: &ServerState| state.modules.lock().unwrap()[&key].clone();
+        let first = served(&state);
+        let stage = first.statics.get().expect("stage computed").clone();
+
+        state.dispatch("submit_module", &submit).expect("resubmit");
+        let again = served(&state);
+        assert!(Arc::ptr_eq(&first, &again), "the entry was replaced");
+        assert!(Arc::ptr_eq(&first.statics, &again.statics));
+        assert!(Arc::ptr_eq(&stage, again.statics.get().unwrap()));
+        assert_eq!(state.modules.lock().unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

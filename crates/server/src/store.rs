@@ -1,10 +1,10 @@
-//! The persistent content-addressed artifact store — `SessionCache` made
-//! durable.
+//! The persistent content-addressed artifact store — the in-memory static
+//! stages and responses made durable.
 //!
 //! Every artifact the service computes is cached on disk under a key
 //! derived from the *content* that produced it: module text for parsed
-//! modules, `(module, entry, config)` for static summaries,
-//! `(module, entry, config, params)` for taint-run analyses, and the full
+//! modules, `(module, config)` for static summaries,
+//! `(module, entry, config, params, policy)` for taint-run analyses, and the full
 //! canonical request for fitted models. Repeat requests — from any client,
 //! in any later process — are answered from disk without re-running the
 //! pipeline, which is sound because the whole pipeline is deterministic:
@@ -40,8 +40,8 @@ use std::time::SystemTime;
 
 /// Fingerprint of the pipeline configuration baked into every derived-key
 /// computation. The service always analyzes under the default MPI
-/// configuration (like `SessionCache`); bump this string if that default
-/// ever changes meaning, and every derived artifact re-keys itself.
+/// configuration; bump this string if that default ever changes meaning,
+/// and every derived artifact re-keys itself.
 pub const CONFIG_FINGERPRINT: &str = "mpi-default/1";
 
 /// The access-order file older servers rewrote next to the kind
@@ -78,10 +78,10 @@ pub fn is_content_key(s: &str) -> bool {
 pub enum ArtifactKind {
     /// Submitted module IR text, keyed by its own hash.
     Modules,
-    /// Static-stage summaries (§5.1), keyed by (module, entry, config).
+    /// Static-stage summaries (§5.1), keyed by (module, config).
     Statics,
     /// Full taint-run analysis summaries, keyed by
-    /// (module, entry, config, params).
+    /// (module, entry, config, params, policy).
     Analyses,
     /// Fitted Extra-P models, keyed by the canonical fit request.
     Models,
@@ -152,13 +152,13 @@ impl StoreKey {
         })
     }
 
-    /// A static-stage summary for a submitted module. `policy` is the
-    /// taint-policy name (protocol v1.4): two policies never share a
-    /// cached summary.
-    pub fn static_summary(module_hash: &str, policy: &str) -> StoreKey {
+    /// A static-stage summary for a submitted module. The static stage
+    /// reads no taint policy, so every policy shares one summary
+    /// (protocol v1.8; earlier keys folded in the policy name).
+    pub fn static_summary(module_hash: &str) -> StoreKey {
         StoreKey {
             kind: ArtifactKind::Statics,
-            hash: content_key(&["static", module_hash, CONFIG_FINGERPRINT, policy]),
+            hash: content_key(&["static", module_hash, CONFIG_FINGERPRINT]),
         }
     }
 
@@ -601,7 +601,7 @@ mod tests {
             assert_eq!(StoreKey::module_by_hash(bad), None, "{bad:?}");
         }
 
-        let statics = StoreKey::static_summary(&module.hash, "param-set");
+        let statics = StoreKey::static_summary(&module.hash);
         let analysis = StoreKey::analysis(&module.hash, "main", "{}", "param-set");
         let model = StoreKey::model(text);
         assert_eq!(statics.kind, ArtifactKind::Statics);
@@ -628,14 +628,12 @@ mod tests {
             StoreKey::analysis(&module.hash, "main", "{}", "param-set").hash,
             StoreKey::analysis(&module.hash, "other", "{}", "param-set").hash
         );
-        // Protocol v1.4: the taint policy is part of every derived key.
+        // Protocol v1.4: the taint policy is part of every analysis key.
+        // (Since v1.8 the static summary, which reads no policy, has one
+        // key per module.)
         assert_ne!(
             StoreKey::analysis(&module.hash, "main", "{}", "param-set").hash,
             StoreKey::analysis(&module.hash, "main", "{}", "security").hash
-        );
-        assert_ne!(
-            StoreKey::static_summary(&module.hash, "param-set").hash,
-            StoreKey::static_summary(&module.hash, "security").hash
         );
     }
 

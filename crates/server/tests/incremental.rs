@@ -100,6 +100,35 @@ fn cold_bytes(text: &str, tag: &str) -> String {
     summary
 }
 
+/// The static stage reads no taint policy: a taint run under `security`
+/// after a `param-set` static analysis reuses the module's stage, so the
+/// unit ledger does not move, and the process holds one stage.
+#[test]
+fn a_policy_change_reuses_the_static_stage() {
+    let dir = fresh_store_dir("policy");
+    let state = state_on(&dir);
+    let n = KERNELS as u64 + 1;
+    let (hash, _) = submit_and_static(&state, &module_text(None));
+    assert_eq!(ledger(&state), (n, 0, n));
+    let run = Value::obj(vec![
+        ("module", Value::str(&hash)),
+        ("entry", Value::str("main")),
+        ("policy", Value::str("security")),
+        ("params", Value::obj(vec![("n", Value::int(4))])),
+    ]);
+    state
+        .dispatch("taint_run", &run)
+        .expect("security taint_run");
+    assert_eq!(ledger(&state), (n, 0, n), "no unit was looked up again");
+    let stats = state.dispatch("stats", &Value::Null).expect("stats");
+    assert_eq!(
+        stats.get("session_cache").map(Value::render),
+        Some(r#"{"entries":1}"#.to_string()),
+        "one static stage for the module under both policies"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn editing_one_function_recomputes_only_its_cone_in_process() {
     let dir = fresh_store_dir("inproc");

@@ -1,6 +1,6 @@
 //! Protocol v1.4: the `policy` field end to end — a security-policy
 //! module served over the wire, with per-policy run counters and
-//! policy-salted store keys.
+//! policy-salted analysis store keys.
 
 use pt_server::{Client, Server, ServerConfig};
 use serde::json::Value;
@@ -103,7 +103,7 @@ fn security_policy_roundtrip() {
         );
     }
 
-    // --- store keys are policy-salted: warm repeats stay byte-identical
+    // --- analysis keys are policy-salted: warm repeats stay byte-identical
     // per policy and never bleed across policies.
     let warm_security = client
         .taint_run_with_policy(&module_key, "main", &params, Some("security"))

@@ -188,3 +188,98 @@ fn count_named(node: &Value, name: &str) -> usize {
         .unwrap_or(0);
     own + children
 }
+
+/// The sampled profile names each stage once, whatever the module: its
+/// per-function spans (`unit` computes, `function` exec shares) fold under
+/// their category, so a 33-function module cannot fill the stage cap and
+/// a stage first seen later (`fit`) is still recorded.
+#[test]
+fn sampled_profile_folds_per_function_spans() {
+    use pt_ir::{FunctionBuilder, Module, Type, Value as IrValue};
+    use pt_server::protocol::request_envelope;
+    use pt_server::{handle_line, ServerState, Store};
+
+    let mut m = Module::new("wide");
+    let mut kernels = Vec::new();
+    for i in 0..32 {
+        let mut b = FunctionBuilder::new(
+            format!("work_{i:02}"),
+            vec![("n".into(), Type::I64)],
+            Type::Void,
+        );
+        b.for_loop(0i64, b.param(0), 1i64, |b, _| {
+            b.call_external("pt_work_flops", vec![IrValue::int(3)], Type::Void);
+        });
+        b.ret(None);
+        kernels.push(m.add_function(b.finish()));
+    }
+    let mut b = FunctionBuilder::new("main", vec![], Type::Void);
+    let n = b.call_external("pt_param_i64", vec![IrValue::int(0)], Type::I64);
+    for &f in &kernels {
+        b.call(f, vec![n], Type::Void);
+    }
+    b.ret(None);
+    m.add_function(b.finish());
+
+    let store_dir = fresh_store_dir("sampled");
+    let state = ServerState::new(Store::open(&store_dir).expect("store"), 1, 4)
+        .with_trace_sampling(Some(1));
+    let mut id = 0;
+    let mut call = |method: &str, params: Value| {
+        id += 1;
+        let response = handle_line(&state, &request_envelope(id, method, params).render());
+        assert_eq!(
+            response.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{}",
+            response.render()
+        );
+        response.get("result").cloned().expect("result")
+    };
+    let text = pt_ir::printer::print_module(&m);
+    let submitted = call(
+        "submit_module",
+        Value::obj(vec![("text", Value::str(text))]),
+    );
+    let module = submitted.get("module").and_then(Value::as_str).unwrap();
+    let target = |extra: Vec<(&'static str, Value)>| {
+        let mut fields = vec![
+            ("module", Value::str(module)),
+            ("entry", Value::str("main")),
+        ];
+        fields.extend(extra);
+        Value::obj(fields)
+    };
+    call("static_analysis", target(vec![]));
+    call(
+        "taint_run",
+        target(vec![("params", Value::obj(vec![("n", Value::int(4))]))]),
+    );
+    call(
+        "fit_model",
+        Value::parse(
+            r#"{"param_names":["n"],"points":[
+                {"coords":[4],"reps":[4.1]},{"coords":[8],"reps":[8.0]},
+                {"coords":[16],"reps":[16.2]},{"coords":[32],"reps":[31.9]}]}"#,
+        )
+        .unwrap(),
+    );
+    let metrics = call("metrics", Value::Obj(Vec::new()));
+    let stages = metrics
+        .get("sampled_profile")
+        .and_then(|p| p.get("stages"))
+        .expect("sampled stages");
+    let names: Vec<&str> = match stages {
+        Value::Obj(fields) => fields.iter().map(|(name, _)| name.as_str()).collect(),
+        other => panic!("stages is not an object: {}", other.render()),
+    };
+    assert!(names.contains(&"fit"), "fit was dropped: {names:?}");
+    for folded in ["unit", "function"] {
+        assert!(names.contains(&folded), "{folded} missing: {names:?}");
+    }
+    assert!(
+        !names.iter().any(|name| name.contains("work_")),
+        "a per-function stage name leaked: {names:?}"
+    );
+    let _ = std::fs::remove_dir_all(&store_dir);
+}

@@ -754,7 +754,7 @@ mod tests {
         let v = b.bin(BinOp::And, b.param(0), b.param(0));
         b.ret(Some(v));
         let f = b.finish();
-        let prep = PreparedFunction::compute(&f);
+        let prep = PreparedFunction::compute(&f, &pt_analysis::dom::DomTree::dominators(&f));
         let d = decode_function(&f, &prep, &DecodeEnv::of(&Module::new("empty")));
         assert!(
             matches!(&d.blocks[0].insts[0].op, DOp::Trap { message } if message.contains("float"))

@@ -477,7 +477,7 @@ mod tests {
 
     fn decode_one(m: &Module) -> DecodedFunction {
         let f = &m.functions[0];
-        let prep = PreparedFunction::compute(f);
+        let prep = PreparedFunction::compute(f, &pt_analysis::dom::DomTree::dominators(f));
         super::super::decode_function(f, &prep, &super::super::DecodeEnv::of(m))
     }
 

@@ -381,26 +381,6 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
         }
     }
 
-    /// The pseudo [`FunctionId`] of external `name`, if it is called anywhere.
-    pub fn extern_id(&self, name: &str) -> Option<FunctionId> {
-        self.prepared
-            .decoded
-            .extern_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| FunctionId((self.module.functions.len() + i) as u32))
-    }
-
-    /// Resolve a [`FunctionId`] (internal or pseudo-external) to its name.
-    pub fn id_name(&self, id: FunctionId) -> String {
-        let n = self.module.functions.len();
-        if id.index() < n {
-            self.module.function(id).name.clone()
-        } else {
-            self.prepared.decoded.extern_names[id.index() - n].clone()
-        }
-    }
-
     /// Run `entry` with the given (untainted) integer arguments.
     ///
     /// Dispatches to one of the policy-monomorphized engines: the paper's

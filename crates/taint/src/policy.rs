@@ -5,8 +5,9 @@
 //! that hardwired choice into a policy seam with two layers:
 //!
 //! * [`PolicyKind`] — the runtime identity of a policy. It selects the
-//!   engine specialization, salts content-addressed artifact keys (two
-//!   policies must never share a cached analysis), and travels over the
+//!   engine specialization, salts the content-addressed keys of taint-run
+//!   results (two policies must never share a cached analysis; the static
+//!   stage reads no policy, so its keys name none), and travels over the
 //!   wire (protocol v1.4 `policy` field).
 //! * [`PolicyMode`] — the compile-time face of the same choice. The
 //!   interpreter's hot loops are generic over `P: PolicyMode` and branch

@@ -52,9 +52,9 @@ pub struct PreparedFunction {
 }
 
 impl PreparedFunction {
-    pub fn compute(func: &Function) -> PreparedFunction {
-        let dt = DomTree::dominators(func);
-        let forest = LoopForest::compute(func, &dt);
+    /// The facts of `func`, given its dominator tree.
+    pub fn compute(func: &Function, dominators: &DomTree) -> PreparedFunction {
+        let forest = LoopForest::compute(func, dominators);
         let postdom = DomTree::postdominators(func);
         let trip_counts = all_trip_counts(func, &forest);
 
@@ -150,7 +150,7 @@ mod tests {
         b.for_loop(0i64, 4i64, 1i64, |_, _| {});
         b.ret(None);
         let f = b.finish();
-        let p = PreparedFunction::compute(&f);
+        let p = PreparedFunction::compute(&f, &DomTree::dominators(&f));
         assert_eq!(p.forest.len(), 2);
         assert_eq!(p.back_edges.len(), 2);
         // One loop parametric, one constant.

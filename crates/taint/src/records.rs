@@ -173,19 +173,6 @@ impl TaintRecords {
             .map(|(i, _)| FunctionId(i as u32))
             .collect()
     }
-
-    /// Tainted branches where both directions were observed — candidates for
-    /// qualitative behavior changes across the modeling domain (§C2).
-    pub fn two_sided_branches(&self) -> Vec<((FunctionId, BlockId), BranchRecord)> {
-        let mut v: Vec<_> = self
-            .branches
-            .iter()
-            .filter(|(_, r)| !r.one_sided())
-            .map(|(k, r)| (*k, *r))
-            .collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
 }
 
 #[cfg(test)]

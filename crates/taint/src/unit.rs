@@ -2,7 +2,8 @@
 //!
 //! Every piece of the static stage decomposes per function:
 //!
-//! * [`PreparedFunction::compute`] is purely function-local;
+//! * [`PreparedFunction::compute`] is purely function-local (it shares the
+//!   function's dominator tree with the SSA check);
 //! * decoding needs only the module *symbol environment*
 //!   ([`DecodeEnv`]: function-name table, external table, prim table),
 //!   never another function's body;
@@ -24,6 +25,8 @@
 use crate::decode::passes::{fuse, inline_calls_in, inline_spec_of, InlineSpec, PassStats};
 use crate::decode::{decode_function, DecodeEnv, DecodedFunction, DecodedModule};
 use crate::prepared::{PreparedFunction, PreparedModule};
+use pt_analysis::dom::DomTree;
+use pt_analysis::ssa_verify::verify_ssa;
 use pt_analysis::unitkey::unit_keys;
 use pt_analysis::CallGraph;
 use pt_ir::fingerprint::Digest;
@@ -68,9 +71,10 @@ fn compute_unit(
     env: &DecodeEnv,
     specs: &[Option<Arc<InlineSpec>>],
 ) -> FunctionUnit {
-    let prepared = PreparedFunction::compute(func);
+    let dominators = DomTree::dominators(func);
+    let prepared = PreparedFunction::compute(func, &dominators);
     let mut decoded = decode_function(func, &prepared, env);
-    decoded.ssa_clean = pt_analysis::ssa_verify::verify_ssa(func).is_ok();
+    decoded.ssa_clean = verify_ssa(func, &dominators).is_ok();
 
     let _passes_span = pt_util::trace::span("taint", "passes");
     let mut stats = PassStats::default();
@@ -90,17 +94,14 @@ impl PreparedModule {
     /// Run the static stage for `module`, one [`FunctionUnit`] per
     /// function, bottom-up over the call graph.
     ///
-    /// `memo` is a unit store plus the configuration salt its keys are
-    /// computed under. With one, each unit is looked up by key and only
-    /// misses are computed (and stored); without one, no key is computed.
+    /// With a unit store `memo`, each unit is looked up by its key and
+    /// only misses are computed (and stored); without one, no key is
+    /// computed.
     /// Returns the module and how many of its units came from the memo.
-    pub fn build(
-        module: &Module,
-        memo: Option<(&dyn UnitMemo, Digest)>,
-    ) -> (PreparedModule, usize) {
+    pub fn build(module: &Module, memo: Option<&dyn UnitMemo>) -> (PreparedModule, usize) {
         let env = DecodeEnv::of(module);
         let cg = CallGraph::build(module);
-        let memo = memo.map(|(store, salt)| (store, unit_keys(module, &cg, salt).keys));
+        let memo = memo.map(|store| (store, unit_keys(module, &cg).keys));
         let n = module.functions.len();
         let mut units: Vec<Option<Arc<FunctionUnit>>> = vec![None; n];
         let mut specs: Vec<Option<Arc<InlineSpec>>> = vec![None; n];

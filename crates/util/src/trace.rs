@@ -555,12 +555,21 @@ pub fn drain_all() -> Vec<SpanEvent> {
 /// top-level-ish aggregation: every span counts under its own name, so
 /// nested stages (e.g. `fuse` inside `decode`) appear under both names.
 pub fn stage_totals_ms(events: &[SpanEvent]) -> Vec<(String, f64)> {
+    stage_totals_ms_by(events, |ev| ev.name.as_ref())
+}
+
+/// [`stage_totals_ms`] grouped by `stage(event)` instead of the span name.
+pub fn stage_totals_ms_by<'e>(
+    events: &'e [SpanEvent],
+    stage: impl Fn(&'e SpanEvent) -> &'e str,
+) -> Vec<(String, f64)> {
     let mut totals: Vec<(String, f64)> = Vec::new();
     for ev in events {
         let ms = ev.duration_nanos() as f64 / 1e6;
-        match totals.iter_mut().find(|(name, _)| name == ev.name.as_ref()) {
+        let name = stage(ev);
+        match totals.iter_mut().find(|(n, _)| n == name) {
             Some((_, t)) => *t += ms,
-            None => totals.push((ev.name.to_string(), ms)),
+            None => totals.push((name.to_string(), ms)),
         }
     }
     totals.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));

@@ -26,7 +26,7 @@ fn round_trip(seed: u64) {
     pt_ir::verify_module(&parsed)
         .unwrap_or_else(|e| panic!("seed {seed}: verifier rejected round-trip: {e:?}"));
     for f in &parsed.functions {
-        pt_analysis::ssa_verify::verify_ssa(f)
+        pt_analysis::ssa_verify::verify_ssa(f, &pt_analysis::dom::DomTree::dominators(f))
             .unwrap_or_else(|e| panic!("seed {seed}: SSA violation after round-trip: {e:?}"));
     }
     assert_eq!(

@@ -4,12 +4,27 @@
 //! as `PtError` values — never panics, never substrate error types.
 
 use perf_taint::{
-    static_summary, PolicyKind, PtError, SessionBuilder, SessionCache, StaticArtifacts,
+    static_summary, FunctionArtifactCache, PolicyKind, PtError, Session, SessionBuilder,
+    StaticArtifacts, StaticSlot,
 };
 use pt_apps::lulesh;
-use pt_ir::fingerprint::module_digest;
 use pt_ir::{Callee, Const, InstKind, Module, Value};
 use std::sync::Arc;
+
+/// A session over `m` sharing `slot` and the unit memo `units`, as a
+/// long-running caller that holds modules builds them.
+fn shared<'m>(
+    m: &'m Module,
+    entry: &str,
+    slot: &StaticSlot,
+    units: &Arc<FunctionArtifactCache>,
+) -> Session<'m> {
+    SessionBuilder::new(m, entry)
+        .policy(PolicyKind::from_env())
+        .units(units.clone())
+        .statics(slot.clone())
+        .build()
+}
 
 /// The ≥4 parameter sets the acceptance criterion calls for: a sweep over
 /// (size, p) around LULESH's representative configuration.
@@ -206,40 +221,37 @@ fn axis_mapping_cache_is_consistent_across_repeated_projections() {
 fn session_cache_shares_statics_across_sessions_and_apps() {
     let lulesh = lulesh::build();
     let milc = pt_apps::milc::build();
-    let cache = SessionCache::new();
-    assert!(cache.is_empty());
+    let units = Arc::new(FunctionArtifactCache::new());
+    let (lulesh_slot, milc_slot) = (StaticSlot::default(), StaticSlot::default());
+    assert!(lulesh_slot.get().is_none());
 
-    // Two sessions over the same module content share one static stage.
-    let s1 = cache.get_or_compute(
-        &lulesh.module,
-        module_digest(&lulesh.module),
-        &lulesh.entry,
-        PolicyKind::from_env(),
-    );
-    let s2 = cache.get_or_compute(
-        &lulesh.module,
-        module_digest(&lulesh.module),
-        &lulesh.entry,
-        PolicyKind::from_env(),
-    );
+    // Two sessions over one slot share one static stage.
+    let s1 = shared(&lulesh.module, &lulesh.entry, &lulesh_slot, &units);
+    let s2 = shared(&lulesh.module, &lulesh.entry, &lulesh_slot, &units);
     assert!(Arc::ptr_eq(&s1.static_analysis(), &s2.static_analysis()));
-    assert_eq!(cache.len(), 1);
+    assert!(lulesh_slot.get().is_some());
 
     // The whole-module slot absorbed the second request: the per-function
     // ledger shows exactly one compute pass over the module's functions.
-    let reuse = cache.unit_reuse();
+    let reuse = units.cumulative();
     assert_eq!(reuse.total, lulesh.module.functions.len());
     assert_eq!(reuse.recomputed, lulesh.module.functions.len());
 
-    // A different app gets its own entry, not the cached one.
-    let s3 = cache.get_or_compute(
-        &milc.module,
-        module_digest(&milc.module),
-        &milc.entry,
-        PolicyKind::from_env(),
-    );
+    // A different app has its own slot, not the first one's stage.
+    let s3 = shared(&milc.module, &milc.entry, &milc_slot, &units);
     assert!(!Arc::ptr_eq(&s1.static_analysis(), &s3.static_analysis()));
-    assert_eq!(cache.len(), 2);
+    assert!(milc_slot.get().is_some());
+
+    // A session under another policy over the same slot shares the stage
+    // too: the static stage reads no policy.
+    let security = SessionBuilder::new(&lulesh.module, &lulesh.entry)
+        .policy(PolicyKind::Security)
+        .statics(lulesh_slot.clone())
+        .build();
+    assert!(Arc::ptr_eq(
+        &security.static_analysis(),
+        &s1.static_analysis()
+    ));
 
     // Cached sessions still produce working analyses, and the analysis
     // carries the shared artifacts.
@@ -274,7 +286,7 @@ fn edit_one_function(m: &Module) -> Module {
 }
 
 /// The static stage has one code path. Run without a memo, against a fresh
-/// `SessionCache`, or against that cache after an edit, it yields the
+/// unit memo, or against that memo after an edit, it yields the
 /// same summary bytes, classification, pass statistics and bytecode. A
 /// memo hit shares the memoized unit: after the edit, every function whose
 /// unit key survived is the *same* allocation in both sessions, not a copy.
@@ -294,40 +306,20 @@ fn static_stage_is_identical_with_and_without_the_unit_memo() {
             let session = SessionBuilder::new(m, &app.entry).build();
             fingerprint(&session.static_analysis(), m)
         };
-        let cache = SessionCache::new();
-        let cold = cache
-            .get_or_compute(
-                &app.module,
-                module_digest(&app.module),
-                &app.entry,
-                PolicyKind::from_env(),
-            )
-            .static_analysis();
+        let units = Arc::new(FunctionArtifactCache::new());
+        let cold =
+            shared(&app.module, &app.entry, &StaticSlot::default(), &units).static_analysis();
         assert_eq!(cold.reuse.recomputed, app.module.functions.len());
         assert_eq!(fingerprint(&cold, &app.module), plain(&app.module));
 
         let edited = edit_one_function(&app.module);
-        let warm = cache
-            .get_or_compute(
-                &edited,
-                module_digest(&edited),
-                &app.entry,
-                PolicyKind::from_env(),
-            )
-            .static_analysis();
+        let warm = shared(&edited, &app.entry, &StaticSlot::default(), &units).static_analysis();
         assert!(warm.reuse.recomputed > 0, "the edited function recomputes");
         assert!(warm.reuse.reused_memory > 0, "untouched units are reused");
         assert_eq!(fingerprint(&warm, &edited), plain(&edited));
 
-        // Any fixed salt ranks keys the same way the session's does.
-        let keys = |m: &Module| {
-            unit_keys(
-                m,
-                &CallGraph::build(m),
-                pt_ir::fingerprint::digest_parts(&["salt"]),
-            )
-            .keys
-        };
+        // The keys the memo looked the units up by.
+        let keys = |m: &Module| unit_keys(m, &CallGraph::build(m)).keys;
         let (before, after) = (keys(&app.module), keys(&edited));
         let mut shared = 0;
         for fid in edited.function_ids() {

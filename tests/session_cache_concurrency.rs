@@ -1,13 +1,26 @@
-//! Concurrency contract of `perf_taint::SessionCache`: N threads racing
-//! sessions for the same module observe exactly one static-stage
+//! Concurrency contract of a shared `perf_taint::StaticSlot`: N threads
+//! racing sessions over one slot observe exactly one static-stage
 //! computation (every session holds the same `Arc<StaticArtifacts>`), and
-//! sessions for distinct modules get independent artifacts — the per-key
-//! slot design means one module's computation never blocks another's.
+//! sessions for distinct modules, each with its own slot, get independent
+//! artifacts — one module's computation never blocks another's. Every
+//! session also shares one unit memo, as a long-running service's do.
 
-use perf_taint::{PolicyKind, SessionCache};
-use pt_ir::fingerprint::module_digest;
+use perf_taint::{FunctionArtifactCache, PolicyKind, Session, SessionBuilder, StaticSlot};
 use pt_ir::{FunctionBuilder, Module, Type, Value};
 use std::sync::{Arc, Barrier};
+
+/// A session over `module` that shares `slot` and the unit memo `units`.
+fn session<'m>(
+    module: &'m Module,
+    slot: &StaticSlot,
+    units: &Arc<FunctionArtifactCache>,
+) -> Session<'m> {
+    SessionBuilder::new(module, "main")
+        .policy(PolicyKind::from_env())
+        .units(units.clone())
+        .statics(slot.clone())
+        .build()
+}
 
 /// A module with a parametric kernel (enough structure for the static
 /// stage to chew on) under the given module name.
@@ -29,7 +42,8 @@ fn app(name: &str) -> Module {
 
 #[test]
 fn racing_threads_share_one_static_stage_per_module() {
-    let cache = SessionCache::new();
+    let units = Arc::new(FunctionArtifactCache::new());
+    let slot = StaticSlot::default();
     let module = app("contended");
     const THREADS: usize = 16;
     let barrier = Barrier::new(THREADS);
@@ -37,21 +51,14 @@ fn racing_threads_share_one_static_stage_per_module() {
     let artifacts: Vec<Arc<perf_taint::StaticArtifacts>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
-                let cache = &cache;
+                let (units, slot) = (&units, &slot);
                 let module = &module;
                 let barrier = &barrier;
                 scope.spawn(move || {
                     // Line every thread up so the first-computation race is
                     // as hot as we can make it.
                     barrier.wait();
-                    cache
-                        .get_or_compute(
-                            module,
-                            module_digest(module),
-                            "main",
-                            PolicyKind::from_env(),
-                        )
-                        .static_analysis()
+                    session(module, slot, units).static_analysis()
                 })
             })
             .collect();
@@ -65,20 +72,24 @@ fn racing_threads_share_one_static_stage_per_module() {
             "a racing session recomputed the static stage"
         );
     }
-    assert_eq!(cache.len(), 1, "one module name, one cache slot");
+    // And it ran once: one unit lookup per function, all of them misses.
+    let reuse = units.cumulative();
+    assert_eq!(reuse.total, module.functions.len(), "one static stage");
+    assert_eq!(reuse.recomputed, module.functions.len());
 }
 
 #[test]
 fn distinct_modules_do_not_share_or_block() {
-    let cache = SessionCache::new();
+    let units = Arc::new(FunctionArtifactCache::new());
     let modules: Vec<Module> = (0..4).map(|i| app(&format!("app_{i}"))).collect();
+    let slots: Vec<StaticSlot> = modules.iter().map(|_| StaticSlot::default()).collect();
     const PER_MODULE: usize = 4;
     let barrier = Barrier::new(modules.len() * PER_MODULE);
 
     let artifacts: Vec<(usize, Arc<perf_taint::StaticArtifacts>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..modules.len() * PER_MODULE)
             .map(|t| {
-                let cache = &cache;
+                let (units, slots) = (&units, &slots);
                 let modules = &modules;
                 let barrier = &barrier;
                 scope.spawn(move || {
@@ -86,14 +97,7 @@ fn distinct_modules_do_not_share_or_block() {
                     barrier.wait();
                     (
                         which,
-                        cache
-                            .get_or_compute(
-                                &modules[which],
-                                module_digest(&modules[which]),
-                                "main",
-                                PolicyKind::from_env(),
-                            )
-                            .static_analysis(),
+                        session(&modules[which], &slots[which], units).static_analysis(),
                     )
                 })
             })
@@ -102,7 +106,7 @@ fn distinct_modules_do_not_share_or_block() {
     });
 
     // Within a module: one shared computation. Across modules: distinct
-    // allocations (no false sharing through the cache).
+    // allocations (no false sharing through the memo).
     for (i, a) in &artifacts {
         for (j, b) in &artifacts {
             if i == j {
@@ -112,17 +116,10 @@ fn distinct_modules_do_not_share_or_block() {
             }
         }
     }
-    assert_eq!(cache.len(), modules.len());
+    assert!(slots.iter().all(|slot| slot.get().is_some()));
 
     // And a session built *after* the race still joins the shared stage.
-    let late = cache
-        .get_or_compute(
-            &modules[0],
-            module_digest(&modules[0]),
-            "main",
-            PolicyKind::from_env(),
-        )
-        .static_analysis();
+    let late = session(&modules[0], &slots[0], &units).static_analysis();
     let first = &artifacts.iter().find(|(i, _)| *i == 0).unwrap().1;
     assert!(Arc::ptr_eq(first, &late));
 }
