@@ -4,12 +4,12 @@
 //! Extra-P model fitting) is reachable in-process through
 //! [`perf_taint::Session`]; this crate makes that amortization durable and
 //! network-reachable. `pt-server` is a long-running, multi-client TCP
-//! service speaking newline-delimited JSON ([`protocol`]); under it, a
-//! persistent content-addressed artifact [`store`] caches parsed modules,
-//! static-stage summaries, taint-run analyses, and fitted models on disk —
-//! so repeat requests skip the pipeline entirely, across clients *and*
-//! across server restarts. Effectively the in-process served-module table
-//! made durable.
+//! service speaking newline-delimited JSON ([`protocol`]). It holds each
+//! served module once, beside its static stage; a persistent
+//! content-addressed artifact [`store`] keeps submitted modules,
+//! taint-run analyses, and fitted models on disk, so repeat taint runs
+//! and fits skip the pipeline entirely, across clients *and* across
+//! server restarts.
 //!
 //! Architecture (all std, no async runtime):
 //!
@@ -368,7 +368,7 @@ pub fn handle_line(state: &ServerState, line: &str) -> Value {
     };
     let outcome = if state.sampling_due() {
         let run = state::traced(dispatch);
-        state.record_sample(run.wall.as_secs_f64() * 1e3, &run.events);
+        state.record_sample(&run.events);
         run.outcome
     } else {
         dispatch()

@@ -1,4 +1,4 @@
-//! The wire protocol: newline-delimited JSON, version 1 (revision 1.8).
+//! The wire protocol: newline-delimited JSON, version 1 (revision 1.9).
 //!
 //! One request per line, one response per line, both single JSON objects
 //! rendered compactly (the renderer escapes every control character, so a
@@ -60,9 +60,14 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// read). `session_cache.entries` keeps its name and counts the modules
 /// whose static stage the process holds; for single-policy traffic the
 /// value is unchanged.
+/// Revision 9 ("protocol v1.9") stops storing `static_analysis` summaries:
+/// the server answers them from the module's in-memory static stage, so
+/// `served_from_store` and the `store` counters no longer count them (a
+/// restarted server recomputes a module's stage on its first request).
+/// Every response keeps its shape and bytes.
 /// No other documented field changed shape; v1 clients are unaffected —
 /// the wire `v` field stays `1`.
-pub const PROTOCOL_MINOR: u64 = 8;
+pub const PROTOCOL_MINOR: u64 = 9;
 
 /// A parsed request envelope.
 #[derive(Debug, Clone)]

@@ -4,8 +4,9 @@
 //! persistent [`Store`], one table of served modules keyed by content
 //! hash, each next to the slot its static stage is computed in (at most
 //! once per module *per process*, under any policy), and the unit memo
-//! every static stage shares. The store extends that guarantee across
-//! processes at the response granularity.
+//! every static stage shares. The store keeps what a process cannot
+//! rebuild from memory: submitted modules, taint-run answers and model
+//! fits. `static_analysis` is answered from the module's slot alone.
 //!
 //! Every handler returns `Result<Value, ServeError>`; the connection layer
 //! wraps dispatch in `catch_unwind`, so a bug in a handler costs one error
@@ -103,22 +104,20 @@ struct SampledProfile {
 }
 
 impl SampledProfile {
-    fn record(&self, wall_ms: f64, events: &[SpanEvent]) {
+    /// Fold one traced request's stage totals. The root span `traced`
+    /// opens is the `request` stage: it covers the whole request.
+    fn record(&self, events: &[SpanEvent]) {
         let stages = pt_util::trace::stage_totals_ms_by(events, profile_stage);
         self.sampled.fetch_add(1, Ordering::Relaxed);
         let mut map = self.stages.lock().unwrap();
-        let mut fold = |name: &str, ms: f64| {
-            if map.len() >= MAX_PROFILE_STAGES && !map.contains_key(name) {
-                return; // bounded: never grow past the cap
+        for (name, ms) in stages {
+            if map.len() >= MAX_PROFILE_STAGES && !map.contains_key(&name) {
+                continue; // bounded: never grow past the cap
             }
-            let slot = map.entry(name.to_string()).or_default();
+            let slot = map.entry(name).or_default();
             slot.count += 1;
             slot.total_ms += ms;
             slot.max_ms = slot.max_ms.max(ms);
-        };
-        fold("request", wall_ms);
-        for (name, ms) in &stages {
-            fold(name, *ms);
         }
     }
 
@@ -290,10 +289,10 @@ impl ServerState {
         self.sampled.seen.fetch_add(1, Ordering::Relaxed) % every == 0
     }
 
-    /// Fold one sampled request's wall time and per-stage totals (from
-    /// the spans it recorded) into the bounded profile.
-    pub fn record_sample(&self, wall_ms: f64, events: &[SpanEvent]) {
-        self.sampled.record(wall_ms, events);
+    /// Fold one sampled request's per-stage totals (from the spans it
+    /// recorded) into the bounded profile.
+    pub fn record_sample(&self, events: &[SpanEvent]) {
+        self.sampled.record(events);
     }
 
     pub fn store(&self) -> &Store {
@@ -433,29 +432,25 @@ impl ServerState {
 
     // ---- static_analysis -------------------------------------------------
 
+    /// The module's static stage, computed once in its slot and shared by
+    /// every entry and policy, so a warm request touches no file and
+    /// builds no session. The entry is still validated on every request.
     fn static_analysis(&self, params: &Value) -> Result<Value, ServeError> {
         let module_key = require_module_key(params)?;
         let entry = require_str(params, "entry")?;
         let policy = policy_of(params)?;
-        // The static stage depends on neither the entry nor the policy, so
-        // the artifact is keyed by (module, config) alone — every entry
-        // and policy shares one object. The entry is still validated on
-        // every request (the module is memory-cached, so this is one map
-        // lookup on the warm path).
         let served = self.served(module_key)?;
         if served.module.function_by_name(entry).is_none() {
             return Err(ServeError::Pt(PtError::EntryNotFound {
                 entry: entry.to_string(),
             }));
         }
-        let key = StoreKey::static_summary(&module_key.hex());
-        if let Some(value) = self.stored(&key) {
-            return Ok(value);
-        }
-        let statics = self.session(&served, entry, policy).static_analysis();
-        let summary = static_summary(&statics, &served.module);
-        self.persist(&key, &summary);
-        Ok(summary)
+        let statics = match served.statics.get() {
+            Some(statics) => statics.clone(),
+            // Only a cold slot needs a session and its library database.
+            None => self.session(&served, entry, policy).static_analysis(),
+        };
+        Ok(static_summary(&statics, &served.module))
     }
 
     // ---- taint_run -------------------------------------------------------
@@ -969,6 +964,34 @@ mod tests {
         assert!(Arc::ptr_eq(&first.statics, &again.statics));
         assert!(Arc::ptr_eq(&stage, again.statics.get().unwrap()));
         assert_eq!(state.modules.lock().unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `static_analysis` is answered from the module's slot: a warm one
+    /// reads, writes and stamps nothing in the store, and the store has
+    /// no directory for static summaries.
+    #[test]
+    fn a_warm_static_analysis_does_no_store_io() {
+        let dir = std::env::temp_dir().join(format!("pt-state-warm-static-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = ServerState::new(Store::open(&dir).expect("store"), 1, 4);
+        assert!(!dir.join("statics").exists());
+        let submit = Value::obj(vec![("text", Value::str(crate::demo_module_text()))]);
+        let submitted = state.dispatch("submit_module", &submit).expect("submit");
+        let analyse = Value::obj(vec![
+            ("module", submitted.get("module").cloned().unwrap()),
+            ("entry", Value::str("main")),
+        ]);
+        let cold = state.dispatch("static_analysis", &analyse).expect("cold");
+        let before = state.store().stats();
+        let warm = state.dispatch("static_analysis", &analyse).expect("warm");
+        assert_eq!(warm.render(), cold.render());
+        assert_eq!(
+            state.store().stats(),
+            before,
+            "a warm request touched the store"
+        );
+        assert!(!dir.join("statics").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

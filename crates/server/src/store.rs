@@ -1,18 +1,22 @@
-//! The persistent content-addressed artifact store — the in-memory static
-//! stages and responses made durable.
+//! The persistent content-addressed artifact store: what a process
+//! cannot rebuild from memory, made durable.
 //!
-//! Every artifact the service computes is cached on disk under a key
-//! derived from the *content* that produced it: module text for parsed
-//! modules, `(module, config)` for static summaries,
-//! `(module, entry, config, params, policy)` for taint-run analyses, and the full
-//! canonical request for fitted models. Repeat requests — from any client,
-//! in any later process — are answered from disk without re-running the
-//! pipeline, which is sound because the whole pipeline is deterministic:
-//! a cached response is byte-identical to a fresh computation.
+//! The store holds submitted modules (the inputs of everything else),
+//! taint-run answers and model fits, each on disk under a key derived
+//! from the *content* that produced it: module text for modules,
+//! `(module, entry, config, params, policy)` for taint-run analyses, and
+//! the full canonical request for fitted models. Repeat requests — from
+//! any client, in any later process — are answered from disk without
+//! re-running the pipeline, which is sound because the whole pipeline is
+//! deterministic: a cached response is byte-identical to a fresh
+//! computation. A module's static stage is not stored: the server holds
+//! it once per module in memory, and a restarted server recomputes it.
 //!
 //! Layout: one subdirectory per [`ArtifactKind`], one file per object, the
 //! hex key as the filename. Writes go through a temp file + rename so a
-//! crashed writer never leaves a torn object for a later reader.
+//! crashed writer never leaves a torn object for a later reader. Anything
+//! else under the root (the `functions/` and `statics/` tiers and the
+//! `lru-index` file of older servers) is ignored.
 //!
 //! ## Eviction
 //!
@@ -44,10 +48,6 @@ use std::time::SystemTime;
 /// and every derived artifact re-keys itself.
 pub const CONFIG_FINGERPRINT: &str = "mpi-default/1";
 
-/// The access-order file older servers rewrote next to the kind
-/// directories on every `put`. `open` removes it and its temp files.
-const LEGACY_SIDECAR: &str = "lru-index";
-
 /// Is this file name an (in-flight or orphaned) `put` temp file?
 fn is_temp(name: &std::ffi::OsStr) -> bool {
     name.to_str().is_some_and(|n| n.contains(".tmp."))
@@ -78,8 +78,6 @@ pub fn is_content_key(s: &str) -> bool {
 pub enum ArtifactKind {
     /// Submitted module IR text, keyed by its own hash.
     Modules,
-    /// Static-stage summaries (§5.1), keyed by (module, config).
-    Statics,
     /// Full taint-run analysis summaries, keyed by
     /// (module, entry, config, params, policy).
     Analyses,
@@ -89,11 +87,10 @@ pub enum ArtifactKind {
 
 impl ArtifactKind {
     /// Every kind the store scans on open. A directory of any other name
-    /// under the root (such as the `functions/` tier older servers wrote)
-    /// is ignored.
-    pub const ALL: [ArtifactKind; 4] = [
+    /// under the root (such as the `functions/` and `statics/` tiers older
+    /// servers wrote) is ignored.
+    pub const ALL: [ArtifactKind; 3] = [
         ArtifactKind::Modules,
-        ArtifactKind::Statics,
         ArtifactKind::Analyses,
         ArtifactKind::Models,
     ];
@@ -101,23 +98,21 @@ impl ArtifactKind {
     fn dir(self) -> &'static str {
         match self {
             ArtifactKind::Modules => "modules",
-            ArtifactKind::Statics => "statics",
             ArtifactKind::Analyses => "analyses",
             ArtifactKind::Models => "models",
         }
     }
 
     /// Eviction class: lower classes are evicted before higher ones,
-    /// regardless of recency. Whole-response artifacts (analyses, models,
-    /// static summaries) are cheap to recompute one at a time and large,
-    /// so they go first; a submitted module goes last, because it is the
-    /// input of everything derived from it and, unlike the rest, cannot
-    /// be recomputed. Within a class, eviction stays strictly LRU.
+    /// regardless of recency. Whole responses (analyses, models) are
+    /// cheap to recompute one at a time and large, so they go first; a
+    /// submitted module goes last, because it is the input of everything
+    /// derived from it and, unlike the rest, cannot be recomputed. Within
+    /// a class, eviction stays strictly LRU.
     fn eviction_class(self) -> u8 {
         match self {
             ArtifactKind::Analyses | ArtifactKind::Models => 0,
-            ArtifactKind::Statics => 1,
-            ArtifactKind::Modules => 2,
+            ArtifactKind::Modules => 1,
         }
     }
 }
@@ -150,16 +145,6 @@ impl StoreKey {
             kind: ArtifactKind::Modules,
             hash: hash.to_string(),
         })
-    }
-
-    /// A static-stage summary for a submitted module. The static stage
-    /// reads no taint policy, so every policy shares one summary
-    /// (protocol v1.8; earlier keys folded in the policy name).
-    pub fn static_summary(module_hash: &str) -> StoreKey {
-        StoreKey {
-            kind: ArtifactKind::Statics,
-            hash: content_key(&["static", module_hash, CONFIG_FINGERPRINT]),
-        }
     }
 
     /// A taint-run analysis summary, keyed by everything it depends on —
@@ -270,12 +255,10 @@ impl Store {
     /// Open (creating if needed) a store rooted at `root`. Orphaned temp
     /// files from writers that died mid-`put` are swept here — they are
     /// garbage by construction (a completed put renames its temp file
-    /// away), as is the `lru-index` file older servers kept. The access
-    /// order is rebuilt from the directory scan: objects rank by their
-    /// mtime, ties broken by kind and key.
+    /// away). The access order is rebuilt from the directory scan:
+    /// objects rank by their mtime, ties broken by kind and key.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
         let root = root.into();
-        remove_legacy_sidecar(&root);
         // (mtime, namespace, key, bytes on disk)
         let mut found: Vec<(SystemTime, ArtifactKind, String, u64)> = Vec::new();
         for ns in ArtifactKind::ALL {
@@ -457,23 +440,6 @@ impl Store {
     }
 }
 
-/// Best-effort removal of the `lru-index` file an older server left in
-/// `root`, and of the temp files a sidecar write cut short left beside it.
-fn remove_legacy_sidecar(root: &Path) {
-    let Ok(entries) = fs::read_dir(root) else {
-        return;
-    };
-    for entry in entries.filter_map(Result::ok) {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else {
-            continue;
-        };
-        if name == LEGACY_SIDECAR || name.starts_with("lru-index.tmp.") {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,7 +541,7 @@ mod tests {
     fn namespaces_do_not_collide() {
         let store = temp_store("ns");
         store.put(ArtifactKind::Modules, "k", "m").unwrap();
-        assert_eq!(store.get(ArtifactKind::Statics, "k"), None);
+        assert_eq!(store.get(ArtifactKind::Analyses, "k"), None);
         assert_eq!(store.get(ArtifactKind::Modules, "k").as_deref(), Some("m"));
         let _ = fs::remove_dir_all(store.root());
     }
@@ -601,22 +567,19 @@ mod tests {
             assert_eq!(StoreKey::module_by_hash(bad), None, "{bad:?}");
         }
 
-        let statics = StoreKey::static_summary(&module.hash);
         let analysis = StoreKey::analysis(&module.hash, "main", "{}", "param-set");
         let model = StoreKey::model(text);
-        assert_eq!(statics.kind, ArtifactKind::Statics);
         assert_eq!(analysis.kind, ArtifactKind::Analyses);
         assert_eq!(model.kind, ArtifactKind::Models);
 
         let mut hashes = vec![
             module.hash.clone(),
-            statics.hash.clone(),
             analysis.hash.clone(),
             model.hash.clone(),
         ];
         hashes.sort();
         hashes.dedup();
-        assert_eq!(hashes.len(), 4, "typed keys never alias");
+        assert_eq!(hashes.len(), 3, "typed keys never alias");
 
         // Derived keys fold the config fingerprint: a config change is a
         // different object, not a stale hit.
@@ -629,8 +592,6 @@ mod tests {
             StoreKey::analysis(&module.hash, "other", "{}", "param-set").hash
         );
         // Protocol v1.4: the taint policy is part of every analysis key.
-        // (Since v1.8 the static summary, which reads no policy, has one
-        // key per module.)
         assert_ne!(
             StoreKey::analysis(&module.hash, "main", "{}", "param-set").hash,
             StoreKey::analysis(&module.hash, "main", "{}", "security").hash
@@ -875,7 +836,7 @@ mod tests {
     fn puts_write_nothing_outside_their_own_objects() {
         let store = temp_store("only-objects").with_budget(Some(200));
         for i in 0..50 {
-            let ns = ArtifactKind::ALL[i % 4];
+            let ns = ArtifactKind::ALL[i % ArtifactKind::ALL.len()];
             store.put(ns, &format!("k{i}"), &"x".repeat(10)).unwrap();
             // Under pressure the new object may already be evicted; a hit
             // (a touch) or a miss must not write anything either.
@@ -887,7 +848,7 @@ mod tests {
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         names.sort();
-        assert_eq!(names, ["analyses", "models", "modules", "statics"]);
+        assert_eq!(names, ["analyses", "models", "modules"]);
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -904,18 +865,24 @@ mod tests {
     }
 
     #[test]
-    fn open_removes_a_legacy_sidecar_and_its_temp_files() {
+    fn open_ignores_what_older_servers_left_behind() {
         let dir = std::env::temp_dir().join(format!("pt-store-test-{}-legacy", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        for tier in ["functions", "statics"] {
+            fs::create_dir_all(dir.join(tier)).unwrap();
+            fs::write(dir.join(tier).join("k"), "{}").unwrap();
+        }
         fs::write(dir.join("lru-index"), "0 analyses 2 a\n").unwrap();
-        fs::write(dir.join("lru-index.tmp.1.0"), "partial").unwrap();
-        fs::write(dir.join("notes.txt"), "not ours").unwrap();
-        let store = Store::open(&dir).unwrap();
-        assert!(!dir.join("lru-index").exists());
-        assert!(!dir.join("lru-index.tmp.1.0").exists());
-        assert!(dir.join("notes.txt").exists(), "other files are left alone");
+        let store = Store::open(&dir).unwrap().with_budget(Some(0));
         assert_eq!(store.total_objects(), 0);
+        assert_eq!(store.total_bytes(), 0);
+        assert_eq!(store.stats().evictions, 0);
+        for left in ["functions/k", "statics/k", "lru-index"] {
+            assert!(
+                dir.join(left).exists(),
+                "{left} is not the store's to touch"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

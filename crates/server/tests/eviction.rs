@@ -21,10 +21,10 @@ fn fresh_store_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Total object bytes on disk (excluding the advisory sidecar and any
-/// in-flight temp files) — the quantity the budget bounds.
+/// Total object bytes on disk (excluding any in-flight temp files) — the
+/// quantity the budget bounds.
 fn object_bytes_on_disk(root: &Path) -> u64 {
-    ["modules", "statics", "analyses", "models"]
+    ["modules", "analyses", "models"]
         .iter()
         .filter_map(|ns| std::fs::read_dir(root.join(ns)).ok())
         .flatten()

@@ -1,10 +1,10 @@
 //! Function-granular incremental analysis through the server: editing one
 //! function of a 20-function module recomputes only that function's cone
-//! (the function plus its callers) within one process. Units are not
-//! persisted, so after a restart an edit recomputes the whole module,
-//! while unchanged modules are still answered from the response store.
-//! The served static summary is byte-identical to a cold recompute every
-//! time.
+//! (the function plus its callers) within one process. Neither units nor
+//! static summaries are persisted, so after a restart the first module
+//! analysed recomputes every unit, and each later one only what the memo
+//! does not hold yet. The served static summary is byte-identical to a
+//! cold recompute every time.
 
 use pt_server::{ServerState, Store};
 use serde::json::Value;
@@ -82,15 +82,6 @@ fn ledger(state: &ServerState) -> (u64, u64, u64) {
     (field("total"), field("reused_memory"), field("recomputed"))
 }
 
-/// The number of responses `stats` reports as served from the store.
-fn served_from_store(state: &ServerState) -> u64 {
-    let stats = state.dispatch("stats", &Value::Null).expect("stats");
-    stats
-        .get("served_from_store")
-        .and_then(Value::as_u64)
-        .expect("served_from_store")
-}
-
 /// What a process that has never seen any of this would serve: a fresh
 /// state over a fresh store. The incremental answers must match its bytes.
 fn cold_bytes(text: &str, tag: &str) -> String {
@@ -157,16 +148,16 @@ fn editing_one_function_recomputes_only_its_cone_in_process() {
 }
 
 #[test]
-fn restarted_server_recomputes_edits_and_serves_stored_responses() {
+fn restarted_server_recomputes_statics_against_its_unit_memo() {
     let dir = fresh_store_dir("restart");
-    let n = KERNELS + 1;
+    let n = KERNELS as u64 + 1;
 
-    // First process: compute and persist the base module's responses.
+    // First process: submit and analyse the base module.
     let base = module_text(None);
     {
         let state = state_on(&dir);
         submit_and_static(&state, &base);
-        assert_eq!(ledger(&state), (n as u64, 0, n as u64));
+        assert_eq!(ledger(&state), (n, 0, n));
     }
 
     // Second process, same store, an edit it has never analyzed: units
@@ -175,19 +166,24 @@ fn restarted_server_recomputes_edits_and_serves_stored_responses() {
     let restarted = state_on(&dir);
     let (_, edit_summary) = submit_and_static(&restarted, &edited);
     let after_edit = ledger(&restarted);
-    assert_eq!(after_edit, (n as u64, 0, n as u64));
+    assert_eq!(after_edit, (n, 0, n));
 
     // Byte-identical to what a never-cached process would serve.
     assert_eq!(edit_summary, cold_bytes(&edited, "restart-cold"));
 
-    // Resubmitting the *base* module costs nothing at all: process one
-    // persisted its whole static summary, so the response store answers
-    // before the per-function cache is even consulted — the ledger does
-    // not move, and the bytes still match a cold process.
-    let served = served_from_store(&restarted);
+    // Resubmitting the *base* module recomputes its stage, but only the
+    // base's cone of the edit, {work_03, main}: every other unit comes
+    // from the memo the edit filled. The bytes still match a cold process.
     let (_, base_summary) = submit_and_static(&restarted, &base);
-    assert_eq!(served_from_store(&restarted), served + 1);
-    assert_eq!(ledger(&restarted), after_edit);
+    let (total, mem, recomputed) = ledger(&restarted);
+    assert_eq!(
+        (
+            total - after_edit.0,
+            mem - after_edit.1,
+            recomputed - after_edit.2
+        ),
+        (n, n - 2, 2)
+    );
     assert_eq!(base_summary, cold_bytes(&base, "restart-cold2"));
     let _ = std::fs::remove_dir_all(&dir);
 }

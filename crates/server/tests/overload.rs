@@ -145,7 +145,7 @@ fn saturating_load_sheds_with_retry_hint_while_admitted_requests_complete() {
     let mut client = Client::connect(addr).expect("connect for metrics");
     let metrics = client.metrics().expect("metrics");
     assert_eq!(get(&metrics, &["protocol"]).as_u64(), Some(1));
-    assert_eq!(get(&metrics, &["protocol_minor"]).as_u64(), Some(8));
+    assert_eq!(get(&metrics, &["protocol_minor"]).as_u64(), Some(9));
     assert!(get(&metrics, &["uptime_seconds"]).as_f64().unwrap() > 0.0);
     // Shed requests never reach dispatch, so the taint_run histogram holds
     // exactly the requests that were admitted and served.
@@ -179,7 +179,7 @@ fn saturating_load_sheds_with_retry_hint_while_admitted_requests_complete() {
     let stats = client.stats().expect("stats");
     assert!(get(&stats, &["uptime_seconds"]).as_f64().unwrap() > 0.0);
     assert!(get(&stats, &["queue_depth"]).as_i64().unwrap() >= 0);
-    assert_eq!(get(&stats, &["protocol_minor"]).as_u64(), Some(8));
+    assert_eq!(get(&stats, &["protocol_minor"]).as_u64(), Some(9));
 
     client.shutdown().expect("shutdown");
     handle.join().expect("serve loop exits");

@@ -281,5 +281,19 @@ fn sampled_profile_folds_per_function_spans() {
         !names.iter().any(|name| name.contains("work_")),
         "a per-function stage name leaked: {names:?}"
     );
+    // Each sampled request's root span is its one `request` stage.
+    let sampled = metrics
+        .get("sampled_profile")
+        .and_then(|p| p.get("requests_sampled"))
+        .and_then(Value::as_u64)
+        .expect("requests_sampled");
+    assert_eq!(
+        stages
+            .get("request")
+            .and_then(|r| r.get("count"))
+            .and_then(Value::as_u64),
+        Some(sampled),
+        "the request stage is counted once per sampled request"
+    );
     let _ = std::fs::remove_dir_all(&store_dir);
 }
