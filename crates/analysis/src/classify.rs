@@ -15,7 +15,6 @@ use crate::callgraph::CallGraph;
 use crate::loops::LoopForest;
 use crate::scev::TripCount;
 use pt_ir::{Callee, FunctionId, InstKind, Module};
-use std::collections::HashSet;
 
 /// Why a function was kept (not statically pruned).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,13 +86,14 @@ impl StaticClassification {
 /// Classify every function of `module`. `loops(f)` yields function `f`'s
 /// loop forest and trip counts: the static stage already derives them for
 /// the taint run, so classification reads those facts instead of
-/// recomputing them. `relevant_externals` is the library database's set
-/// of performance-relevant external symbols (§5.3) — e.g. every `MPI_*`
-/// routine and the work-charging intrinsics.
+/// recomputing them. `is_relevant(name)` asks the library database
+/// (§5.3) whether the external symbol `name` is performance-relevant:
+/// the MPI routines whose cost depends on the implicit parameter `p` or
+/// on a message count, not the environment queries.
 pub fn classify_module<'a>(
     module: &Module,
     loops: impl Fn(FunctionId) -> (&'a LoopForest, &'a [TripCount]),
-    relevant_externals: &HashSet<String>,
+    is_relevant: impl Fn(&str) -> bool,
 ) -> StaticClassification {
     let _span = pt_util::trace::span("analysis", "classify");
     let n = module.functions.len();
@@ -131,7 +131,7 @@ pub fn classify_module<'a>(
                 ..
             } = &inst.kind
             {
-                if relevant_externals.contains(name) {
+                if is_relevant(name) {
                     keep(KeepReason::RelevantExternal(name.clone()));
                 }
             }
@@ -172,11 +172,8 @@ mod tests {
     use crate::scev::all_trip_counts;
     use pt_ir::{FunctionBuilder, Type, Value};
 
-    fn relevant() -> HashSet<String> {
-        ["MPI_Allreduce", "pt_work_flops"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+    fn relevant(name: &str) -> bool {
+        ["MPI_Allreduce", "pt_work_flops"].contains(&name)
     }
 
     fn classify(m: &Module) -> StaticClassification {
@@ -192,7 +189,7 @@ mod tests {
         classify_module(
             m,
             |f| (&facts[f.index()].0, &facts[f.index()].1[..]),
-            &relevant(),
+            relevant,
         )
     }
 

@@ -9,13 +9,13 @@
 //! `size` (`size_dep_*`, 0/1) and how many parameters it holds
 //! (`deps_*`). The printed verdict is derived from the same values.
 //!
-//! The ablated sessions use custom pipeline configurations, so they are
-//! built directly (bypassing the context's session cache, whose artifacts
-//! assume the default configuration).
+//! The ablated sessions use custom interpreter configurations, so they
+//! are built directly (bypassing the context's memoized analysis, which
+//! assumes the default configuration).
 
 use super::{outln, Scenario, ScenarioCtx, ScenarioResult};
-use perf_taint::{PipelineConfig, PtError, SessionBuilder};
-use pt_taint::CtlFlowPolicy;
+use perf_taint::{PtError, SessionBuilder};
+use pt_taint::{CtlFlowPolicy, InterpConfig};
 
 pub struct AblationCtlflow;
 
@@ -51,10 +51,12 @@ impl Scenario for AblationCtlflow {
             CtlFlowPolicy::StoresOnly,
             CtlFlowPolicy::All,
         ] {
-            let mut cfg = PipelineConfig::with_mpi_defaults();
-            cfg.interp.policy = policy;
+            let interp = InterpConfig {
+                policy,
+                ..InterpConfig::default()
+            };
             let session = SessionBuilder::new(&app.module, &app.entry)
-                .config(cfg)
+                .interp(interp)
                 .build();
             let analysis = session.taint_run(app.taint_run_params())?;
             let key = match policy {

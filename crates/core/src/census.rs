@@ -3,6 +3,7 @@
 use crate::volume::DepStructure;
 use pt_analysis::classify::StaticClassification;
 use pt_ir::{Callee, FunctionId, InstKind, Module};
+use pt_mpisim::libdb;
 use pt_taint::prepared::PreparedModule;
 use pt_taint::{ParamSet, TaintRecords};
 use serde::{Deserialize, Serialize};
@@ -30,7 +31,6 @@ pub fn classify_kinds(
     module: &Module,
     classification: &StaticClassification,
     records: &TaintRecords,
-    db: &pt_mpisim::LibraryDb,
 ) -> Vec<FuncKind> {
     module
         .function_ids()
@@ -39,7 +39,7 @@ pub fn classify_kinds(
                 FuncKind::ConstantStatic
             } else if !records.executed[f.index()] {
                 FuncKind::ConstantDynamic
-            } else if calls_relevant_mpi(module, f, db) {
+            } else if calls_relevant_mpi(module, f) {
                 FuncKind::Comm
             } else {
                 FuncKind::Kernel
@@ -48,14 +48,14 @@ pub fn classify_kinds(
         .collect()
 }
 
-fn calls_relevant_mpi(module: &Module, f: FunctionId, db: &pt_mpisim::LibraryDb) -> bool {
+fn calls_relevant_mpi(module: &Module, f: FunctionId) -> bool {
     module.function(f).insts.iter().any(|i| {
         matches!(
             &i.kind,
             InstKind::Call {
                 callee: Callee::External(name),
                 ..
-            } if name.starts_with("MPI_") && db.is_relevant(name)
+            } if libdb::is_relevant(name)
         )
     })
 }
@@ -232,7 +232,7 @@ mod tests {
     use super::*;
     use crate::session::SessionBuilder;
     use pt_ir::{FunctionBuilder, Type, Value};
-    use pt_mpisim::{LibraryDb, MachineConfig, MpiHandler};
+    use pt_mpisim::{MachineConfig, MpiHandler};
     use pt_taint::{InterpConfig, Interpreter};
 
     fn test_module() -> Module {
@@ -276,7 +276,6 @@ mod tests {
     #[test]
     fn kinds_and_table2() {
         let m = test_module();
-        let db = LibraryDb::mpi_default();
         let statics = SessionBuilder::new(&m, "main").build().static_analysis();
         let handler = MpiHandler::new(MachineConfig::default().with_ranks(4));
         let out = Interpreter::new(
@@ -289,7 +288,7 @@ mod tests {
         .run_named("main", &[])
         .unwrap();
 
-        let kinds = classify_kinds(&m, &statics.classification, &out.records, &db);
+        let kinds = classify_kinds(&m, &statics.classification, &out.records);
         assert_eq!(kinds[0], FuncKind::ConstantStatic, "getter");
         assert_eq!(kinds[1], FuncKind::Kernel, "kernel");
         assert_eq!(kinds[2], FuncKind::Comm, "comm");
@@ -317,7 +316,6 @@ mod tests {
     #[test]
     fn table3_counts_param_coverage() {
         let m = test_module();
-        let db = LibraryDb::mpi_default();
         let statics = SessionBuilder::new(&m, "main").build().static_analysis();
         let handler = MpiHandler::new(MachineConfig::default().with_ranks(4));
         let out = Interpreter::new(
@@ -329,8 +327,8 @@ mod tests {
         )
         .run_named("main", &[])
         .unwrap();
-        let kinds = classify_kinds(&m, &statics.classification, &out.records, &db);
-        let deps = crate::deps::extract_deps(&m, &statics.prepared, &out.records, &out.labels, &db);
+        let kinds = classify_kinds(&m, &statics.classification, &out.records);
+        let deps = crate::deps::extract_deps(&m, &statics.prepared, &out.records, &out.labels);
         let names: Vec<String> = out.labels.param_names().to_vec();
         let t3 = table3(
             &m,

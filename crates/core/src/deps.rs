@@ -15,10 +15,30 @@
 
 use crate::volume::DepStructure;
 use pt_ir::{Callee, FunctionId, InstKind, Module};
-use pt_mpisim::LibraryDb;
+use pt_mpisim::libdb::{self, Routine};
 use pt_taint::prepared::PreparedModule;
 use pt_taint::{LabelTable, ParamSet, TaintRecords};
 use std::collections::BTreeMap;
+
+/// The §5.3 monomial of calling `routine`: `{p}` when its cost depends on
+/// the implicit parameter `p` (index `p`, if marked), united with the
+/// labels `args()` observed on its arguments when it takes a message count.
+fn library_monomial(
+    routine: &Routine,
+    p: Option<usize>,
+    args: impl FnOnce() -> ParamSet,
+) -> ParamSet {
+    let mut monomial = ParamSet::EMPTY;
+    if routine.cost_depends_on_p {
+        if let Some(p) = p {
+            monomial = monomial.union(ParamSet::single(p));
+        }
+    }
+    if routine.has_count {
+        monomial = monomial.union(args());
+    }
+    monomial
+}
 
 /// Extract the dependency structure of every function.
 pub fn extract_deps(
@@ -26,7 +46,6 @@ pub fn extract_deps(
     prepared: &PreparedModule,
     records: &TaintRecords,
     labels: &LabelTable,
-    db: &LibraryDb,
 ) -> BTreeMap<FunctionId, DepStructure> {
     let mut out: BTreeMap<FunctionId, DepStructure> = BTreeMap::new();
     for f in module.function_ids() {
@@ -60,18 +79,13 @@ pub fn extract_deps(
                 ..
             } = &inst.kind
             {
-                let Some(entry) = db.get(name) else { continue };
-                let mut monomial = ParamSet::EMPTY;
-                if !entry.implicit_params.is_empty() {
-                    if let Some(p) = p_idx {
-                        monomial = monomial.union(ParamSet::single(p));
-                    }
-                }
-                if entry.count_arg.is_some() {
-                    if let Some(args) = records.extern_args.get(&(f, name.clone())) {
-                        monomial = monomial.union(*args);
-                    }
-                }
+                let Some(routine) = libdb::lookup(name) else {
+                    continue;
+                };
+                let monomial = library_monomial(routine, p_idx, || {
+                    let args = records.extern_args.get(&(f, name.clone()));
+                    args.copied().unwrap_or(ParamSet::EMPTY)
+                });
                 if !monomial.is_empty() {
                     lib_monomials.push(monomial);
                 }
@@ -93,27 +107,20 @@ pub fn extern_deps(
     module: &Module,
     records: &TaintRecords,
     labels: &LabelTable,
-    db: &LibraryDb,
 ) -> BTreeMap<String, DepStructure> {
     let p_idx = labels.param_index("p");
     let mut out = BTreeMap::new();
     for name in module.used_externals() {
-        let Some(entry) = db.get(name) else {
+        let Some(routine) = libdb::lookup(name) else {
             continue;
         };
-        let mut monomial = ParamSet::EMPTY;
-        if !entry.implicit_params.is_empty() {
-            if let Some(p) = p_idx {
-                monomial = monomial.union(ParamSet::single(p));
-            }
-        }
-        if entry.count_arg.is_some() {
-            for ((_, ext), args) in &records.extern_args {
-                if ext == name {
-                    monomial = monomial.union(*args);
-                }
-            }
-        }
+        let monomial = library_monomial(routine, p_idx, || {
+            records
+                .extern_args
+                .iter()
+                .filter(|((_, ext), _)| ext == name)
+                .fold(ParamSet::EMPTY, |acc, (_, args)| acc.union(*args))
+        });
         let dep = if monomial.is_empty() {
             DepStructure::constant()
         } else {
@@ -171,8 +178,7 @@ mod tests {
         .run_named("main", &[])
         .unwrap();
 
-        let db = LibraryDb::mpi_default();
-        let deps = extract_deps(&m, &prepared, &out.records, &out.labels, &db);
+        let deps = extract_deps(&m, &prepared, &out.records, &out.labels);
         let kernel = m.function_by_name("kernel").unwrap();
         let halo = m.function_by_name("halo").unwrap();
         let size_idx = out.labels.param_index("size").unwrap();
@@ -187,7 +193,7 @@ mod tests {
         assert!(hd.depends_on(size_idx));
         assert!(hd.has_multiplicative());
 
-        let ext = extern_deps(&m, &out.records, &out.labels, &db);
+        let ext = extern_deps(&m, &out.records, &out.labels);
         assert!(ext["MPI_Send"].depends_on(p_idx));
         assert!(ext["MPI_Send"].depends_on(size_idx));
         // Environment queries have constant cost (§B1).
@@ -212,13 +218,7 @@ mod tests {
         let out = Interpreter::new(&m, &prepared, handler, vec![], InterpConfig::default())
             .run_named("main", &[])
             .unwrap();
-        let deps = extract_deps(
-            &m,
-            &prepared,
-            &out.records,
-            &out.labels,
-            &LibraryDb::mpi_default(),
-        );
+        let deps = extract_deps(&m, &prepared, &out.records, &out.labels);
         assert!(deps[&getter].is_constant());
     }
 }

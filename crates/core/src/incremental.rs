@@ -9,8 +9,8 @@
 //! ([`pt_analysis::unitkey`]): the structural digest of the function's
 //! body ([`pt_ir::fingerprint`]), its strongly connected component, its
 //! out-of-component callees' keys and the module symbol environment. No
-//! unit reads the taint policy or the library database, so neither is in
-//! a key: sessions under every policy share one memo's units.
+//! unit reads the taint policy, so no key names one: sessions under every
+//! policy share one memo's units.
 //!
 //! [`FunctionArtifactCache`] is the memo `build` consults. It keeps
 //! one unit per key in memory, so re-analyzing a module after editing one
@@ -96,10 +96,10 @@ impl UnitMemo for FunctionArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PipelineConfig;
     use crate::session::{SessionBuilder, StaticArtifacts};
     use pt_ir::{FunctionBuilder, FunctionId, Module, Type, Value as IrValue};
     use pt_taint::policy::PolicyKind;
+    use pt_taint::InterpConfig;
 
     /// leaf (inlinable) ← kernel (parametric loop) ← main; ping ↔ pong
     /// mutual recursion; `konst` parameterizes the leaf body so tests can
@@ -140,24 +140,25 @@ mod tests {
     /// with no memo at all).
     fn stage(
         m: &Module,
-        config: &PipelineConfig,
+        config: &InterpConfig,
         cache: Option<&Arc<FunctionArtifactCache>>,
     ) -> Arc<StaticArtifacts> {
-        let mut builder = SessionBuilder::new(m, "main").config(config.clone());
+        let mut builder = SessionBuilder::new(m, "main").interp(config.clone());
         if let Some(cache) = cache {
             builder = builder.units(cache.clone());
         }
         builder.build().static_analysis()
     }
 
-    fn config(policy: PolicyKind) -> PipelineConfig {
-        let mut config = PipelineConfig::with_mpi_defaults();
-        config.interp.taint = Some(policy);
-        config
+    fn config(policy: PolicyKind) -> InterpConfig {
+        InterpConfig {
+            taint: Some(policy),
+            ..InterpConfig::default()
+        }
     }
 
     /// A memoized stage must equal the memo-less stage, byte for byte.
-    fn assert_statics_identical(warm: &StaticArtifacts, module: &Module, config: &PipelineConfig) {
+    fn assert_statics_identical(warm: &StaticArtifacts, module: &Module, config: &InterpConfig) {
         let cold = stage(module, config, None);
         assert_eq!(
             format!("{:?}", warm.classification),
@@ -196,27 +197,6 @@ mod tests {
         assert_eq!(cache.cumulative().total, 15);
     }
 
-    /// The relevant-externals set feeds only the classification, which is
-    /// recomputed every time: changing it reuses every unit and still
-    /// reclassifies.
-    #[test]
-    fn relevant_set_change_reuses_units_and_reclassifies() {
-        let cache = Arc::new(FunctionArtifactCache::new());
-        let m = app(3);
-        let cfg = config(PolicyKind::default());
-        let main = m.function_by_name("main").unwrap();
-        let barrier = |s: &StaticArtifacts| {
-            format!("{:?}", s.classification.class(main)).contains("MPI_Barrier")
-        };
-        assert!(barrier(&stage(&m, &cfg, Some(&cache))));
-        let mut fewer = cfg.clone();
-        fewer.db.functions.remove("MPI_Barrier");
-        let warm = stage(&m, &fewer, Some(&cache));
-        assert_eq!(warm.reuse.reused_memory, 5, "no unit reads the set");
-        assert_statics_identical(&warm, &m, &fewer);
-        assert!(!barrier(&warm), "main no longer keeps MPI_Barrier");
-    }
-
     /// The static stage reads no taint policy, so a session under another
     /// policy is served every unit from the memo, and its stage equals a
     /// memo-less one under that policy.
@@ -232,7 +212,7 @@ mod tests {
         assert_eq!(other.reuse.recomputed, 0);
         assert_statics_identical(&other, &m, &security);
         let mut measure = config(PolicyKind::ParamSet);
-        measure.interp.taint = None;
+        measure.taint = None;
         let warm = stage(&m, &measure, Some(&cache));
         assert_eq!(warm.reuse.reused_memory, 5, "measurement mode too");
         assert_eq!(cache.cumulative().recomputed, 5);

@@ -63,7 +63,6 @@
 //! * [`design`] — experiment-design reduction (§A2).
 //! * [`hybrid`] — the restricted PMNF modeler and black-box comparison (§B1).
 //! * [`validate`] — contention (§C1) and segmentation (§C2) detection.
-//! * [`pipeline`] — [`PipelineConfig`].
 //! * [`report`] — text rendering of every artifact.
 //!
 //! The substrates live in sibling crates: `pt-ir` (the compiler IR),
@@ -78,7 +77,6 @@ pub mod design;
 pub mod error;
 pub mod hybrid;
 pub mod incremental;
-pub mod pipeline;
 pub mod report;
 pub mod session;
 pub mod validate;
@@ -89,7 +87,6 @@ pub use design::{design_experiments, DesignReport};
 pub use error::PtError;
 pub use hybrid::{compare_against_truth, model_functions, FunctionModel, ModelComparison};
 pub use incremental::{FunctionArtifactCache, ReuseStats};
-pub use pipeline::PipelineConfig;
 pub use report::{
     analysis_summary, static_summary, BenchReport, RunStatus, ScenarioRecord, BENCH_SCHEMA_VERSION,
 };

@@ -2,10 +2,10 @@
 //!
 //! The pipeline is explicitly staged — static analysis → dynamic taint run
 //! → dependency extraction — and the static stage depends only on the
-//! module and the library database, not on parameter values or the taint
-//! policy. A [`Session`] owns that observation: it memoizes the static
-//! artifacts ([`StaticArtifacts`]: the §5.1 classification and the
-//! precomputed per-function facts) and lets any number of taint runs —
+//! module, not on parameter values or the taint policy. A [`Session`]
+//! owns that observation: it memoizes the static artifacts
+//! ([`StaticArtifacts`]: the §5.1 classification and the precomputed
+//! per-function facts) and lets any number of taint runs —
 //! sequential via [`Session::taint_run`] or fanned across threads via
 //! [`Session::analyze_batch`] — share them, and sessions over one module
 //! may share them too through a [`StaticSlot`]. Related systems lean on
@@ -14,7 +14,7 @@
 //! once and reuses it.
 //!
 //! ```
-//! use perf_taint::{SessionBuilder, PipelineConfig};
+//! use perf_taint::SessionBuilder;
 //! # use pt_ir::{FunctionBuilder, Module, Type, Value};
 //! # let mut m = Module::new("doc");
 //! # let mut b = FunctionBuilder::new("main", vec![], Type::Void);
@@ -35,19 +35,18 @@ use crate::census::{classify_kinds, table2, table3, FuncKind, Table2, Table3};
 use crate::deps::{extern_deps, extract_deps};
 use crate::error::PtError;
 use crate::incremental::{FunctionArtifactCache, ReuseStats};
-use crate::pipeline::PipelineConfig;
 use crate::validate::BranchObservations;
 use crate::volume::DepStructure;
 use pt_analysis::classify::{classify_module, StaticClassification};
 use pt_extrap::Restriction;
 use pt_ir::parser::{Base, Reparsed};
 use pt_ir::{FunctionId, Module};
-use pt_mpisim::MpiHandler;
+use pt_mpisim::{libdb, MachineConfig, MpiHandler};
 use pt_taint::prepared::PreparedModule;
 use pt_taint::unit::UnitMemo;
-use pt_taint::{Interpreter, LabelTable, PolicyKind, TaintRecords};
-use std::collections::{BTreeMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock};
+use pt_taint::{InterpConfig, Interpreter, LabelTable, PolicyKind, TaintRecords};
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// Parse textual IR into a verified [`Module`]. A syntax error is
 /// [`PtError::Parse`]; text that parses but fails
@@ -100,20 +99,21 @@ pub struct StaticArtifacts {
 /// A module's static stage, computed at most once by whichever session
 /// asks first and then shared by every session holding the slot.
 ///
-/// The stage depends only on the module and the library database, never
-/// on parameter values or the taint policy, so sessions over the same
-/// module (under any policy, with the same database) may share one
-/// slot: pass it to [`SessionBuilder::statics`]. `OnceLock` makes
+/// The stage depends only on the module, never on parameter values or the
+/// taint policy, so sessions over the same module (under any policy) may
+/// share one slot: pass it to [`SessionBuilder::statics`]. `OnceLock` makes
 /// concurrent first callers wait for one computation. A plain session
 /// gets a fresh slot of its own.
 pub type StaticSlot = Arc<OnceLock<Arc<StaticArtifacts>>>;
 
-/// Builder for a [`Session`]. Defaults to the MPI library database and
-/// machine ([`PipelineConfig::with_mpi_defaults`]).
+/// Builder for a [`Session`]. Taint runs use the MPI library database
+/// ([`pt_mpisim::libdb`]) and the default machine
+/// ([`MachineConfig::default`]), whose rank count follows the `p`
+/// parameter when present.
 pub struct SessionBuilder<'m> {
     module: &'m Module,
     entry: String,
-    config: PipelineConfig,
+    interp: InterpConfig,
     units: Option<Arc<FunctionArtifactCache>>,
     statics: StaticSlot,
 }
@@ -123,24 +123,24 @@ impl<'m> SessionBuilder<'m> {
         SessionBuilder {
             module,
             entry: entry.into(),
-            config: PipelineConfig::with_mpi_defaults(),
+            interp: InterpConfig::default(),
             units: None,
             statics: StaticSlot::default(),
         }
     }
 
-    /// Replace the whole pipeline configuration.
-    pub fn config(mut self, config: PipelineConfig) -> SessionBuilder<'m> {
-        self.config = config;
+    /// Replace the interpreter configuration the session's taint runs use
+    /// (default: [`InterpConfig::default`]).
+    pub fn interp(mut self, interp: InterpConfig) -> SessionBuilder<'m> {
+        self.interp = interp;
         self
     }
 
     /// Select the taint policy the session's runs execute under (see
-    /// [`pt_taint::policy`]). Shorthand for setting
-    /// [`PipelineConfig::interp`]'s `taint` to `Some(policy)`; the default
-    /// is [`PolicyKind::from_env`].
+    /// [`pt_taint::policy`]). Shorthand for setting [`InterpConfig::taint`]
+    /// to `Some(policy)`; the default is [`PolicyKind::from_env`].
     pub fn policy(mut self, policy: PolicyKind) -> SessionBuilder<'m> {
-        self.config.interp.taint = Some(policy);
+        self.interp.taint = Some(policy);
         self
     }
 
@@ -154,7 +154,7 @@ impl<'m> SessionBuilder<'m> {
 
     /// Share `slot`'s static stage: computed by the first session over it
     /// that asks, reused by every other. The slot must belong to this
-    /// module and library database (see [`StaticSlot`]).
+    /// module (see [`StaticSlot`]).
     pub fn statics(mut self, slot: StaticSlot) -> SessionBuilder<'m> {
         self.statics = slot;
         self
@@ -164,7 +164,7 @@ impl<'m> SessionBuilder<'m> {
         Session {
             module: self.module,
             entry: self.entry,
-            config: self.config,
+            interp: self.interp,
             units: self.units,
             statics: self.statics,
         }
@@ -176,7 +176,7 @@ impl<'m> SessionBuilder<'m> {
 pub struct Session<'m> {
     module: &'m Module,
     entry: String,
-    config: PipelineConfig,
+    interp: InterpConfig,
     units: Option<Arc<FunctionArtifactCache>>,
     statics: StaticSlot,
 }
@@ -188,10 +188,6 @@ impl<'m> Session<'m> {
 
     pub fn entry(&self) -> &str {
         &self.entry
-    }
-
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
     }
 
     /// Stage 1 (§5.1): classification + precomputed facts, memoized.
@@ -207,15 +203,13 @@ impl<'m> Session<'m> {
                 let _decode = pt_util::trace::span("taint", "decode");
                 let memo = self.units.as_deref().map(|cache| cache as &dyn UnitMemo);
                 let (prepared, reused) = PreparedModule::build(self.module, memo);
-                let relevant: HashSet<String> =
-                    self.config.db.relevant_names().map(String::from).collect();
                 let classification = classify_module(
                     self.module,
                     |f| {
                         let facts = prepared.func(f);
                         (&facts.forest, &facts.trip_counts[..])
                     },
-                    &relevant,
+                    libdb::is_relevant,
                 );
                 let total = self.module.functions.len();
                 Arc::new(StaticArtifacts {
@@ -251,16 +245,13 @@ impl<'m> Session<'m> {
         let statics = self.static_analysis();
 
         // The machine's rank count follows the `p` parameter when present.
-        let mut machine = self.config.machine.clone();
+        let mut machine = MachineConfig::default();
         if let Some((_, p)) = params.iter().find(|(n, _)| n == "p") {
             machine.ranks = u32::try_from(*p).ok().filter(|&r| r > 0).ok_or_else(|| {
                 PtError::Config(format!(
                     "parameter p must be a positive rank count, got {p}"
                 ))
             })?;
-        }
-        if machine.ranks == 0 {
-            return Err(PtError::Config("machine has zero ranks".into()));
         }
         let ranks = machine.ranks;
         let handler = MpiHandler::new(machine);
@@ -269,7 +260,7 @@ impl<'m> Session<'m> {
             &statics.prepared,
             handler,
             params,
-            self.config.interp.clone(),
+            self.interp.clone(),
         );
         let exec_span = pt_util::trace::span("session", "exec");
         let t_exec = std::time::Instant::now();
@@ -324,20 +315,9 @@ impl<'m> Session<'m> {
         }
         drop(exec_span);
 
-        let deps = extract_deps(
-            self.module,
-            &statics.prepared,
-            &out.records,
-            &out.labels,
-            &self.config.db,
-        );
-        let ext_deps = extern_deps(self.module, &out.records, &out.labels, &self.config.db);
-        let kinds = classify_kinds(
-            self.module,
-            &statics.classification,
-            &out.records,
-            &self.config.db,
-        );
+        let deps = extract_deps(self.module, &statics.prepared, &out.records, &out.labels);
+        let ext_deps = extern_deps(self.module, &out.records, &out.labels);
+        let kinds = classify_kinds(self.module, &statics.classification, &out.records);
         let t2 = table2(
             self.module,
             &statics.prepared,
@@ -357,7 +337,6 @@ impl<'m> Session<'m> {
             labels: out.labels,
             taint_run_time: out.time,
             taint_run_core_hours: out.time * ranks as f64 / 3600.0,
-            axis_cache: Mutex::new(Vec::new()),
         })
     }
 
@@ -379,10 +358,6 @@ impl<'m> Session<'m> {
     }
 }
 
-/// Pairs of `(app-parameter index, model-axis index)` shared through the
-/// per-`Analysis` projection cache.
-type AxisMapping = Arc<Vec<(usize, usize)>>;
-
 /// Everything one taint run learned about the program, on top of the
 /// session's shared static artifacts.
 pub struct Analysis {
@@ -403,9 +378,6 @@ pub struct Analysis {
     pub taint_run_time: f64,
     /// Core-hours spent on the taint run (§A3 accounting).
     pub taint_run_core_hours: f64,
-    /// Memoized app-parameter → model-axis mappings, keyed by the
-    /// `model_params` vector they were computed for.
-    axis_cache: Mutex<Vec<(Vec<String>, AxisMapping)>>,
 }
 
 impl std::fmt::Debug for Analysis {
@@ -435,23 +407,14 @@ impl Analysis {
         self.param_names.iter().position(|p| p == name)
     }
 
-    /// The mapping from app-parameter indices to model-axis indices,
-    /// memoized per `model_params` (every projection method needs it, and
-    /// harnesses call those in tight loops over the same axes).
-    fn axis_mapping(&self, model_params: &[String]) -> AxisMapping {
-        let mut cache = self.axis_cache.lock().unwrap();
-        if let Some((_, mapping)) = cache.iter().find(|(key, _)| key == model_params) {
-            return mapping.clone();
-        }
-        let mapping: AxisMapping = Arc::new(
-            model_params
-                .iter()
-                .enumerate()
-                .filter_map(|(axis, name)| self.param_index(name).map(|app| (app, axis)))
-                .collect(),
-        );
-        cache.push((model_params.to_vec(), mapping.clone()));
-        mapping
+    /// The `(app-parameter index, model-axis index)` pairs of the marked
+    /// parameters among `model_params`.
+    fn axis_mapping(&self, model_params: &[String]) -> Vec<(usize, usize)> {
+        model_params
+            .iter()
+            .enumerate()
+            .filter_map(|(axis, name)| self.param_index(name).map(|app| (app, axis)))
+            .collect()
     }
 
     /// Per-function search-space restrictions for the hybrid modeler,
@@ -554,5 +517,177 @@ impl Analysis {
             &self.param_names,
             pair,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pt_ir::{FunctionBuilder, Type, Value};
+
+    /// The one-shot form: a throwaway session and one taint run.
+    fn analyze(
+        module: &Module,
+        entry: &str,
+        params: Vec<(String, i64)>,
+    ) -> Result<Analysis, PtError> {
+        SessionBuilder::new(module, entry).build().taint_run(params)
+    }
+
+    fn tiny_app() -> Module {
+        let mut m = Module::new("tiny");
+        let mut b = FunctionBuilder::new("getter", vec![("d".into(), Type::Ptr)], Type::I64);
+        let v = b.load(b.param(0), Type::I64);
+        b.ret(Some(v));
+        m.add_function(b.finish());
+        let mut b = FunctionBuilder::new("kernel", vec![("n".into(), Type::I64)], Type::Void);
+        b.for_loop(0i64, b.param(0), 1i64, |b, _| {
+            b.call_external("pt_work_flops", vec![Value::int(5)], Type::Void);
+        });
+        b.ret(None);
+        let kernel = m.add_function(b.finish());
+        let mut b = FunctionBuilder::new("comm", vec![("n".into(), Type::I64)], Type::Void);
+        b.call_external("MPI_Allreduce", vec![b.param(0)], Type::Void);
+        b.ret(None);
+        let comm = m.add_function(b.finish());
+        let mut b = FunctionBuilder::new("main", vec![], Type::Void);
+        let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+        let pslot = b.alloca(1i64);
+        b.call_external("MPI_Comm_size", vec![pslot], Type::Void);
+        let slot = b.alloca(1i64);
+        b.store(slot, Value::int(7));
+        b.call(kernel, vec![n], Type::Void);
+        b.call(comm, vec![n], Type::Void);
+        b.ret(None);
+        m.add_function(b.finish());
+        m
+    }
+
+    #[test]
+    fn end_to_end_analysis() {
+        let m = tiny_app();
+        let analysis = analyze(&m, "main", vec![("size".into(), 6), ("p".into(), 4)]).unwrap();
+
+        assert_eq!(analysis.param_names, vec!["size", "p"]);
+        let kernel = m.function_by_name("kernel").unwrap();
+        let comm = m.function_by_name("comm").unwrap();
+        let getter = m.function_by_name("getter").unwrap();
+        assert_eq!(analysis.kinds[kernel.index()], FuncKind::Kernel);
+        assert_eq!(analysis.kinds[comm.index()], FuncKind::Comm);
+        assert_eq!(analysis.kinds[getter.index()], FuncKind::ConstantStatic);
+
+        // Restrictions projected onto ["p", "size"]: kernel → size only.
+        let model_params = vec!["p".to_string(), "size".to_string()];
+        let r = analysis.restrictions(&m, &model_params);
+        assert!(r["getter"].forbids_everything());
+        assert!(r["kernel"].allows_mask(0b10), "kernel may use size");
+        assert!(!r["kernel"].allows_mask(0b01), "kernel must not use p");
+        // comm calls MPI with a size-tainted count → {p, size}.
+        assert!(r["comm"].allows_mask(0b11));
+        assert!(r["MPI_Allreduce"].allows_mask(0b11));
+        // Environment queries are constant (§B1's MPI_Comm_rank finding).
+        assert!(r["MPI_Comm_size"].forbids_everything());
+
+        // Global structure: multiplicative (comm's {p·size}).
+        let global = analysis.global_deps(&model_params);
+        assert!(global.has_multiplicative());
+
+        // Instrumentation list: kernel + comm + main.
+        let relevant = analysis.relevant_functions(&m);
+        assert!(relevant.contains(&"kernel".to_string()));
+        assert!(relevant.contains(&"comm".to_string()));
+        assert!(relevant.contains(&"main".to_string()));
+        assert!(!relevant.contains(&"getter".to_string()));
+
+        // Census sanity.
+        assert_eq!(analysis.table2.pruned_static, 1);
+        assert_eq!(analysis.table2.kernels, 2);
+        assert_eq!(analysis.table2.comm_routines, 1);
+        assert!(analysis.taint_run_core_hours > 0.0);
+    }
+
+    #[test]
+    fn machine_ranks_follow_p_parameter() {
+        let m = tiny_app();
+        let analysis = analyze(&m, "main", vec![("size".into(), 2), ("p".into(), 16)]).unwrap();
+        // core-hours = time × 16 ranks; just verify the plumbing ran.
+        assert!(analysis.taint_run_core_hours > 0.0);
+        assert_eq!(analysis.param_index("p"), Some(1));
+    }
+
+    #[test]
+    fn user_errors_surface_as_pt_error_not_panics() {
+        let m = tiny_app();
+        // Unknown entry: named in the error, no panic.
+        let err = analyze(&m, "no_such_entry", vec![]).unwrap_err();
+        assert_eq!(
+            err,
+            crate::PtError::EntryNotFound {
+                entry: "no_such_entry".into()
+            }
+        );
+        // Nonsensical rank counts: Config errors (zero, and u32 overflow —
+        // never a silent truncation).
+        let err = analyze(&m, "main", vec![("p".into(), 0)]).unwrap_err();
+        assert!(matches!(err, crate::PtError::Config(_)), "{err}");
+        let err = analyze(&m, "main", vec![("p".into(), u32::MAX as i64 + 2)]).unwrap_err();
+        assert!(matches!(err, crate::PtError::Config(_)), "{err}");
+    }
+
+    /// Each row of the library database, called once from a `main` that
+    /// also loops over `n` (so it is never pruned), with a count tainted by
+    /// `n` (or a pointer, for the environment queries): the handler
+    /// resolves the row, the static stage keeps `main` for it and `main`
+    /// is a communication routine exactly when the row is relevant, and the
+    /// routine's own dependency structure holds `p` exactly when its cost
+    /// depends on `p` and `n` exactly when it takes a count.
+    #[test]
+    fn every_library_routine_resolves_classifies_and_depends_as_its_row_says() {
+        use pt_analysis::classify::{FunctionClass, KeepReason};
+        use pt_mpisim::{CostModel, MPI_ROUTINES};
+        use pt_taint::{ExternalHandler, ParamSet};
+        let handler = MpiHandler::new(MachineConfig::default());
+        for row in &MPI_ROUTINES {
+            assert!(handler.resolve(row.name).is_some(), "{}", row.name);
+            let mut m = Module::new("one_call");
+            let mut b = FunctionBuilder::new("main", vec![], Type::Void);
+            let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+            let slot = b.alloca(1i64);
+            let arg = match row.cost {
+                CostModel::CommSize | CostModel::CommRank => slot,
+                _ => n,
+            };
+            b.call_external(row.name, vec![arg], Type::Void);
+            b.for_loop(0i64, n, 1i64, |b, _| {
+                b.call_external("pt_work_flops", vec![Value::int(1)], Type::Void);
+            });
+            b.ret(None);
+            let main = m.add_function(b.finish());
+
+            let params = vec![("n".into(), 3), ("p".into(), 4)];
+            let analysis = analyze(&m, "main", params).unwrap();
+            let FunctionClass::PotentiallyParametric(reasons) =
+                analysis.classification().class(main)
+            else {
+                panic!("main loops over n");
+            };
+            let kept_for_row = reasons.contains(&KeepReason::RelevantExternal(row.name.into()));
+            assert_eq!(kept_for_row, row.is_relevant(), "{}", row.name);
+            let comm = analysis.kinds[main.index()] == FuncKind::Comm;
+            assert_eq!(comm, row.is_relevant(), "{}", row.name);
+            let mut monomial = ParamSet::EMPTY;
+            if row.cost_depends_on_p {
+                monomial = monomial.union(ParamSet::single(1));
+            }
+            if row.has_count {
+                monomial = monomial.union(ParamSet::single(0));
+            }
+            let expected = if monomial.is_empty() {
+                DepStructure::constant()
+            } else {
+                DepStructure::from_monomials(vec![monomial])
+            };
+            assert_eq!(analysis.extern_deps[row.name], expected, "{}", row.name);
+        }
     }
 }

@@ -1,18 +1,18 @@
 //! The production [`ExternalHandler`]: resolves MPI routines against the
-//! analytical cost models and the library database, and charges work
-//! primitives against the machine model (including memory contention, §C1).
+//! library database's rows and their analytical cost models, and charges
+//! work primitives against the machine model (including memory contention,
+//! §C1).
 //!
 //! Message counts are in 8-byte words (the IR's word size).
 
 use crate::comm;
 use crate::config::MachineConfig;
-use crate::libdb::{LibraryDb, TaintEffect};
+use crate::libdb::{CostModel, Routine, MPI_ROUTINES};
 use pt_taint::{work_cost, ExternResult, ExternalHandler, HostCtx, TVal};
 
 /// MPI + work-primitive handler over a simulated machine.
 pub struct MpiHandler {
     pub config: MachineConfig,
-    pub db: LibraryDb,
     /// Values printed via `pt_print_i64` (inspectable by tests).
     pub printed: Vec<i64>,
 }
@@ -21,13 +21,62 @@ impl MpiHandler {
     pub fn new(config: MachineConfig) -> MpiHandler {
         MpiHandler {
             config,
-            db: LibraryDb::mpi_default(),
             printed: Vec::new(),
         }
     }
 
     fn bytes(words: i64) -> usize {
         (words.max(0) as usize) * 8
+    }
+
+    /// Charge one call of a library routine.
+    fn call_routine(
+        &self,
+        routine: &Routine,
+        args: &[TVal],
+        ctx: &mut HostCtx<'_>,
+    ) -> ExternResult {
+        let cfg = &self.config;
+        let count = || Self::bytes(args.first().map_or(0, |a| a.as_i64()));
+        let pointer = || {
+            args.first()
+                .map(|a| a.as_addr())
+                .ok_or_else(|| format!("{} needs a pointer argument", routine.name))
+        };
+        let t = match routine.cost {
+            // ---- MPI environment ---------------------------------------
+            CostModel::CommSize => {
+                let addr = pointer()?;
+                let mut val = TVal::from_i64(cfg.ranks as i64);
+                // A source of the implicit parameter `p` (§5.3).
+                if ctx.taint && routine.writes_p {
+                    val = val.with_label(ctx.labels.base_label("p"));
+                }
+                ctx.mem.store(addr, val).map_err(|e| e.to_string())?;
+                50e-9
+            }
+            CostModel::CommRank => {
+                let addr = pointer()?;
+                ctx.mem
+                    .store(addr, TVal::from_i64(cfg.rank as i64))
+                    .map_err(|e| e.to_string())?;
+                50e-9
+            }
+
+            // ---- point-to-point ----------------------------------------
+            CostModel::P2p if cfg.ranks <= 1 => 0.0,
+            CostModel::P2p => comm::p2p(cfg, count()),
+            CostModel::Waitall => 100e-9,
+
+            // ---- collectives -------------------------------------------
+            CostModel::Barrier => comm::barrier(cfg),
+            CostModel::Allreduce => comm::allreduce(cfg, count()),
+            CostModel::Reduce => comm::reduce(cfg, count()),
+            CostModel::Bcast => comm::bcast(cfg, count()),
+            CostModel::Allgather => comm::allgather(cfg, count()),
+            CostModel::Gather => comm::gather(cfg, count()),
+        };
+        Ok((TVal::UNTAINTED_ZERO, t))
     }
 }
 
@@ -38,16 +87,8 @@ mod token {
     pub const WORK_FLOPS: u32 = 0;
     pub const WORK_MEM: u32 = 1;
     pub const PRINT_I64: u32 = 2;
-    pub const COMM_SIZE: u32 = 3;
-    pub const COMM_RANK: u32 = 4;
-    pub const P2P: u32 = 5;
-    pub const WAITALL: u32 = 6;
-    pub const BARRIER: u32 = 7;
-    pub const ALLREDUCE: u32 = 8;
-    pub const REDUCE: u32 = 9;
-    pub const BCAST: u32 = 10;
-    pub const ALLGATHER: u32 = 11;
-    pub const GATHER: u32 = 12;
+    /// Row `i` of [`crate::MPI_ROUTINES`] resolves to `FIRST_ROUTINE + i`.
+    pub const FIRST_ROUTINE: u32 = 3;
 }
 
 impl ExternalHandler for MpiHandler {
@@ -63,24 +104,15 @@ impl ExternalHandler for MpiHandler {
             "pt_work_flops" => token::WORK_FLOPS,
             "pt_work_mem" => token::WORK_MEM,
             "pt_print_i64" => token::PRINT_I64,
-            "MPI_Comm_size" => token::COMM_SIZE,
-            "MPI_Comm_rank" => token::COMM_RANK,
-            // The four point-to-point routines share one cost model.
-            "MPI_Send" | "MPI_Recv" | "MPI_Isend" | "MPI_Irecv" => token::P2P,
-            "MPI_Waitall" => token::WAITALL,
-            "MPI_Barrier" => token::BARRIER,
-            "MPI_Allreduce" => token::ALLREDUCE,
-            "MPI_Reduce" => token::REDUCE,
-            "MPI_Bcast" => token::BCAST,
-            "MPI_Allgather" => token::ALLGATHER,
-            "MPI_Gather" => token::GATHER,
-            _ => return None,
+            _ => {
+                let row = MPI_ROUTINES.iter().position(|r| r.name == name)?;
+                token::FIRST_ROUTINE + row as u32
+            }
         })
     }
 
     fn call_token(&mut self, tok: u32, args: &[TVal], ctx: &mut HostCtx<'_>) -> ExternResult {
         let cfg = &self.config;
-        let arg_i64 = |i: usize| args.get(i).map(|a| a.as_i64()).unwrap_or(0);
         match tok {
             // ---- work primitives --------------------------------------
             token::WORK_FLOPS => Ok((TVal::UNTAINTED_ZERO, work_cost(args, cfg.flop_time))),
@@ -90,76 +122,13 @@ impl ExternalHandler for MpiHandler {
                 Ok((TVal::UNTAINTED_ZERO, work_cost(args, rate)))
             }
             token::PRINT_I64 => {
-                self.printed.push(arg_i64(0));
+                self.printed.push(args.first().map_or(0, |a| a.as_i64()));
                 Ok((TVal::UNTAINTED_ZERO, 0.0))
             }
-
-            // ---- MPI environment ---------------------------------------
-            token::COMM_SIZE => {
-                let addr = args
-                    .first()
-                    .ok_or("MPI_Comm_size needs a pointer argument")?
-                    .as_addr();
-                let mut val = TVal::from_i64(cfg.ranks as i64);
-                // Library database: this routine is a source of the implicit
-                // parameter `p` (§5.3).
-                if ctx.taint {
-                    if let Some(entry) = self.db.get("MPI_Comm_size") {
-                        if let TaintEffect::WritesImplicitParam { arg: 0 } = entry.effect {
-                            let label = ctx.labels.base_label("p");
-                            val = val.with_label(label);
-                        }
-                    }
-                }
-                ctx.mem.store(addr, val).map_err(|e| e.to_string())?;
-                Ok((TVal::UNTAINTED_ZERO, 50e-9))
+            _ => {
+                let row = &MPI_ROUTINES[(tok - token::FIRST_ROUTINE) as usize];
+                self.call_routine(row, args, ctx)
             }
-            token::COMM_RANK => {
-                let addr = args
-                    .first()
-                    .ok_or("MPI_Comm_rank needs a pointer argument")?
-                    .as_addr();
-                ctx.mem
-                    .store(addr, TVal::from_i64(cfg.rank as i64))
-                    .map_err(|e| e.to_string())?;
-                Ok((TVal::UNTAINTED_ZERO, 50e-9))
-            }
-
-            // ---- point-to-point ----------------------------------------
-            token::P2P => {
-                let t = if cfg.ranks <= 1 {
-                    0.0
-                } else {
-                    comm::p2p(cfg, Self::bytes(arg_i64(0)))
-                };
-                Ok((TVal::UNTAINTED_ZERO, t))
-            }
-            token::WAITALL => Ok((TVal::UNTAINTED_ZERO, 100e-9)),
-
-            // ---- collectives -------------------------------------------
-            token::BARRIER => Ok((TVal::UNTAINTED_ZERO, comm::barrier(cfg))),
-            token::ALLREDUCE => Ok((
-                TVal::UNTAINTED_ZERO,
-                comm::allreduce(cfg, Self::bytes(arg_i64(0))),
-            )),
-            token::REDUCE => Ok((
-                TVal::UNTAINTED_ZERO,
-                comm::reduce(cfg, Self::bytes(arg_i64(0))),
-            )),
-            token::BCAST => Ok((
-                TVal::UNTAINTED_ZERO,
-                comm::bcast(cfg, Self::bytes(arg_i64(0))),
-            )),
-            token::ALLGATHER => Ok((
-                TVal::UNTAINTED_ZERO,
-                comm::allgather(cfg, Self::bytes(arg_i64(0))),
-            )),
-            token::GATHER => Ok((
-                TVal::UNTAINTED_ZERO,
-                comm::gather(cfg, Self::bytes(arg_i64(0))),
-            )),
-
-            _ => unreachable!("token not produced by resolve()"),
         }
     }
 

@@ -1,138 +1,150 @@
-//! The performance-critical library database (§5.3 of the paper).
+//! The performance-critical library database (§5.3 of the paper), as one
+//! static table.
 //!
 //! Loop-based kernels are not the only channel through which parameters
 //! affect performance: communication and synchronization routines depend on
 //! (1) exchanged tainted values, (2) explicitly passed parameters, and (3)
 //! parameters hidden inside the library runtime — above all the size of the
-//! global communicator, the implicit parameter `p`. The database declares,
-//! per routine:
+//! global communicator, the implicit parameter `p`. Each row of
+//! [`MPI_ROUTINES`] names one routine and records:
 //!
-//! * which *implicit parameters* its cost depends on (`p` for every
-//!   collective and point-to-point routine),
-//! * which argument is a *message count* whose taint labels become
-//!   additional parametric dependencies of the call site,
-//! * whether the routine is a *taint source* (e.g. `MPI_Comm_size` writes a
-//!   `p`-labeled value through its pointer argument).
+//! * the analytical [`CostModel`] the [`crate::MpiHandler`] charges it with,
+//! * whether its cost depends on `p` (every collective and point-to-point
+//!   routine),
+//! * whether it takes a *message count*, whose taint labels become
+//!   additional parametric dependencies of the call site (both engines
+//!   record every argument's labels, so the argument's position is not
+//!   needed),
+//! * whether it is a *taint source* of `p`: the communicator-size query
+//!   writes a `p`-labeled value through its pointer argument, while its
+//!   own cost stays constant.
+//!
+//! Every reader — the handler, the static classification, the census and
+//! dependency extraction — looks routines up here; nothing is allocated.
 
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// What a library routine does to taint when called.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TaintEffect {
-    /// No taint interaction.
-    None,
-    /// Writes a value labeled with the implicit parameter through the
-    /// pointer in argument `arg`.
-    WritesImplicitParam { arg: usize },
+/// The analytical cost model a routine is charged with (see [`crate::comm`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CostModel {
+    /// Writes the rank count through the pointer argument.
+    CommSize,
+    /// Writes the representative rank through the pointer argument.
+    CommRank,
+    /// Hockney point-to-point transfer of the count argument's words.
+    P2p,
+    /// Completion of outstanding requests: a fixed charge.
+    Waitall,
+    Barrier,
+    Allreduce,
+    Reduce,
+    Bcast,
+    Allgather,
+    Gather,
 }
 
-/// Database entry for one library routine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LibFn {
-    /// Implicit parameters the routine's cost depends on (names).
-    pub implicit_params: Vec<String>,
-    /// Index of the message-count argument, if any: the taint labels of
-    /// this argument become parametric dependencies of the call (§5.3).
-    pub count_arg: Option<usize>,
-    /// Taint source behavior.
-    pub effect: TaintEffect,
+/// One row of the library database.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Routine {
+    pub name: &'static str,
+    pub cost: CostModel,
+    /// The routine's cost depends on the implicit parameter `p`.
+    pub cost_depends_on_p: bool,
+    /// The routine takes a message count: the labels observed on its
+    /// arguments become parametric dependencies of the call (§5.3).
+    pub has_count: bool,
+    /// The routine writes a `p`-labeled value through its pointer argument.
+    pub writes_p: bool,
 }
 
-/// The library database: routine name → entry.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LibraryDb {
-    pub functions: HashMap<String, LibFn>,
+impl Routine {
+    /// Is this routine performance-relevant? Callers of a relevant routine
+    /// are never pruned (§5.1) and count as communication routines.
+    pub fn is_relevant(&self) -> bool {
+        self.cost_depends_on_p || self.has_count
+    }
 }
 
-impl LibraryDb {
-    /// The MPI database shipped with Perf-Taint: the routines used by the
-    /// mini-applications, with `p` as the implicit communicator-size
-    /// parameter.
-    pub fn mpi_default() -> LibraryDb {
-        let mut functions = HashMap::new();
-        let dep_p_count = |count_arg: usize| LibFn {
-            implicit_params: vec!["p".into()],
-            count_arg: Some(count_arg),
-            effect: TaintEffect::None,
-        };
-        functions.insert("MPI_Send".into(), dep_p_count(0));
-        functions.insert("MPI_Recv".into(), dep_p_count(0));
-        functions.insert("MPI_Isend".into(), dep_p_count(0));
-        functions.insert("MPI_Irecv".into(), dep_p_count(0));
-        functions.insert("MPI_Allreduce".into(), dep_p_count(0));
-        functions.insert("MPI_Reduce".into(), dep_p_count(0));
-        functions.insert("MPI_Bcast".into(), dep_p_count(0));
-        functions.insert("MPI_Allgather".into(), dep_p_count(0));
-        functions.insert("MPI_Gather".into(), dep_p_count(0));
-        functions.insert(
-            "MPI_Barrier".into(),
-            LibFn {
-                implicit_params: vec!["p".into()],
-                count_arg: None,
-                effect: TaintEffect::None,
-            },
-        );
-        functions.insert(
-            "MPI_Waitall".into(),
-            LibFn {
-                implicit_params: vec![],
-                count_arg: None,
-                effect: TaintEffect::None,
-            },
-        );
-        // MPI_Comm_size is a taint *source* (it writes a p-labeled value),
-        // but its own cost is constant — like MPI_Comm_rank, the §B1
-        // functions black-box modeling gets wrong under noise.
-        functions.insert(
-            "MPI_Comm_size".into(),
-            LibFn {
-                implicit_params: vec![],
-                count_arg: None,
-                effect: TaintEffect::WritesImplicitParam { arg: 0 },
-            },
-        );
-        functions.insert(
-            "MPI_Comm_rank".into(),
-            LibFn {
-                implicit_params: vec![],
-                count_arg: None,
-                effect: TaintEffect::None,
-            },
-        );
-        LibraryDb { functions }
+/// A routine whose cost depends on `p` and on a message count.
+const fn counted(name: &'static str, cost: CostModel) -> Routine {
+    Routine {
+        name,
+        cost,
+        cost_depends_on_p: true,
+        has_count: true,
+        writes_p: false,
     }
+}
 
-    pub fn get(&self, name: &str) -> Option<&LibFn> {
-        self.functions.get(name)
+/// A routine of constant cost.
+const fn constant(name: &'static str, cost: CostModel) -> Routine {
+    Routine {
+        name,
+        cost,
+        cost_depends_on_p: false,
+        has_count: false,
+        writes_p: false,
     }
+}
 
-    /// Is this routine known to be performance-relevant? (Feeds the static
-    /// classification: callers of such routines are never pruned, §5.1.)
-    pub fn is_relevant(&self, name: &str) -> bool {
-        self.functions
-            .get(name)
-            .map(|f| !f.implicit_params.is_empty() || f.count_arg.is_some())
-            .unwrap_or(false)
-    }
+/// The MPI database shipped with Perf-Taint: the routines the
+/// mini-applications use, with `p` as the implicit communicator-size
+/// parameter.
+pub static MPI_ROUTINES: [Routine; 13] = [
+    counted("MPI_Send", CostModel::P2p),
+    counted("MPI_Recv", CostModel::P2p),
+    counted("MPI_Isend", CostModel::P2p),
+    counted("MPI_Irecv", CostModel::P2p),
+    counted("MPI_Allreduce", CostModel::Allreduce),
+    counted("MPI_Reduce", CostModel::Reduce),
+    counted("MPI_Bcast", CostModel::Bcast),
+    counted("MPI_Allgather", CostModel::Allgather),
+    counted("MPI_Gather", CostModel::Gather),
+    Routine {
+        has_count: false,
+        ..counted("MPI_Barrier", CostModel::Barrier)
+    },
+    constant("MPI_Waitall", CostModel::Waitall),
+    // The taint source has constant cost, like the rank query: the §B1
+    // functions black-box modeling gets wrong under noise.
+    Routine {
+        writes_p: true,
+        ..constant("MPI_Comm_size", CostModel::CommSize)
+    },
+    constant("MPI_Comm_rank", CostModel::CommRank),
+];
 
-    /// All performance-relevant routine names (for
-    /// `pt_analysis::classify_module`).
-    pub fn relevant_names(&self) -> impl Iterator<Item = &str> {
-        self.functions
-            .iter()
-            .filter(|(_, f)| !f.implicit_params.is_empty() || f.count_arg.is_some())
-            .map(|(n, _)| n.as_str())
-    }
+/// The row of the routine called `name`, if the database knows it.
+pub fn lookup(name: &str) -> Option<&'static Routine> {
+    MPI_ROUTINES.iter().find(|r| r.name == name)
+}
+
+/// Is `name` a performance-relevant routine (see [`Routine::is_relevant`])?
+/// Unknown symbols are not.
+pub fn is_relevant(name: &str) -> bool {
+    lookup(name).is_some_and(Routine::is_relevant)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Relevance is the `p`-or-count rule, row by row; [`lookup`] finds
+    /// each row itself (a repeated name would hide its second row); and
+    /// unknown symbols are irrelevant.
+    #[test]
+    fn relevance_classification() {
+        for (i, row) in MPI_ROUTINES.iter().enumerate() {
+            let found = lookup(row.name).expect("every row is found");
+            assert!(std::ptr::eq(found, row), "{} is row {i}", row.name);
+            let relevant = row.cost_depends_on_p || row.has_count;
+            assert_eq!(is_relevant(row.name), relevant, "{}", row.name);
+        }
+        assert_eq!(lookup("pt_print_i64"), None);
+        assert!(!is_relevant("pt_print_i64"), "unknown symbols irrelevant");
+    }
+
+    /// Every routine the mini-applications call has a row.
     #[test]
     fn default_db_covers_used_routines() {
-        let db = LibraryDb::mpi_default();
         for name in [
             "MPI_Send",
             "MPI_Recv",
@@ -143,38 +155,28 @@ mod tests {
             "MPI_Comm_rank",
             "MPI_Allgather",
         ] {
-            assert!(db.get(name).is_some(), "{name} missing");
+            assert!(lookup(name).is_some(), "{name} missing");
         }
     }
 
-    #[test]
-    fn comm_size_is_a_taint_source_with_constant_cost() {
-        let db = LibraryDb::mpi_default();
-        let f = db.get("MPI_Comm_size").unwrap();
-        assert_eq!(f.effect, TaintEffect::WritesImplicitParam { arg: 0 });
-        assert!(f.implicit_params.is_empty(), "cost is p-independent");
-        assert!(!db.is_relevant("MPI_Comm_size"));
-    }
-
-    #[test]
-    fn relevance_classification() {
-        let db = LibraryDb::mpi_default();
-        assert!(db.is_relevant("MPI_Allreduce"));
-        assert!(db.is_relevant("MPI_Barrier"));
-        assert!(!db.is_relevant("MPI_Comm_rank"), "rank query is constant");
-        assert!(
-            !db.is_relevant("pt_print_i64"),
-            "unknown symbols irrelevant"
-        );
-        let names: Vec<&str> = db.relevant_names().collect();
-        assert!(names.contains(&"MPI_Send"));
-        assert!(!names.contains(&"MPI_Comm_rank"));
-    }
-
+    /// Data-moving routines take a message count; synchronisation and
+    /// queries do not.
     #[test]
     fn count_args_recorded() {
-        let db = LibraryDb::mpi_default();
-        assert_eq!(db.get("MPI_Send").unwrap().count_arg, Some(0));
-        assert_eq!(db.get("MPI_Barrier").unwrap().count_arg, None);
+        assert!(lookup("MPI_Send").unwrap().has_count);
+        assert!(lookup("MPI_Allreduce").unwrap().has_count);
+        assert!(!lookup("MPI_Barrier").unwrap().has_count);
+        assert!(!lookup("MPI_Comm_size").unwrap().has_count);
+    }
+
+    /// One routine writes `p`, the communicator-size query, and its own
+    /// cost is constant.
+    #[test]
+    fn comm_size_is_a_taint_source_with_constant_cost() {
+        let sources: Vec<&Routine> = MPI_ROUTINES.iter().filter(|r| r.writes_p).collect();
+        assert_eq!(sources.len(), 1);
+        assert_eq!(sources[0].cost, CostModel::CommSize);
+        assert!(!sources[0].cost_depends_on_p, "cost is p-independent");
+        assert!(!sources[0].is_relevant());
     }
 }

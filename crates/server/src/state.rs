@@ -447,7 +447,7 @@ impl ServerState {
         }
         let statics = match served.statics.get() {
             Some(statics) => statics.clone(),
-            // Only a cold slot needs a session and its library database.
+            // Only a cold slot needs a session.
             None => self.session(&served, entry, policy).static_analysis(),
         };
         Ok(static_summary(&statics, &served.module))
@@ -681,9 +681,29 @@ impl ServerState {
         Value::obj(vec![("entries", Value::int(entries as i64))])
     }
 
-    fn stats(&self) -> Result<Value, ServeError> {
+    /// The store's counters, as `stats` and `metrics` both report them.
+    fn store_fields(&self) -> Vec<(&'static str, Value)> {
         let store = self.store.stats();
-        Ok(Value::obj(vec![
+        vec![
+            ("hits", Value::int(store.hits as i64)),
+            ("misses", Value::int(store.misses as i64)),
+            ("writes", Value::int(store.writes as i64)),
+            ("evictions", Value::int(store.evictions as i64)),
+            ("objects", Value::int(self.store.total_objects() as i64)),
+        ]
+    }
+
+    /// The reuse ledgers `stats` and `metrics` both report, in order.
+    fn reuse_fields(&self) -> [(&'static str, Value); 3] {
+        [
+            ("functions", self.function_reuse_json()),
+            ("session_cache", self.session_cache_json()),
+            ("policies", self.policy_runs.to_json()),
+        ]
+    }
+
+    fn stats(&self) -> Result<Value, ServeError> {
+        let mut fields = vec![
             ("protocol", Value::int(PROTOCOL_VERSION as i64)),
             ("protocol_minor", Value::int(PROTOCOL_MINOR as i64)),
             ("uptime_seconds", Value::Num(self.ops.uptime_seconds())),
@@ -696,19 +716,10 @@ impl ServerState {
                 "served_from_store",
                 Value::int(self.served_from_store.load(Ordering::Relaxed) as i64),
             ),
-            (
-                "store",
-                Value::obj(vec![
-                    ("hits", Value::int(store.hits as i64)),
-                    ("misses", Value::int(store.misses as i64)),
-                    ("writes", Value::int(store.writes as i64)),
-                    ("evictions", Value::int(store.evictions as i64)),
-                    ("objects", Value::int(self.store.total_objects() as i64)),
-                ]),
-            ),
-            ("functions", self.function_reuse_json()),
-            ("session_cache", self.session_cache_json()),
-            ("policies", self.policy_runs.to_json()),
+            ("store", Value::obj(self.store_fields())),
+        ];
+        fields.extend(self.reuse_fields());
+        fields.extend([
             (
                 "modules_in_memory",
                 Value::int(self.modules.lock().unwrap().len() as i64),
@@ -716,7 +727,8 @@ impl ServerState {
             ("workers", Value::int(self.workers as i64)),
             ("queue_capacity", Value::int(self.queue_capacity as i64)),
             ("queue_depth", Value::int(self.ops.queue_depth.get().max(0))),
-        ]))
+        ]);
+        Ok(Value::obj(fields))
     }
 
     /// The protocol-v1.1+ observability surface: everything `stats` knows
@@ -725,8 +737,18 @@ impl ServerState {
     /// (p50/p99/p999, milliseconds), and — since v1.2 — the per-function
     /// static-stage reuse ledger.
     fn metrics(&self) -> Result<Value, ServeError> {
-        let store = self.store.stats();
-        Ok(Value::obj(vec![
+        let mut store = self.store_fields();
+        store.extend([
+            ("bytes", Value::int(self.store.total_bytes() as i64)),
+            (
+                "budget_bytes",
+                match self.store.budget_bytes() {
+                    Some(b) => Value::int(b as i64),
+                    None => Value::Null,
+                },
+            ),
+        ]);
+        let mut fields = vec![
             ("protocol", Value::int(PROTOCOL_VERSION as i64)),
             ("protocol_minor", Value::int(PROTOCOL_MINOR as i64)),
             ("uptime_seconds", Value::Num(self.ops.uptime_seconds())),
@@ -739,37 +761,21 @@ impl ServerState {
                 ]),
             ),
             ("methods", self.ops.methods_json()),
-            (
-                "store",
-                Value::obj(vec![
-                    ("hits", Value::int(store.hits as i64)),
-                    ("misses", Value::int(store.misses as i64)),
-                    ("writes", Value::int(store.writes as i64)),
-                    ("evictions", Value::int(store.evictions as i64)),
-                    ("objects", Value::int(self.store.total_objects() as i64)),
-                    ("bytes", Value::int(self.store.total_bytes() as i64)),
-                    (
-                        "budget_bytes",
-                        match self.store.budget_bytes() {
-                            Some(b) => Value::int(b as i64),
-                            None => Value::Null,
-                        },
-                    ),
-                ]),
-            ),
+            ("store", Value::obj(store)),
             (
                 "served_from_store",
                 Value::int(self.served_from_store.load(Ordering::Relaxed) as i64),
             ),
-            ("functions", self.function_reuse_json()),
-            ("session_cache", self.session_cache_json()),
-            ("policies", self.policy_runs.to_json()),
+        ];
+        fields.extend(self.reuse_fields());
+        fields.extend([
             (
                 "sampled_profile",
                 self.sampled.to_json(self.trace_sample_every),
             ),
             ("workers", Value::int(self.workers as i64)),
-        ]))
+        ]);
+        Ok(Value::obj(fields))
     }
 
     fn shutdown(&self) -> Result<Value, ServeError> {

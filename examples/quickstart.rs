@@ -18,9 +18,11 @@
 //! 4. Experiment design, measurement, and hybrid modeling on the artifacts.
 //!
 //! Migrating from the old one-shot API is mechanical: `analyze(&m, entry,
-//! params, &cfg)` ≡ `SessionBuilder::new(&m, entry).config(cfg).build()
-//! .taint_run(params)` — and the session form lets you call `taint_run`
-//! (or `analyze_batch`) again without re-paying static analysis.
+//! params, &cfg)` ≡ `SessionBuilder::new(&m, entry).interp(cfg.interp)
+//! .build().taint_run(params)` (the library database and machine are
+//! fixed, so the interpreter configuration is all that remains) — and the
+//! session form lets you call `taint_run` (or `analyze_batch`) again
+//! without re-paying static analysis.
 //!
 //! Run with: `cargo run --release --example quickstart`
 

@@ -199,9 +199,8 @@ bb3:
 
 #[test]
 fn axis_mapping_cache_is_consistent_across_repeated_projections() {
-    // The memoized axis mapping must never change results: repeated and
-    // interleaved projections over different axis vectors agree with fresh
-    // computations.
+    // Repeated and interleaved projections over different axis vectors
+    // agree with the first ones.
     let app = lulesh::build();
     let session = SessionBuilder::new(&app.module, &app.entry).build();
     let a = session.taint_run(app.taint_run_params()).unwrap();
