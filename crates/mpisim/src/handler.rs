@@ -239,7 +239,7 @@ mod tests {
         assert_ne!(contended.contended_mem_word_time(), contended.mem_word_time);
         for cfg in [MachineConfig::default(), contended] {
             let mut h = MpiHandler::new(cfg);
-            let mut mem = pt_taint::Memory::new();
+            let mut mem = pt_taint::Memory::new(true);
             let mut labels = pt_taint::LabelTable::new();
             for name in ["pt_work_flops", "pt_work_mem"] {
                 let tok = h.resolve(name).unwrap();

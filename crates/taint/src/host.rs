@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn work_handler_charges_time() {
         let mut h = WorkOnlyHandler::default();
-        let mut mem = Memory::new();
+        let mut mem = Memory::new(true);
         let mut labels = LabelTable::new();
         let params = vec![];
         let mut ctx = HostCtx {
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn null_handler_rejects() {
         let mut h = NullHandler;
-        let mut mem = Memory::new();
+        let mut mem = Memory::new(true);
         let mut labels = LabelTable::new();
         let params = vec![];
         let mut ctx = HostCtx {

@@ -354,6 +354,8 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             .iter()
             .map(|n| handler.resolve(n))
             .collect();
+        // A measurement run carries no shadow plane.
+        let mem = Memory::new(config.taint.is_some());
         Interpreter {
             module,
             prepared,
@@ -361,7 +363,7 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
             config,
             params,
             labels,
-            mem: Memory::new(),
+            mem,
             records: TaintRecords::new(nfuncs, &blocks_per_func),
             profile: Profile::new(),
             clock: 0.0,
@@ -530,10 +532,13 @@ impl<'m, H: ExternalHandler> Interpreter<'m, H> {
     ) -> Result<(Option<TVal>, f64), InterpError> {
         debug_assert_eq!(P::TAINT, self.config.taint.is_some());
         // Hot per-instruction state lives in locals, synced with `self`
-        // around calls, so the dispatch loop keeps it in registers. The
-        // f64 additions happen in exactly the reference engine's order —
-        // only the storage location differs — so the clock stays
-        // bit-identical.
+        // around calls, so the dispatch loop does not go through `self`
+        // for it. `clock` still lives in a stack slot, not a register:
+        // the loop makes calls, and SysV x86-64 has no callee-saved XMM
+        // registers, so each `clock += INST_COST` is a load, an add and a
+        // store. The f64 additions happen in exactly the reference
+        // engine's order — only the storage location differs — so the
+        // clock stays bit-identical.
         let mut insts = self.insts;
         let mut clock = self.clock;
         let (path, t_enter) = self.enter_call(fid, parent, Some(args), &mut clock)?;

@@ -71,6 +71,8 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
             .map(|f| f.blocks.len())
             .chain(std::iter::repeat_n(0, extern_names.len()))
             .collect();
+        // A measurement run carries no shadow plane.
+        let mem = Memory::new(config.taint.is_some());
         ReferenceInterpreter {
             module,
             prepared,
@@ -78,7 +80,7 @@ impl<'m, H: ExternalHandler> ReferenceInterpreter<'m, H> {
             config,
             params,
             labels,
-            mem: Memory::new(),
+            mem,
             records: TaintRecords::new(nfuncs, &blocks_per_func),
             profile: Profile::new(),
             clock: 0.0,

@@ -11,7 +11,7 @@ use pt_ir::{BinOp, CmpPred, FunctionBuilder, Module, Type, UnOp, Value};
 use pt_taint::differential::compare_results;
 use pt_taint::{
     CtlFlowPolicy, InterpConfig, InterpError, Interpreter, MemError, PolicyKind, PreparedModule,
-    ReferenceInterpreter, RunOutput, WorkOnlyHandler,
+    ReferenceInterpreter, RunOutput, TVal, WorkOnlyHandler,
 };
 
 fn run_both(
@@ -945,5 +945,42 @@ fn oversized_alloca_fails_identically() {
             matches!(err, InterpError::Mem(MemError::AllocFailed { words, .. }) if words == 1 << 60),
             "{err:?}"
         );
+    }
+}
+
+/// A frame larger than one memory page: `fill` allocas more than a page of
+/// words, sums what it finds there, then writes its tainted argument into
+/// every word and returns the sum. The second call is handed the released
+/// pages again and must find them zeroed, labels included, in both modes.
+#[test]
+fn released_pages_are_handed_out_zeroed() {
+    const WORDS: i64 = pt_taint::memory::PAGE as i64 + 100;
+    let mut m = Module::new("page-reuse");
+    let mut b = FunctionBuilder::new("fill", vec![("v".into(), Type::I64)], Type::I64);
+    let buf = b.alloca(WORDS);
+    let acc = b.alloca(1i64);
+    b.store(acc, Value::int(0));
+    b.for_loop(0i64, WORDS, 1i64, |b, iv| {
+        let slot = b.gep(buf, iv, 1);
+        let old = b.load(slot, Type::I64);
+        let cur = b.load(acc, Type::I64);
+        let sum = b.add(cur, old);
+        b.store(acc, sum);
+        b.store(slot, b.param(0));
+    });
+    let out = b.load(acc, Type::I64);
+    b.ret(Some(out));
+    let fill = m.add_function(b.finish());
+
+    let mut b = tainted_main(Type::I64);
+    let n = b.call_external("pt_param_i64", vec![Value::int(0)], Type::I64);
+    let first = b.call(fill, vec![n], Type::I64);
+    let second = b.call(fill, vec![n], Type::I64);
+    let both = b.add(first, second);
+    b.ret(Some(both));
+    m.add_function(b.finish());
+
+    for out in assert_identical_measure_and_taint(&m, vec![("n".into(), 7)]) {
+        assert_eq!(out.ret, Some(TVal::UNTAINTED_ZERO), "both calls read zeros");
     }
 }
