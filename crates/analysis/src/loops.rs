@@ -220,21 +220,6 @@ impl LoopForest {
         self.block_loop.get(b.index()).copied().flatten()
     }
 
-    /// Reassemble a forest from its parts (deserialization path). The caller
-    /// is responsible for internal consistency — `block_loop` must be the
-    /// innermost-loop table matching `loops`.
-    pub fn from_parts(
-        loops: Vec<LoopInfo>,
-        block_loop: Vec<Option<LoopId>>,
-        irreducible: Vec<(BlockId, BlockId)>,
-    ) -> LoopForest {
-        LoopForest {
-            loops,
-            block_loop,
-            irreducible,
-        }
-    }
-
     /// Top-level loops (no parent).
     pub fn top_level(&self) -> impl Iterator<Item = &LoopInfo> {
         self.loops.iter().filter(|l| l.parent.is_none())

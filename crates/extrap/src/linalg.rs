@@ -3,7 +3,9 @@
 //!
 //! PMNF hypotheses are linear in their coefficients (the nonlinearity lives
 //! in the fixed exponents), so fitting a hypothesis is a tiny OLS problem —
-//! at most `1 + n_terms ≤ 3` unknowns in the paper's configuration (§4.5).
+//! at most `1 + MAX_TERMS = 3` unknowns (§4.5). The design is given as
+//! borrowed columns, one per unknown, and the system size is a const
+//! generic, so a fit allocates nothing.
 
 // In-place elimination and symmetric fill-in read clearest with explicit
 // indices.
@@ -11,19 +13,17 @@
 
 /// Solve `A x = b` in place for a small dense system. Returns `None` when
 /// the matrix is (numerically) singular.
-pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
-    let n = b.len();
-    debug_assert!(a.len() == n && a.iter().all(|r| r.len() == n));
-    for col in 0..n {
+pub fn solve<const N: usize>(mut a: [[f64; N]; N], mut b: [f64; N]) -> Option<[f64; N]> {
+    for col in 0..N {
         // Partial pivoting.
-        let pivot = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
+        let pivot = (col..N).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
         if a[pivot][col].abs() < 1e-12 {
             return None;
         }
         a.swap(col, pivot);
         b.swap(col, pivot);
         let d = a[col][col];
-        for row in 0..n {
+        for row in 0..N {
             if row == col {
                 continue;
             }
@@ -31,62 +31,52 @@ pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
             if f == 0.0 {
                 continue;
             }
-            for k in col..n {
+            for k in col..N {
                 a[row][k] -= f * a[col][k];
             }
             b[row] -= f * b[col];
         }
     }
-    Some((0..n).map(|i| b[i] / a[i][i]).collect())
+    Some(std::array::from_fn(|i| b[i] / a[i][i]))
 }
 
-/// Ordinary least squares: find `c` minimizing `‖D c − y‖²` where `D` is the
-/// design matrix (rows = observations). Returns `None` if the normal
-/// equations are singular (e.g. collinear columns).
-pub fn least_squares(design: &[Vec<f64>], y: &[f64]) -> Option<Vec<f64>> {
-    let rows = design.len();
-    if rows == 0 {
-        return None;
-    }
-    let cols = design[0].len();
-    if rows < cols {
+/// Ordinary least squares over the design whose columns are `cols`: find
+/// `c` minimizing `Σ_r (Σ_i c_i·cols[i][r] − y[r])²` over every row `r`
+/// but `skip` (a leave-one-out fold's held-out row). The normal equations
+/// are accumulated straight from the columns, row by row. Returns `None`
+/// if there are fewer rows than unknowns or the normal equations are
+/// singular (e.g. collinear columns).
+pub fn least_squares<const N: usize>(
+    cols: [&[f64]; N],
+    y: &[f64],
+    skip: Option<usize>,
+) -> Option<[f64; N]> {
+    let rows = y.len() - usize::from(skip.is_some_and(|k| k < y.len()));
+    if rows == 0 || rows < N {
         return None;
     }
     // Normal equations: (Dᵀ D) c = Dᵀ y.
-    let mut ata = vec![vec![0.0; cols]; cols];
-    let mut atb = vec![0.0; cols];
-    for (r, row) in design.iter().enumerate() {
-        debug_assert_eq!(row.len(), cols);
-        for i in 0..cols {
-            atb[i] += row[i] * y[r];
-            for j in i..cols {
-                ata[i][j] += row[i] * row[j];
+    let mut ata = [[0.0; N]; N];
+    let mut atb = [0.0; N];
+    for r in (0..y.len()).filter(|&r| Some(r) != skip) {
+        for i in 0..N {
+            atb[i] += cols[i][r] * y[r];
+            for j in i..N {
+                ata[i][j] += cols[i][r] * cols[j][r];
             }
         }
     }
-    for i in 0..cols {
+    for i in 0..N {
         for j in 0..i {
             ata[i][j] = ata[j][i];
         }
     }
     // Tikhonov nudge for near-singular systems keeps the search robust when
     // two candidate terms are nearly collinear on the sampled grid.
-    for (i, row) in ata.iter_mut().enumerate() {
-        row[i] += 1e-12;
+    for i in 0..N {
+        ata[i][i] += 1e-12;
     }
     solve(ata, atb)
-}
-
-/// Residual sum of squares of a fitted linear model.
-pub fn rss(design: &[Vec<f64>], y: &[f64], coef: &[f64]) -> f64 {
-    design
-        .iter()
-        .zip(y)
-        .map(|(row, &yi)| {
-            let pred: f64 = row.iter().zip(coef).map(|(d, c)| d * c).sum();
-            (pred - yi) * (pred - yi)
-        })
-        .sum()
 }
 
 /// Symmetric mean absolute percentage error (in percent), the robust score
@@ -139,21 +129,25 @@ pub fn r_squared(pred: &[f64], actual: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// Residual sum of squares of `coef` on the line `y = c0 + c1·x`.
+    fn rss(xs: &[f64], y: &[f64], coef: [f64; 2]) -> f64 {
+        xs.iter()
+            .zip(y)
+            .map(|(x, yi)| (coef[0] + coef[1] * x - yi).powi(2))
+            .sum()
+    }
+
     #[test]
     fn solve_identity() {
-        let a = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
-        let x = solve(a, vec![3.0, 4.0]).unwrap();
+        let a = [[1.0, 0.0], [0.0, 1.0]];
+        let x = solve(a, [3.0, 4.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12 && (x[1] - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn solve_general_3x3() {
-        let a = vec![
-            vec![2.0, 1.0, -1.0],
-            vec![-3.0, -1.0, 2.0],
-            vec![-2.0, 1.0, 2.0],
-        ];
-        let x = solve(a, vec![8.0, -11.0, -3.0]).unwrap();
+        let a = [[2.0, 1.0, -1.0], [-3.0, -1.0, 2.0], [-2.0, 1.0, 2.0]];
+        let x = solve(a, [8.0, -11.0, -3.0]).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-9);
         assert!((x[1] - 3.0).abs() < 1e-9);
         assert!((x[2] + 1.0).abs() < 1e-9);
@@ -161,36 +155,59 @@ mod tests {
 
     #[test]
     fn solve_singular_returns_none() {
-        let a = vec![vec![1.0, 2.0], vec![2.0, 4.0]];
-        assert!(solve(a, vec![1.0, 2.0]).is_none());
+        let a = [[1.0, 2.0], [2.0, 4.0]];
+        assert!(solve(a, [1.0, 2.0]).is_none());
     }
 
     #[test]
     fn ols_recovers_exact_line() {
         // y = 3 + 2x sampled exactly.
-        let design: Vec<Vec<f64>> = (1..=5).map(|x| vec![1.0, x as f64]).collect();
-        let y: Vec<f64> = (1..=5).map(|x| 3.0 + 2.0 * x as f64).collect();
-        let c = least_squares(&design, &y).unwrap();
+        let ones = [1.0; 5];
+        let xs: Vec<f64> = (1..=5).map(f64::from).collect();
+        let y: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x).collect();
+        let c = least_squares([&ones, &xs], &y, None).unwrap();
         assert!((c[0] - 3.0).abs() < 1e-6);
         assert!((c[1] - 2.0).abs() < 1e-6);
-        assert!(rss(&design, &y, &c) < 1e-9);
+        assert!(rss(&xs, &y, c) < 1e-9);
     }
 
     #[test]
     fn ols_minimizes_noisy_fit() {
-        let design: Vec<Vec<f64>> = (1..=10).map(|x| vec![1.0, x as f64]).collect();
+        let ones = [1.0; 10];
+        let xs: Vec<f64> = (1..=10).map(f64::from).collect();
         let y: Vec<f64> = (1..=10)
             .map(|x| 1.0 + 0.5 * x as f64 + if x % 2 == 0 { 0.1 } else { -0.1 })
             .collect();
-        let c = least_squares(&design, &y).unwrap();
+        let c = least_squares([&ones, &xs], &y, None).unwrap();
         // Perturbing the coefficients must not reduce the RSS.
-        let base = rss(&design, &y, &c);
+        let base = rss(&xs, &y, c);
         for delta in [-0.05, 0.05] {
-            let worse = rss(&design, &y, &[c[0] + delta, c[1]]);
+            let worse = rss(&xs, &y, [c[0] + delta, c[1]]);
             assert!(worse >= base - 1e-12);
-            let worse = rss(&design, &y, &[c[0], c[1] + delta]);
+            let worse = rss(&xs, &y, [c[0], c[1] + delta]);
             assert!(worse >= base - 1e-12);
         }
+    }
+
+    #[test]
+    fn skipping_a_row_fits_the_remaining_rows_bit_for_bit() {
+        let ones = [1.0; 6];
+        let xs = [1.0, 2.5, 4.0, 7.0, 11.0, 16.0];
+        let y = [2.0, 3.1, 5.2, 7.9, 12.5, 16.1];
+        for k in 0..xs.len() {
+            let rest = |v: &[f64]| -> Vec<f64> {
+                v.iter()
+                    .enumerate()
+                    .filter(|&(r, _)| r != k)
+                    .map(|(_, &x)| x)
+                    .collect()
+            };
+            let skipped = least_squares([&ones, &xs], &y, Some(k)).unwrap();
+            let removed = least_squares([&ones[1..], &rest(&xs)], &rest(&y), None).unwrap();
+            assert_eq!(skipped.map(f64::to_bits), removed.map(f64::to_bits));
+        }
+        // A skipped row still counts against the rows-vs-unknowns check.
+        assert!(least_squares([&ones[..2], &xs[..2]], &y[..2], Some(0)).is_none());
     }
 
     #[test]

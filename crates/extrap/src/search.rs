@@ -10,24 +10,36 @@
 //! `p·size` cross term; a function with no tainted loops is forced to a
 //! constant model. This is what removes the false dependencies that noise
 //! induces in black-box Extra-P (§B1).
+//!
+//! Hypotheses are scored on shared *design columns*: each candidate term
+//! is evaluated at every measurement point once per fit, and a hypothesis
+//! is the constant column plus at most [`MAX_TERMS`] borrowed term
+//! columns. Every leave-one-out fold solves the normal equations of those
+//! columns with its held-out row skipped ([`least_squares`]), so scoring
+//! copies no design. One rule selects among all hypotheses.
 
 use crate::linalg::{least_squares, r_squared, smape};
 use crate::measurement::MeasurementSet;
 use crate::term::{Model, Term};
 use serde::{Deserialize, Serialize};
 
-/// The hypothesis search space (defaults follow §4.5 of the paper).
+/// Most non-constant terms per hypothesis (`n` in PMNF): a hypothesis is
+/// the constant plus one or two candidate terms.
+pub const MAX_TERMS: usize = 2;
+
+/// How many best single-parameter terms per parameter feed the
+/// multi-parameter heuristic.
+pub const PER_PARAM_CANDIDATES: usize = 3;
+
+/// The hypothesis search space: the exponent sets (defaults follow §4.5 of
+/// the paper). The hypothesis shape is fixed by [`MAX_TERMS`] and
+/// [`PER_PARAM_CANDIDATES`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SearchSpace {
     /// Polynomial exponents `I` (0 is implied via pure-log terms).
     pub i_exps: Vec<f64>,
     /// Logarithm exponents `J`.
     pub j_exps: Vec<u32>,
-    /// Maximum number of non-constant terms per hypothesis (`n` in PMNF).
-    pub max_terms: usize,
-    /// How many best single-parameter terms feed the multi-parameter
-    /// heuristic per parameter.
-    pub per_param_candidates: usize,
 }
 
 impl Default for SearchSpace {
@@ -55,8 +67,6 @@ impl Default for SearchSpace {
                 3.0,
             ],
             j_exps: vec![0, 1, 2],
-            max_terms: 2,
-            per_param_candidates: 3,
         }
     }
 }
@@ -67,8 +77,6 @@ impl SearchSpace {
         SearchSpace {
             i_exps: vec![0.0, 0.5, 1.0, 1.5, 2.0, 3.0],
             j_exps: vec![0, 1, 2],
-            max_terms: 2,
-            per_param_candidates: 3,
         }
     }
 
@@ -131,7 +139,6 @@ pub struct Quality {
     /// SMAPE of the final fit on all points.
     pub smape: f64,
     pub r2: f64,
-    pub rss: f64,
     /// Number of hypotheses evaluated.
     pub hypotheses: usize,
 }
@@ -143,295 +150,227 @@ pub struct FittedModel {
     pub quality: Quality,
 }
 
-/// Evaluate candidate terms into a design matrix: `[1, t1(x), t2(x), ...]`.
-fn design_matrix(terms: &[&Term], coords: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    coords
-        .iter()
-        .map(|c| {
-            let mut row = Vec::with_capacity(terms.len() + 1);
-            row.push(1.0);
-            for t in terms {
-                row.push(t.eval(c));
-            }
-            row
-        })
-        .collect()
+/// Leave-one-out cross-validated SMAPE of the hypothesis with design
+/// columns `cols` (the constant column first). Fold `k` solves the normal
+/// equations of `cols` with row `k` skipped and predicts row `k`. Returns
+/// `None` when a fold is unfittable (singular design).
+fn loo_cv_smape<const N: usize>(cols: [&[f64]; N], ys: &[f64]) -> Option<f64> {
+    // With no more points than unknowns nothing can be held out: score the
+    // training error instead (slightly optimistic, but keeps tiny sweeps
+    // usable).
+    let hold_out = ys.len() > N;
+    let mut pred = Vec::with_capacity(ys.len());
+    for k in 0..ys.len() {
+        let coef = least_squares(cols, ys, hold_out.then_some(k))?;
+        pred.push(cols.iter().zip(&coef).map(|(col, c)| col[k] * c).sum());
+    }
+    Some(smape(&pred, ys))
 }
 
-/// Leave-one-out cross-validated SMAPE of a hypothesis. Returns `None` when
-/// a fold is unfittable (singular design).
-fn loo_cv_smape(design: &[Vec<f64>], ys: &[f64]) -> Option<f64> {
-    let n = ys.len();
-    let ncoef = design.first().map(|r| r.len()).unwrap_or(1);
-    if n <= ncoef {
-        // Not enough points to cross-validate; fall back to the training
-        // error (slightly optimistic, but keeps tiny sweeps usable).
-        let coef = least_squares(design, ys)?;
-        let pred: Vec<f64> = design
-            .iter()
-            .map(|r| r.iter().zip(&coef).map(|(d, c)| d * c).sum())
-            .collect();
-        return Some(smape(&pred, ys));
-    }
-    let mut held_pred = Vec::with_capacity(n);
-    let mut held_act = Vec::with_capacity(n);
-    for k in 0..n {
-        let mut d: Vec<Vec<f64>> = Vec::with_capacity(n - 1);
-        let mut y: Vec<f64> = Vec::with_capacity(n - 1);
-        for i in 0..n {
-            if i != k {
-                d.push(design[i].clone());
-                y.push(ys[i]);
-            }
+/// Fit one hypothesis and score it: its coefficients on all points and its
+/// leave-one-out CV. `None` when either is unfittable.
+fn fit<const N: usize>(cols: [&[f64]; N], ys: &[f64]) -> Option<([f64; N], f64)> {
+    const { assert!(N <= MAX_TERMS + 1) };
+    let cv = loo_cv_smape(cols, ys)?;
+    Some((least_squares(cols, ys, None)?, cv))
+}
+
+/// Complexity of a hypothesis (tie-breaking: prefer simpler models).
+fn complexity<'a>(terms: impl ExactSizeIterator<Item = &'a Term>) -> f64 {
+    terms.len() as f64 * 10.0 + terms.map(Term::complexity).sum::<f64>()
+}
+
+/// The selection rule. The hypothesis `terms`, fitted as `coef` (the
+/// constant first) with CV `cv`, replaces the incumbent `best` when its CV
+/// is lower by more than 1e-12, or equal within 1e-12 and it is simpler.
+fn consider(best: &mut Option<(Model, f64)>, terms: &[&Term], coef: &[f64], cv: f64) {
+    let better = match best {
+        None => true,
+        Some((bm, bcv)) => {
+            cv < *bcv - 1e-12
+                || (cv < *bcv + 1e-12
+                    && complexity(terms.iter().copied())
+                        < complexity(bm.terms.iter().map(|(_, t)| t)))
         }
-        let coef = least_squares(&d, &y)?;
-        let pred: f64 = design[k].iter().zip(&coef).map(|(d, c)| d * c).sum();
-        held_pred.push(pred);
-        held_act.push(ys[k]);
-    }
-    Some(smape(&held_pred, &held_act))
-}
-
-/// Fit one hypothesis (set of terms) and score it.
-fn fit_hypothesis(terms: &[&Term], coords: &[Vec<f64>], ys: &[f64]) -> Option<(Model, f64)> {
-    let design = design_matrix(terms, coords);
-    let cv = loo_cv_smape(&design, ys)?;
-    let coef = least_squares(&design, ys)?;
-    let model = Model {
-        constant: coef[0],
-        terms: terms
-            .iter()
-            .zip(coef.iter().skip(1))
-            .map(|(t, &c)| (c, (*t).clone()))
-            .collect(),
     };
-    Some((model, cv))
+    if better {
+        let model = Model {
+            constant: coef[0],
+            terms: terms
+                .iter()
+                .zip(&coef[1..])
+                .map(|(t, &c)| (c, (*t).clone()))
+                .collect(),
+        };
+        *best = Some((model, cv));
+    }
 }
 
 fn finalize(
-    model: Model,
-    cv: f64,
-    coords: &[Vec<f64>],
+    best: Option<(Model, f64)>,
+    pred: impl FnOnce(&Model) -> Vec<f64>,
     ys: &[f64],
     hypotheses: usize,
 ) -> FittedModel {
-    let pred: Vec<f64> = coords.iter().map(|c| model.eval(c)).collect();
+    let (model, cv) = best.unwrap_or((Model::constant(0.0), 0.0));
+    let pred = pred(&model);
     let quality = Quality {
         cv_smape: cv,
         smape: smape(&pred, ys),
         r2: r_squared(&pred, ys),
-        rss: pred.iter().zip(ys).map(|(p, a)| (p - a) * (p - a)).sum(),
         hypotheses,
     };
     FittedModel { model, quality }
 }
 
-/// Complexity of a hypothesis (tie-breaking: prefer simpler models).
-fn hypothesis_complexity(model: &Model) -> f64 {
-    model.terms.len() as f64 * 10.0 + model.terms.iter().map(|(_, t)| t.complexity()).sum::<f64>()
+/// The single-term scan shared by [`fit_single_param`] and the
+/// multi-parameter pool: the constant plus each one of `terms`
+/// (single-parameter terms), fitted to `(xs, ys)`. Returns `(index into
+/// terms, coefficients, CV)` for every term that fits, in `terms` order.
+fn scan_single_terms(terms: &[Term], xs: &[f64], ys: &[f64]) -> Vec<(usize, [f64; 2], f64)> {
+    let ones = vec![1.0; xs.len()];
+    let mut col = vec![0.0; xs.len()];
+    let mut fits = Vec::with_capacity(terms.len());
+    for (i, term) in terms.iter().enumerate() {
+        for (c, &x) in col.iter_mut().zip(xs) {
+            *c = term.factors[0].eval(x);
+        }
+        if let Some((coef, cv)) = fit([&ones, &col], ys) {
+            fits.push((i, coef, cv));
+        }
+    }
+    fits
 }
 
 /// Search the best single-parameter model for data `(xs, ys)`, where `xs`
 /// are values of parameter `param`.
 pub fn fit_single_param(xs: &[f64], ys: &[f64], param: usize, space: &SearchSpace) -> FittedModel {
-    let coords: Vec<Vec<f64>> = xs
-        .iter()
-        .map(|&x| {
-            let mut c = vec![1.0; param + 1];
-            c[param] = x;
-            c
-        })
-        .collect();
-    let mut best: Option<(Model, f64)> = None;
-    let mut count = 0usize;
-
-    // Constant hypothesis.
-    if let Some((m, cv)) = fit_hypothesis(&[], &coords, ys) {
-        best = Some((m, cv));
-        count += 1;
+    let terms = space.single_param_terms(param);
+    let mut best = None;
+    let constant = fit([&vec![1.0; xs.len()]], ys);
+    if let Some((coef, cv)) = constant {
+        consider(&mut best, &[], &coef, cv);
     }
-    for term in space.single_param_terms(param) {
-        count += 1;
-        if let Some((m, cv)) = fit_hypothesis(&[&term], &coords, ys) {
-            let better = match &best {
-                None => true,
-                Some((bm, bcv)) => {
-                    cv < *bcv - 1e-12
-                        || (cv < *bcv + 1e-12
-                            && hypothesis_complexity(&m) < hypothesis_complexity(bm))
-                }
-            };
-            if better {
-                best = Some((m, cv));
-            }
-        }
+    for (i, coef, cv) in scan_single_terms(&terms, xs, ys) {
+        consider(&mut best, &[&terms[i]], &coef, cv);
     }
-    let (model, cv) = best.unwrap_or((Model::constant(0.0), 0.0));
-    finalize(model, cv, &coords, ys, count)
-}
-
-/// Ranked single-parameter terms (best CV first) — feeds the
-/// multi-parameter heuristic.
-fn rank_single_terms(
-    xs: &[f64],
-    ys: &[f64],
-    param: usize,
-    space: &SearchSpace,
-) -> Vec<(Term, f64)> {
-    let coords: Vec<Vec<f64>> = xs
-        .iter()
-        .map(|&x| {
-            let mut c = vec![1.0; param + 1];
-            c[param] = x;
-            c
-        })
-        .collect();
-    let mut ranked: Vec<(Term, f64)> = Vec::new();
-    for term in space.single_param_terms(param) {
-        if let Some((_, cv)) = fit_hypothesis(&[&term], &coords, ys) {
-            ranked.push((term, cv));
-        }
-    }
-    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-    ranked.truncate(space.per_param_candidates);
-    ranked
+    let mut at = vec![1.0; param + 1];
+    let pred = |m: &Model| {
+        xs.iter()
+            .map(|&x| {
+                at[param] = x;
+                m.eval(&at)
+            })
+            .collect()
+    };
+    finalize(
+        best,
+        pred,
+        ys,
+        usize::from(constant.is_some()) + terms.len(),
+    )
 }
 
 /// Search the best multi-parameter model over a measurement set.
 ///
 /// `restriction` is the taint-derived prior: `None` reproduces black-box
-/// Extra-P; `Some` prunes parameters and term structures (§4.5). The
-/// heuristic mirrors Extra-P's fast multi-parameter modeling: best
-/// single-parameter sub-models are combined additively and multiplicatively
-/// instead of searching the full cross-product space.
+/// Extra-P; `Some` prunes parameters and term structures (§4.5), and one
+/// that forbids every parameter leaves only the constant hypothesis. The
+/// heuristic mirrors Extra-P's fast multi-parameter modeling: the
+/// [`PER_PARAM_CANDIDATES`] best single-parameter terms of each parameter
+/// are combined additively and multiplicatively instead of searching the
+/// full cross-product space.
 pub fn fit_multi_param(
     ms: &MeasurementSet,
     space: &SearchSpace,
     restriction: Option<&Restriction>,
 ) -> FittedModel {
     let _span = pt_util::trace::span("extrap", "fit");
-    let nparams = ms.num_params();
-    let coords: Vec<Vec<f64>> = ms.points.iter().map(|p| p.coords.clone()).collect();
     let ys = ms.means();
-    if coords.is_empty() {
+    if ys.is_empty() {
         return FittedModel {
             model: Model::constant(0.0),
             quality: Quality::default(),
         };
     }
-
-    // Forced-constant shortcut: nothing is allowed to vary.
-    if matches!(restriction, Some(r) if r.forbids_everything()) {
-        let mean = ys.iter().sum::<f64>() / ys.len() as f64;
-        let (model, cv) = fit_hypothesis(&[], &coords, &ys).unwrap_or((Model::constant(mean), 0.0));
-        return finalize(model, cv, &coords, &ys, 1);
-    }
-
-    let allowed = |mask: u64| -> bool {
-        match restriction {
-            None => true,
-            Some(r) => r.allows_mask(mask),
-        }
-    };
+    let allowed = |mask: u64| restriction.is_none_or(|r| r.allows_mask(mask));
 
     // Step 1: best single-parameter terms per allowed parameter.
-    let mut per_param: Vec<Vec<Term>> = Vec::with_capacity(nparams);
-    for k in 0..nparams {
-        if !allowed(1u64 << k) {
-            per_param.push(Vec::new());
-            continue;
-        }
-        let slice = ms.slice_along(k);
-        if slice.len() < 2 {
-            per_param.push(Vec::new());
-            continue;
-        }
-        let xs: Vec<f64> = slice.iter().map(|(x, _)| *x).collect();
-        let vals: Vec<f64> = slice.iter().map(|(_, v)| *v).collect();
-        per_param.push(
-            rank_single_terms(&xs, &vals, k, space)
-                .into_iter()
-                .map(|(t, _)| t)
-                .collect(),
-        );
-    }
+    let per_param: Vec<Vec<Term>> = (0..ms.num_params())
+        .map(|k| {
+            if !allowed(1u64 << k) {
+                return Vec::new();
+            }
+            let slice = ms.slice_along(k);
+            if slice.len() < 2 {
+                return Vec::new();
+            }
+            let (xs, vals): (Vec<f64>, Vec<f64>) = slice.into_iter().unzip();
+            let terms = space.single_param_terms(k);
+            let mut fits = scan_single_terms(&terms, &xs, &vals);
+            fits.sort_by(|a, b| a.2.total_cmp(&b.2));
+            fits.iter()
+                .take(PER_PARAM_CANDIDATES)
+                .map(|&(i, ..)| terms[i].clone())
+                .collect()
+        })
+        .collect();
 
     // Step 2: candidate term pool — singles plus cross-parameter products.
-    let mut pool: Vec<Term> = Vec::new();
-    for terms in &per_param {
-        for t in terms {
-            if allowed(t.param_mask()) {
-                pool.push(t.clone());
-            }
-        }
-    }
+    let mut pool: Vec<Term> = per_param.iter().flatten().cloned().collect();
     // Products over every subset of parameters of size ≥ 2.
-    let param_ids: Vec<usize> = (0..nparams).filter(|k| !per_param[*k].is_empty()).collect();
-    let nsubsets = 1usize << param_ids.len();
-    for subset in 1..nsubsets {
+    let param_ids: Vec<usize> = (0..per_param.len())
+        .filter(|k| !per_param[*k].is_empty())
+        .collect();
+    for subset in 1usize..1 << param_ids.len() {
         let members: Vec<usize> = param_ids
             .iter()
             .enumerate()
             .filter(|(i, _)| subset >> i & 1 == 1)
             .map(|(_, &k)| k)
             .collect();
-        if members.len() < 2 {
-            continue;
-        }
         let mask = members.iter().fold(0u64, |m, &k| m | 1u64 << k);
-        if !allowed(mask) {
+        if members.len() < 2 || !allowed(mask) {
             continue;
         }
         // All combinations of one candidate term per member parameter.
         let mut combos: Vec<Term> = vec![Term::default()];
         for &k in &members {
-            let mut next = Vec::new();
-            for c in &combos {
-                for t in &per_param[k] {
-                    next.push(c.product(t));
-                }
-            }
-            combos = next;
+            combos = combos
+                .iter()
+                .flat_map(|c| per_param[k].iter().map(|t| c.product(t)))
+                .collect();
         }
         pool.extend(combos);
     }
     pool.dedup();
 
-    // Step 3: hypotheses = constant + subsets of the pool of size ≤ max_terms.
-    let mut best: Option<(Model, f64)> = None;
-    let mut count = 0usize;
-    let consider = |m: Model, cv: f64, best: &mut Option<(Model, f64)>| {
-        let better = match best {
-            None => true,
-            Some((bm, bcv)) => {
-                cv < *bcv - 1e-12
-                    || (cv < *bcv + 1e-12 && hypothesis_complexity(&m) < hypothesis_complexity(bm))
-            }
-        };
-        if better {
-            *best = Some((m, cv));
-        }
-    };
-    if let Some((m, cv)) = fit_hypothesis(&[], &coords, &ys) {
-        count += 1;
-        consider(m, cv, &mut best);
+    // Step 3: hypotheses = the constant, every pool term, every pool pair.
+    let ones = vec![1.0; ys.len()];
+    let cols: Vec<Vec<f64>> = pool
+        .iter()
+        .map(|t| ms.points.iter().map(|p| t.eval(&p.coords)).collect())
+        .collect();
+    let mut best = None;
+    let mut hypotheses = 0usize;
+    if let Some((coef, cv)) = fit([&ones], &ys) {
+        hypotheses += 1;
+        consider(&mut best, &[], &coef, cv);
     }
     for (i, t1) in pool.iter().enumerate() {
-        count += 1;
-        if let Some((m, cv)) = fit_hypothesis(&[t1], &coords, &ys) {
-            consider(m, cv, &mut best);
+        hypotheses += 1;
+        if let Some((coef, cv)) = fit([&ones, &cols[i]], &ys) {
+            consider(&mut best, &[t1], &coef, cv);
         }
-        if space.max_terms >= 2 {
-            for t2 in pool.iter().skip(i + 1) {
-                count += 1;
-                if let Some((m, cv)) = fit_hypothesis(&[t1, t2], &coords, &ys) {
-                    consider(m, cv, &mut best);
-                }
+        for (j, t2) in pool.iter().enumerate().skip(i + 1) {
+            hypotheses += 1;
+            if let Some((coef, cv)) = fit([&ones, &cols[i], &cols[j]], &ys) {
+                consider(&mut best, &[t1, t2], &coef, cv);
             }
         }
     }
-    let (model, cv) = best.unwrap_or((Model::constant(0.0), 0.0));
-    finalize(model, cv, &coords, &ys, count)
+    let pred = |m: &Model| ms.points.iter().map(|p| m.eval(&p.coords)).collect();
+    finalize(best, pred, &ys, hypotheses)
 }
 
 #[cfg(test)]
@@ -571,5 +510,177 @@ mod tests {
         let fit = fit_single_param(&xs, &ys, 0, &SearchSpace::small());
         assert!(fit.quality.hypotheses > 10);
         assert!(fit.quality.r2 > 0.99);
+    }
+
+    /// The leave-one-out scoring the column form replaced, kept as the
+    /// reference: every fold copies the design's other rows into a fresh
+    /// matrix and solves it with a row-based OLS.
+    #[allow(clippy::needless_range_loop)]
+    mod reference {
+        use crate::linalg::smape;
+
+        fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+            let n = b.len();
+            for col in 0..n {
+                let pivot =
+                    (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
+                if a[pivot][col].abs() < 1e-12 {
+                    return None;
+                }
+                a.swap(col, pivot);
+                b.swap(col, pivot);
+                let d = a[col][col];
+                for row in 0..n {
+                    if row == col {
+                        continue;
+                    }
+                    let f = a[row][col] / d;
+                    if f == 0.0 {
+                        continue;
+                    }
+                    for k in col..n {
+                        a[row][k] -= f * a[col][k];
+                    }
+                    b[row] -= f * b[col];
+                }
+            }
+            Some((0..n).map(|i| b[i] / a[i][i]).collect())
+        }
+
+        fn least_squares(design: &[Vec<f64>], y: &[f64]) -> Option<Vec<f64>> {
+            let rows = design.len();
+            if rows == 0 {
+                return None;
+            }
+            let cols = design[0].len();
+            if rows < cols {
+                return None;
+            }
+            let mut ata = vec![vec![0.0; cols]; cols];
+            let mut atb = vec![0.0; cols];
+            for (r, row) in design.iter().enumerate() {
+                for i in 0..cols {
+                    atb[i] += row[i] * y[r];
+                    for j in i..cols {
+                        ata[i][j] += row[i] * row[j];
+                    }
+                }
+            }
+            for i in 0..cols {
+                for j in 0..i {
+                    ata[i][j] = ata[j][i];
+                }
+            }
+            for (i, row) in ata.iter_mut().enumerate() {
+                row[i] += 1e-12;
+            }
+            solve(ata, atb)
+        }
+
+        pub fn loo_cv_smape(design: &[Vec<f64>], ys: &[f64]) -> Option<f64> {
+            let n = ys.len();
+            let ncoef = design.first().map(|r| r.len()).unwrap_or(1);
+            if n <= ncoef {
+                let coef = least_squares(design, ys)?;
+                let pred: Vec<f64> = design
+                    .iter()
+                    .map(|r| r.iter().zip(&coef).map(|(d, c)| d * c).sum())
+                    .collect();
+                return Some(smape(&pred, ys));
+            }
+            let mut held_pred = Vec::with_capacity(n);
+            let mut held_act = Vec::with_capacity(n);
+            for k in 0..n {
+                let mut d: Vec<Vec<f64>> = Vec::with_capacity(n - 1);
+                let mut y: Vec<f64> = Vec::with_capacity(n - 1);
+                for i in 0..n {
+                    if i != k {
+                        d.push(design[i].clone());
+                        y.push(ys[i]);
+                    }
+                }
+                let coef = least_squares(&d, &y)?;
+                let pred: f64 = design[k].iter().zip(&coef).map(|(d, c)| d * c).sum();
+                held_pred.push(pred);
+                held_act.push(ys[k]);
+            }
+            Some(smape(&held_pred, &held_act))
+        }
+    }
+
+    /// SplitMix64: a deterministic stream of uniform draws in `[0, 1)`.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The column-form CV of `cols` against the reference on the same
+    /// design, bit for bit (or both unfittable). Returns whether it fit.
+    fn cv_matches_reference<const N: usize>(cols: [&[f64]; N], ys: &[f64]) -> bool {
+        let rows: Vec<Vec<f64>> = (0..ys.len())
+            .map(|r| cols.iter().map(|c| c[r]).collect())
+            .collect();
+        let got = loo_cv_smape(cols, ys);
+        let want = reference::loo_cv_smape(&rows, ys);
+        assert_eq!(
+            got.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "cols {cols:?}, ys {ys:?}: {got:?} vs {want:?}"
+        );
+        got.is_some()
+    }
+
+    #[test]
+    fn loo_cv_matches_the_clone_per_fold_reference_bit_for_bit() {
+        let mut draw = Draws(34);
+        let (mut fitted, mut singular, mut fallback) = (0, 0, 0);
+        for round in 0..600 {
+            // 1..=9 points: n ≤ ncoef (the training-error fallback) for the
+            // smallest, real leave-one-out folds for the rest.
+            let n = 1 + round % 9;
+            let ones = vec![1.0; n];
+            let x: Vec<f64> = (0..n).map(|_| 1.0 + 100.0 * draw.next()).collect();
+            let scale = [1e-6, 1.0, 1e6][round % 3];
+            let ys: Vec<f64> = x
+                .iter()
+                .map(|&x| scale * (2.0 + x.sqrt() * (1.0 + 0.1 * draw.next())))
+                .collect();
+            // The second term column is independent, nearly collinear with
+            // the first (relative jitter down to 1e-15), or an exact copy.
+            let jitter = [0.5, 1e-6, 1e-10, 1e-15, 0.0][round % 5];
+            let z: Vec<f64> = x
+                .iter()
+                .map(|&v| v * v * (1.0 + jitter * (draw.next() - 0.5)))
+                .collect();
+            let near: Vec<f64> = x
+                .iter()
+                .map(|&v| v * (1.0 + jitter * (draw.next() - 0.5)))
+                .collect();
+            for ok in [
+                cv_matches_reference([&ones], &ys),
+                cv_matches_reference([&ones, &x], &ys),
+                cv_matches_reference([&ones, &x, &z], &ys),
+                cv_matches_reference([&ones, &x, &near], &ys),
+            ] {
+                if ok {
+                    fitted += 1;
+                } else {
+                    singular += 1;
+                }
+            }
+            fallback += usize::from(n <= 3);
+        }
+        // Both outcomes and the fallback were exercised.
+        assert!(
+            fitted > 1000 && singular > 50 && fallback > 100,
+            "{fitted} {singular} {fallback}"
+        );
     }
 }

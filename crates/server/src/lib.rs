@@ -35,7 +35,7 @@ pub mod store;
 
 pub use client::{Client, ClientError};
 pub use protocol::{ServeError, PROTOCOL_MINOR, PROTOCOL_VERSION};
-pub use state::ServerState;
+pub use state::{ServerState, MAX_FIT_PARAMS, MAX_FIT_POINTS};
 pub use store::{content_key, ArtifactKind, Store, StoreKey, CONFIG_FINGERPRINT};
 
 use pt_util::{BoundedQueue, TryPushError};

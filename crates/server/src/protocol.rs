@@ -1,4 +1,4 @@
-//! The wire protocol: newline-delimited JSON, version 1 (revision 1.9).
+//! The wire protocol: newline-delimited JSON, version 1 (revision 1.10).
 //!
 //! One request per line, one response per line, both single JSON objects
 //! rendered compactly (the renderer escapes every control character, so a
@@ -65,9 +65,13 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// `served_from_store` and the `store` counters no longer count them (a
 /// restarted server recomputes a module's stage on its first request).
 /// Every response keeps its shape and bytes.
+/// Revision 10 ("protocol v1.10") bounds `fit_model`: a request naming
+/// more than `MAX_FIT_PARAMS` (3) parameters or carrying more than
+/// `MAX_FIT_POINTS` (512) points is a `bad_request` naming the limit.
+/// Every admitted fit keeps its bytes.
 /// No other documented field changed shape; v1 clients are unaffected —
 /// the wire `v` field stays `1`.
-pub const PROTOCOL_MINOR: u64 = 9;
+pub const PROTOCOL_MINOR: u64 = 10;
 
 /// A parsed request envelope.
 #[derive(Debug, Clone)]

@@ -63,6 +63,17 @@ impl PolicyTotals {
     }
 }
 
+/// Most parameters a `fit_model` request may name. The search's
+/// candidate pool grows as 4^m − 1 with `m` parameters and its hypotheses
+/// as the pool's square: 2,017 hypotheses at 3 parameters, 523,777 at 5.
+pub const MAX_FIT_PARAMS: usize = 3;
+
+/// Most points a `fit_model` request may carry. Every hypothesis costs
+/// O(points²) (one leave-one-out fold per point, each over every other
+/// point). A fit at both limits (an 8×8×8 grid) takes about 1.2 s in a
+/// release build on one core of a 2-vCPU Intel Xeon host.
+pub const MAX_FIT_POINTS: usize = 512;
+
 /// Stage-name cardinality bound of the sampled profile: stage names come
 /// from our own instrumentation (a small fixed set once per-function
 /// spans are folded, see [`profile_stage`]), but the bound makes the
@@ -534,13 +545,10 @@ impl ServerState {
     // ---- fit_model -------------------------------------------------------
 
     /// Fit an Extra-P model to measurements, under an optional taint-derived
-    /// restriction (§4.5). Cached by the canonical request content.
+    /// restriction (§4.5). Cached by the canonical request content. A
+    /// request past [`MAX_FIT_PARAMS`] or [`MAX_FIT_POINTS`] is a
+    /// `bad_request`, whatever the store holds.
     fn fit_model(&self, params: &Value) -> Result<Value, ServeError> {
-        let key = StoreKey::model(&params.render());
-        if let Some(value) = self.stored(&key) {
-            return Ok(value);
-        }
-
         let names: Vec<String> = params
             .get("param_names")
             .and_then(Value::as_arr)
@@ -555,10 +563,22 @@ impl ServerState {
         if names.is_empty() {
             return Err(ServeError::BadRequest("'param_names' is empty".into()));
         }
+        if names.len() > MAX_FIT_PARAMS {
+            return Err(ServeError::BadRequest(format!(
+                "'param_names' has {} entries; fit_model takes at most {MAX_FIT_PARAMS} parameters",
+                names.len()
+            )));
+        }
         let points = params
             .get("points")
             .and_then(Value::as_arr)
             .ok_or_else(|| ServeError::BadRequest("missing array 'points'".into()))?;
+        if points.len() > MAX_FIT_POINTS {
+            return Err(ServeError::BadRequest(format!(
+                "'points' has {} entries; fit_model takes at most {MAX_FIT_POINTS} points",
+                points.len()
+            )));
+        }
         let mut ms = MeasurementSet::new(names.clone());
         for (i, point) in points.iter().enumerate() {
             let coords = f64_array(point.get("coords"), &format!("points[{i}].coords"))?;
@@ -600,6 +620,10 @@ impl ServerState {
             }
         };
 
+        let key = StoreKey::model(&params.render());
+        if let Some(value) = self.stored(&key) {
+            return Ok(value);
+        }
         let fitted = fit_multi_param(&ms, &SearchSpace::small(), restriction.as_ref());
         let summary = Value::obj(vec![
             ("model", Value::str(fitted.model.render(&names))),

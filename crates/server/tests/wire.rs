@@ -403,7 +403,7 @@ fn a_connection_serves_valid_requests_after_malformed_ones() {
 }
 
 #[test]
-fn stats_and_metrics_report_minor_9_and_a_session_cache_of_entries_only() {
+fn stats_and_metrics_report_minor_10_and_a_session_cache_of_entries_only() {
     let dir = fresh_store_dir("minor");
     let state = ServerState::new(Store::open(&dir).expect("store"), 1, 4);
     let submit = request_envelope(
@@ -436,7 +436,7 @@ fn stats_and_metrics_report_minor_9_and_a_session_cache_of_entries_only() {
         let result = response.get("result").expect("result");
         assert_eq!(
             result.get("protocol_minor").and_then(Value::as_u64),
-            Some(9),
+            Some(10),
             "{method}"
         );
         assert_eq!(

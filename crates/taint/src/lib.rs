@@ -5,7 +5,8 @@
 //!
 //! * [`label`] — 16-bit taint labels organized as a deduplicated union tree
 //!   (the DFSan design described in §5.2), with memoized parameter sets.
-//! * [`memory`] — word-granular memory with a 1:1 shadow label per word.
+//! * [`memory`] — paged word-granular memory: a value plane, plus a 1:1
+//!   shadow label plane in taint runs only (measurement runs carry none).
 //! * [`path`] — calling-context interning (context-aware records, §5.2).
 //! * [`prepared`] — precomputed per-function facts (loops, postdominators,
 //!   back edges, trip counts) plus the decoded program.

@@ -39,8 +39,6 @@ pub struct PreparedFunction {
     pub exiting_loops: Vec<Vec<LoopId>>,
     /// Back edges `(latch, header) → loop`.
     pub back_edges: HashMap<(BlockId, BlockId), LoopId>,
-    /// For each block: the innermost loop containing it, if any.
-    pub innermost: Vec<Option<LoopId>>,
     /// For each block: the loop it heads, if any.
     pub header_of: Vec<Option<LoopId>>,
     /// Immediate postdominator per block (None = function exit).
@@ -71,9 +69,6 @@ impl PreparedFunction {
             }
             header_of[l.header.index()] = Some(l.id);
         }
-        let innermost = (0..nblocks)
-            .map(|i| forest.loop_of(BlockId(i as u32)))
-            .collect();
         let ipostdom = (0..nblocks)
             .map(|i| postdom.ipostdom_of(BlockId(i as u32)))
             .collect();
@@ -97,7 +92,6 @@ impl PreparedFunction {
             trip_counts,
             exiting_loops,
             back_edges,
-            innermost,
             header_of,
             ipostdom,
             result_tys,
